@@ -49,8 +49,10 @@ def rat(value: RatLike) -> Fraction:
         if "." in text or "e" in text or "E" in text:
             raise ValueError(f"not an exact rational literal: {value!r}")
         if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
+            num, den = (int(part) for part in text.split("/", 1))
+            if den == 0:
+                raise ValueError(f"zero denominator: {value!r}")
+            return Fraction(num, den)
         return Fraction(int(text))
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 

@@ -1,19 +1,28 @@
 """Numerical tracing of the boundary arcs and region membership tests.
 
 This is the only floating-point module; everything upstream hands over
-exact data and the tolerances live here as explicit parameters.
+exact data.
 
-Each arc is the locus of one root of the reduced polynomial as the
-parameter a runs over [0, 1].  At a = 1 the reduced polynomial is
-t^s - 1 (times a power of t for Type II), so the endpoint e^(2*pi*i*r/s)
-is a simple root; continuation therefore starts there and walks a
-backwards, matching at every step the root nearest the previous point
-and halving the step whenever the jump approaches the distance to the
-nearest competing root.  Walking forwards from a = 0 would be ambiguous:
-the a = 0 endpoint is a d-fold root (and for arcs anchored at angle 0 it
-coincides with the constant eigenvalue 1), so the branch cannot be
-selected by proximity there.  The a = 0 sample is the analytic endpoint
-itself.
+Each arc is one root of t^s (t^q - b)^d = a^d t^(q d), b = 1 - a, as the
+parameter a runs over [0, 1].  Taking the d-th root makes it a *simple*
+root of one branch equation (Johnson & Paparella, "A matricial view of
+the Karpelevic theorem", LAA 2017).  With t = omega*u and
+omega = e^(2*pi*i*p/q) it reads
+
+    u^q - (1 - a) - a*c*u^e = 0,    e = q - s/d,
+                                     c = e^(2*pi*i*(q*r - p*s)/(q*d)),
+
+with the principal power u^e: u runs from 1 at a = 0 to
+e^(2*pi*i*(r/s - p/q)) at a = 1, far from the cut.  The exponent is z/d
+for Type II, -y/d for Type III and q - s for Type I.  Away from a
+touchdown |df/du| is of order q, so Newton continuation follows the root
+without ever looking at the other roots of the reduced polynomial.  Type 0
+(q = 1, e = 0) is linear and sampled in closed form, b + a*e^(2*pi*i*r/s).
+
+Two roots of a branch equation meet only at a real double root, where an
+arc touches down on the real axis (the two order-3 Type I arcs).  There
+the touchdown rule picks the root in the arc's half plane nearest the
+parameter-0 endpoint.
 
 Membership in the region uses its star shape: the boundary radius at a
 given argument is read off the traced polylines and compared with the
@@ -24,6 +33,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -40,7 +51,6 @@ __all__ = [
     "RootFindingError",
     "ContinuationError",
     "poly_roots",
-    "reduced_coeffs_float",
     "trace_arc",
     "point_at",
     "region_boundary",
@@ -54,7 +64,10 @@ __all__ = [
 ComplexPoint = complex
 
 DEFAULT_RESIDUAL_SCALE = 1e-10
-ENDPOINT_TOL = 1e-9
+NEWTON_ITERS = 30
+STEP_FLOOR = 1e-12
+TOUCHDOWN_GAP = 1e-4
+_EPS = sys.float_info.epsilon
 
 
 class RootFindingError(RuntimeError):
@@ -62,7 +75,7 @@ class RootFindingError(RuntimeError):
 
 
 class ContinuationError(RuntimeError):
-    """Step refinement hit its floor without resolving the branch."""
+    """Step refinement hit its floor away from a real double root."""
 
 
 def _as_float_coeffs(coeffs: Sequence) -> np.ndarray:
@@ -146,108 +159,109 @@ def poly_roots(coeffs: Sequence, residual_scale: float = DEFAULT_RESIDUAL_SCALE)
     return sorted(polished, key=key)
 
 
-def reduced_coeffs_float(arc: ArcParams, a: float) -> np.ndarray:
-    """Ascending float coefficients of the arc's reduced polynomial at a."""
+def _endpoint(fraction_num: int, fraction_den: int) -> complex:
+    return cmath.exp(2j * math.pi * fraction_num / fraction_den)
+
+
+def _reduced_value(arc: ArcParams, a: float, t: complex) -> complex:
+    """The arc's reduced polynomial (the itopoly closed form) at (a, t)."""
     b = 1.0 - a
-    q, d = arc.q, arc.d
     if arc.type_tag is ArcType.TYPE_0:
-        base = np.array([-b, 1.0])
-    else:
-        base = np.zeros(q + 1)
-        base[0] = -b
-        base[q] = 1.0
+        return (t - b) ** arc.d - a ** arc.d
     if arc.type_tag is ArcType.TYPE_I:
-        out = np.zeros(arc.s + 1)
-        out[arc.s] = 1.0
-        out[arc.s - q] -= b
-        out[0] -= a
-        return out
-    power = np.array([1.0])
-    for _ in range(d):
-        power = np.convolve(power, base)
-    if arc.type_tag is ArcType.TYPE_0:
-        power[0] -= a ** d
-        return power
+        return t ** arc.s - b * t ** (arc.s - arc.q) - a
+    power = (t ** arc.q - b) ** arc.d
     if arc.type_tag is ArcType.TYPE_II:
-        assert arc.z is not None
-        power[arc.z] -= a ** d
-        return power
-    assert arc.y is not None
-    out = np.concatenate([np.zeros(arc.y), power])
-    out[0] -= a ** d
-    return out
+        return power - a ** arc.d * t ** arc.z
+    return t ** arc.y * power - a ** arc.d
 
 
-# Near 0 the reduced polynomial has a d-fold root at the arc endpoint, and
-# binary64 root finding smears such clusters over a radius of roughly
-# eps**(1/d).  Below this parameter threshold the continuation switches to
-# high-precision root solving; the threshold keeps the double-precision
-# root uncertainty eps / (d * a**(d-1)) under ~1e-12.
+@dataclass(frozen=True)
+class _Branch:
+    """The branch equation f(u) = u^q - (1 - a) - a*c*u^e of one arc, t = omega*u."""
 
+    q: int
+    e: float
+    c: complex
+    omega: complex
 
-def _mp_threshold(d: int) -> float:
-    if d < 2:
-        return 0.0
-    return float((2.2e-4 / d) ** (1.0 / (d - 1)))
+    @classmethod
+    def of(cls, arc: ArcParams) -> "_Branch":
+        c = _endpoint(arc.q * arc.r - arc.p * arc.s, arc.q * arc.d)
+        return cls(arc.q, arc.q - arc.s / arc.d, c, _endpoint(arc.p, arc.q))
 
+    def terms(self, a: float, u: complex) -> tuple[complex, complex, complex, float]:
+        """f, df/du and df/da at (a, u), and the size of f's terms."""
+        uq = u ** self.q
+        w = self.c * u ** self.e
+        f = uq - (1.0 - a) - a * w
+        return f, (self.q * uq - a * self.e * w) / u, 1.0 - w, abs(uq) + (1.0 - a) + a * abs(w)
 
-def _roots_mp(arc: ArcParams, a: float) -> list[complex]:
-    """All roots of the reduced polynomial at a, solved at 40 digits."""
-    import mpmath
+    def curvature(self, a: float, u: complex) -> complex:
+        """d^2 f/du^2 at (a, u)."""
+        w = self.c * u ** self.e
+        return (self.q * (self.q - 1) * u ** self.q - a * self.e * (self.e - 1) * w) / (u * u)
 
-    with mpmath.workdps(40):
-        av = mpmath.mpf(a)
-        b = 1 - av
-        q, d = arc.q, arc.d
-        if arc.type_tag is ArcType.TYPE_I:
-            coeffs = [mpmath.mpf(0)] * (arc.s + 1)
-            coeffs[arc.s] = mpmath.mpf(1)
-            coeffs[arc.s - q] = -b
-            coeffs[0] = -av
-        else:
-            if arc.type_tag is ArcType.TYPE_0:
-                base = [-b, mpmath.mpf(1)]
-            else:
-                base = [mpmath.mpf(0)] * (q + 1)
-                base[0] = -b
-                base[q] = mpmath.mpf(1)
-            power = [mpmath.mpf(1)]
-            for _ in range(d):
-                power = _conv(power, base)
-            if arc.type_tag is ArcType.TYPE_0:
-                power[0] -= av ** d
-                coeffs = power
-            elif arc.type_tag is ArcType.TYPE_II:
-                assert arc.z is not None
-                power[arc.z] -= av ** d
-                coeffs = power
-            else:
-                assert arc.y is not None
-                coeffs = [mpmath.mpf(0)] * arc.y + power
-                coeffs[0] -= av ** d
-        try:
-            roots = mpmath.polyroots(list(reversed(coeffs)), maxsteps=200, extraprec=80)
-        except mpmath.libmp.libhyper.NoConvergence as exc:
-            raise RootFindingError(f"high-precision solve failed at a = {a}: {exc}")
-    return [complex(r) for r in roots]
+    def solve(self, a: float, u: complex) -> complex | None:
+        """Newton from u to a root at a, or None if it does not converge.
 
+        Converged means the residual is down at rounding level.
+        """
+        for _ in range(NEWTON_ITERS):
+            f, df, _, size = self.terms(a, u)
+            if abs(f) <= 16 * _EPS * size:
+                return u
+            if df == 0:
+                return None
+            u -= f / df
+        return None
 
-def _conv(p, q):
-    out = [p[0] * 0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
+    def step(self, a0: float, u0: complex, a1: float) -> complex | None:
+        """Tangent predictor from the root u0 at a0 to a1, then Newton.
+
+        None unless Newton converges within half the predictor's move, so
+        the result is the same root continued, not a neighbour.
+        """
+        _, df, fa, _ = self.terms(a0, u0)
+        guess = u0 - (a1 - a0) * fa / df
+        u1 = self.solve(a1, guess)
+        if u1 is None or abs(u1 - guess) > 0.5 * abs(guess - u0):
+            return None
+        return u1
+
+    def touchdown(self, arc: ArcParams, a0: float, u0: complex, a1: float) -> complex:
+        """Cross the real double root next to (a0, u0) and land at a1.
+
+        Both roots of the local quadratic model are polished; the one in
+        the arc's closed half plane nearest the parameter-0 endpoint wins.
+        """
+        f, df, fa, _ = self.terms(a0, u0)
+        d2f = self.curvature(a0, u0)
+        if abs((self.omega * u0).imag) > TOUCHDOWN_GAP or abs(2 * df / d2f) > TOUCHDOWN_GAP:
+            raise ContinuationError(
+                f"continuation stalled at a = {a0:.6g}, away from a real double root"
+            )
+        root = cmath.sqrt(df * df - 2 * d2f * (f + fa * (a1 - a0)))
+        points = []
+        for sign in (1, -1):
+            u = self.solve(a1, u0 + (sign * root - df) / d2f)
+            if u is not None:
+                points.append(self.omega * u)
+        if not points:
+            raise ContinuationError(f"no root found past the double root at a = {a0:.6g}")
+        mid = (Fraction(arc.p, arc.q) + Fraction(arc.r, arc.s)) / 2
+        half_sign = 1.0 if mid <= Fraction(1, 2) else -1.0
+        best = min(points, key=lambda t: (-half_sign * round(t.imag, 12), abs(t - self.omega)))
+        return best / self.omega
 
 
 @dataclass(frozen=True)
 class ArcTrace:
     """A traced arc: (parameter, point) samples ascending in the parameter.
 
-    samples[0] is the exact analytic endpoint e^(2*pi*i*p/q) at 0;
-    samples[-1] is the polished root at 1, within ``residual_bound`` of
-    e^(2*pi*i*r/s).  Every interior point is Newton-polished to the
-    module's residual target.
+    samples[0] and samples[-1] are the exact endpoints e^(2*pi*i*p/q) at 0
+    and e^(2*pi*i*r/s) at 1.  ``residual_bound`` is the largest residual of
+    any sample in the arc's reduced polynomial.
     """
 
     arc: ArcParams
@@ -271,151 +285,69 @@ class ArcTrace:
         )
 
 
-def _endpoint(fraction_num: int, fraction_den: int) -> complex:
-    return cmath.exp(2j * math.pi * fraction_num / fraction_den)
+def trace_arc(arc: ArcParams, m: int) -> ArcTrace:
+    """Trace one arc on m linear parameter steps plus a geometric tail.
 
-
-def trace_arc(
-    arc: ArcParams,
-    m: int,
-    residual_scale: float = DEFAULT_RESIDUAL_SCALE,
-    step_floor: float = 1e-12,
-) -> ArcTrace:
-    """Trace one arc with m parameter steps plus adaptive refinement.
-
-    Continuation runs from 1 down to 1/(4m) (the analytic endpoint fills
-    in 0 itself, sidestepping the d-fold root there).  A step is accepted
-    when the jump from the previous point stays below 0.45 times the
-    distance to the nearest competing root; otherwise the step is halved,
-    down to ``step_floor``.
+    Continuation runs down from a = 1.  Each step is a tangent predictor
+    and a Newton solve of the branch equation, halved whenever Newton does
+    not converge; a step halved below ``STEP_FLOOR`` crosses a real double
+    root by the touchdown rule.  Every accepted point is a sample.
     """
     if m < 2:
         raise ValueError("need at least 2 samples")
-    start = _endpoint(arc.p, arc.q)
     goal = _endpoint(arc.r, arc.s)
 
-    # Linear grid, then geometric refinement toward 0: near the d-fold
-    # root the branch's angular geometry concentrates, and the finer tail
-    # keeps polyline chords tight at the circle cusps.
-    targets = [k / m for k in range(m - 1, 0, -1)]
+    # Linear grid, then geometric refinement toward 0, where the arcs meet
+    # the circle in cusps and the finer tail keeps polyline chords tight.
+    grid = [k / m for k in range(m - 1, 0, -1)]
     tail = 1.0 / m
     while tail / 2 >= 1e-6:
         tail /= 2
-        targets.append(tail)
+        grid.append(tail)
 
+    points = []
     if arc.type_tag is ArcType.TYPE_0:
-        # The branch is exactly b + a * e^(2*pi*i*r/s): sample the closed
-        # form instead of continuing through the n-fold root at 0.
-        samples = [(0.0, start)]
-        worst = 0.0
-        for a in sorted(targets) + [1.0]:
-            z = (1.0 - a) + a * goal
-            coeffs = reduced_coeffs_float(arc, a)
-            worst = max(worst, abs(_eval_with_derivative(coeffs, z)[0]))
-            samples.append((a, z))
-        return ArcTrace(arc=arc, samples=tuple(samples), residual_bound=max(worst, 1e-15))
-
-    coeffs_1 = reduced_coeffs_float(arc, 1.0)
-    target_1 = _residual_target(coeffs_1, residual_scale)
-    z = _newton_polish(coeffs_1, goal, target_1)
-    if abs(z - goal) > ENDPOINT_TOL:
-        raise ContinuationError(
-            f"polished endpoint {z} strays {abs(z - goal):.2e} from e^(2*pi*i*{arc.r}/{arc.s})"
-        )
-    worst = abs(_eval_with_derivative(coeffs_1, z)[0])
-    samples = [(1.0, z)]
-    mp_below = _mp_threshold(arc.d)
-
-    # Arcs in the closed upper half plane keep Im >= 0 through a collision
-    # with the conjugate branch (a touchdown onto the real axis); mirrored
-    # arcs keep Im <= 0.
-    mid = (Fraction(arc.p, arc.q) + Fraction(arc.r, arc.s)) / 2
-    half_sign = 1.0 if mid <= Fraction(1, 2) else -1.0
-
-    def tie_break(cands: list[complex]) -> complex:
-        return min(
-            cands,
-            key=lambda w: (-half_sign * round(w.imag, 12), abs(w - start)),
-        )
-
-    a_cur = 1.0
-    for a_target in targets:
-        while a_cur > a_target + 1e-18:
-            a_try = a_target
-            while True:
-                if a_try < mp_below:
-                    roots = _roots_mp(arc, a_try)
-                else:
-                    roots = poly_roots(reduced_coeffs_float(arc, a_try), residual_scale)
-                dists = sorted(roots, key=lambda w: abs(w - z))
-                nearest = dists[0]
-                jump = abs(nearest - z)
-                margin = abs(dists[1] - nearest) if len(dists) > 1 else math.inf
-                if jump <= 0.45 * margin:
-                    break
-                a_mid = 0.5 * (a_cur + a_try)
-                if a_cur - a_mid < step_floor:
-                    if abs(dists[1] - z) <= 1.6 * jump:
-                        # Two branches collide here (the arc crosses a
-                        # near-double root, e.g. touching down onto the
-                        # real axis): both candidates sit essentially
-                        # equidistant, so distance cannot decide.  Resolve
-                        # by half plane, then by proximity to the
-                        # parameter-0 endpoint.
-                        nearest = tie_break(dists[:2])
+        points = [(a, (1.0 - a) + a * goal) for a in grid]
+    else:
+        branch = _Branch.of(arc)
+        a, u = 1.0, goal / branch.omega
+        for target in grid:
+            while a > target:
+                a_try = target
+                while (u_try := branch.step(a, u, a_try)) is None:
+                    a_try = 0.5 * (a + a_try)
+                    if a - a_try < STEP_FLOOR:
+                        a_try, u_try = target, branch.touchdown(arc, a, u, target)
                         break
-                    raise ContinuationError(
-                        f"ambiguous continuation near a = {a_try:.6g}: jump {jump:.3e} "
-                        f"vs root separation {margin:.3e} at the refinement floor"
-                    )
-                a_try = a_mid
-            z = nearest
-            a_cur = a_try
-            residual = abs(_eval_with_derivative(reduced_coeffs_float(arc, a_cur), z)[0])
-            worst = max(worst, residual)
-            samples.append((a_cur, z))
+                a, u = a_try, u_try
+                points.append((a, branch.omega * u))
 
-    samples.append((0.0, start))
-    samples.reverse()
+    samples = [(0.0, _endpoint(arc.p, arc.q))] + points[::-1] + [(1.0, goal)]
+    worst = max(abs(_reduced_value(arc, a, t)) for a, t in samples)
     return ArcTrace(arc=arc, samples=tuple(samples), residual_bound=max(worst, 1e-15))
 
 
-def point_at(
-    trace: ArcTrace, alpha: Union[RatLike, float], residual_scale: float = DEFAULT_RESIDUAL_SCALE
-) -> complex:
+def point_at(trace: ArcTrace, alpha: Union[RatLike, float]) -> complex:
     """The traced branch's root at an arbitrary parameter value.
 
-    Seeds from the linear interpolation of the bracketing samples and
-    snaps to the nearest root of the reduced polynomial at that value.
+    One Newton solve of the branch equation, seeded by the linear
+    interpolation of the bracketing samples.
     """
     a = float(alpha if isinstance(alpha, float) else rat(alpha))
     if not (0.0 <= a <= 1.0):
         raise ValueError("parameter must lie in [0, 1]")
+    arc = trace.arc
+    if arc.type_tag is ArcType.TYPE_0:
+        return (1.0 - a) + a * _endpoint(arc.r, arc.s)
     pts = trace.samples
-    if a <= pts[0][0]:
-        seed = pts[0][1]
-    elif a >= pts[-1][0]:
-        seed = pts[-1][1]
-    else:
-        lo, hi = 0, len(pts) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if pts[mid][0] <= a:
-                lo = mid
-            else:
-                hi = mid
-        (a0, z0), (a1, z1) = pts[lo], pts[hi]
-        t = (a - a0) / (a1 - a0) if a1 > a0 else 0.0
-        seed = z0 + t * (z1 - z0)
-    if a == 0.0:
-        return seed
-    if trace.arc.type_tag is ArcType.TYPE_0:
-        return (1.0 - a) + a * _endpoint(trace.arc.r, trace.arc.s)
-    if a < _mp_threshold(trace.arc.d):
-        roots = _roots_mp(trace.arc, a)
-    else:
-        roots = poly_roots(reduced_coeffs_float(trace.arc, a), residual_scale)
-    return min(roots, key=lambda w: abs(w - seed))
+    hi = min(bisect_right(pts, a, key=lambda sample: sample[0]), len(pts) - 1)
+    (a0, z0), (a1, z1) = pts[hi - 1], pts[hi]
+    seed = z0 + (a - a0) / (a1 - a0) * (z1 - z0)
+    branch = _Branch.of(arc)
+    u = branch.solve(a, seed / branch.omega)
+    if u is None:
+        raise ContinuationError(f"Newton did not converge at a = {a:.6g}")
+    return branch.omega * u
 
 
 def region_boundary(n: int, m: int) -> list[ArcTrace]:

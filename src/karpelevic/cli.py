@@ -19,7 +19,6 @@ from pathlib import Path
 from karpelevic.algebra import StochMatrix, rat, rat_str
 from karpelevic.boundary import (
     ContinuationError,
-    RootFindingError,
     boundary_svg,
     region_boundary,
     trace_csv,
@@ -312,7 +311,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, ContinuationError, RootFindingError, OSError) as exc:
+    except (ValueError, KeyError, ContinuationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,6 +10,8 @@ over linear digraphs (sets of vertex-disjoint simple cycles) on i
 vertices, which is checked elsewhere against exact elimination.  Cycle
 enumeration itself is delegated to networkx's simple_cycles (Johnson's
 algorithm); results are canonicalised so output order is deterministic.
+networkx is imported on first use: it is the heaviest import of the
+package, and only cycle enumeration needs it.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from karpelevic.algebra import RatLike, RatPoly, StochMatrix, rat, rat_str
 from karpelevic.farey import ArcParams
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "WeightedDigraph",
@@ -107,10 +110,9 @@ class WeightedDigraph:
             grid[u][v] = w
         return grid
 
-    def out_edges(self, u: int) -> list[tuple[int, Fraction]]:
-        return [(v, w) for (a, v), w in self.edges.items() if a == u]
-
     def to_networkx(self) -> nx.DiGraph:
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(range(self.n))
         g.add_edges_from(self.edges)
@@ -156,6 +158,8 @@ def _canonical_rotation(cycle: Sequence[int]) -> tuple[int, ...]:
 
 def simple_cycles(g: WeightedDigraph) -> CycleReport:
     """Enumerate every simple cycle once, up to rotation, with its weight."""
+    import networkx as nx
+
     by_length: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {}
     for raw in nx.simple_cycles(g.to_networkx()):
         cyc = _canonical_rotation(raw)

@@ -137,16 +137,6 @@ class ArcParams:
             raise ValueError("Type III requires y in 1..q-1")
 
     @property
-    def alpha0_endpoint(self) -> Fraction:
-        """The fraction marking the arc endpoint reached at parameter 0."""
-        return Fraction(self.p, self.q)
-
-    @property
-    def alpha1_endpoint(self) -> Fraction:
-        """The fraction marking the arc endpoint reached at parameter 1."""
-        return Fraction(self.r, self.s)
-
-    @property
     def reduced_degree(self) -> int:
         """Degree of the arc polynomial after extraneous zero roots go.
 

@@ -169,7 +169,7 @@ def test_criterion_6_only_qn_cycle_digraphs():
 
 
 def test_criterion_7_boundary_endpoints():
-    with criterion(7, "traced endpoints of every arc, n <= 10, within 1e-9 of the circle points"):
+    with criterion(7, "traced endpoints of every arc, n <= 10, within 1e-9 of the circle points", 5.0):
         for n in range(2, 11):
             for arc in arcs_of_order(n):
                 trace = trace_arc(arc, 128)

@@ -53,6 +53,10 @@ class TestRat:
         with pytest.raises(ValueError):
             rat("1e-3")
 
+    def test_rejects_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            rat("1/0")
+
     def test_str_roundtrip(self):
         for v in [F(1, 3), F(-7, 2), F(5), F(0)]:
             assert rat(rat_str(v)) == v

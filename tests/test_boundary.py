@@ -17,6 +17,7 @@ from karpelevic.boundary import (
     traces_json_payload,
 )
 from karpelevic.farey import ArcType, FareyPair, arc_params, arcs_of_order, classify_arc, farey_pairs
+from karpelevic.itopoly import reduced_ito
 from karpelevic.realize import Composition, type2_sparsest
 
 F = Fraction
@@ -99,6 +100,46 @@ class TestTraceArc:
     def test_rejects_tiny_m(self):
         with pytest.raises(ValueError):
             trace_arc(arc_params(ArcType.TYPE_0, n=3), 1)
+
+
+def _upper_half_arcs(n):
+    return [classify_arc(n, pair) for pair in farey_pairs(n) if pair.hi <= F(1, 2)]
+
+
+class TestBranchContinuation:
+    def test_orders_11_to_14_trace_and_meet_residual_target(self):
+        # The q = 2 arcs of orders 12..14 once defeated the root solver.
+        for n in range(11, 15):
+            for arc in _upper_half_arcs(n):
+                trace = trace_arc(arc, 128)
+                assert abs(trace.samples[0][1] - cmath.exp(2j * math.pi * arc.p / arc.q)) <= 1e-9
+                assert abs(trace.samples[-1][1] - cmath.exp(2j * math.pi * arc.r / arc.s)) <= 1e-9
+                for alpha in (F(1, 1000), F(1, 100), F(1, 10), F(1, 2)):
+                    coeffs = [float(c) for c in reduced_ito(arc, alpha).poly.coeffs]
+                    z = point_at(trace, alpha)
+                    residual = abs(sum(c * z ** k for k, c in enumerate(coeffs)))
+                    bound = 1e-10 * (len(coeffs) - 1) * max(abs(c) for c in coeffs)
+                    assert residual <= bound, (arc, alpha, residual, bound)
+
+    def test_forward_error_against_companion_roots(self):
+        # Each sample at a = k/16 sits on an independently computed root of
+        # the reduced polynomial, except where two roots nearly coincide.
+        # Type 0 samples are the closed form b + a*e^(2*pi*i*r/s), while the
+        # companion roots of the expanded (t - b)^n - a^n drift by up to
+        # 4e-4 at n = 10, so they are no reference there.
+        for n in range(2, 11):
+            for arc in arcs_of_order(n):
+                if arc.type_tag is ArcType.TYPE_0:
+                    continue
+                samples = dict(reversed(trace_arc(arc, 128).samples))
+                for k in range(1, 17):
+                    alpha = F(k, 16)
+                    z = samples[float(alpha)]
+                    roots = poly_roots(reduced_ito(arc, alpha).poly.coeffs)
+                    nearest = min(roots, key=lambda r: abs(r - z))
+                    if min(abs(r - nearest) for r in roots if r is not nearest) < 1e-4:
+                        continue
+                    assert abs(nearest - z) <= 1e-8, (arc, alpha, abs(nearest - z))
 
 
 class TestRegionBoundary:

@@ -97,6 +97,11 @@ class TestRealize:
         code, _, err = run(capsys, "realize", "0", "--n", "3", "--alpha", "3/2")
         assert code == 1 and "between 0 and 1" in err
 
+    def test_zero_denominator_exit_1(self, capsys):
+        code, out, err = run(capsys, "realize", "0", "--n", "5", "--alpha", "1/0")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "zero denominator" in err
+
 
 class TestEnumerate:
     def test_count(self, capsys):
