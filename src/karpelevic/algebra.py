@@ -329,8 +329,14 @@ class StochMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "StochMatrix":
-        entries = [[rat(e) for e in row] for row in data["entries"]]
-        if len(entries) != data["n"]:
+        """Inverse of :meth:`to_json`; any other shape raises ValueError."""
+        if not (isinstance(data, dict) and isinstance(data.get("entries"), list)):
+            raise ValueError('a matrix must be a JSON object {"n": ..., "entries": [[...], ...]}')
+        try:
+            entries = [[rat(e) for e in row] for row in data["entries"]]
+        except TypeError as exc:
+            raise ValueError(f'matrix entries must be "p/q" strings or integers: {exc}')
+        if len(entries) != data.get("n"):
             raise ValueError("matrix order does not match 'n'")
         return cls(entries)
 

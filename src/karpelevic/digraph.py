@@ -12,6 +12,10 @@ enumeration itself is delegated to networkx's simple_cycles (Johnson's
 algorithm); results are canonicalised so output order is deterministic.
 networkx is imported on first use: it is the heaviest import of the
 package, and only cycle enumeration needs it.
+
+Permutation similarity is decided exactly by a backtracking search that
+matches vertex weight signatures and grows the map breadth-first along
+edges, so each new vertex is pinned by an already-mapped neighbour.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
 from karpelevic.algebra import RatLike, RatPoly, StochMatrix, rat, rat_str
 from karpelevic.farey import ArcParams
@@ -35,6 +39,7 @@ __all__ = [
     "charpoly_coates",
     "is_perm_similar",
     "find_similarity_permutation",
+    "bfs_order",
     "cycle_structure_check",
     "to_dot",
     "cyclic_distance",
@@ -220,38 +225,34 @@ def _edge_maps(g: WeightedDigraph):
     return out, inc
 
 
-def _refine_colors_joint(ga: WeightedDigraph, gb: WeightedDigraph):
-    """Weighted colour refinement run jointly over two graphs.
+def bfs_order(
+    n: int, edges: Iterable[tuple[int, int]], rank: Optional[Callable[[int], object]] = None
+) -> list[int]:
+    """Vertices 0..n-1 breadth-first over the undirected support ``edges``.
 
-    The palette is shared, so equal colours mean equal refinement
-    signatures across graphs; returns (colors_a, colors_b).
+    Each component starts at its vertex of least ``rank`` (default: the
+    vertex itself) and neighbours are visited in increasing order, so every
+    vertex but a root comes after one of its neighbours.  Searches that
+    assign vertices in this order find each new vertex next to a placed one.
     """
-    out_a, in_a = _edge_maps(ga)
-    out_b, in_b = _edge_maps(gb)
-    # B's vertices are shifted by ga.n in the joint numbering.
-    outs = out_a + [{u + ga.n: w for u, w in d.items()} for d in out_b]
-    ins = in_a + [{u + ga.n: w for u, w in d.items()} for d in in_b]
-    total = ga.n + gb.n
-    signature = [
-        (tuple(sorted(outs[v].values())), tuple(sorted(ins[v].values())))
-        for v in range(total)
-    ]
-    palette = {sig: i for i, sig in enumerate(sorted(set(signature)))}
-    colors = [palette[sig] for sig in signature]
-    while True:
-        signature = [
-            (
-                colors[v],
-                tuple(sorted((colors[u], w) for u, w in outs[v].items())),
-                tuple(sorted((colors[u], w) for u, w in ins[v].items())),
-            )
-            for v in range(total)
-        ]
-        palette = {sig: i for i, sig in enumerate(sorted(set(signature)))}
-        new_colors = [palette[sig] for sig in signature]
-        if new_colors == colors:
-            return colors[: ga.n], colors[ga.n :]
-        colors = new_colors
+    neighbours: list[set[int]] = [set() for _ in range(n)]
+    for i, j in edges:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    order: list[int] = []
+    seen: set[int] = set()
+    for root in sorted(range(n), key=rank):
+        if root in seen:
+            continue
+        head = len(order)
+        seen.add(root)
+        order.append(root)
+        while head < len(order):
+            for u in sorted(neighbours[order[head]] - seen):
+                seen.add(u)
+                order.append(u)
+            head += 1
+    return order
 
 
 def find_similarity_permutation(
@@ -259,11 +260,14 @@ def find_similarity_permutation(
 ) -> Optional[list[int]]:
     """A permutation sigma with a[sigma[i], sigma[j]] == b[i, j], or None.
 
-    Colour refinement on the weighted digraphs prunes the candidate map,
-    then backtracking assigns vertices most-constrained-first with exact
-    weight checks in both directions.  Realization digraphs are sparse and
-    nearly rigid, so this is fast far beyond the factorial bound a naive
-    search would impose.
+    A vertex v of b may go only to a vertex of a with the same signature:
+    sorted out-weights, sorted in-weights and self-loop weight.  Vertices
+    are assigned breadth-first over b's support, each component rooted at
+    its vertex with the fewest candidates, and an assignment v -> u is kept
+    only if the edges of v and of u to assigned vertices correspond with
+    equal weights.  Past a root, every vertex hangs on an assigned
+    neighbour, so on the sparse, nearly rigid realization digraphs the
+    edges propagate the map with little or no backtracking.
     """
     if a.n != b.n:
         raise ValueError("order mismatch")
@@ -271,38 +275,42 @@ def find_similarity_permutation(
     if a.n > limit:
         raise ValueError(f"order {a.n} exceeds the similarity search bound {limit}")
     ga, gb = WeightedDigraph.from_matrix(a), WeightedDigraph.from_matrix(b)
-    ca, cb = _refine_colors_joint(ga, gb)
-    if sorted(ca) != sorted(cb):
-        return None
     out_a, in_a = _edge_maps(ga)
     out_b, in_b = _edge_maps(gb)
 
-    candidates = [[u for u in range(a.n) if ca[u] == cb[v]] for v in range(b.n)]
-    order = sorted(range(b.n), key=lambda v: (len(candidates[v]), v))
+    def signature(out, inc, v):
+        return sorted(out[v].values()), sorted(inc[v].values()), out[v].get(v, 0)
+
+    sig_a = [signature(out_a, in_a, u) for u in range(a.n)]
+    sig_b = [signature(out_b, in_b, v) for v in range(b.n)]
+    if sorted(sig_a) != sorted(sig_b):
+        return None
+    candidates = [[u for u in range(a.n) if sig_a[u] == sig_b[v]] for v in range(b.n)]
+    order = bfs_order(b.n, gb.edges, rank=lambda v: (len(candidates[v]), v))
     sigma: dict[int, int] = {}
-    used: set[int] = set()
+    inverse: dict[int, int] = {}
 
     def consistent(v: int, u: int) -> bool:
-        for vv, uu in sigma.items():
-            if out_b[v].get(vv, 0) != out_a[u].get(uu, 0):
-                return False
-            if in_b[v].get(vv, 0) != in_a[u].get(uu, 0):
-                return False
-        return out_b[v].get(v, 0) == out_a[u].get(u, 0)
+        for edges_b, edges_a in ((out_b, out_a), (in_b, in_a)):
+            for vv, w in edges_b[v].items():
+                if vv in sigma and edges_a[u].get(sigma[vv]) != w:
+                    return False
+            for uu, w in edges_a[u].items():
+                if uu in inverse and edges_b[v].get(inverse[uu]) != w:
+                    return False
+        return True
 
     def assign(pos: int) -> bool:
         if pos == len(order):
             return True
         v = order[pos]
         for u in candidates[v]:
-            if u in used or not consistent(v, u):
+            if u in inverse or not consistent(v, u):
                 continue
-            sigma[v] = u
-            used.add(u)
+            sigma[v], inverse[u] = u, v
             if assign(pos + 1):
                 return True
-            del sigma[v]
-            used.remove(u)
+            del sigma[v], inverse[u]
         return False
 
     if assign(0):

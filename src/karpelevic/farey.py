@@ -173,17 +173,14 @@ class ArcParams:
 
     @classmethod
     def from_json(cls, data: dict) -> "ArcParams":
-        return cls(
-            n=data["n"],
-            p=data["p"],
-            q=data["q"],
-            r=data["r"],
-            s=data["s"],
-            d=data["d"],
-            type_tag=ArcType(data["type"]),
-            z=data.get("z"),
-            y=data.get("y"),
-        )
+        """Inverse of :meth:`to_json`; any other shape raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"arc parameters must be a JSON object, got {type(data).__name__}")
+        fields = {key: data.get(key) for key in ("n", "p", "q", "r", "s", "d", "z", "y")}
+        for key, value in fields.items():
+            if type(value) is not int and not (key in ("z", "y") and value is None):
+                raise ValueError(f"arc field {key!r} must be an integer, got {value!r}")
+        return cls(type_tag=ArcType(data.get("type")), **fields)
 
 
 def classify_arc(n: int, pair: FareyPair) -> ArcParams:

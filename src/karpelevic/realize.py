@@ -42,6 +42,7 @@ from karpelevic.algebra import (
 from karpelevic.digraph import (
     CycleStructureReport,
     WeightedDigraph,
+    bfs_order,
     cycle_structure_check,
     cyclic_distance,
     max_brute_order,
@@ -107,19 +108,37 @@ class Composition:
         return "(" + ",".join(map(str, self.parts)) + ")"
 
 
+def _bounded_compositions(total: int, length: int, bound: int) -> Iterable[tuple[int, ...]]:
+    """Tuples of ``length`` parts in 0..bound-1 summing to ``total``, ascending."""
+    if length == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(max(0, total - (bound - 1) * (length - 1)), min(bound - 1, total) + 1):
+        for rest in _bounded_compositions(total - first, length - 1, bound):
+            yield (first,) + rest
+
+
 def _necklace_classes(total: int, length: int, bound: int) -> list[Composition]:
-    seen: set[tuple[int, ...]] = set()
-    out: list[Composition] = []
-    for parts in itertools.product(range(bound), repeat=length):
-        if sum(parts) != total:
-            continue
-        canon = min(parts[k:] + parts[:k] for k in range(length))
-        if canon in seen:
-            continue
-        seen.add(canon)
-        out.append(Composition(canon, bound))
-    out.sort(key=lambda c: c.parts)
-    return out
+    """The compositions that are their own minimal rotation, ascending."""
+    compositions = (Composition(p, bound) for p in _bounded_compositions(total, length, bound))
+    return [c for c in compositions if c == c.canonical()]
+
+
+# -- cycle with back edges (Types 0, I and III) ---------------------------
+
+
+def _cycle_with_back_edges(n: int, q: int, split: Mapping[int, Fraction]) -> StochMatrix:
+    """The n-cycle i -> i+1 (mod n) in which each row i of ``split`` keeps
+    weight split[i] on its step edge and puts 1 - split[i] on the back edge
+    i -> (i+1-q) mod n; every other row steps with weight 1.  Entries
+    accumulate, so the q = 1 back edge is the self-loop and n = 1 works."""
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        w = split.get(i, Fraction(1))
+        rows[i][(i + 1) % n] += w
+        rows[i][(i + 1 - q) % n] += 1 - w
+    return StochMatrix(rows)
 
 
 # -- Type 0 --------------------------------------------------------------
@@ -131,12 +150,7 @@ def type0(n: int, alpha: RatLike) -> StochMatrix:
         raise ValueError("order must be at least 1")
     a = rat(alpha)
     _check_open_unit(a)
-    b = 1 - a
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] += b
-        rows[i][(i + 1) % n] += a
-    return StochMatrix(rows)
+    return _cycle_with_back_edges(n, 1, dict.fromkeys(range(n), a))
 
 
 # -- Type I --------------------------------------------------------------
@@ -168,15 +182,7 @@ def type1(n: int, q: int, alphas: Sequence[RatLike]) -> StochMatrix:
     for w in weights:
         a *= w
     _check_open_unit(a, "the product of the weights")
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        if i < n + 1 - q:
-            rows[i][(i + 1) % n] += weights[i]
-            if weights[i] != 1:
-                rows[i][(i + 1 - q) % n] += 1 - weights[i]
-        else:
-            rows[i][(i + 1) % n] = Fraction(1)
-    return StochMatrix(rows)
+    return _cycle_with_back_edges(n, q, dict(enumerate(weights)))
 
 
 # -- Type II -------------------------------------------------------------
@@ -423,15 +429,7 @@ def type3_sparsest(q: int, d: int, y: int, alpha: RatLike, parts: Composition) -
         raise ValueError(f"composition must sum to y = {y}, got {parts.total}")
     a = rat(alpha)
     _check_open_unit(a)
-    split_rows = set(_type3_alpha_rows(q, d, y, parts.parts))
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        if i in split_rows:
-            rows[i][(i + 1) % n] = a
-            rows[i][(i + 1 - q) % n] = 1 - a
-        else:
-            rows[i][(i + 1) % n] = Fraction(1)
-    return StochMatrix(rows)
+    return _cycle_with_back_edges(n, q, dict.fromkeys(_type3_alpha_rows(q, d, y, parts.parts), a))
 
 
 @dataclass(frozen=True)
@@ -531,17 +529,7 @@ def _product(values: Iterable[Fraction]) -> Fraction:
 def type3_family(spec: TypeIIIFamilySpec) -> StochMatrix:
     """The family matrix: step edges weighted per spec, back edges filling
     each split row to a unit sum."""
-    n, q = spec.n, spec.q
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    block_vertices = {v for block in spec.blocks for v in block}
-    for i in range(n):
-        if i in block_vertices:
-            w = spec.weights[i]
-            rows[i][(i + 1) % n] = w
-            rows[i][(i + 1 - q) % n] = 1 - w
-        else:
-            rows[i][(i + 1) % n] = Fraction(1)
-    return StochMatrix(rows)
+    return _cycle_with_back_edges(spec.n, spec.q, spec.weights)
 
 
 # -- enumeration ---------------------------------------------------------
@@ -668,27 +656,9 @@ def dd_support_check(m: StochMatrix, k: int) -> Optional[list[int]]:
     offsets = {k % n, (k + 1) % n}
     support = m.support()
 
-    # BFS order over the undirected support keeps every vertex after the
-    # first adjacent to an already-placed one, so its slot is forced to
-    # two candidates.
-    neighbours = [set() for _ in range(n)]
-    for i, j in support:
-        neighbours[i].add(j)
-        neighbours[j].add(i)
-    vertices: list[int] = []
-    seen: set[int] = set()
-    for root in range(n):
-        if root in seen:
-            continue
-        queue = [root]
-        seen.add(root)
-        while queue:
-            v = queue.pop(0)
-            vertices.append(v)
-            for u in sorted(neighbours[v]):
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
+    # In BFS order every vertex but a root follows an already-placed
+    # neighbour, so its slot is forced to two candidates.
+    vertices = bfs_order(n, support)
 
     # position[v] = slot of vertex v in the relabelled matrix.
     position: dict[int, int] = {}

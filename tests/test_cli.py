@@ -162,6 +162,29 @@ class TestVerifyRoundTrip:
         assert code == 1 and out.startswith("FAIL")
 
 
+class TestMalformedJson:
+    """Wrong JSON shapes or types end in `error: ...` and exit 1, not a traceback."""
+
+    GOOD_MATRIX = {"n": 2, "entries": [["1/2", "1/2"], ["1/2", "1/2"]]}
+
+    @pytest.mark.parametrize(
+        "matrix, arc",
+        [
+            ({"n": 2, "entries": [[0.5, 0.5], [0.5, 0.5]]}, ARC12_JSON),
+            ([["1/2", "1/2"], ["1/2", "1/2"]], ARC12_JSON),
+            (GOOD_MATRIX, "[]"),
+            (GOOD_MATRIX, json.dumps({**json.loads(ARC12_JSON), "n": "x"})),
+        ],
+        ids=["float-entries", "matrix-list", "arc-list", "arc-n-string"],
+    )
+    def test_verify_error_exit_1(self, capsys, tmp_path, matrix, arc):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(matrix))
+        code, out, err = run(capsys, "verify", "--matrix", str(f), "--arc", arc, "--alpha", "1/3")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+
+
 class TestAugmentCli:
     def test_dry_run_lists_parameters(self, capsys):
         code, out, _ = run(

@@ -1,8 +1,12 @@
 import itertools
 import random
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     back_edge_subset_valid,
@@ -23,7 +27,15 @@ from karpelevic.digraph import (
     to_dot,
 )
 from karpelevic.farey import arc_params, ArcType
-from karpelevic.realize import Composition, type0, type1, type2_sparsest
+from karpelevic.realize import (
+    Composition,
+    build_sparsest,
+    enumerate_sparsest,
+    type0,
+    type1,
+    type2_sparsest,
+    type3_sparsest,
+)
 
 F = Fraction
 
@@ -181,6 +193,64 @@ class TestPermSimilar:
         monkeypatch.setenv("KARPELEVIC_MAX_BRUTE", "not a number")
         with pytest.raises(ValueError, match="KARPELEVIC_MAX_BRUTE"):
             is_perm_similar(big, big)
+
+
+class TestSimilarityOnRealizations:
+    """Realization digraphs are sparse cycles with chords; the search must
+    settle them by propagation along edges, whatever the relabelling."""
+
+    BUDGET_S = 2.0
+
+    @staticmethod
+    def _type3_q8_d7_y7(parts):
+        # n = 63; the constant class (1,...,1) has a rotation group of order 7.
+        return type3_sparsest(8, 7, 7, F(1, 3), Composition(parts, 8))
+
+    def test_relabelled_constant_composition(self):
+        m = self._type3_q8_d7_y7((1,) * 7)
+        start = time.perf_counter()
+        for seed in range(3):
+            p = list(range(m.n))
+            random.Random(seed).shuffle(p)
+            sigma = find_similarity_permutation(m, m.permuted(p), max_order=m.n)
+            assert sigma is not None and m.permuted(sigma) == m.permuted(p)
+        assert time.perf_counter() - start < self.BUDGET_S
+
+    def test_dissimilar_class_of_same_arc(self):
+        m = self._type3_q8_d7_y7((1,) * 7)
+        other = self._type3_q8_d7_y7((0, 1, 1, 1, 1, 1, 2))
+        p = list(range(m.n))
+        random.Random(0).shuffle(p)
+        start = time.perf_counter()
+        assert find_similarity_permutation(m, other.permuted(p), max_order=m.n) is None
+        assert time.perf_counter() - start < self.BUDGET_S
+
+    SMALL_ARCS = [
+        arc_params(kind, q=q, d=d, **{key: x})
+        for q in range(2, 6)
+        for d in (2, 3)
+        for x in range(1, q)
+        if gcd(q, x) == 1
+        for kind, key in ((ArcType.TYPE_II, "z"), (ArcType.TYPE_III, "y"))
+    ]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_relabelling_found_and_classes_kept_apart(self, data):
+        arc = data.draw(st.sampled_from(self.SMALL_ARCS))
+        classes = enumerate_sparsest(arc)
+        first = data.draw(st.sampled_from(classes))
+        second = data.draw(st.sampled_from(classes))
+        den = data.draw(st.integers(2, 60))
+        alpha = F(data.draw(st.integers(1, den - 1)), den)
+        perm = data.draw(st.permutations(range(arc.n)))
+        m = build_sparsest(arc, alpha, first)
+        b = build_sparsest(arc, alpha, second).permuted(perm)
+        sigma = find_similarity_permutation(m, b, max_order=arc.n)
+        if first == second:
+            assert sigma is not None and m.permuted(sigma) == b
+        else:
+            assert sigma is None
 
 
 class TestCycleStructure:

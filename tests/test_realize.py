@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -25,6 +26,7 @@ from karpelevic.realize import (
     type3_sparsest,
     verify_realization,
 )
+from karpelevic.realize import _necklace_classes
 
 F = Fraction
 
@@ -53,6 +55,11 @@ class TestType0:
 
 
 class TestType1:
+    def test_unit_weight_row_has_no_back_edge(self):
+        m = type1(5, 4, [F(1, 3), F(1)])
+        assert m.row(1) == (0, 0, 1, 0, 0)
+        assert m.nnz() == 6
+
     def test_example_shape(self):
         a1, a2 = F(1, 2), F(1, 3)
         m = type1(5, 4, [a1, a2])
@@ -267,6 +274,50 @@ def _compositions(total, length, bound):
         for parts in itertools.product(range(bound), repeat=length)
         if sum(parts) == total
     ]
+
+
+def _bounded_count(total, length, bound):
+    """Compositions of total into length parts in 0..bound-1, by dynamic programming."""
+    ways = [1] + [0] * total
+    for _ in range(length):
+        ways = [sum(ways[t - k] for k in range(min(bound - 1, t) + 1)) for t in range(total + 1)]
+    return ways[total]
+
+
+def _burnside(total, length, bound):
+    """Necklace classes as the average over rotations k of the compositions k fixes.
+
+    Rotation by k fixes exactly the compositions of period g = gcd(k, length),
+    which repeat a g-part composition of total*g/length.
+    """
+    fixed = 0
+    for k in range(length):
+        g = gcd(k, length)
+        if total * g % length == 0:
+            fixed += _bounded_count(total * g // length, g, bound)
+    assert fixed % length == 0
+    return fixed // length
+
+
+class TestNecklaceClasses:
+    @pytest.mark.parametrize("bound", range(1, 7))
+    @pytest.mark.parametrize("length", range(1, 7))
+    def test_against_brute_force_and_burnside(self, bound, length):
+        for total in range(length * (bound - 1) + 1):
+            brute = sorted({min(p[k:] + p[:k] for k in range(length))
+                            for p in _compositions(total, length, bound)})
+            classes = _necklace_classes(total, length, bound)
+            assert [c.parts for c in classes] == brute
+            assert len(classes) == _burnside(total, length, bound)
+
+    def test_reversal_is_another_class(self):
+        # (0,1,2) reversed is (2,1,0), whose necklace is (0,2,1): a reflection
+        # is not a rotation, and the two realizations are not similar.
+        comps = [c.parts for c in enumerate_sparsest(ARC_III)]
+        assert (0, 1, 2) in comps and (0, 2, 1) in comps
+        m = type3_sparsest(4, 3, 3, F(1, 3), Composition((0, 1, 2), 4))
+        reflected = type3_sparsest(4, 3, 3, F(1, 3), Composition((2, 1, 0), 4))
+        assert not is_perm_similar(m, reflected)
 
 
 class TestSparsestCycleWeights:
