@@ -3,8 +3,9 @@
 Everything in this module is exact: scalars are ``fractions.Fraction``
 (arbitrary-precision, always in lowest terms), polynomials are dense
 coefficient lists over Fraction, and matrices are immutable grids of
-Fraction.  No floating point enters anywhere; the float world lives in
-:mod:`karpelevic.boundary` only.
+Fraction that also keep their nonzero entries row by row, so that work on
+the sparse realization matrices follows the nonzeros.  No floating point
+enters anywhere; the float world lives in :mod:`karpelevic.boundary` only.
 
 Indexing convention: matrices and vertices are 0-based throughout the
 package.  The cyclic shift ``C(n)`` maps index i to i+1 (mod n), i.e. it has
@@ -14,12 +15,14 @@ ones in positions (i, (i+1) % n).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 Rat = Fraction
 RatLike = Union[Fraction, int, str]
+
+_ZERO = Fraction(0)
 
 __all__ = [
     "Rat",
@@ -242,9 +245,25 @@ def poly_eval(p: RatPoly, x: RatLike) -> Fraction:
     return acc
 
 
+def _fraction_row(row: Iterable[RatLike]) -> tuple[Fraction, ...]:
+    """The row as a tuple of Fractions; a row of Fractions is kept as is."""
+    row = tuple(row)
+    if set(map(type, row)) <= {Fraction}:
+        return row
+    return tuple(map(rat, row))
+
+
 @dataclass(frozen=True)
 class StochMatrix:
-    """Dense square matrix of exact rationals with unit row sums.
+    """Square matrix of exact rationals with unit row sums.
+
+    ``entries`` is the dense grid of Fractions.  Construction scans it once
+    for zeros and keeps ``sparse_rows``: row i as the ``(column, entry)``
+    pairs of its nonzero entries, in column order.  Validation,
+    :meth:`support`, :meth:`nnz`, :meth:`permuted` and
+    ``WeightedDigraph.from_matrix`` read only these pairs, so on the
+    realization matrices, which have O(n) nonzeros, they do O(n) Fraction
+    arithmetic and comparisons rather than O(n^2).
 
     Entries are validated at construction: each in [0, 1], each row summing
     to exactly 1.  Instances are immutable; all operations return new
@@ -252,20 +271,27 @@ class StochMatrix:
     """
 
     entries: tuple[tuple[Fraction, ...], ...]
+    sparse_rows: tuple[tuple[tuple[int, Fraction], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __init__(self, entries: Iterable[Iterable[RatLike]], *, _validate: bool = True):
-        rows = tuple(tuple(rat(e) for e in row) for row in entries)
-        object.__setattr__(self, "entries", rows)
+        rows = tuple(map(_fraction_row, entries))
         n = len(rows)
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+        sparse = tuple(tuple((j, e) for j, e in enumerate(row) if e) for row in rows)
+        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "sparse_rows", sparse)
         if _validate:
-            for i, row in enumerate(rows):
-                if any(e < 0 or e > 1 for e in row):
+            # Zero entries lie in [0, 1] and add nothing to a row sum.
+            for i, row in enumerate(sparse):
+                if any(not 0 <= e.numerator <= e.denominator for _, e in row):
                     raise ValueError(f"row {i} has an entry outside [0, 1]")
-                if sum(row) != 1:
-                    raise ValueError(f"row {i} sums to {sum(row)}, not 1")
+                total = sum(e for _, e in row)
+                if total != 1:
+                    raise ValueError(f"row {i} sums to {total}, not 1")
 
     @property
     def n(self) -> int:
@@ -302,21 +328,22 @@ class StochMatrix:
         n = self.n
         if sorted(perm) != list(range(n)):
             raise ValueError("not a permutation of 0..n-1")
-        return StochMatrix(
-            tuple(tuple(self.entries[perm[i]][perm[j]] for j in range(n)) for i in range(n)),
-            _validate=False,
-        )
+        slot = [0] * n
+        for i, v in enumerate(perm):
+            slot[v] = i
+        rows = []
+        for v in perm:
+            row = [_ZERO] * n
+            for j, e in self.sparse_rows[v]:
+                row[slot[j]] = e
+            rows.append(row)
+        return StochMatrix(rows, _validate=False)
 
     def support(self) -> set[tuple[int, int]]:
-        return {
-            (i, j)
-            for i, row in enumerate(self.entries)
-            for j, e in enumerate(row)
-            if e != 0
-        }
+        return {(i, j) for i, row in enumerate(self.sparse_rows) for j, _ in row}
 
     def nnz(self) -> int:
-        return sum(1 for row in self.entries for e in row if e != 0)
+        return sum(map(len, self.sparse_rows))
 
     # -- serialization ------------------------------------------------
 
@@ -382,7 +409,15 @@ def charpoly_exact(matrix) -> RatPoly:
     reduced to upper Hessenberg form by exact similarity transforms, then
     the characteristic polynomial is assembled by the leading-principal-
     minor recurrence.  Division by a rational pivot is exact, so the result
-    carries no rounding of any kind.  Comfortable for orders up to ~60.
+    carries no rounding of any kind.
+
+    Zeros are found by truthiness and skipped: a column with nothing below
+    its subdiagonal needs no elimination, eliminations touch only the
+    nonzero entries of the pivot row and of the eliminated column, and the
+    recurrence multiplies subdiagonal entries only down to the lowest
+    nonzero entry above the diagonal.  On the sparse realization matrices
+    the Fraction arithmetic therefore follows the nonzeros and their
+    fill-in; only the zero tests scan whole rows and columns.
     """
     if isinstance(matrix, StochMatrix):
         grid = [list(row) for row in matrix.entries]
@@ -398,30 +433,26 @@ def charpoly_exact(matrix) -> RatPoly:
     h = grid
     # Similarity reduction to upper Hessenberg with exact pivoting.
     for j in range(n - 2):
-        pivot_row = None
-        for i in range(j + 1, n):
-            if h[i][j] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        below = [i for i in range(j + 1, n) if h[i][j]]
+        if not below:
             continue
+        pivot_row = below[0]
         if pivot_row != j + 1:
             h[j + 1], h[pivot_row] = h[pivot_row], h[j + 1]
             for row in h:
                 row[j + 1], row[pivot_row] = row[pivot_row], row[j + 1]
-        pivot = h[j + 1][j]
-        for i in range(j + 2, n):
-            factor = h[i][j]
-            if factor == 0:
-                continue
-            m = factor / pivot
-            row_i, row_p = h[i], h[j + 1]
+        # The swap leaves the other nonzeros of column j in rows below[1:].
+        row_p = h[j + 1]
+        pivot = row_p[j]
+        for i in below[1:]:
+            m = h[i][j] / pivot
+            row_i = h[i]
             for k in range(j, n):
-                if row_p[k] != 0:
+                if row_p[k]:
                     row_i[k] -= m * row_p[k]
-            for k in range(n):
-                if h[k][i] != 0:
-                    h[k][j + 1] += m * h[k][i]
+            for row in h:
+                if row[i]:
+                    row[j + 1] += m * row[i]
 
     # p_k(t) = (t - h[k-1][k-1]) p_{k-1}(t)
     #          - sum_{i<k-1} h[i][k-1] * (prod of subdiagonal h[m][m-1], m=i+1..k-1) * p_i(t)
@@ -429,22 +460,26 @@ def charpoly_exact(matrix) -> RatPoly:
     for k in range(1, n + 1):
         prev = polys[k - 1]
         diag = h[k - 1][k - 1]
-        cur = [Fraction(0)] + list(prev)
-        for idx in range(len(prev)):
-            if prev[idx] != 0 and diag != 0:
-                cur[idx] -= diag * prev[idx]
-        running = Fraction(1)
+        cur = [_ZERO] + prev
+        if diag:
+            for idx, c in enumerate(prev):
+                if c:
+                    cur[idx] -= diag * c
+        # running = prod of h[m][m-1] for m = low..k-1, extended downwards
+        # only when a nonzero h[i][k-1] needs it.
+        running, low = Fraction(1), k
         for i in range(k - 2, -1, -1):
-            running *= h[i + 1][i]
-            if running == 0:
-                break
             top = h[i][k - 1]
-            if top == 0:
+            if not top:
                 continue
+            while low > i + 1 and running:
+                low -= 1
+                running *= h[low][low - 1]
+            if not running:
+                break
             scale = top * running
-            pi = polys[i]
-            for idx in range(len(pi)):
-                if pi[idx] != 0:
-                    cur[idx] -= scale * pi[idx]
+            for idx, c in enumerate(polys[i]):
+                if c:
+                    cur[idx] -= scale * c
         polys.append(cur)
     return RatPoly(polys[n])

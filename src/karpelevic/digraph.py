@@ -21,6 +21,7 @@ edges, so each new vertex is pinned by an already-mapped neighbour.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
@@ -83,7 +84,7 @@ class WeightedDigraph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             wv = rat(w)
-            if wv <= 0:
+            if wv.numerator <= 0:
                 raise ValueError(f"edge ({u}, {v}) has non-positive weight {wv}")
             ed[(u, v)] = wv
         self.n = n
@@ -91,12 +92,7 @@ class WeightedDigraph:
 
     @classmethod
     def from_matrix(cls, m: StochMatrix) -> "WeightedDigraph":
-        edges = {
-            (i, j): e
-            for i, row in enumerate(m.entries)
-            for j, e in enumerate(row)
-            if e != 0
-        }
+        edges = {(i, j): e for i, row in enumerate(m.sparse_rows) for j, e in row}
         return cls(m.n, edges)
 
     @classmethod
@@ -216,13 +212,32 @@ def charpoly_coates(g: WeightedDigraph, bound: int = COATES_DEFAULT_BOUND) -> Ra
 # -- permutation similarity -------------------------------------------
 
 
+_WeightKey = tuple[int, int]
+
+
+def _weight_key(w: Fraction | int) -> _WeightKey:
+    """(numerator, denominator): equal exactly for equal rationals, int or
+    Fraction, and hashed, compared and sorted as plain ints."""
+    return w.numerator, w.denominator
+
+
 def _edge_maps(g: WeightedDigraph):
-    out: list[dict[int, Fraction]] = [dict() for _ in range(g.n)]
-    inc: list[dict[int, Fraction]] = [dict() for _ in range(g.n)]
+    """Out- and in-neighbour maps of g, each weight kept as its _weight_key."""
+    out: list[dict[int, _WeightKey]] = [dict() for _ in range(g.n)]
+    inc: list[dict[int, _WeightKey]] = [dict() for _ in range(g.n)]
     for (u, v), w in g.edges.items():
-        out[u][v] = w
-        inc[v][u] = w
+        out[u][v] = inc[v][u] = _weight_key(w)
     return out, inc
+
+
+def _signature(out: list[dict[int, _WeightKey]], inc: list[dict[int, _WeightKey]], v: int) -> tuple:
+    """Sorted out-weights, sorted in-weights and self-loop weight of v: a
+    hashable key that every relabelling preserves."""
+    return (
+        tuple(sorted(out[v].values())),
+        tuple(sorted(inc[v].values())),
+        out[v].get(v, _weight_key(0)),
+    )
 
 
 def bfs_order(
@@ -261,7 +276,10 @@ def find_similarity_permutation(
     """A permutation sigma with a[sigma[i], sigma[j]] == b[i, j], or None.
 
     A vertex v of b may go only to a vertex of a with the same signature:
-    sorted out-weights, sorted in-weights and self-loop weight.  Vertices
+    sorted out-weights, sorted in-weights and self-loop weight, kept as
+    integer (numerator, denominator) pairs.  The vertices of a are grouped
+    by signature in one dict, so the candidates of all n vertices of b
+    take n lookups rather than n^2 comparisons.  Vertices
     are assigned breadth-first over b's support, each component rooted at
     its vertex with the fewest candidates, and an assignment v -> u is kept
     only if the edges of v and of u to assigned vertices correspond with
@@ -278,14 +296,14 @@ def find_similarity_permutation(
     out_a, in_a = _edge_maps(ga)
     out_b, in_b = _edge_maps(gb)
 
-    def signature(out, inc, v):
-        return sorted(out[v].values()), sorted(inc[v].values()), out[v].get(v, 0)
-
-    sig_a = [signature(out_a, in_a, u) for u in range(a.n)]
-    sig_b = [signature(out_b, in_b, v) for v in range(b.n)]
-    if sorted(sig_a) != sorted(sig_b):
+    sig_a = [_signature(out_a, in_a, u) for u in range(a.n)]
+    sig_b = [_signature(out_b, in_b, v) for v in range(b.n)]
+    if Counter(sig_a) != Counter(sig_b):
         return None
-    candidates = [[u for u in range(a.n) if sig_a[u] == sig_b[v]] for v in range(b.n)]
+    buckets: dict[tuple, list[int]] = {}
+    for u, sig in enumerate(sig_a):
+        buckets.setdefault(sig, []).append(u)
+    candidates = [buckets[sig] for sig in sig_b]
     order = bfs_order(b.n, gb.edges, rank=lambda v: (len(candidates[v]), v))
     sigma: dict[int, int] = {}
     inverse: dict[int, int] = {}

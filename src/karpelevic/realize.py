@@ -665,12 +665,12 @@ def dd_support_check(m: StochMatrix, k: int) -> Optional[list[int]]:
     taken: dict[int, int] = {}
 
     def ok(v: int, slot: int) -> bool:
-        if m[v, v] != 0 and 0 not in offsets:
+        if (v, v) in support and 0 not in offsets:
             return False
         for u, s in position.items():
-            if m[u, v] != 0 and (slot - s) % n not in offsets:
+            if (u, v) in support and (slot - s) % n not in offsets:
                 return False
-            if m[v, u] != 0 and (s - slot) % n not in offsets:
+            if (v, u) in support and (s - slot) % n not in offsets:
                 return False
         return True
 
@@ -680,10 +680,10 @@ def dd_support_check(m: StochMatrix, k: int) -> Optional[list[int]]:
         v = vertices[idx]
         forced: Optional[list[int]] = None
         for u, s in position.items():
-            if m[u, v] != 0:
+            if (u, v) in support:
                 forced = [(s + o) % n for o in offsets]
                 break
-            if m[v, u] != 0:
+            if (v, u) in support:
                 forced = [(s - o) % n for o in offsets]
                 break
         slots: Iterable[int] = forced if forced is not None else range(n)
@@ -701,12 +701,7 @@ def dd_support_check(m: StochMatrix, k: int) -> Optional[list[int]]:
     if not search(0):
         return None
     sigma = [taken[slot] for slot in range(n)]
-    assert all(
-        (j - i) % n in offsets
-        for i in range(n)
-        for j in range(n)
-        if m[sigma[i], sigma[j]] != 0
-    )
+    assert all((position[v] - position[u]) % n in offsets for u, v in support)
     return sigma
 
 
@@ -789,7 +784,7 @@ def _family_spec_of(m: StochMatrix, n: int, q: int, d: int, y: int) -> Optional[
     weights: dict[int, Fraction] = {}
     sources: list[int] = []
     for i in range(n):
-        row = [(j, w) for j, w in enumerate(m.row(i)) if w != 0]
+        row = m.sparse_rows[i]
         step = (i + 1) % n
         back = (i + 1 - q) % n
         if len(row) == 1:

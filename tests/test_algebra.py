@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_stochastic
 from karpelevic.algebra import (
@@ -15,6 +17,7 @@ from karpelevic.algebra import (
     rat,
     rat_str,
 )
+from karpelevic.digraph import WeightedDigraph, charpoly_coates
 
 F = Fraction
 
@@ -129,6 +132,104 @@ class TestStochMatrix:
             assert p[i, j] == m[perm[i], perm[j]]
 
 
+def dense_rejection(grid):
+    """Reference validation on the dense grid: the message StochMatrix must
+    raise, or None when the grid is a stochastic matrix."""
+    for i, row in enumerate(grid):
+        if any(e < 0 or e > 1 for e in row):
+            return f"row {i} has an entry outside [0, 1]"
+        if sum(row) != 1:
+            return f"row {i} sums to {sum(row)}, not 1"
+    return None
+
+
+@st.composite
+def near_stochastic_grids(draw, max_n=5):
+    """Small stochastic grids with random zeros, one row possibly spoiled by
+    a negative entry, an entry above 1, mass moved across 0 or 1 (the sum
+    stays 1), or a sum off by a small rational; zeros and ones are
+    sometimes plain ints."""
+    n = draw(st.integers(1, max_n))
+    grid = []
+    for _ in range(n):
+        support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(support), max_size=len(support)))
+        row = [F(0)] * n
+        for j, w in zip(support, weights):
+            row[j] = F(w, sum(weights))
+        grid.append(row)
+    row = grid[draw(st.integers(0, n - 1))]
+    j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    small = F(draw(st.sampled_from([-1, 1])), draw(st.integers(2, 1000)))
+    fault = draw(st.sampled_from(["none", "negative", "above", "moved", "off"]))
+    if fault == "negative":
+        row[j] = -row[j] - abs(small)
+    elif fault == "above":
+        row[j] = 1 + abs(small)
+    elif fault == "moved":
+        shift = row[j] + abs(small)
+        row[j] -= shift
+        row[k] += shift
+    elif fault == "off":
+        row[j] += small
+    if draw(st.booleans()):
+        grid = [[int(e) if e in (0, 1) else e for e in row] for row in grid]
+    return grid
+
+
+class TestSparseView:
+    """Validation and every view of the sparse rows against a dense scan."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(near_stochastic_grids(), st.data())
+    @example([[F(3, 2), F(-1, 2)], [0, 1]], None)
+    @example([[0, 0], [0, 1]], None)
+    def test_validation_and_views_match_dense_scan(self, grid, data):
+        expected = dense_rejection(grid)
+        if expected is not None:
+            with pytest.raises(ValueError) as exc:
+                StochMatrix(grid)
+            assert str(exc.value) == expected
+            return
+        m = StochMatrix(grid)
+        n = m.n
+        dense = {(i, j): F(e) for i, row in enumerate(grid) for j, e in enumerate(row) if e != 0}
+        assert m.entries == tuple(tuple(F(e) for e in row) for row in grid)
+        assert m.sparse_rows == tuple(
+            tuple((j, e) for (i, j), e in dense.items() if i == r) for r in range(n)
+        )
+        assert m.support() == set(dense)
+        assert m.nnz() == len(dense)
+        assert WeightedDigraph.from_matrix(m).edges == dense
+        perm = data.draw(st.permutations(range(n))) if data is not None else list(range(n))
+        relabelled = tuple(tuple(F(grid[perm[i]][perm[j]]) for j in range(n)) for i in range(n))
+        assert m.permuted(perm).entries == relabelled
+        assert m.permuted(perm).support() == {
+            (i, j) for i in range(n) for j in range(n) if relabelled[i][j] != 0
+        }
+
+    def test_all_zero_row_rejected(self):
+        with pytest.raises(ValueError, match="row 1 sums to 0, not 1"):
+            StochMatrix([[1, 0], [0, 0]])
+
+
+@st.composite
+def sparse_stochastic(draw, max_n=8):
+    """Stochastic matrices of order <= 8 with one to three nonzeros a row."""
+    n = draw(st.integers(1, max_n))
+    grid = []
+    for _ in range(n):
+        support = draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n), unique=True)
+        )
+        weights = draw(st.lists(st.integers(1, 5), min_size=len(support), max_size=len(support)))
+        row = [F(0)] * n
+        for j, w in zip(support, weights):
+            row[j] = F(w, sum(weights))
+        grid.append(row)
+    return StochMatrix(grid)
+
+
 def c_power(n, k):
     m = cyclic_shift_matrix(n)
     out = identity_matrix(n)
@@ -177,6 +278,19 @@ class TestCharpoly:
             for _ in range(8):
                 m = random_stochastic(rng, n)
                 assert charpoly_exact(m) == charpoly_cofactor([list(r) for r in m.entries])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(sparse_stochastic())
+    # nothing below the diagonal in column 0, and a zero subdiagonal
+    # under a nonzero entry of the last column
+    @example(StochMatrix([[F(1, 2), 0, F(1, 2)], [0, 1, 0], [0, 0, 1]]))
+    # the pivot of column 0 comes from a row swap
+    @example(cyclic_shift_matrix(4))
+    # two nonzeros below the pivot, and nonzero diagonals
+    @example(StochMatrix([[F(1, 2), F(1, 2), 0, 0], [F(1, 3), 0, F(2, 3), 0],
+                          [F(1, 4), 0, 0, F(3, 4)], [F(1, 5), 0, 0, F(4, 5)]]))
+    def test_sparse_against_coates(self, m):
+        assert charpoly_exact(m) == charpoly_coates(WeightedDigraph.from_matrix(m))
 
     def test_monic_and_degree(self):
         m = random_stochastic(random.Random(0), 6)

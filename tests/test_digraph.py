@@ -26,6 +26,7 @@ from karpelevic.digraph import (
     simple_cycles,
     to_dot,
 )
+from karpelevic.digraph import _edge_maps, _signature, _weight_key
 from karpelevic.farey import arc_params, ArcType
 from karpelevic.realize import (
     Composition,
@@ -251,6 +252,52 @@ class TestSimilarityOnRealizations:
             assert sigma is not None and m.permuted(sigma) == b
         else:
             assert sigma is None
+
+
+class TestSignatureBuckets:
+    """Candidates come from a dict keyed by vertex signature."""
+
+    @staticmethod
+    def _signatures(m):
+        out, inc = _edge_maps(WeightedDigraph.from_matrix(m))
+        return sorted(_signature(out, inc, v) for v in range(m.n))
+
+    def test_equal_signatures_but_not_similar(self):
+        # A 6-cycle and two 3-cycles: every vertex has one in- and one
+        # out-edge of weight 1 and no loop.
+        six = cyclic_shift_matrix(6)
+        two_threes = StochMatrix(
+            [[1 if j == 3 * (i // 3) + (i + 1) % 3 else 0 for j in range(6)] for i in range(6)]
+        )
+        assert self._signatures(six) == self._signatures(two_threes)
+        assert find_similarity_permutation(six, two_threes) is None
+        assert find_similarity_permutation(two_threes, six) is None
+
+    def test_int_and_fraction_zero_share_a_bucket(self):
+        assert _weight_key(0) == _weight_key(F(0))
+        assert hash(_weight_key(0)) == hash(_weight_key(F(0)))
+        buckets = {((), (), _weight_key(0)): [0]}
+        assert buckets[((), (), _weight_key(F(0)))] == [0]
+        ints = StochMatrix([[0, 1, 0], [0, 0, 1], [F(1, 2), 0, F(1, 2)]])
+        fractions = StochMatrix([[F(1, 2), F(1, 2), F(0)], [F(0), F(0), F(1)], [F(1), F(0), F(0)]])
+        assert self._signatures(ints) == self._signatures(fractions)
+        sigma = find_similarity_permutation(ints, fractions)
+        assert sigma is not None and ints.permuted(sigma) == fractions
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(2, 7), st.integers(0, 10 ** 6), st.booleans(), st.data())
+    def test_every_witness_maps_a_onto_b(self, n, seed, relabel, data):
+        rng = random.Random(seed)
+        a = random_stochastic(rng, n, density=0.4)
+        if relabel:
+            b = a.permuted(data.draw(st.permutations(range(n))))
+        else:
+            b = random_stochastic(rng, n, density=0.4)
+        sigma = find_similarity_permutation(a, b)
+        if relabel:
+            assert sigma is not None
+        if sigma is not None:
+            assert a.permuted(sigma) == b
 
 
 class TestCycleStructure:

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import order12_augmented, order12_sparsest
 from karpelevic.algebra import RatPoly, StochMatrix, charpoly_exact, cyclic_shift_matrix
@@ -364,6 +366,27 @@ class TestVerify:
     def test_order_mismatch(self):
         with pytest.raises(ValueError):
             verify_realization(type0(4, F(1, 2)), ARC_II, F(1, 2))
+
+
+class TestVerifyProperty:
+    SMALL_ARCS = [
+        arc_params(kind, q=q, d=d, **{key: x})
+        for q in range(2, 7)
+        for d in range(2, 5)
+        for x in range(1, q)
+        if gcd(q, x) == 1
+        for kind, key in ((ArcType.TYPE_II, "z"), (ArcType.TYPE_III, "y"))
+    ]
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_every_class_passes_both_checks(self, data):
+        arc = data.draw(st.sampled_from(self.SMALL_ARCS))
+        composition = data.draw(st.sampled_from(enumerate_sparsest(arc)))
+        den = data.draw(st.integers(2, 200))
+        alpha = F(data.draw(st.integers(1, den - 1)), den)
+        result = verify_realization(build_sparsest(arc, alpha, composition), arc, alpha)
+        assert result.charpoly_ok and result.cycle_ok, result.describe()
 
 
 class TestDDSupport:
