@@ -7,11 +7,12 @@ row indices, an edge (i, j) with weight w > 0 records entry w in position
 Two independent characteristic-polynomial routes meet here: the digraph
 route assembles each coefficient k_i as a signed sum of weight products
 over linear digraphs (sets of vertex-disjoint simple cycles) on i
-vertices, which is checked elsewhere against exact elimination.  Cycle
-enumeration itself is delegated to networkx's simple_cycles (Johnson's
-algorithm); results are canonicalised so output order is deterministic.
-networkx is imported on first use: it is the heaviest import of the
-package, and only cycle enumeration needs it.
+vertices, which is checked elsewhere against exact elimination.  Simple
+cycles are enumerated by a plain depth-first search (Tiernan's): from
+each vertex in turn, paths grow only through larger vertices, so every
+cycle is found once, from its least vertex, already in canonical
+rotation.  Realization digraphs have out-degree at most 2, so the dead
+ends the search walks stay cheap and Johnson's blocking is not needed.
 
 Permutation similarity is decided exactly by a backtracking search that
 matches vertex weight signatures and grows the map breadth-first along
@@ -24,13 +25,11 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
+from math import prod
+from typing import Callable, Iterable, Mapping, Optional
 
 from karpelevic.algebra import RatLike, RatPoly, StochMatrix, rat, rat_str
 from karpelevic.farey import ArcParams
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 __all__ = [
     "WeightedDigraph",
@@ -111,14 +110,6 @@ class WeightedDigraph:
             grid[u][v] = w
         return grid
 
-    def to_networkx(self) -> nx.DiGraph:
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_nodes_from(range(self.n))
-        g.add_edges_from(self.edges)
-        return g
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedDigraph):
             return NotImplemented
@@ -152,24 +143,33 @@ class CycleReport:
         return sum(len(v) for v in self.by_length.values())
 
 
-def _canonical_rotation(cycle: Sequence[int]) -> tuple[int, ...]:
-    k = cycle.index(min(cycle))
-    return tuple(cycle[k:]) + tuple(cycle[:k])
-
-
 def simple_cycles(g: WeightedDigraph) -> CycleReport:
-    """Enumerate every simple cycle once, up to rotation, with its weight."""
-    import networkx as nx
+    """Enumerate every simple cycle once, up to rotation, with its weight.
 
+    Depth-first from each vertex ``start`` through larger vertices only;
+    a path closes when its last vertex has an edge back to ``start``.
+    Successors are visited in increasing order, so cycles come out in
+    lexicographic order and each length's list is already sorted.
+    """
+    succ: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        succ[u].append(v)
     by_length: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {}
-    for raw in nx.simple_cycles(g.to_networkx()):
-        cyc = _canonical_rotation(raw)
-        w = Fraction(1)
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            w *= g.edges[(a, b)]
-        by_length.setdefault(len(cyc), []).append((cyc, w))
-    for length in by_length:
-        by_length[length].sort(key=lambda cw: cw[0])
+    for start in range(g.n):
+        path = [start]
+        stack = [iter(succ[start])]
+        while stack:
+            for v in stack[-1]:
+                if v == start:
+                    w = prod(g.edges[e] for e in zip(path, path[1:] + [start]))
+                    by_length.setdefault(len(path), []).append((tuple(path), w))
+                elif v > start and v not in path:
+                    path.append(v)
+                    stack.append(iter(succ[v]))
+                    break
+            else:
+                stack.pop()
+                path.pop()
     return CycleReport(by_length=dict(sorted(by_length.items())))
 
 

@@ -75,8 +75,8 @@ class FareyPair:
     order: int
 
     def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError("pair must be ascending")
+        if not 0 <= self.lo < self.hi <= 1:
+            raise ValueError("pair must be ascending within [0, 1]")
         det = self.hi.numerator * self.lo.denominator - self.lo.numerator * self.hi.denominator
         if det != 1:
             raise ValueError(f"not Farey-adjacent: determinant {det}, expected 1")
@@ -173,14 +173,22 @@ class ArcParams:
 
     @classmethod
     def from_json(cls, data: dict) -> "ArcParams":
-        """Inverse of :meth:`to_json`; any other shape raises ValueError."""
+        """Inverse of :meth:`to_json`; any other shape raises ValueError.
+
+        So does an arc whose type, d, z or y disagree with its endpoints:
+        the arc is classified again from p/q and r/s and must come out equal.
+        """
         if not isinstance(data, dict):
             raise ValueError(f"arc parameters must be a JSON object, got {type(data).__name__}")
         fields = {key: data.get(key) for key in ("n", "p", "q", "r", "s", "d", "z", "y")}
         for key, value in fields.items():
             if type(value) is not int and not (key in ("z", "y") and value is None):
                 raise ValueError(f"arc field {key!r} must be an integer, got {value!r}")
-        return cls(type_tag=ArcType(data.get("type")), **fields)
+        arc = cls(type_tag=ArcType(data.get("type")), **fields)
+        lo, hi = sorted((Fraction(arc.p, arc.q), Fraction(arc.r, arc.s)))
+        if classify_arc(arc.n, FareyPair(lo, hi, arc.n)) != arc:
+            raise ValueError(f"arc parameters do not match the order-{arc.n} arc {lo}-{hi}")
+        return arc
 
 
 def classify_arc(n: int, pair: FareyPair) -> ArcParams:

@@ -281,8 +281,11 @@ class TypeIIRealization:
         """Add one connector edge, or raise if it breaks the length law.
 
         The edge must belong to the candidate set between some block t and
-        its successor; it is accepted only if every long cycle of the
-        enlarged digraph (the number doubles) still has length n - z.
+        its successor; it is accepted only if every cycle of the enlarged
+        digraph but the d block q-cycles has length n - z.  The cycles are
+        enumerated: once every block pair has two connectors, a simple cycle
+        can run round the blocks more than once, which the one connector per
+        pair of :meth:`long_cycle_lengths` does not see.
         """
         src, dst = edge
         t = self.block_of(src)
@@ -304,11 +307,18 @@ class TypeIIRealization:
             composition=self.composition,
             connectors=tuple(new_connectors),
         )
-        lengths = candidate.long_cycle_lengths()
-        if lengths != {self.n - self.z}:
+        # A cycle running k times round the blocks has length -k*z (mod q):
+        # never q, and n - z only for k = 1.  So the blocks are the only
+        # q-cycles, and any length but q and n - z is a broken long cycle.
+        q, n = self.q, self.n
+        steps = [(v, v - v % q + (v + 1) % q) for v in range(n)]
+        links = [e for conns in new_connectors for e in conns]
+        allowed = {q, n - self.z}
+        lengths = simple_cycles(WeightedDigraph.from_edge_list(n, steps + links)).lengths()
+        if lengths != allowed:
             raise ValueError(
                 f"edge {edge} rejected: it would create a long cycle of length "
-                f"{sorted(lengths - {self.n - self.z})} instead of {self.n - self.z}"
+                f"{sorted(lengths - allowed)} instead of {n - self.z}"
             )
         return candidate
 

@@ -64,6 +64,11 @@ class TestRat:
         for v in [F(1, 3), F(-7, 2), F(5), F(0)]:
             assert rat(rat_str(v)) == v
 
+    def test_rejects_booleans(self):
+        for value in (True, False):
+            with pytest.raises(TypeError):
+                rat(value)
+
 
 class TestRatPoly:
     def test_eval_examples(self):

@@ -7,11 +7,28 @@ from karpelevic.algebra import StochMatrix, charpoly_exact
 from karpelevic.cli import main
 from karpelevic.farey import ArcType, arc_params
 from karpelevic.itopoly import reduced_ito
+from karpelevic.realize import Composition, type0, type2_sparsest, type3_sparsest
 
 F = Fraction
 
 ARC12_JSON = json.dumps(arc_params(ArcType.TYPE_II, q=4, d=3, z=3).to_json())
 ARC15_JSON = json.dumps(arc_params(ArcType.TYPE_III, q=4, d=3, y=3).to_json())
+
+
+def _ones_as_true(m: StochMatrix) -> dict:
+    """m's JSON with every entry 1 written as `true`."""
+    data = m.to_json()
+    return {**data, "entries": [[True if e == "1" else e for e in row] for row in data["entries"]]}
+
+
+# Read as 1, `true` would make these verify against ARC12_JSON at 1/3 and
+# ARC15_JSON at 1/2.
+BOOL_MATRIX12 = _ones_as_true(type2_sparsest(4, 3, 3, F(1, 3), Composition((0, 3, 3), 4)))
+BOOL_MATRIX15 = _ones_as_true(type3_sparsest(4, 3, 3, F(1, 2), Composition((0, 0, 3), 4)))
+# The order-5 arc 2/5-1/2 is Type III with y = 1, not Type I; the order-15
+# arc 1/4-4/15 has y = 3, not 1.
+MISCLASSIFIED_ARC5 = json.dumps({"n": 5, "p": 1, "q": 2, "r": 2, "s": 5, "d": 2, "type": "I"})
+MISCLASSIFIED_ARC15 = json.dumps({**json.loads(ARC15_JSON), "y": 1})
 
 
 def run(capsys, *argv):
@@ -174,13 +191,32 @@ class TestMalformedJson:
             ([["1/2", "1/2"], ["1/2", "1/2"]], ARC12_JSON),
             (GOOD_MATRIX, "[]"),
             (GOOD_MATRIX, json.dumps({**json.loads(ARC12_JSON), "n": "x"})),
+            (BOOL_MATRIX12, ARC12_JSON),
+            (type0(5, F(1, 3)).to_json(), MISCLASSIFIED_ARC5),
         ],
-        ids=["float-entries", "matrix-list", "arc-list", "arc-n-string"],
+        ids=["float-entries", "matrix-list", "arc-list", "arc-n-string", "bool-entries",
+             "arc-misclassified"],
     )
     def test_verify_error_exit_1(self, capsys, tmp_path, matrix, arc):
         f = tmp_path / "m.json"
         f.write_text(json.dumps(matrix))
         code, out, err = run(capsys, "verify", "--matrix", str(f), "--arc", arc, "--alpha", "1/3")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "matrix, arc",
+        [
+            (BOOL_MATRIX15, ARC15_JSON),
+            (type3_sparsest(4, 3, 3, F(1, 2), Composition((0, 0, 3), 4)).to_json(),
+             MISCLASSIFIED_ARC15),
+        ],
+        ids=["bool-entries", "arc-misclassified"],
+    )
+    def test_probe_error_exit_1(self, capsys, tmp_path, matrix, arc):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(matrix))
+        code, out, err = run(capsys, "probe", "--matrix", str(f), "--arc", arc, "--alpha", "1/2")
         assert code == 1 and out == ""
         assert err.startswith("error: ")
 

@@ -1,12 +1,19 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import karpelevic
 
 from conftest import (
     back_edge_subset_valid,
@@ -101,6 +108,92 @@ class TestSimpleCycles:
         for m, q in zip(cases, (4, 4)):
             lengths = simple_cycles(WeightedDigraph.from_matrix(m)).lengths()
             assert min(lengths) >= q
+
+
+@st.composite
+def small_digraphs(draw):
+    """Digraphs on at most 6 vertices with weights k/9: complete ones,
+    self-loops included, or a drawn subset of the ordered pairs."""
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(n)]
+    if not draw(st.booleans()):
+        pairs = draw(st.lists(st.sampled_from(pairs), unique=True))
+    return WeightedDigraph(n, {e: F(draw(st.integers(1, 9)), 9) for e in pairs})
+
+
+def brute_force_cycles(g):
+    """Every sequence of distinct vertices that starts at its least vertex
+    and whose consecutive edges, the closing edge included, exist, with
+    the product of those edge weights."""
+    by_length = {}
+    for length in range(1, g.n + 1):
+        for seq in itertools.permutations(range(g.n), length):
+            edges = list(zip(seq, seq[1:] + seq[:1]))
+            if seq[0] == min(seq) and all(e in g.edges for e in edges):
+                w = F(1)
+                for e in edges:
+                    w *= g.edges[e]
+                by_length.setdefault(length, []).append((seq, w))
+    return by_length
+
+
+class TestSimpleCyclesAgainstBruteForce:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(small_digraphs())
+    @example(WeightedDigraph(1, {(0, 0): F(1, 2)}))
+    @example(WeightedDigraph(2, {(0, 1): F(1, 3), (1, 0): F(2, 3), (1, 1): F(1, 3)}))
+    @example(WeightedDigraph.from_edge_list(6, itertools.product(range(6), repeat=2), F(1, 2)))
+    def test_cycles_and_weights(self, g):
+        report = simple_cycles(g).by_length
+        expected = brute_force_cycles(g)
+        assert report == expected
+        assert list(report) == sorted(expected)
+
+
+class TestWithoutNetworkx:
+    """Cycle enumeration is the package's own: every consumer of simple
+    cycles runs in an interpreter where importing networkx fails."""
+
+    SCRIPT = textwrap.dedent(
+        """
+        import json, sys
+        sys.modules["networkx"] = None  # any import of networkx now raises
+        from fractions import Fraction as F
+        from karpelevic.algebra import charpoly_exact
+        from karpelevic.cli import main
+        from karpelevic.digraph import WeightedDigraph, charpoly_coates
+        from karpelevic.farey import ArcType, arc_params
+        from karpelevic.realize import (
+            Composition, ProbeOutcome, conjecture_probe, type2_sparsest, type3_sparsest,
+            verify_realization,
+        )
+
+        arc12 = arc_params(ArcType.TYPE_II, q=4, d=3, z=3)
+        m12 = type2_sparsest(4, 3, 3, F(1, 3), Composition((0, 3, 3), 4))
+        assert verify_realization(m12, arc12, F(1, 3))
+        assert charpoly_coates(WeightedDigraph.from_matrix(m12)) == charpoly_exact(m12)
+        arc15 = arc_params(ArcType.TYPE_III, q=4, d=3, y=3)
+        m15 = type3_sparsest(4, 3, 3, F(1, 2), Composition((0, 0, 3), 4))
+        assert conjecture_probe(m15, arc15, F(1, 2)).outcome == ProbeOutcome.FOUND
+        with open(sys.argv[1], "w") as f:
+            json.dump(m12.to_json(), f)
+        sys.exit(main(["verify", "--matrix", sys.argv[1], "--arc", json.dumps(arc12.to_json()),
+                       "--alpha", "1/3"]))
+        """
+    )
+
+    def test_cycle_consumers_and_cli_verify(self, tmp_path):
+        src = Path(karpelevic.__file__).resolve().parents[1]
+        path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "m12.json")],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("OK")
 
 
 class TestCoates:

@@ -80,6 +80,12 @@ class TestPairs:
         with pytest.raises(ValueError):
             farey_pairs(1)
 
+    def test_pairs_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError):
+            FareyPair(F(5, 2), F(3), 2)  # adjacent, but above 1
+        with pytest.raises(ValueError):
+            FareyPair(F(-1, 2), F(0), 2)  # adjacent, but below 0
+
 
 class TestClassification:
     def test_type0_example(self):
@@ -127,6 +133,26 @@ class TestClassification:
         for n in (4, 12, 15):
             for arc in arcs_of_order(n):
                 assert ArcParams.from_json(arc.to_json()) == arc
+
+    def test_json_roundtrip_every_arc_to_order_12(self):
+        for n in range(2, 13):
+            for arc in arcs_of_order(n):
+                assert ArcParams.from_json(arc.to_json()) == arc
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"type": "I"},  # 2/5-1/2 is Type III
+            {"type": "II", "y": None, "z": 1},
+            {"n": 6, "d": 3},  # 2/5-1/2 are not neighbours in F_6
+            {"n": 2, "p": 3, "q": 1, "r": 5, "s": 2, "d": 2, "type": "0", "y": None},  # 5/2-3
+        ],
+        ids=["type", "type-and-z", "order", "outside-unit-interval"],
+    )
+    def test_from_json_rejects_arc_that_disagrees_with_endpoints(self, change):
+        data = {**classify_arc(5, FareyPair(F(2, 5), F(1, 2), 5)).to_json(), **change}
+        with pytest.raises(ValueError):
+            ArcParams.from_json(data)
 
 
 class TestSynthesizedArcs:

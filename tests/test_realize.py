@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +28,7 @@ from karpelevic.realize import (
     type3_sparsest,
     verify_realization,
 )
-from karpelevic.realize import _necklace_classes
+from karpelevic.realize import _allowed_connectors, _necklace_classes
 
 F = Fraction
 
@@ -506,6 +506,40 @@ class TestAugment:
             type2_augment(base, (0, 4))
         with pytest.raises(ValueError, match="not a candidate"):
             type2_augment(base, (0, 9))
+
+
+class TestAugmentProperty:
+    """The closed form behind type2_augment (long_cycle_lengths) against an
+    enumeration of the instantiated digraph's cycles, which does not use it."""
+
+    ARCS = [
+        arc_params(ArcType.TYPE_II, q=q, d=d, z=z)
+        for q in range(2, 7)
+        for d in range(2, 5)
+        for z in range(1, q)
+        if gcd(q, z) == 1
+    ]
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_accepted_connectors_keep_long_cycles_at_n_minus_z(self, data):
+        arc = data.draw(st.sampled_from(self.ARCS))
+        q, d, z = arc.q, arc.d, arc.z
+        real = type2_base(q, d, z, data.draw(st.sampled_from(enumerate_sparsest(arc))))
+        candidates = [e for t in range(d) for e in _allowed_connectors(q, d, z, t)]
+        for edge in data.draw(st.lists(st.sampled_from(candidates), max_size=2 * q * d)):
+            try:
+                real = type2_augment(real, edge)
+            except ValueError:
+                pass  # rejected by the length law, or already present
+        # At most q - 1 free weights per block, each >= 9/10, multiply to more
+        # than 1 - alpha <= 1/2, so every dependent weight lies in (0, 1).
+        alpha = F(data.draw(st.integers(50, 99)), 100)
+        free = {name: F(data.draw(st.integers(90, 99)), 100) for name in real.free_parameters()}
+        report = simple_cycles(real.digraph(alpha, free))
+        n = q * d
+        assert report.lengths() <= {q, n - z}
+        assert len(report.cycles_of_length(n - z)) == prod(len(c) for c in real.connectors)
 
 
 class TestProbe:
