@@ -24,9 +24,14 @@ arc touches down on the real axis (the two order-3 Type I arcs).  There
 the touchdown rule picks the root in the arc's half plane nearest the
 parameter-0 endpoint.
 
-Membership in the region uses its star shape: the boundary radius at a
-given argument is read off the traced polylines and compared with the
-query's modulus.
+Membership needs no trace.  On the arc over arg(t) the branch equation
+is linear in a: a = (1 - u^q) / (1 - c*u^e), so t lies on the arc exactly
+where Im[(1 - u^q) * conj(1 - c*u^e)] vanishes (a product with no pole).
+Along a ray this sign carrier changes sign once on (0, 1], at the
+boundary; the unit circle at the arc's mid angle lies outside the region,
+so a point is inside iff its carrier's sign differs from the one there.
+The arc comes from a Stern-Brocot descent to denominators <= n, and on a
+Farey direction (the real axis included) the boundary radius is 1.
 """
 
 from __future__ import annotations
@@ -35,18 +40,15 @@ import cmath
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
 
 from karpelevic.algebra import RatLike, rat
-from karpelevic.farey import ArcParams, ArcType, classify_arc, farey_pairs
+from karpelevic.farey import ArcParams, ArcType, arcs_of_order
 
 __all__ = [
-    "ComplexPoint",
     "ArcTrace",
     "RootFindingError",
     "ContinuationError",
@@ -56,12 +58,11 @@ __all__ = [
     "region_boundary",
     "Region",
     "contains",
+    "radius_at",
     "trace_csv",
     "traces_json_payload",
     "boundary_svg",
 ]
-
-ComplexPoint = complex
 
 DEFAULT_RESIDUAL_SCALE = 1e-10
 NEWTON_ITERS = 30
@@ -186,9 +187,26 @@ class _Branch:
     omega: complex
 
     @classmethod
+    def between(cls, n: int, p: int, q: int, r: int, s: int) -> "_Branch":
+        """The branch of the order-n arc from p/q to r/s, q < s."""
+        d = n // q
+        return cls(q, q - s / d, _endpoint(q * r - p * s, q * d), _endpoint(p, q))
+
+    @classmethod
     def of(cls, arc: ArcParams) -> "_Branch":
-        c = _endpoint(arc.q * arc.r - arc.p * arc.s, arc.q * arc.d)
-        return cls(arc.q, arc.q - arc.s / arc.d, c, _endpoint(arc.p, arc.q))
+        return cls.between(arc.n, arc.p, arc.q, arc.r, arc.s)
+
+    def carrier(self, rho: float, phi: float) -> float:
+        """Im[(1 - u^q) * conj(1 - c*u^e)] at u = rho*e^(i*phi), 0 < rho <= 1.
+
+        The second factor is scaled by rho^max(-e, 0) > 0, which keeps the
+        sign and keeps u^e from overflowing near 0; in polar form the
+        product has three sine terms.
+        """
+        gain, loss, power = rho ** max(self.e, 0.0), rho ** max(-self.e, 0.0), rho ** self.q
+        turn, angle = self.q * phi, cmath.phase(self.c) + self.e * phi
+        return (gain * math.sin(angle) - loss * power * math.sin(turn)
+                + power * gain * math.sin(turn - angle))
 
     def terms(self, a: float, u: complex) -> tuple[complex, complex, complex, float]:
         """f, df/du and df/da at (a, u), and the size of f's terms."""
@@ -249,8 +267,7 @@ class _Branch:
                 points.append(self.omega * u)
         if not points:
             raise ContinuationError(f"no root found past the double root at a = {a0:.6g}")
-        mid = (Fraction(arc.p, arc.q) + Fraction(arc.r, arc.s)) / 2
-        half_sign = 1.0 if mid <= Fraction(1, 2) else -1.0
+        half_sign = 1.0 if arc.p * arc.s + arc.r * arc.q <= arc.q * arc.s else -1.0  # mid <= 1/2
         best = min(points, key=lambda t: (-half_sign * round(t.imag, 12), abs(t - self.omega)))
         return best / self.omega
 
@@ -278,11 +295,7 @@ class ArcTrace:
 
     def conjugated(self, arc: ArcParams) -> "ArcTrace":
         """The mirror trace across the real axis, for the mirror arc."""
-        return ArcTrace(
-            arc=arc,
-            samples=tuple((a, z.conjugate()) for a, z in self.samples),
-            residual_bound=self.residual_bound,
-        )
+        return replace(self, arc=arc, samples=tuple((a, z.conjugate()) for a, z in self.samples))
 
 
 def trace_arc(arc: ArcParams, m: int) -> ArcTrace:
@@ -355,103 +368,81 @@ def region_boundary(n: int, m: int) -> list[ArcTrace]:
 
     Arcs in the closed upper half plane are traced by continuation; lower
     half arcs are the exact mirror images of their conjugates, which both
-    enforces the region's symmetry and halves the work.
+    enforces the region's symmetry and halves the work.  The sequence is
+    symmetric about 1/2, so arc k from the end mirrors arc k.
     """
     if n < 2:
         raise ValueError("order must be at least 2")
-    pairs = farey_pairs(n)
-    half = Fraction(1, 2)
-    traced: dict[tuple[Fraction, Fraction], ArcTrace] = {}
-    for pair in pairs:
-        if pair.hi <= half:
-            traced[(pair.lo, pair.hi)] = trace_arc(classify_arc(n, pair), m)
-    out: list[ArcTrace] = []
-    for pair in pairs:
-        if pair.hi <= half:
-            out.append(traced[(pair.lo, pair.hi)])
+    arcs = arcs_of_order(n)
+    upper = [trace_arc(arc, m) for arc in arcs[: len(arcs) // 2]]
+    return upper + [trace.conjugated(arc) for trace, arc in zip(upper[::-1], arcs[len(upper):])]
+
+
+def _inside(n: int, theta: float, rho: float) -> bool:
+    """Whether rho*e^(i*theta), rho > 0, lies in the order-n region."""
+    if n < 2:
+        raise ValueError("order must be at least 2")
+    if rho > 1.0:
+        return False
+    x = theta / (2 * math.pi) % 1.0
+    # Stern-Brocot descent to the order-n neighbours a/b < x < c/d.
+    a, b, c, d = 0, 1, 1, 1
+    while x * b != a and x * d != c:
+        if b + d > n:
+            p, q, r, s = (a, b, c, d) if b < d else (c, d, a, b)
+            branch, start = _Branch.between(n, p, q, r, s), p / q
+            inner = branch.carrier(rho, 2 * math.pi * (x - start))
+            outer = branch.carrier(1.0, math.pi * (a / b + c / d - 2 * start))
+            return inner == 0.0 or (inner > 0.0) != (outer > 0.0)
+        if x * (b + d) < a + c:
+            c, d = a + c, b + d
         else:
-            mirror = (1 - pair.hi, 1 - pair.lo)
-            out.append(traced[mirror].conjugated(classify_arc(n, pair)))
-    return out
+            a, b = a + c, b + d
+    return True  # a Farey direction: the radius is 1
+
+
+def contains(n: int, z: complex, tol: float = 1e-9) -> bool:
+    """Membership of z in the order-n region, within tol radially.
+
+    z is moved towards 0 by tol and decided by the sign test of the module
+    docstring on the arc over arg(z); nothing is traced.
+    """
+    if n < 2:
+        raise ValueError("order must be at least 2")
+    # [-1, 1] lies in every region, so a point within tol of it is inside.
+    near_axis = abs(z.imag) <= tol and abs(z.real) <= 1.0 + tol
+    return near_axis or _inside(n, cmath.phase(z), abs(z) - tol)
+
+
+def radius_at(n: int, theta: float) -> float:
+    """Boundary radius of the order-n region along the ray at angle theta,
+    by bisection on the membership test (0 off the real axis at order 2)."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _inside(n, theta, mid) else (lo, mid)
+    return lo
 
 
 class Region:
-    """The traced region of one order, with a radial membership test.
+    """The traced boundary of one order, with its membership test.
 
-    The boundary polyline segments are bucketed by angle so a membership
-    query touches only a handful of segments.
+    ``traces`` (m linear steps per arc) are kept for drawing and export;
+    ``contains`` and ``radius_at`` decide exactly and never read them.
     """
-
-    BUCKETS = 4096
 
     def __init__(self, n: int, m: int = 512):
         self.n = n
         self.m = m
         self.traces = region_boundary(n, m)
-        self._segments: list[tuple[complex, complex]] = []
-        for trace in self.traces:
-            pts = [z for _, z in trace.samples]
-            self._segments.extend(zip(pts, pts[1:]))
-        self._buckets: list[list[int]] = [[] for _ in range(self.BUCKETS)]
-        two_pi = 2 * math.pi
-        for idx, (p1, p2) in enumerate(self._segments):
-            a1 = cmath.phase(p1) % two_pi
-            a2 = cmath.phase(p2) % two_pi
-            lo, hi = min(a1, a2), max(a1, a2)
-            if hi - lo > math.pi:
-                # Segment straddles the 0/2pi cut.
-                spans = [(0.0, lo), (hi, two_pi)]
-            else:
-                spans = [(lo, hi)]
-            for s_lo, s_hi in spans:
-                b_lo = int(s_lo / two_pi * self.BUCKETS)
-                b_hi = int(s_hi / two_pi * self.BUCKETS)
-                for b in range(max(b_lo - 1, 0), min(b_hi + 1, self.BUCKETS - 1) + 1):
-                    self._buckets[b].append(idx)
 
     def radius_at(self, theta: float) -> float:
-        """Boundary radius along the ray at angle theta (0 when no arc covers it)."""
-        two_pi = 2 * math.pi
-        theta = theta % two_pi
-        u = cmath.exp(1j * theta)
-        bucket = self._buckets[int(theta / two_pi * self.BUCKETS) % self.BUCKETS]
-        best = 0.0
-        for idx in bucket:
-            p1, p2 = self._segments[idx]
-            c1 = (u.conjugate() * p1).imag
-            c2 = (u.conjugate() * p2).imag
-            r1 = (u.conjugate() * p1).real
-            r2 = (u.conjugate() * p2).real
-            eps = 1e-15
-            if abs(c1) <= eps and abs(c2) <= eps:
-                # Collinear with the ray (e.g. the real segment of order 2).
-                if r1 >= 0:
-                    best = max(best, r1)
-                if r2 >= 0:
-                    best = max(best, r2)
-                continue
-            if (c1 <= 0 <= c2) or (c2 <= 0 <= c1):
-                t = c1 / (c1 - c2)
-                r = r1 + t * (r2 - r1)
-                if r >= 0:
-                    best = max(best, r)
-        return best
+        """Boundary radius along the ray at angle theta (0 when the ray misses the interior)."""
+        return radius_at(self.n, theta)
 
     def contains(self, z: complex, tol: float = 1e-9) -> bool:
         """Radial membership: |z| <= boundary radius at arg(z), within tol."""
-        if abs(z) <= tol:
-            return True
-        return abs(z) <= self.radius_at(cmath.phase(z)) + tol
-
-
-@lru_cache(maxsize=8)
-def _cached_region(n: int, m: int) -> Region:
-    return Region(n, m)
-
-
-def contains(n: int, z: complex, tol: float = 1e-9, m: int = 512) -> bool:
-    """Membership of z in the order-n region (cached traced boundary)."""
-    return _cached_region(n, m).contains(z, tol)
+        return contains(self.n, z, tol)
 
 
 # -- emitters ------------------------------------------------------------

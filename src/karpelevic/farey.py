@@ -111,7 +111,10 @@ class ArcParams:
 
     (p, q) is the endpoint with the smaller denominator, (r, s) the one
     with the larger; d = floor(n / q).  ``z`` (Type II) and ``y``
-    (Type III) measure how far s falls short of / exceeds q*d.
+    (Type III) measure how far s falls short of / exceeds q*d.  The
+    constructor checks, in integers, that p/q and r/s are neighbours in
+    the order-n Farey sequence and that d, the type, z and y are the ones
+    they determine; anything else raises ValueError.
     """
 
     n: int
@@ -127,14 +130,18 @@ class ArcParams:
     def __post_init__(self) -> None:
         if not (0 < self.q < self.s):
             raise ValueError("need 0 < q < s")
-        if gcd(self.p, self.q) != 1 or gcd(self.r, self.s) != 1:
-            raise ValueError("endpoints must be reduced fractions")
+        if not (0 <= self.p <= self.q and 0 <= self.r <= self.s):
+            raise ValueError("endpoints must lie in [0, 1]")
+        if abs(self.q * self.r - self.p * self.s) != 1:
+            raise ValueError("endpoints must be Farey neighbours: |q*r - p*s| = 1")
+        if not (self.s <= self.n < self.q + self.s):
+            raise ValueError(f"endpoints are not neighbours in the order-{self.n} sequence")
         if self.d != self.n // self.q:
             raise ValueError("d must equal floor(n / q)")
-        if self.type_tag is ArcType.TYPE_II and self.z not in range(1, self.q):
-            raise ValueError("Type II requires z in 1..q-1")
-        if self.type_tag is ArcType.TYPE_III and self.y not in range(1, self.q):
-            raise ValueError("Type III requires y in 1..q-1")
+        tag, z, y = _arc_type(self.q, self.s, self.d)
+        if (self.type_tag, self.z, self.y) != (tag, z, y):
+            arc = f"{self.p}/{self.q}-{self.r}/{self.s}"
+            raise ValueError(f"the order-{self.n} arc {arc} is {tag} with z={z}, y={y}")
 
     @property
     def reduced_degree(self) -> int:
@@ -175,8 +182,8 @@ class ArcParams:
     def from_json(cls, data: dict) -> "ArcParams":
         """Inverse of :meth:`to_json`; any other shape raises ValueError.
 
-        So does an arc whose type, d, z or y disagree with its endpoints:
-        the arc is classified again from p/q and r/s and must come out equal.
+        So does an arc whose type, d, z or y disagree with its endpoints
+        (checked by the constructor).
         """
         if not isinstance(data, dict):
             raise ValueError(f"arc parameters must be a JSON object, got {type(data).__name__}")
@@ -184,41 +191,40 @@ class ArcParams:
         for key, value in fields.items():
             if type(value) is not int and not (key in ("z", "y") and value is None):
                 raise ValueError(f"arc field {key!r} must be an integer, got {value!r}")
-        arc = cls(type_tag=ArcType(data.get("type")), **fields)
-        lo, hi = sorted((Fraction(arc.p, arc.q), Fraction(arc.r, arc.s)))
-        if classify_arc(arc.n, FareyPair(lo, hi, arc.n)) != arc:
-            raise ValueError(f"arc parameters do not match the order-{arc.n} arc {lo}-{hi}")
-        return arc
+        return cls(type_tag=ArcType(data.get("type")), **fields)
 
 
 def classify_arc(n: int, pair: FareyPair) -> ArcParams:
     """Classify a boundary arc of order n into its reduced-polynomial type.
 
     The endpoint with the smaller denominator supplies (p, q), the other
-    (r, s).  Consecutive Farey fractions never share a denominator for
-    n >= 2, and s = q*d cannot occur for coprime endpoints with q >= 2
-    (both are asserted, never silently accepted).
+    (r, s); a pair whose denominators are equal (order 1) is rejected.
     """
     if pair.order != n:
         raise ValueError("pair order does not match n")
     lo, hi = pair.lo, pair.hi
-    if lo.denominator == hi.denominator:
-        raise ValueError("endpoints share a denominator; not a valid pair for n >= 2")
     if lo.denominator < hi.denominator:
         p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     else:
         p, q, r, s = hi.numerator, hi.denominator, lo.numerator, lo.denominator
     d = n // q
+    tag, z, y = _arc_type(q, s, d)
+    return ArcParams(n=n, p=p, q=q, r=r, s=s, d=d, type_tag=tag, z=z, y=y)
+
+
+def _arc_type(q: int, s: int, d: int) -> tuple[ArcType, Optional[int], Optional[int]]:
+    """Type, z and y of an arc from its denominators q < s and d = floor(n / q).
+
+    s = q*d cannot occur for q >= 2: Farey adjacency gives q*r - p*s = +-1,
+    and q | s would force q | 1.
+    """
     if q == 1:
-        return ArcParams(n=n, p=p, q=q, r=r, s=s, d=d, type_tag=ArcType.TYPE_0)
+        return ArcType.TYPE_0, None, None
     if d == 1:
-        return ArcParams(n=n, p=p, q=q, r=r, s=s, d=d, type_tag=ArcType.TYPE_I)
-    if s == q * d:
-        # Farey adjacency gives q*r - p*s = +-1; q | s would force q | 1.
-        raise ValueError(f"impossible arc: s = q*d = {s} with q = {q} >= 2")
+        return ArcType.TYPE_I, None, None
     if s < q * d:
-        return ArcParams(n=n, p=p, q=q, r=r, s=s, d=d, type_tag=ArcType.TYPE_II, z=q * d - s)
-    return ArcParams(n=n, p=p, q=q, r=r, s=s, d=d, type_tag=ArcType.TYPE_III, y=s - q * d)
+        return ArcType.TYPE_II, q * d - s, None
+    return ArcType.TYPE_III, None, s - q * d
 
 
 def arcs_of_order(n: int) -> list[ArcParams]:

@@ -1,16 +1,22 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from karpelevic.algebra import charpoly_exact
 from karpelevic.boundary import (
     Region,
+    _Branch,
     boundary_svg,
     contains,
     point_at,
     poly_roots,
+    radius_at,
     region_boundary,
     trace_arc,
     trace_csv,
@@ -187,17 +193,156 @@ class TestRegionMembership:
         assert region.contains(0)
 
     def test_outside_circle(self):
-        assert not contains(3, 1.2, 1e-7, m=64)
-        assert not contains(3, 1j, 1e-7, m=64)  # i needs order 4
+        assert not contains(3, 1.2, 1e-7)
+        assert not contains(3, 1j, 1e-7)  # i needs order 4
 
     def test_order4_contains_i(self):
-        assert contains(4, 1j, 1e-7, m=64)
+        assert contains(4, 1j, 1e-7)
 
     def test_monotone_small(self):
         r5 = Region(5, 128)
         for trace in Region(4, 128).traces:
             for _, z in trace.samples:
                 assert r5.contains(z, 1e-7)
+
+
+def _traced_radius(traces, theta):
+    """Boundary radius at theta from the traced branch: bisect a until arg t(a) = theta.
+
+    Independent of the sign test.  Lower-half rays use the mirrored upper
+    arc, since the region is symmetric about the real axis.
+    """
+    x = theta / (2 * math.pi) % 1.0
+    if x > 0.5:
+        theta, x = -theta, 1.0 - x
+    for trace in traces:
+        arc = trace.arc
+        ends = sorted((F(arc.p, arc.q), F(arc.r, arc.s)))
+        if ends[0] < x < ends[1]:
+            break
+    ray = cmath.exp(-1j * theta)
+
+    def side(a):  # > 0 on the far side of the ray from the a = 0 endpoint
+        return cmath.phase(point_at(trace, a) * ray) * (1 if F(arc.p, arc.q) < x else -1)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if side(mid) > 0 else (mid, hi)
+    t = point_at(trace, lo)
+    assert abs(cmath.phase(t * ray)) < 1e-12, (arc, theta)
+    return abs(t)
+
+
+class TestExactMembership:
+    @pytest.mark.parametrize("n", [4, 5, 7, 10])
+    def test_points_1e7_off_the_boundary(self, n):
+        # A traced polyline's chords lie up to 1.4e-6 outside the arcs, so
+        # the points just outside once came out inside.
+        traces = [trace_arc(arc, 128) for arc in arcs_of_order(n) if max(
+            F(arc.p, arc.q), F(arc.r, arc.s)) <= F(1, 2)]
+        rng = random.Random(n)
+        wrong = []
+        for _ in range(300):
+            theta = rng.uniform(0, 2 * math.pi)
+            radius = _traced_radius(traces, theta)
+            ray = cmath.exp(1j * theta)
+            if contains(n, (radius + 1e-7) * ray, 1e-9):
+                wrong.append(("outside", theta, radius))
+            if not contains(n, (radius - 1e-7) * ray, 1e-9):
+                wrong.append(("inside", theta, radius))
+        assert wrong == []
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(3, 60), st.floats(0, 1, exclude_min=True, exclude_max=True))
+    def test_carrier_changes_sign_once_on_a_ray(self, n, x):
+        pair = next(p for p in farey_pairs(n) if p.lo <= x < p.hi)
+        # Within 1e-9 of a Farey direction the change lies within rounding
+        # of rho = 1, where the scan ends.
+        assume(min(x - pair.lo, pair.hi - x) > 1e-9)
+        arc = classify_arc(n, pair)
+        branch, start = _Branch.of(arc), arc.p / arc.q
+        values = [branch.carrier(k / 2000, 2 * math.pi * (x - start)) for k in range(1, 2001)]
+        signs = [v > 0 for v in values if v != 0]
+        assert sum(s0 != s1 for s0, s1 in zip(signs, signs[1:])) == 1
+        # The reference point, the unit circle at the arc's mid angle, is
+        # on the outer side too.
+        mid = math.pi * float(pair.lo + pair.hi) - 2 * math.pi * start
+        assert signs[-1] == (branch.carrier(1.0, mid) > 0)
+
+    def test_carrier_is_the_imaginary_part_of_the_branch_equation(self):
+        # Zero on traced points, where a is real; else the sign of
+        # Im[(1 - u^q) * conj(1 - c*u^e)] computed directly.
+        rng = random.Random(5)
+        for n in range(2, 13):
+            for arc in arcs_of_order(n):
+                branch, start = _Branch.of(arc), arc.p / arc.q
+                for a, t in trace_arc(arc, 16).samples[1:-1]:
+                    u = t / branch.omega
+                    assert abs(branch.carrier(abs(u), cmath.phase(u))) < 1e-12, (arc, a)
+                for _ in range(20):
+                    rho, x = rng.uniform(0.05, 1), rng.uniform(start, arc.r / arc.s)
+                    u = cmath.rect(rho, 2 * math.pi * (x - start))
+                    direct = ((1 - u ** branch.q) * (1 - branch.c * u ** branch.e).conjugate()).imag
+                    if abs(direct) > 1e-12:
+                        assert (direct > 0) == (branch.carrier(rho, cmath.phase(u)) > 0), (arc, u)
+
+    def test_no_overflow_near_zero(self):
+        # Type I arcs have e = q - s, far below 0 at high order: u^e alone
+        # overflows at |u| = 1e-200.
+        for n in (60, 200):
+            arc = min(arcs_of_order(n), key=lambda arc: _Branch.of(arc).e)
+            assert arc.type_tag is ArcType.TYPE_I and _Branch.of(arc).e <= -n / 3
+            theta = math.pi * (arc.p / arc.q + arc.r / arc.s)
+            assert contains(n, 1e-200 * cmath.exp(1j * theta), 0.0)
+
+    def test_nesting_on_rays(self):
+        rng = random.Random(7)
+        for n in range(2, 51):
+            for _ in range(20):
+                theta = rng.uniform(0, 2 * math.pi)
+                z = radius_at(n, theta) * cmath.exp(1j * theta)
+                assert contains(n + 1, z, 1e-9), (n, theta)
+
+    def test_random_spectra_inside(self):
+        gen = np.random.default_rng(12)
+        for n in range(2, 13):
+            for k in range(60):
+                if k % 3 == 0:  # dense
+                    a = gen.random((n, n)) ** 3
+                elif k % 3 == 1:  # one to three nonzeros a row
+                    a = np.zeros((n, n))
+                    for row in a:
+                        cols = gen.choice(n, size=gen.integers(1, min(n, 3) + 1), replace=False)
+                        row[cols] = gen.random(len(cols))
+                else:  # a permutation, slightly mixed
+                    a = np.eye(n)[gen.permutation(n)] + 0.05 * gen.random((n, n))
+                a /= a.sum(axis=1, keepdims=True)
+                for z in np.linalg.eigvals(a):
+                    assert contains(n, complex(z), 1e-7), (n, a, z)
+
+    def test_region_reads_the_same_test(self):
+        region = Region(5, 16)
+        for theta in (0.1, 1.0, 2.5, 4.0):
+            assert region.radius_at(theta) == radius_at(5, theta)
+            z = 0.9 * cmath.exp(1j * theta)
+            assert region.contains(z) == contains(5, z)
+
+    def test_within_tol_of_the_real_segment(self):
+        # Order 2 has no interior, so a radial tol alone would put
+        # e^(i*pi) = -1 + 1.2e-16j outside.
+        assert contains(2, cmath.exp(1j * math.pi))
+        assert contains(2, 0.3 - 1e-10j, 1e-9) and contains(3, 1 + 1e-10 + 1e-10j, 1e-9)
+        assert not contains(2, 0.3 - 1e-8j, 1e-9)
+        assert not contains(2, 1 + 1e-8, 1e-9)
+
+    def test_rejects_order_below_2(self):
+        with pytest.raises(ValueError):
+            contains(1, 0.5j)
+        with pytest.raises(ValueError):
+            contains(1, 0.5)
+        with pytest.raises(ValueError):
+            radius_at(1, 0.5)
 
 
 class TestEigenvalueOnArc:

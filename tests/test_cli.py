@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from karpelevic.algebra import StochMatrix, charpoly_exact
 from karpelevic.cli import main
@@ -292,3 +297,86 @@ class TestDeterminism:
             _, out1, _ = run(capsys, *argv)
             _, out2, _ = run(capsys, *argv)
             assert out1 == out2
+
+
+# Integers stay small: the CLI has no size limits, and an order or q^d in
+# the millions would only run long, not fail.
+FUZZ_INTS = st.integers(-2, 5).map(str)
+FUZZ_JUNK = [
+    "", "x", "/", "1/", "1/0", "-1/2", "3/2", "0.5", "1e999", "nan", "a,b", "0,0", "=", "[]",
+    "{}", "null", "true", '{"n": 5}', "missing.json", "IV",
+]
+# Each verb's flags, with values it can accept ("MATRIX" is a valid matrix file).
+FUZZ_FLAGS = {
+    "arcs": {"--json": None},
+    "realize": {
+        "--n": FUZZ_INTS, "--q": FUZZ_INTS, "--d": FUZZ_INTS, "--z": FUZZ_INTS, "--y": FUZZ_INTS,
+        "--alpha": ["1/2", "1/3", "0", "1"], "--composition": ["0,3,3", "1,1,1", "0,0,3", "0,1"],
+        "--alphas": ["1/2,1", "1/3,1,1", "1/2"], "--emit": ["json", "dot", "both"],
+    },
+    "enumerate": {
+        "--type": ["0", "I", "II", "III"], "--n": FUZZ_INTS, "--q": FUZZ_INTS, "--d": FUZZ_INTS,
+        "--z": FUZZ_INTS, "--y": FUZZ_INTS, "--alpha": ["1/2", "2/3"], "--json": None,
+    },
+    "verify": {"--matrix": ["MATRIX", "-"], "--arc": [ARC12_JSON, ARC15_JSON, MISCLASSIFIED_ARC5],
+               "--alpha": ["1/3", "1/2"]},
+    "region": {"--samples": FUZZ_INTS, "--json": None},
+    "augment": {
+        "--q": FUZZ_INTS, "--d": FUZZ_INTS, "--z": FUZZ_INTS, "--composition": ["0,3,3", "1,2"],
+        "--add": ["2,6", "3,7", "1,5", "9,1"], "--alpha": ["1/2"],
+        "--param": ["alpha_1=9/10", "alpha_2"],
+        "--emit": ["json", "dot"],
+    },
+    "probe": {"--matrix": ["MATRIX", "-"], "--arc": [ARC15_JSON, ARC12_JSON], "--alpha": ["1/2"]},
+    "bogus": {"--help": None},
+    "--help": {},
+}
+FUZZ_POSITIONAL = {"arcs": FUZZ_INTS, "region": FUZZ_INTS, "realize": ["0", "I", "II", "III"]}
+
+
+@pytest.fixture(scope="module")
+def fuzz_matrix(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "m12.json"
+    matrix = type2_sparsest(4, 3, 3, F(1, 3), Composition((0, 3, 3), 4))
+    path.write_text(json.dumps(matrix.to_json()))
+    return str(path)
+
+
+class TestArgvFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_no_traceback_and_documented_exit_code(self, fuzz_matrix, data):
+        """A verb, a subset of its flags and now and then another's; values
+        fitting, integer, rational or junk; exit 0, 1 or 2, never a traceback."""
+
+        def value(fitting):
+            if data.draw(st.integers(0, 4)) == 0:  # one value in five does not fit
+                return data.draw(st.one_of(FUZZ_INTS, st.sampled_from(FUZZ_JUNK)))
+            if not isinstance(fitting, st.SearchStrategy):
+                fitting = st.sampled_from([fuzz_matrix if v == "MATRIX" else v for v in fitting])
+            return data.draw(fitting)
+
+        verb = data.draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+        own = FUZZ_FLAGS[verb]
+        others = {k: v for flags in FUZZ_FLAGS.values() for k, v in flags.items()}
+        positional = FUZZ_POSITIONAL.get(verb)
+        count = data.draw(st.sampled_from([1, 1, 1, 0, 2] if positional else [0, 0, 0, 1]))
+        argv = [verb] + [value(positional or FUZZ_JUNK) for _ in range(count)]
+        names = data.draw(st.lists(st.sampled_from(sorted(own)), unique=True)) if own else []
+        names += data.draw(st.lists(st.sampled_from(sorted(others)), max_size=1))
+        for name in data.draw(st.permutations(names)):
+            fitting = own[name] if name in own else others[name]
+            argv += [name] if fitting is None else [name, value(fitting)]
+        piped = data.draw(st.sampled_from(["", "[]", "{oops", json.dumps({"n": 2})]))
+        out, err, stdin, sys.stdin = io.StringIO(), io.StringIO(), sys.stdin, io.StringIO(piped)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+            code = exc.code
+        finally:
+            sys.stdin = stdin
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue()
+        if code == 1 and not out.getvalue():
+            assert err.getvalue().startswith("error: "), argv

@@ -155,6 +155,46 @@ class TestClassification:
             ArcParams.from_json(data)
 
 
+class TestArcParamsChecks:
+    def test_misclassified_arc_rejected(self):
+        # 2/5-1/2 of order 5 is Type III with y = 1; as Type I it once
+        # reached an AssertionError in reduced_ito.
+        with pytest.raises(ValueError):
+            ArcParams(n=5, p=1, q=2, r=2, s=5, d=2, type_tag=ArcType.TYPE_I)
+
+    def test_every_other_type_z_or_y_rejected_to_order_20(self):
+        accepted = []
+        for n in range(2, 21):
+            for arc in arcs_of_order(n):
+                ends = {k: getattr(arc, k) for k in ("n", "p", "q", "r", "s", "d")}
+                plausible = (None, *range(1, arc.q))
+                for tag in ArcType:
+                    for z in plausible:
+                        for y in plausible:
+                            if (tag, z, y) == (arc.type_tag, arc.z, arc.y):
+                                continue
+                            try:
+                                accepted.append(ArcParams(type_tag=tag, z=z, y=y, **ends))
+                            except ValueError:
+                                pass
+        assert accepted == []
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(n=4, p=3, q=2, r=5, s=3, d=2, type_tag=ArcType.TYPE_II, z=1),  # 3/2-5/3
+            dict(n=4, p=-1, q=2, r=-1, s=3, d=2, type_tag=ArcType.TYPE_II, z=1),  # -1/2 - -1/3
+            dict(n=7, p=1, q=2, r=2, s=5, d=3, type_tag=ArcType.TYPE_II, z=1),  # 3/7 between
+            dict(n=4, p=1, q=2, r=2, s=5, d=2, type_tag=ArcType.TYPE_III, y=1),  # s above n
+            dict(n=5, p=1, q=3, r=3, s=5, d=1, type_tag=ArcType.TYPE_I),  # |q*r - p*s| = 4
+        ],
+        ids=["above-1", "below-0", "not-neighbours", "s-above-order", "determinant"],
+    )
+    def test_endpoints_must_be_neighbours_of_order_n(self, fields):
+        with pytest.raises(ValueError):
+            ArcParams(**fields)
+
+
 class TestSynthesizedArcs:
     def test_matches_spec_examples(self):
         arc = arc_params(ArcType.TYPE_II, q=4, d=3, z=3)
