@@ -2,10 +2,13 @@
 
 Everything in this module is exact: scalars are ``fractions.Fraction``
 (arbitrary-precision, always in lowest terms), polynomials are dense
-coefficient lists over Fraction, and matrices are immutable grids of
-Fraction that also keep their nonzero entries row by row, so that work on
-the sparse realization matrices follows the nonzeros.  No floating point
-enters anywhere; the float world lives in :mod:`karpelevic.boundary` only.
+coefficient lists over Fraction, and matrices are immutable and stored as
+their nonzero entries row by row, so that building, relabelling and
+reducing the sparse realization matrices follows the nonzeros; the dense
+grid of a matrix is derived from them when it is read.  The characteristic
+polynomial finishes in Python ints after scaling by a common denominator.
+No floating point enters anywhere; the float world lives in
+:mod:`karpelevic.boundary` only.
 
 Indexing convention: matrices and vertices are 0-based throughout the
 package.  The cyclic shift ``C(n)`` maps index i to i+1 (mod n), i.e. it has
@@ -15,14 +18,19 @@ ones in positions (i, (i+1) % n).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from functools import cached_property
+from math import lcm
+from typing import Iterable, Mapping, Sequence, Union
 
 Rat = Fraction
 RatLike = Union[Fraction, int, str]
+# A matrix row: n entries, or the nonzero ones as {column: entry}.
+Row = Union[Iterable[RatLike], Mapping[int, RatLike]]
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 __all__ = [
     "Rat",
@@ -253,49 +261,74 @@ def _fraction_row(row: Iterable[RatLike]) -> tuple[Fraction, ...]:
     return tuple(map(rat, row))
 
 
+def _sparse_row(i: int, row: Row, n: int) -> tuple[tuple[int, Fraction], ...]:
+    """Row i as the ``(column, entry)`` pairs of its nonzero entries, in
+    column order.  A dense row must have n entries; a ``{column: entry}``
+    dict may list zeros, which are dropped, but no column outside 0..n-1."""
+    if isinstance(row, Mapping):
+        pairs = sorted(row.items())
+        if any(type(j) is not int or not 0 <= j < n for j, _ in pairs):
+            raise ValueError(f"row {i} has a column outside 0..{n - 1}")
+        return tuple((j, e if type(e) is Fraction else rat(e)) for j, e in pairs if e)
+    dense = _fraction_row(row)
+    if len(dense) != n:
+        raise ValueError(f"row {i} has length {len(dense)}, expected {n}")
+    return tuple((j, e) for j, e in enumerate(dense) if e)
+
+
 @dataclass(frozen=True)
 class StochMatrix:
     """Square matrix of exact rationals with unit row sums.
 
-    ``entries`` is the dense grid of Fractions.  Construction scans it once
-    for zeros and keeps ``sparse_rows``: row i as the ``(column, entry)``
-    pairs of its nonzero entries, in column order.  Validation,
-    :meth:`support`, :meth:`nnz`, :meth:`permuted` and
-    ``WeightedDigraph.from_matrix`` read only these pairs, so on the
-    realization matrices, which have O(n) nonzeros, they do O(n) Fraction
-    arithmetic and comparisons rather than O(n^2).
+    The matrix is stored as ``sparse_rows``: row i as the ``(column,
+    entry)`` pairs of its nonzero entries, in column order.  Each row may be
+    given dense, as a sequence of n rationals, or sparse, as a dict
+    ``{column: entry}``; both are turned into these pairs first, and
+    everything after that reads only the pairs.  The realization builders
+    and :meth:`permuted` pass dicts, so on matrices with O(n) nonzeros
+    construction, validation, :meth:`support`, :meth:`nnz` and
+    ``WeightedDigraph.from_matrix`` take O(n) steps rather than O(n^2).
+    The dense grid ``entries`` is filled in from the pairs the first time
+    it is read (indexing, JSON, repr).
 
     Entries are validated at construction: each in [0, 1], each row summing
-    to exactly 1.  Instances are immutable; all operations return new
-    matrices.
+    to exactly 1.  Two matrices are equal when their entries are.
+    Instances are immutable; all operations return new matrices.
     """
 
-    entries: tuple[tuple[Fraction, ...], ...]
-    sparse_rows: tuple[tuple[tuple[int, Fraction], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    sparse_rows: tuple[tuple[tuple[int, Fraction], ...], ...]
 
-    def __init__(self, entries: Iterable[Iterable[RatLike]], *, _validate: bool = True):
-        rows = tuple(map(_fraction_row, entries))
+    def __init__(self, entries: Iterable[Row], *, _validate: bool = True):
+        rows = tuple(entries)
         n = len(rows)
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        sparse = tuple(tuple((j, e) for j, e in enumerate(row) if e) for row in rows)
-        object.__setattr__(self, "entries", rows)
+        sparse = tuple(_sparse_row(i, row, n) for i, row in enumerate(rows))
         object.__setattr__(self, "sparse_rows", sparse)
         if _validate:
-            # Zero entries lie in [0, 1] and add nothing to a row sum.
+            # Zero entries lie in [0, 1] and add nothing to a row sum.  Most
+            # rows of a realization hold a single 1, which passes at once.
             for i, row in enumerate(sparse):
+                if len(row) == 1 and row[0][1] == 1:
+                    continue
                 if any(not 0 <= e.numerator <= e.denominator for _, e in row):
                     raise ValueError(f"row {i} has an entry outside [0, 1]")
                 total = sum(e for _, e in row)
                 if total != 1:
                     raise ValueError(f"row {i} sums to {total}, not 1")
 
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense grid of Fractions, zeros included."""
+        grid = []
+        for row in self.sparse_rows:
+            dense = [_ZERO] * len(self.sparse_rows)
+            for j, e in row:
+                dense[j] = e
+            grid.append(tuple(dense))
+        return tuple(grid)
+
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.sparse_rows)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
@@ -307,18 +340,23 @@ class StochMatrix:
     def __matmul__(self, other: "StochMatrix") -> "StochMatrix":
         if self.n != other.n:
             raise ValueError("order mismatch")
-        n = self.n
-        cols = list(zip(*other.entries))
-        prod = [
-            [sum(a * b for a, b in zip(row, col)) for col in cols]
-            for row in self.entries
-        ]
+        prod = []
+        for row in self.sparse_rows:
+            acc: dict[int, Fraction] = {}
+            for k, a in row:
+                for j, b in other.sparse_rows[k]:
+                    acc[j] = acc.get(j, _ZERO) + a * b
+            prod.append(acc)
         return StochMatrix(prod)
 
     def transpose(self) -> "StochMatrix":
         # The transpose of a stochastic matrix need not be stochastic; this
         # exists for permutation matrices, where it is the inverse.
-        return StochMatrix(tuple(zip(*self.entries)), _validate=False)
+        cols: list[dict[int, Fraction]] = [{} for _ in range(self.n)]
+        for i, row in enumerate(self.sparse_rows):
+            for j, e in row:
+                cols[j][i] = e
+        return StochMatrix(cols, _validate=False)
 
     def permuted(self, perm: Sequence[int]) -> "StochMatrix":
         """Relabel by perm: entry (i, j) of the result is self[perm[i], perm[j]].
@@ -331,12 +369,7 @@ class StochMatrix:
         slot = [0] * n
         for i, v in enumerate(perm):
             slot[v] = i
-        rows = []
-        for v in perm:
-            row = [_ZERO] * n
-            for j, e in self.sparse_rows[v]:
-                row[slot[j]] = e
-            rows.append(row)
+        rows = [{slot[j]: e for j, e in self.sparse_rows[v]} for v in perm]
         return StochMatrix(rows, _validate=False)
 
     def support(self) -> set[tuple[int, int]]:
@@ -380,12 +413,7 @@ class StochMatrix:
 
 
 def identity_matrix(n: int) -> StochMatrix:
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    return StochMatrix(
-        tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)),
-        _validate=False,
-    )
+    return cyclic_shift_matrix(n, 0)
 
 
 def cyclic_shift_matrix(n: int, power: int = 1) -> StochMatrix:
@@ -393,44 +421,44 @@ def cyclic_shift_matrix(n: int, power: int = 1) -> StochMatrix:
     if n < 1:
         raise ValueError("order must be at least 1")
     k = power % n
-    return StochMatrix(
-        tuple(
-            tuple(Fraction(1 if j == (i + k) % n else 0) for j in range(n))
-            for i in range(n)
-        ),
-        _validate=False,
-    )
+    return StochMatrix([{(i + k) % n: _ONE} for i in range(n)], _validate=False)
 
 
 def charpoly_exact(matrix) -> RatPoly:
     """Monic characteristic polynomial det(tI - M) over exact rationals.
 
     Works on a StochMatrix or any square grid of rationals.  The matrix is
-    reduced to upper Hessenberg form by exact similarity transforms, then
-    the characteristic polynomial is assembled by the leading-principal-
-    minor recurrence.  Division by a rational pivot is exact, so the result
-    carries no rounding of any kind.
+    reduced to upper Hessenberg form H by exact similarity transforms in
+    Fractions, then the characteristic polynomial is assembled by the
+    leading-principal-minor recurrence in Python ints: with D the lcm of
+    the denominators of H, det(tI - H) = D^-n det(sI - DH) at s = Dt, so
+    the recurrence runs on the integer matrix DH and the coefficient c_i of
+    s^i becomes c_i / D^(n-i) at t^i.  Nothing is rounded anywhere.
 
-    Zeros are found by truthiness and skipped: a column with nothing below
-    its subdiagonal needs no elimination, eliminations touch only the
-    nonzero entries of the pivot row and of the eliminated column, and the
-    recurrence multiplies subdiagonal entries only down to the lowest
+    The working grid holds int 0 for the zeros, so zero tests run in C.
+    A column with nothing below its subdiagonal needs no elimination, an
+    elimination touches only the nonzero entries of the pivot row and of
+    the eliminated column, and the recurrence reads only the nonzeros of
+    each column and multiplies subdiagonal entries only down to the lowest
     nonzero entry above the diagonal.  On the sparse realization matrices
     the Fraction arithmetic therefore follows the nonzeros and their
-    fill-in; only the zero tests scan whole rows and columns.
+    fill-in.
     """
     if isinstance(matrix, StochMatrix):
-        grid = [list(row) for row in matrix.entries]
+        n = matrix.n
+        h: list[list] = [[0] * n for _ in range(n)]
+        for row, pairs in zip(h, matrix.sparse_rows):
+            for j, e in pairs:
+                row[j] = e
     else:
-        grid = [[rat(e) for e in row] for row in matrix]
-    n = len(grid)
-    for i, row in enumerate(grid):
-        if len(row) != n:
-            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+        h = [[rat(e) or 0 for e in row] for row in matrix]
+        n = len(h)
+        for i, row in enumerate(h):
+            if len(row) != n:
+                raise ValueError(f"row {i} has length {len(row)}, expected {n}")
     if n == 0:
         return RatPoly.one()
 
-    h = grid
     # Similarity reduction to upper Hessenberg with exact pivoting.
     for j in range(n - 2):
         below = [i for i in range(j + 1, n) if h[i][j]]
@@ -454,32 +482,36 @@ def charpoly_exact(matrix) -> RatPoly:
                 if row[i]:
                     row[j + 1] += m * row[i]
 
-    # p_k(t) = (t - h[k-1][k-1]) p_{k-1}(t)
-    #          - sum_{i<k-1} h[i][k-1] * (prod of subdiagonal h[m][m-1], m=i+1..k-1) * p_i(t)
-    polys: list[list[Fraction]] = [[Fraction(1)]]
+    # The nonzeros of column k lie in rows 0..k+1; scaled by D they are ints.
+    cols = [[(i, e) for i, e in enumerate(col[: k + 2]) if e] for k, col in enumerate(zip(*h))]
+    d = lcm(*(e.denominator for col in cols for _, e in col))
+    g = [[(i, e.numerator * (d // e.denominator)) for i, e in col] for col in cols]
+    sub = [0] * n  # sub[m] = (DH)[m][m-1]
+    for k, col in enumerate(g):
+        if col and col[-1][0] == k + 1:
+            sub[k + 1] = col.pop()[1]
+
+    # p_k(s) = (s - g[k-1][k-1]) p_{k-1}(s)
+    #          - sum_{i<k-1} g[i][k-1] * (prod of subdiagonal g[m][m-1], m=i+1..k-1) * p_i(s)
+    polys: list[list[int]] = [[1]]
     for k in range(1, n + 1):
-        prev = polys[k - 1]
-        diag = h[k - 1][k - 1]
-        cur = [_ZERO] + prev
-        if diag:
-            for idx, c in enumerate(prev):
-                if c:
-                    cur[idx] -= diag * c
-        # running = prod of h[m][m-1] for m = low..k-1, extended downwards
-        # only when a nonzero h[i][k-1] needs it.
-        running, low = Fraction(1), k
-        for i in range(k - 2, -1, -1):
-            top = h[i][k - 1]
-            if not top:
-                continue
+        cur = [0] + polys[k - 1]
+        # running = prod of g[m][m-1] for m = low..k-1, extended downwards
+        # only when a nonzero g[i][k-1] needs it.
+        running, low = 1, k
+        for i, top in reversed(g[k - 1]):
             while low > i + 1 and running:
                 low -= 1
-                running *= h[low][low - 1]
+                running *= sub[low]
             if not running:
                 break
             scale = top * running
             for idx, c in enumerate(polys[i]):
-                if c:
-                    cur[idx] -= scale * c
+                cur[idx] -= scale * c
         polys.append(cur)
-    return RatPoly(polys[n])
+    coeffs = []
+    power = 1  # D^(n-i) for i = n, n-1, ..., 0
+    for c in reversed(polys[n]):
+        coeffs.append(Fraction(c, power))
+        power *= d
+    return RatPoly(reversed(coeffs))

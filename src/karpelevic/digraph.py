@@ -91,8 +91,14 @@ class WeightedDigraph:
 
     @classmethod
     def from_matrix(cls, m: StochMatrix) -> "WeightedDigraph":
-        edges = {(i, j): e for i, row in enumerate(m.sparse_rows) for j, e in row}
-        return cls(m.n, edges)
+        """The digraph of m's nonzero entries.  Its sparse rows already hold
+        positive Fractions in (i, j) order, so they are taken as they are."""
+        if m.n < 1:
+            raise ValueError("need at least one vertex")
+        g = cls.__new__(cls)
+        g.n = m.n
+        g.edges = {(i, j): e for i, row in enumerate(m.sparse_rows) for j, e in row}
+        return g
 
     @classmethod
     def from_edge_list(

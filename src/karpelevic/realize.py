@@ -73,6 +73,9 @@ __all__ = [
 ]
 
 
+_ONE = Fraction(1)
+
+
 def _check_open_unit(a: Fraction, what: str = "parameter") -> None:
     if not (0 < a < 1):
         raise ValueError(f"{what} must lie strictly between 0 and 1, got {a}")
@@ -101,28 +104,43 @@ class Composition:
         return [p[k:] + p[:k] for k in range(len(p))]
 
     def canonical(self) -> "Composition":
-        """Lexicographically minimal cyclic rotation."""
+        """Lexicographically minimal cyclic rotation; the empty composition
+        is its own."""
+        if not self.parts:
+            return self
         return Composition(min(self.rotations()), self.bound)
 
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.parts)) + ")"
 
 
-def _bounded_compositions(total: int, length: int, bound: int) -> Iterable[tuple[int, ...]]:
-    """Tuples of ``length`` parts in 0..bound-1 summing to ``total``, ascending."""
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(max(0, total - (bound - 1) * (length - 1)), min(bound - 1, total) + 1):
-        for rest in _bounded_compositions(total - first, length - 1, bound):
-            yield (first,) + rest
-
-
 def _necklace_classes(total: int, length: int, bound: int) -> list[Composition]:
-    """The compositions that are their own minimal rotation, ascending."""
-    compositions = (Composition(p, bound) for p in _bounded_compositions(total, length, bound))
-    return [c for c in compositions if c == c.canonical()]
+    """The compositions of ``total`` into ``length`` parts in 0..bound-1
+    that are their own minimal rotation, in lexicographic order.
+
+    Grows prenecklaces by the Fredricksen-Kessler-Maiorana rule: with p the
+    period of the prefix a[1..t-1], part a[t] may be any value >= a[t-p];
+    equal keeps the period, larger makes it t.  A full-length prenecklace
+    is a necklace iff length % p == 0.  Prefixes are visited in
+    lexicographic order, and a part is only tried if the later parts,
+    each at most bound-1, can still bring the sum to ``total``, so no
+    composition is built that is then thrown away.
+    """
+    out: list[Composition] = []
+    a = [0] * (length + 1)  # a[0] = 0 stands in front of the parts a[1..]
+
+    def grow(t: int, p: int, left: int) -> None:
+        if t > length:
+            if length % p == 0:
+                out.append(Composition(tuple(a[1:]), bound))
+            return
+        room = (length - t) * (bound - 1)  # the most parts t+1.. can add
+        for v in range(max(a[t - p], left - room), min(bound - 1, left) + 1):
+            a[t] = v
+            grow(t + 1, p if v == a[t - p] else t, left - v)
+
+    grow(1, 1, total)
+    return out
 
 
 # -- cycle with back edges (Types 0, I and III) ---------------------------
@@ -133,11 +151,16 @@ def _cycle_with_back_edges(n: int, q: int, split: Mapping[int, Fraction]) -> Sto
     weight split[i] on its step edge and puts 1 - split[i] on the back edge
     i -> (i+1-q) mod n; every other row steps with weight 1.  Entries
     accumulate, so the q = 1 back edge is the self-loop and n = 1 works."""
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows: list[dict[int, Fraction]] = []
     for i in range(n):
-        w = split.get(i, Fraction(1))
-        rows[i][(i + 1) % n] += w
-        rows[i][(i + 1 - q) % n] += 1 - w
+        w = split.get(i)
+        if w is None:
+            rows.append({(i + 1) % n: _ONE})
+            continue
+        row = {(i + 1) % n: w}
+        back = (i + 1 - q) % n
+        row[back] = row.get(back, 0) + (1 - w)
+        rows.append(row)
     return StochMatrix(rows)
 
 
@@ -372,11 +395,11 @@ class TypeIIRealization:
                 )
             forward[sources[-1]] = dependent
 
-        rows = [[Fraction(0)] * self.n for _ in range(self.n)]
+        rows: list[dict[int, Fraction]] = []
         for v in range(self.n):
             t = self.block_of(v)
             successor = t * self.q + (v + 1 - t * self.q) % self.q
-            rows[v][successor] = forward.get(v, Fraction(1))
+            rows.append({successor: forward.get(v, _ONE)})
         for conns in self.connectors:
             for src, dst in conns:
                 rows[src][dst] = 1 - forward[src]

@@ -18,6 +18,8 @@ from karpelevic.algebra import (
     rat_str,
 )
 from karpelevic.digraph import WeightedDigraph, charpoly_coates
+from karpelevic.farey import ArcType, arc_params
+from karpelevic.realize import build_sparsest, enumerate_sparsest, type2_base
 
 F = Fraction
 
@@ -218,6 +220,92 @@ class TestSparseView:
             StochMatrix([[1, 0], [0, 0]])
 
 
+def catalogue_arcs(max_q=6, max_d=4):
+    """Every Type II/III arc with q <= max_q and d <= max_d."""
+    arcs = []
+    for q, d, x in itertools.product(range(2, max_q + 1), range(2, max_d + 1), range(1, max_q)):
+        for kind, key in ((ArcType.TYPE_II, "z"), (ArcType.TYPE_III, "y")):
+            try:
+                arcs.append(arc_params(kind, q=q, d=d, **{key: x}))
+            except ValueError:  # x >= q, or q and s not coprime
+                pass
+    return arcs
+
+
+def dense_realization(arc, alpha, composition):
+    """The sparsest realization written into a dense grid of zeros, weight
+    by weight from its description, as a reference for build_sparsest."""
+    n, q, d, b = arc.n, arc.q, arc.d, 1 - alpha
+    grid = [[F(0)] * n for _ in range(n)]
+    if arc.type_tag is ArcType.TYPE_II:
+        # d q-cycles; each connector source keeps b on its cycle edge.
+        for v in range(n):
+            grid[v][v - v % q + (v + 1) % q] = F(1)
+        for ((src, dst),) in type2_base(q, d, arc.z, composition).connectors:
+            grid[src][src - src % q + (src + 1) % q] = b
+            grid[src][dst] = alpha
+        return grid
+    # The n-cycle; split row k sits at k*q + parts[0] + ... + parts[k-1] - 1.
+    for i in range(n):
+        grid[i][(i + 1) % n] = F(1)
+    for k in range(1, d + 1):
+        i = (k * q + sum(composition.parts[:k]) - 1) % n
+        grid[i][(i + 1) % n] = alpha
+        grid[i][(i + 1 - q) % n] = b
+    return grid
+
+
+class TestSparseConstruction:
+    """Rows given as {column: entry} dicts and rows given dense build the
+    same matrix through the one validation path."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(near_stochastic_grids(), st.data())
+    @example([[F(3, 2), F(-1, 2)], [0, 1]], None)
+    @example([[0, 0], [0, 1]], None)
+    def test_sparse_and_dense_rows_agree(self, grid, data):
+        # Some dicts also list zero entries, which must be dropped.
+        keep_zeros = data.draw(st.booleans()) if data is not None else False
+        rows = [{j: e for j, e in enumerate(row) if e != 0 or keep_zeros} for row in grid]
+        expected = dense_rejection(grid)
+        if expected is not None:
+            for given_rows in (grid, rows):
+                with pytest.raises(ValueError) as exc:
+                    StochMatrix(given_rows)
+                assert str(exc.value) == expected
+            return
+        dense, sparse = StochMatrix(grid), StochMatrix(rows)
+        assert sparse.entries == dense.entries
+        assert sparse.sparse_rows == dense.sparse_rows
+        assert sparse == dense and hash(sparse) == hash(dense)
+        assert sparse.support() == dense.support()
+        assert sparse.nnz() == dense.nnz()
+        assert sparse.to_json() == dense.to_json()
+
+    def test_equality_follows_entries(self):
+        m = StochMatrix([[F(1, 2), F(1, 2)], [0, 1]])
+        assert m != StochMatrix([[F(1, 2), F(1, 2)], [1, 0]])
+        assert m != identity_matrix(2) and m.transpose().transpose() == m
+        assert len({m, StochMatrix([{1: F(1, 2), 0: "1/2"}, {1: 1}])}) == 1
+
+    def test_bad_columns_rejected(self):
+        for row in ({2: 1}, {-1: 1}, {F(1): 1}, {True: 1}):
+            with pytest.raises(ValueError, match="row 1 has a column outside 0..1"):
+                StochMatrix([{0: 1}, row])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(catalogue_arcs()), st.integers(1, 100), st.data())
+    def test_build_sparsest_matches_dense_reference(self, arc, k, data):
+        alpha = F(k, 101)
+        composition = data.draw(st.sampled_from(enumerate_sparsest(arc)))
+        m = build_sparsest(arc, alpha, composition)
+        reference = StochMatrix(dense_realization(arc, alpha, composition))
+        assert m == reference
+        assert m.entries == reference.entries
+        assert m.sparse_rows == reference.sparse_rows
+        assert m.nnz() == arc.n + arc.d
+
+
 @st.composite
 def sparse_stochastic(draw, max_n=8):
     """Stochastic matrices of order <= 8 with one to three nonzeros a row."""
@@ -241,6 +329,52 @@ def c_power(n, k):
     for _ in range(k):
         out = out @ m
     return out
+
+
+# Denominators of the integer-scaling tests: small primes, 101 and a
+# Mersenne prime, so the lcm of a grid's denominators is a product of
+# several coprime factors and D**(n-i) runs to hundreds of digits.
+PRIME_DENOMINATORS = (2, 3, 7, 101, 2**61 - 1)
+
+
+@st.composite
+def mixed_denominator_stochastic(draw, max_n=7):
+    """Stochastic matrices whose rows mix the coprime denominators above."""
+    n = draw(st.integers(1, max_n))
+    rows = []
+    for _ in range(n):
+        support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n), unique=True))
+        row = {}
+        for j in support[1:]:
+            den = draw(st.sampled_from(PRIME_DENOMINATORS))
+            row[j] = F(draw(st.integers(1, den - 1)), den) / len(support)
+        row[support[0]] = 1 - sum(row.values())
+        rows.append(row)
+    return StochMatrix(rows)
+
+
+@st.composite
+def rational_grids(draw, max_n=6):
+    """Square grids that are not stochastic: zeros, negative entries and
+    entries above 1, over the coprime denominators above."""
+    n = draw(st.integers(1, max_n))
+    den = st.sampled_from((1,) + PRIME_DENOMINATORS)
+    entry = st.one_of(st.just(0), st.builds(F, st.integers(-300, 300), den))
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+def charpoly_faddeev_leverrier(grid):
+    """Independent oracle in plain Fractions: M_0 = 0, and for k = 1..n
+    M_k = A M_(k-1) + c_(n-k+1) I, c_(n-k) = -tr(A M_k) / k."""
+    n = len(grid)
+    a = [[F(e) for e in row] for row in grid]
+    coeffs = [F(0)] * n + [F(1)]
+    m = [[F(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        m = [[am[i][j] + (coeffs[n - k + 1] if i == j else 0) for j in range(n)] for i in range(n)]
+        coeffs[n - k] = -sum(sum(a[i][t] * m[t][i] for t in range(n)) for i in range(n)) / k
+    return RatPoly(coeffs)
 
 
 class TestCharpoly:
@@ -296,6 +430,18 @@ class TestCharpoly:
                           [F(1, 4), 0, 0, F(3, 4)], [F(1, 5), 0, 0, F(4, 5)]]))
     def test_sparse_against_coates(self, m):
         assert charpoly_exact(m) == charpoly_coates(WeightedDigraph.from_matrix(m))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(mixed_denominator_stochastic())
+    def test_mixed_denominators_against_coates(self, m):
+        assert charpoly_exact(m) == charpoly_coates(WeightedDigraph.from_matrix(m))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rational_grids())
+    @example([[0] * 4 for _ in range(4)])
+    @example([[F(-3, 2), F(7, 3)], [F(2**61 - 1, 101), 0]])
+    def test_rational_grids_against_faddeev_leverrier(self, grid):
+        assert charpoly_exact(grid) == charpoly_faddeev_leverrier(grid)
 
     def test_monic_and_degree(self):
         m = random_stochastic(random.Random(0), 6)

@@ -360,8 +360,12 @@ class TestArgvFuzz:
         own = FUZZ_FLAGS[verb]
         others = {k: v for flags in FUZZ_FLAGS.values() for k, v in flags.items()}
         positional = FUZZ_POSITIONAL.get(verb)
-        count = data.draw(st.sampled_from([1, 1, 1, 0, 2] if positional else [0, 0, 0, 1]))
-        argv = [verb] + [value(positional or FUZZ_JUNK) for _ in range(count)]
+        if positional is None:
+            positional, counts = FUZZ_JUNK, [0, 0, 0, 1]
+        else:
+            counts = [1, 1, 1, 0, 2]
+        count = data.draw(st.sampled_from(counts))
+        argv = [verb] + [value(positional) for _ in range(count)]
         names = data.draw(st.lists(st.sampled_from(sorted(own)), unique=True)) if own else []
         names += data.draw(st.lists(st.sampled_from(sorted(others)), max_size=1))
         for name in data.draw(st.permutations(names)):

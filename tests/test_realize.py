@@ -236,6 +236,15 @@ class TestEnumerate:
         assert len(enumerate_sparsest(arc_params(ArcType.TYPE_0, n=5))) == 1
         assert len(enumerate_sparsest(arc_params(ArcType.TYPE_I, n=5, q=4))) == 1
 
+    def test_empty_placeholder_is_canonical(self):
+        # The one class of a Type 0/I arc is the empty composition, which
+        # has no rotation to take the minimum of.
+        for arc in (arc_params(ArcType.TYPE_0, n=4), arc_params(ArcType.TYPE_I, n=5, q=4)):
+            (placeholder,) = enumerate_sparsest(arc)
+            assert placeholder.parts == ()
+            assert placeholder.canonical() == placeholder
+            assert placeholder.rotations() == []
+
     def test_dedup_consistent_with_similarity_order12(self):
         # Rotation classes coincide with permutation-similarity classes.
         arc = ARC_II
