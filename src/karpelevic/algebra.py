@@ -18,11 +18,12 @@ ones in positions (i, (i+1) % n).
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
 Rat = Fraction
 RatLike = Union[Fraction, int, str]
@@ -166,13 +167,12 @@ class RatPoly:
             return RatPoly(tuple(c * s for c in self.coeffs))
         if self.is_zero() or other.is_zero():
             return RatPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
+        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        left = [(i, a) for i, a in enumerate(self.coeffs) if a]
+        right = [(j, b) for j, b in enumerate(other.coeffs) if b]
+        for i, a in left:
+            for j, b in right:
+                out[i + j] += a * b
         return RatPoly(out)
 
     __rmul__ = __mul__
@@ -185,8 +185,9 @@ class RatPoly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def shift(self, k: int) -> "RatPoly":
@@ -424,26 +425,9 @@ def cyclic_shift_matrix(n: int, power: int = 1) -> StochMatrix:
     return StochMatrix([{(i + k) % n: _ONE} for i in range(n)], _validate=False)
 
 
-def charpoly_exact(matrix) -> RatPoly:
-    """Monic characteristic polynomial det(tI - M) over exact rationals.
-
-    Works on a StochMatrix or any square grid of rationals.  The matrix is
-    reduced to upper Hessenberg form H by exact similarity transforms in
-    Fractions, then the characteristic polynomial is assembled by the
-    leading-principal-minor recurrence in Python ints: with D the lcm of
-    the denominators of H, det(tI - H) = D^-n det(sI - DH) at s = Dt, so
-    the recurrence runs on the integer matrix DH and the coefficient c_i of
-    s^i becomes c_i / D^(n-i) at t^i.  Nothing is rounded anywhere.
-
-    The working grid holds int 0 for the zeros, so zero tests run in C.
-    A column with nothing below its subdiagonal needs no elimination, an
-    elimination touches only the nonzero entries of the pivot row and of
-    the eliminated column, and the recurrence reads only the nonzeros of
-    each column and multiplies subdiagonal entries only down to the lowest
-    nonzero entry above the diagonal.  On the sparse realization matrices
-    the Fraction arithmetic therefore follows the nonzeros and their
-    fill-in.
-    """
+def _hessenberg_columns(matrix) -> list[list[tuple[int, Fraction]]]:
+    """The nonzeros of each column of an upper Hessenberg matrix similar to
+    ``matrix``, as ``(row, entry)`` pairs, by exact elimination in Fractions."""
     if isinstance(matrix, StochMatrix):
         n = matrix.n
         h: list[list] = [[0] * n for _ in range(n)]
@@ -456,8 +440,6 @@ def charpoly_exact(matrix) -> RatPoly:
         for i, row in enumerate(h):
             if len(row) != n:
                 raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-    if n == 0:
-        return RatPoly.one()
 
     # Similarity reduction to upper Hessenberg with exact pivoting.
     for j in range(n - 2):
@@ -481,9 +463,45 @@ def charpoly_exact(matrix) -> RatPoly:
             for row in h:
                 if row[i]:
                     row[j + 1] += m * row[i]
+    return [[(i, e) for i, e in enumerate(col[: k + 2]) if e] for k, col in enumerate(zip(*h))]
+
+
+def charpoly_exact(matrix) -> RatPoly:
+    """Monic characteristic polynomial det(tI - M) over exact rationals.
+
+    Works on a StochMatrix or any square grid of rationals.  The matrix is
+    brought to upper Hessenberg form H, then the characteristic polynomial
+    is assembled by the leading-principal-minor recurrence in Python ints:
+    with D the lcm of the denominators of H, det(tI - H) = D^-n det(sI - DH)
+    at s = Dt, so the recurrence runs on the integer matrix DH and the
+    coefficient c_i of s^i becomes c_i / D^(n-i) at t^i.  Nothing is
+    rounded anywhere.
+
+    A StochMatrix whose nonzeros all have j <= i + 1 (lower Hessenberg, as
+    every Type III realization is) is loaded transposed: its transpose has
+    the same characteristic polynomial and is already upper Hessenberg,
+    column k being row k of M, so there is no elimination, no pivot enters
+    a denominator and D is the lcm of the entry denominators.
+
+    Any other matrix is reduced to H by exact similarity transforms in
+    Fractions, on a working grid that holds int 0 for the zeros, so zero
+    tests run in C.  A column with nothing below its subdiagonal needs no
+    elimination, an elimination touches only the nonzero entries of the
+    pivot row and of the eliminated column, and the recurrence reads only
+    the nonzeros of each column and multiplies subdiagonal entries only
+    down to the lowest nonzero entry above the diagonal.  On the sparse
+    realization matrices the Fraction arithmetic therefore follows the
+    nonzeros and their fill-in.
+    """
+    if isinstance(matrix, StochMatrix) and all(
+        row[-1][0] <= i + 1 for i, row in enumerate(matrix.sparse_rows) if row
+    ):
+        cols = matrix.sparse_rows
+    else:
+        cols = _hessenberg_columns(matrix)
+    n = len(cols)
 
     # The nonzeros of column k lie in rows 0..k+1; scaled by D they are ints.
-    cols = [[(i, e) for i, e in enumerate(col[: k + 2]) if e] for k, col in enumerate(zip(*h))]
     d = lcm(*(e.denominator for col in cols for _, e in col))
     g = [[(i, e.numerator * (d // e.denominator)) for i, e in col] for col in cols]
     sub = [0] * n  # sub[m] = (DH)[m][m-1]

@@ -8,11 +8,13 @@ Two independent characteristic-polynomial routes meet here: the digraph
 route assembles each coefficient k_i as a signed sum of weight products
 over linear digraphs (sets of vertex-disjoint simple cycles) on i
 vertices, which is checked elsewhere against exact elimination.  Simple
-cycles are enumerated by a plain depth-first search (Tiernan's): from
-each vertex in turn, paths grow only through larger vertices, so every
-cycle is found once, from its least vertex, already in canonical
-rotation.  Realization digraphs have out-degree at most 2, so the dead
-ends the search walks stay cheap and Johnson's blocking is not needed.
+cycles are enumerated by a depth-first search (Tiernan's): from each
+vertex in turn, paths grow only through larger vertices, so every cycle
+is found once, from its least vertex, already in canonical rotation.
+Before each search one reverse search marks the vertices that can still
+get back to the start through larger vertices, and the path enters only
+those (the reachability pruning of Johnson's algorithm), so no path runs
+into a dead end that cannot close.
 
 Permutation similarity is decided exactly by a backtracking search that
 matches vertex weight signatures and grows the map breadth-first along
@@ -154,28 +156,45 @@ def simple_cycles(g: WeightedDigraph) -> CycleReport:
 
     Depth-first from each vertex ``start`` through larger vertices only;
     a path closes when its last vertex has an edge back to ``start``.
+    A reverse search over predecessor lists first marks the vertices
+    above ``start`` that reach it through vertices above ``start``, and
+    the path enters only marked vertices that are not on it already.
     Successors are visited in increasing order, so cycles come out in
-    lexicographic order and each length's list is already sorted.
+    lexicographic order and each length's list is already sorted.  A
+    cycle's weight is formed as one Fraction from the products of the
+    numerators and of the denominators of its edge weights.
     """
     succ: list[list[int]] = [[] for _ in range(g.n)]
+    pred: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in g.edges:
         succ[u].append(v)
+        pred[v].append(u)
     by_length: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {}
+    reaches = [-1] * g.n  # reaches[v] == start: v gets back to start above it
+    on_path = [False] * g.n
     for start in range(g.n):
+        frontier = [start]
+        while frontier:
+            for u in pred[frontier.pop()]:
+                if u > start and reaches[u] != start:
+                    reaches[u] = start
+                    frontier.append(u)
         path = [start]
         stack = [iter(succ[start])]
         while stack:
             for v in stack[-1]:
                 if v == start:
-                    w = prod(g.edges[e] for e in zip(path, path[1:] + [start]))
+                    ws = [g.edges[e] for e in zip(path, path[1:] + [start])]
+                    w = Fraction(prod(x.numerator for x in ws), prod(x.denominator for x in ws))
                     by_length.setdefault(len(path), []).append((tuple(path), w))
-                elif v > start and v not in path:
+                elif reaches[v] == start and not on_path[v]:
+                    on_path[v] = True
                     path.append(v)
                     stack.append(iter(succ[v]))
                     break
             else:
                 stack.pop()
-                path.pop()
+                on_path[path.pop()] = False
     return CycleReport(by_length=dict(sorted(by_length.items())))
 
 

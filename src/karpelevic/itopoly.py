@@ -14,6 +14,10 @@ reduced polynomial, whose closed form depends only on the arc type:
     Type II:  (t^q - b)^d - a^d t^z          (z = q d - s)
     Type III: t^y (t^q - b)^d - a^d          (y = s - q d)
 
+Every form is built from (t^q - b)^d expanded by the binomial theorem:
+its d + 1 nonzero terms are C(d, k) (-b)^k t^(q (d - k)), so no
+polynomial is ever raised to a power.
+
 Coefficient bookkeeping follows the monic convention: k_j is the
 coefficient of t^(deg - j), so that k_q = -b*d and
 k_(2q) = d(d-1) b^2 / 2 for every reduced polynomial with 2q < deg.
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from karpelevic.algebra import RatLike, RatPoly, rat
 from karpelevic.farey import ArcParams, ArcType
@@ -41,13 +46,19 @@ def _check_alpha(alpha: Fraction) -> None:
         raise ValueError(f"parameter must lie in [0, 1], got {alpha}")
 
 
+def _binomial_power(q: int, b: Fraction, d: int) -> RatPoly:
+    """(t^q - b)^d by the binomial theorem: C(d, k) (-b)^k at t^(q (d - k))."""
+    coeffs = [Fraction(0)] * (q * d + 1)
+    for k in range(d + 1):
+        coeffs[q * (d - k)] = comb(d, k) * (-b) ** k
+    return RatPoly(coeffs)
+
+
 def full_arc_poly(arc: ArcParams, alpha: RatLike) -> RatPoly:
     """The unreduced arc polynomial t^s (t^q - b)^d - a^d t^(q d), expanded."""
     a = rat(alpha)
     _check_alpha(a)
-    b = 1 - a
-    binomial = RatPoly.monomial(arc.q) - RatPoly([b])
-    lhs = (binomial ** arc.d).shift(arc.s)
+    lhs = _binomial_power(arc.q, 1 - a, arc.d).shift(arc.s)
     rhs = RatPoly.monomial(arc.q * arc.d, a ** arc.d)
     return lhs - rhs
 
@@ -76,21 +87,13 @@ class ItoInstance:
 
 
 def _closed_form(arc: ArcParams, a: Fraction) -> RatPoly:
-    b = 1 - a
-    if arc.type_tag is ArcType.TYPE_0:
-        return (RatPoly.x() - RatPoly([b])) ** arc.d - RatPoly([a ** arc.d])
-    if arc.type_tag is ArcType.TYPE_I:
-        return (
-            RatPoly.monomial(arc.s)
-            - RatPoly.monomial(arc.s - arc.q, b)
-            - RatPoly([a])
-        )
-    binomial = RatPoly.monomial(arc.q) - RatPoly([b])
+    """Types 0, I and III are t^y (t^q - b)^d - a^d with y = s - q d >= 0
+    (0 for Type 0, s - q for Type I); Type II is (t^q - b)^d - a^d t^z
+    with z = q d - s."""
+    binomial = _binomial_power(arc.q, 1 - a, arc.d)
     if arc.type_tag is ArcType.TYPE_II:
-        assert arc.z is not None
-        return binomial ** arc.d - RatPoly.monomial(arc.z, a ** arc.d)
-    assert arc.y is not None
-    return (binomial ** arc.d).shift(arc.y) - RatPoly([a ** arc.d])
+        return binomial - RatPoly.monomial(arc.q * arc.d - arc.s, a ** arc.d)
+    return binomial.shift(arc.s - arc.q * arc.d) - RatPoly([a ** arc.d])
 
 
 def reduced_ito(arc: ArcParams, alpha: RatLike) -> ItoInstance:

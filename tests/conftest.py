@@ -3,17 +3,20 @@
 Holds the matrices transcribed from the worked order-12 and order-15
 examples, a seeded random-stochastic-matrix generator, and the
 exhaustive search used to confirm the characterization of digraphs whose
-cycle lengths are exactly {q, n}.
+cycle lengths are exactly {q, n}, and the list of small Type II/III arcs
+that several modules check their realizations on.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from karpelevic.algebra import StochMatrix
 from karpelevic.digraph import WeightedDigraph, simple_cycles
+from karpelevic.farey import ArcType, arc_params
 
 
 def grid_matrix(rows: dict[int, dict[int, Fraction]], n: int) -> StochMatrix:
@@ -134,3 +137,15 @@ def fits_anchored_window(n: int, q: int, sources: frozenset) -> bool:
         if all(v <= n - q for v in shifted):
             return True
     return False
+
+
+def catalogue_arcs(max_q=6, max_d=4):
+    """Every Type II/III arc with q <= max_q and d <= max_d."""
+    arcs = []
+    for q, d, x in itertools.product(range(2, max_q + 1), range(2, max_d + 1), range(1, max_q)):
+        for kind, key in ((ArcType.TYPE_II, "z"), (ArcType.TYPE_III, "y")):
+            try:
+                arcs.append(arc_params(kind, q=q, d=d, **{key: x}))
+            except ValueError:  # x >= q, or q and s not coprime
+                pass
+    return arcs

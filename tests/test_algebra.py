@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_stochastic
+from conftest import catalogue_arcs, random_stochastic
 from karpelevic.algebra import (
     RatPoly,
     StochMatrix,
@@ -220,18 +220,6 @@ class TestSparseView:
             StochMatrix([[1, 0], [0, 0]])
 
 
-def catalogue_arcs(max_q=6, max_d=4):
-    """Every Type II/III arc with q <= max_q and d <= max_d."""
-    arcs = []
-    for q, d, x in itertools.product(range(2, max_q + 1), range(2, max_d + 1), range(1, max_q)):
-        for kind, key in ((ArcType.TYPE_II, "z"), (ArcType.TYPE_III, "y")):
-            try:
-                arcs.append(arc_params(kind, q=q, d=d, **{key: x}))
-            except ValueError:  # x >= q, or q and s not coprime
-                pass
-    return arcs
-
-
 def dense_realization(arc, alpha, composition):
     """The sparsest realization written into a dense grid of zeros, weight
     by weight from its description, as a reference for build_sparsest."""
@@ -321,6 +309,23 @@ def sparse_stochastic(draw, max_n=8):
             row[j] = F(w, sum(weights))
         grid.append(row)
     return StochMatrix(grid)
+
+
+TYPE_III_7 = arc_params(ArcType.TYPE_III, q=3, d=2, y=1)
+
+
+@st.composite
+def lower_hessenberg_stochastic(draw, max_n=8):
+    """Stochastic matrices of order <= 8 with nonzeros only at j <= i + 1,
+    one to three a row, so most rows hold zeros."""
+    n = draw(st.integers(1, max_n))
+    rows = []
+    for i in range(n):
+        top = min(i + 1, n - 1)
+        support = draw(st.lists(st.integers(0, top), min_size=1, max_size=min(3, top + 1), unique=True))
+        weights = draw(st.lists(st.integers(1, 7), min_size=len(support), max_size=len(support)))
+        rows.append({j: F(w, sum(weights)) for j, w in zip(support, weights)})
+    return StochMatrix(rows)
 
 
 def c_power(n, k):
@@ -442,6 +447,16 @@ class TestCharpoly:
     @example([[F(-3, 2), F(7, 3)], [F(2**61 - 1, 101), 0]])
     def test_rational_grids_against_faddeev_leverrier(self, grid):
         assert charpoly_exact(grid) == charpoly_faddeev_leverrier(grid)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(lower_hessenberg_stochastic())
+    # a Type III realization: a 7-cycle with back edges
+    @example(build_sparsest(TYPE_III_7, F(37, 101), enumerate_sparsest(TYPE_III_7)[0]))
+    def test_lower_hessenberg_loaded_transposed(self, m):
+        assert all(j <= i + 1 for i, j in m.support())
+        exact = charpoly_exact(m)
+        assert exact == charpoly_coates(WeightedDigraph.from_matrix(m))
+        assert exact == charpoly_faddeev_leverrier(m.entries)
 
     def test_monic_and_degree(self):
         m = random_stochastic(random.Random(0), 6)

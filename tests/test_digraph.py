@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -17,6 +18,7 @@ import karpelevic
 
 from conftest import (
     back_edge_subset_valid,
+    catalogue_arcs,
     fits_anchored_window,
     order12_sparsest,
     random_stochastic,
@@ -24,6 +26,7 @@ from conftest import (
 )
 from karpelevic.algebra import StochMatrix, charpoly_exact, cyclic_shift_matrix
 from karpelevic.digraph import (
+    CycleReport,
     WeightedDigraph,
     charpoly_coates,
     cycle_structure_check,
@@ -148,6 +151,80 @@ class TestSimpleCyclesAgainstBruteForce:
         expected = brute_force_cycles(g)
         assert report == expected
         assert list(report) == sorted(expected)
+
+
+def tiernan_cycles(g):
+    """Reference: the unpruned Tiernan search.  From each start it grows
+    paths through every larger vertex not on the path, dead ends included,
+    and multiplies the edge weights as Fractions."""
+    succ = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        succ[u].append(v)
+    by_length = {}
+    for start in range(g.n):
+        path = [start]
+        stack = [iter(succ[start])]
+        while stack:
+            for v in stack[-1]:
+                if v == start:
+                    w = math.prod(g.edges[e] for e in zip(path, path[1:] + [start]))
+                    by_length.setdefault(len(path), []).append((tuple(path), w))
+                elif v > start and v not in path:
+                    path.append(v)
+                    stack.append(iter(succ[v]))
+                    break
+            else:
+                stack.pop()
+                path.pop()
+    return CycleReport(by_length=dict(sorted(by_length.items())))
+
+
+def assert_same_report(report, expected):
+    """Equal cycles and weights, with lengths and cycles in the same order."""
+    assert report == expected
+    assert list(report.by_length.items()) == list(expected.by_length.items())
+
+
+@st.composite
+def sparse_digraphs(draw, max_n=12):
+    """Digraphs on n <= 12 vertices from at most 3n drawn pairs; loops
+    and 2-cycles come from the pairs and from closing up to n of them in
+    both directions."""
+    n = draw(st.integers(1, max_n))
+    vertex = st.integers(0, n - 1)
+    pairs = set(draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n)))
+    if pairs:
+        pairs |= {(v, u) for u, v in draw(st.lists(st.sampled_from(sorted(pairs)), max_size=n))}
+    return WeightedDigraph(n, {e: F(draw(st.integers(1, 9)), 9) for e in pairs})
+
+
+class TestPrunedSearchAgainstTiernan:
+    """The reachability-pruned search reports exactly what the unpruned
+    search does: the same cycles, weights and order."""
+
+    def test_realization_digraphs(self):
+        alpha = F(37, 101)
+        for arc in catalogue_arcs():
+            classes = enumerate_sparsest(arc)
+            for composition in {classes[0], classes[-1]}:
+                g = WeightedDigraph.from_matrix(build_sparsest(arc, alpha, composition))
+                assert_same_report(simple_cycles(g), tiernan_cycles(g))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(sparse_digraphs())
+    @example(WeightedDigraph(3, {(0, 0): F(1, 2), (0, 1): F(1, 2), (1, 0): F(1, 3), (2, 2): F(1)}))
+    @example(WeightedDigraph.from_edge_list(12, [(v, (v + 1) % 12) for v in range(12)]
+                                            + [(v, v) for v in range(0, 12, 3)]
+                                            + [(v + 1, v) for v in range(0, 11, 2)]))
+    def test_drawn_digraphs(self, g):
+        assert_same_report(simple_cycles(g), tiernan_cycles(g))
+
+    def test_complete_order_8(self):
+        # sum over k of C(8, k) (k - 1)! cycles, the 8 loops included
+        g = WeightedDigraph.from_edge_list(8, itertools.product(range(8), repeat=2), F(1, 8))
+        report = simple_cycles(g)
+        assert report.count() == 16072
+        assert_same_report(report, tiernan_cycles(g))
 
 
 class TestWithoutNetworkx:

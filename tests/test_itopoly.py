@@ -3,11 +3,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from karpelevic.algebra import RatPoly, poly_eval
 from karpelevic.farey import ArcParams, ArcType, arc_params, arcs_of_order
 from karpelevic.itopoly import (
     ItoInstance,
+    _binomial_power,
     coefficient_identity_check,
     full_arc_poly,
     reduce_poly,
@@ -102,6 +105,36 @@ class TestReducedIto:
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
             reduced_ito(_arc(ArcType.TYPE_0, n=3), F(3, 2))
+
+
+def closed_form_by_powers(arc, a):
+    """Reference: each type's reduced polynomial with (t^q - b)^d raised
+    as a RatPoly power."""
+    b = 1 - a
+    if arc.type_tag is ArcType.TYPE_0:
+        return (RatPoly.x() - RatPoly([b])) ** arc.d - RatPoly([a ** arc.d])
+    if arc.type_tag is ArcType.TYPE_I:
+        return RatPoly.monomial(arc.s) - RatPoly.monomial(arc.s - arc.q, b) - RatPoly([a])
+    binomial = (RatPoly.monomial(arc.q) - RatPoly([b])) ** arc.d
+    if arc.type_tag is ArcType.TYPE_II:
+        return binomial - RatPoly.monomial(arc.z, a ** arc.d)
+    return binomial.shift(arc.y) - RatPoly([a ** arc.d])
+
+
+class TestBinomialExpansion:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.fractions(min_value=-2, max_value=2, max_denominator=1000))
+    def test_equals_ratpoly_power(self, b):
+        for q in range(1, 10):
+            for d in range(8):
+                expected = (RatPoly.monomial(q) - RatPoly([b])) ** d
+                assert _binomial_power(q, b, d) == expected
+
+    def test_reduced_ito_against_powers(self):
+        for n in range(2, 21):
+            for arc in arcs_of_order(n):
+                for a in (F(0), F(1, 3), F(37, 101), F(1)):
+                    assert reduced_ito(arc, a).poly == closed_form_by_powers(arc, a)
 
 
 class TestEndpointRoots:
