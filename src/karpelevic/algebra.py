@@ -370,8 +370,12 @@ class StochMatrix:
         slot = [0] * n
         for i, v in enumerate(perm):
             slot[v] = i
-        rows = [{slot[j]: e for j, e in self.sparse_rows[v]} for v in perm]
-        return StochMatrix(rows, _validate=False)
+        # A relabelling of valid sparse rows is valid sparse rows: only the
+        # columns change, and they are distinct, so sorting compares ints.
+        out = StochMatrix.__new__(StochMatrix)
+        rows = tuple(tuple(sorted((slot[j], e) for j, e in self.sparse_rows[v])) for v in perm)
+        object.__setattr__(out, "sparse_rows", rows)
+        return out
 
     def support(self) -> set[tuple[int, int]]:
         return {(i, j) for i, row in enumerate(self.sparse_rows) for j, _ in row}
@@ -474,8 +478,9 @@ def charpoly_exact(matrix) -> RatPoly:
     is assembled by the leading-principal-minor recurrence in Python ints:
     with D the lcm of the denominators of H, det(tI - H) = D^-n det(sI - DH)
     at s = Dt, so the recurrence runs on the integer matrix DH and the
-    coefficient c_i of s^i becomes c_i / D^(n-i) at t^i.  Nothing is
-    rounded anywhere.
+    coefficient c_i of s^i becomes c_i / D^(n-i) at t^i; a zero c_i, the
+    common case on a realization, is the shared zero.  Nothing is rounded
+    anywhere.
 
     A StochMatrix whose nonzeros all have j <= i + 1 (lower Hessenberg, as
     every Type III realization is) is loaded transposed: its transpose has
@@ -530,6 +535,6 @@ def charpoly_exact(matrix) -> RatPoly:
     coeffs = []
     power = 1  # D^(n-i) for i = n, n-1, ..., 0
     for c in reversed(polys[n]):
-        coeffs.append(Fraction(c, power))
+        coeffs.append(Fraction(c, power) if c else _ZERO)
         power *= d
     return RatPoly(reversed(coeffs))

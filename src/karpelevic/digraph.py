@@ -18,14 +18,19 @@ into a dead end that cannot close.
 
 Permutation similarity is decided exactly by a backtracking search that
 matches vertex weight signatures and grows the map breadth-first along
-edges, so each new vertex is pinned by an already-mapped neighbour.
+edges, so each new vertex is pinned by an already-mapped neighbour.  What
+the search reads of a matrix (neighbour maps, signatures and their counts,
+breadth-first order) is indexed once per matrix and kept on it, so a
+matrix compared many times is read, not rebuilt; and a vertex past a root
+takes its candidates from the neighbours of its placed neighbour's image,
+not from every vertex with its signature.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import prod
 from typing import Callable, Iterable, Mapping, Optional
@@ -246,8 +251,13 @@ def _weight_key(w: Fraction | int) -> _WeightKey:
     return w.numerator, w.denominator
 
 
+_NO_LOOP = _weight_key(0)
+
+
 def _edge_maps(g: WeightedDigraph):
-    """Out- and in-neighbour maps of g, each weight kept as its _weight_key."""
+    """Out- and in-neighbour maps of g, each weight kept as its _weight_key.
+    Both are filled in the order of g.edges, which is sorted, so the keys
+    of every map come in increasing order."""
     out: list[dict[int, _WeightKey]] = [dict() for _ in range(g.n)]
     inc: list[dict[int, _WeightKey]] = [dict() for _ in range(g.n)]
     for (u, v), w in g.edges.items():
@@ -261,8 +271,35 @@ def _signature(out: list[dict[int, _WeightKey]], inc: list[dict[int, _WeightKey]
     return (
         tuple(sorted(out[v].values())),
         tuple(sorted(inc[v].values())),
-        out[v].get(v, _weight_key(0)),
+        out[v].get(v, _NO_LOOP),
     )
+
+
+def _bfs_tree(neighbours: list[list[int]], roots: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Breadth-first order of the vertices and the parent of each (-1 for a
+    root): each component starts at its first vertex in ``roots`` and the
+    ``neighbours`` of a vertex are visited in increasing order.  A list may
+    name a neighbour twice; each list is sorted in place."""
+    parent = [-1] * len(neighbours)
+    placed = [False] * len(neighbours)
+    order: list[int] = []
+    for root in roots:
+        if placed[root]:
+            continue
+        placed[root] = True
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            w = order[head]
+            head += 1
+            near = neighbours[w]
+            near.sort()
+            for u in near:
+                if not placed[u]:
+                    placed[u] = True
+                    parent[u] = w
+                    order.append(u)
+    return order, parent
 
 
 def bfs_order(
@@ -275,24 +312,66 @@ def bfs_order(
     vertex but a root comes after one of its neighbours.  Searches that
     assign vertices in this order find each new vertex next to a placed one.
     """
-    neighbours: list[set[int]] = [set() for _ in range(n)]
+    neighbours: list[list[int]] = [[] for _ in range(n)]
     for i, j in edges:
-        neighbours[i].add(j)
-        neighbours[j].add(i)
-    order: list[int] = []
-    seen: set[int] = set()
-    for root in sorted(range(n), key=rank):
-        if root in seen:
-            continue
-        head = len(order)
-        seen.add(root)
-        order.append(root)
-        while head < len(order):
-            for u in sorted(neighbours[order[head]] - seen):
-                seen.add(u)
-                order.append(u)
-            head += 1
-    return order
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    return _bfs_tree(neighbours, sorted(range(n), key=rank))[0]
+
+
+class _SimilarityIndex:
+    """What the similarity search reads of one matrix: its out- and
+    in-neighbour maps with _weight_key weights, the vertex signatures, the
+    vertices of each signature in increasing order (``buckets``) and the
+    number of them (``counts``, a plain dict, so that comparing two is one
+    C-level dict comparison).  The breadth-first ``tree``, read only when
+    the matrix is searched for, is filled in when first read."""
+
+    def __init__(self, m: StochMatrix):
+        self.out, self.inc = _edge_maps(WeightedDigraph.from_matrix(m))
+        self.signatures = [_signature(self.out, self.inc, v) for v in range(m.n)]
+        self.buckets: dict[tuple, list[int]] = {}
+        for v, sig in enumerate(self.signatures):
+            self.buckets.setdefault(sig, []).append(v)
+        self.counts = {sig: len(vs) for sig, vs in self.buckets.items()}
+
+    @cached_property
+    def tree(self) -> tuple[list[int], list[int]]:
+        """The breadth-first order of the vertices and the placed neighbour
+        each one hangs on (-1 for a root).  Roots go by their number of
+        candidates, which is the same in any matrix with the same signature
+        counts, so the order is fixed by the matrix alone; the sort is
+        stable, so ties go to the least vertex."""
+        rank = [self.counts[sig] for sig in self.signatures]
+        neighbours = [[*o, *i] for o, i in zip(self.out, self.inc)]
+        return _bfs_tree(neighbours, sorted(range(len(rank)), key=rank.__getitem__))
+
+
+def _similarity_index(m: StochMatrix) -> _SimilarityIndex:
+    """m's index, built on the first call and kept in m's instance dict, as
+    ``cached_property`` keeps ``entries``: outside the dataclass fields, so
+    ``==``, ``hash``, JSON and ``repr`` never see it."""
+    index = m.__dict__.get("_similarity_index")
+    if index is None:
+        index = m.__dict__["_similarity_index"] = _SimilarityIndex(m)
+    return index
+
+
+def _candidates(a: _SimilarityIndex, b: _SimilarityIndex, v: int, image: int) -> list[int]:
+    """The vertices of a, in increasing order, with v's signature and with
+    the edges, both ways and of equal weights, to ``image`` that v has to
+    w, the neighbour it hangs on in b's tree; ``image`` is where w was
+    placed.  They are drawn from the neighbours of ``image`` along one edge
+    between v and w, so the search never scans v's whole signature bucket."""
+    w, sig = b.tree[1][v], b.signatures[v]
+    edges = b.out[v].get(w), b.inc[v].get(w)
+    out, inc = a.out, a.inc
+    near = inc[image] if edges[0] is not None else out[image]
+    # The keys of a's maps increase (see _edge_maps), and so does the list.
+    return [
+        u for u in near
+        if (out[u].get(image), inc[u].get(image)) == edges and a.signatures[u] == sig
+    ]
 
 
 def find_similarity_permutation(
@@ -302,44 +381,41 @@ def find_similarity_permutation(
 
     A vertex v of b may go only to a vertex of a with the same signature:
     sorted out-weights, sorted in-weights and self-loop weight, kept as
-    integer (numerator, denominator) pairs.  The vertices of a are grouped
-    by signature in one dict, so the candidates of all n vertices of b
-    take n lookups rather than n^2 comparisons.  Vertices
-    are assigned breadth-first over b's support, each component rooted at
-    its vertex with the fewest candidates, and an assignment v -> u is kept
-    only if the edges of v and of u to assigned vertices correspond with
-    equal weights.  Past a root, every vertex hangs on an assigned
-    neighbour, so on the sparse, nearly rigid realization digraphs the
-    edges propagate the map with little or no backtracking.
+    integer (numerator, denominator) pairs.  Each matrix is indexed once,
+    on its first call, and the index is kept on the matrix (see
+    :class:`_SimilarityIndex`), so later calls on it only read its
+    neighbour maps, signatures and order.  Matrices whose signature counts
+    differ are told apart there.  Vertices are assigned
+    breadth-first over b's support, each component rooted at its vertex
+    with the fewest candidates; a root takes its candidates from the
+    vertices of a with its signature.  Every other vertex v hangs on an
+    assigned neighbour w, and takes as candidates only the neighbours of
+    sigma[w] in a with v's signature and v's edges to w, in increasing
+    order: any other vertex would fail on that edge.  An assignment v -> u
+    is kept only if the edges of v and of u to assigned vertices correspond
+    with equal weights.  On the sparse, nearly rigid realization digraphs
+    the edges propagate the map with little or no backtracking.
     """
     if a.n != b.n:
         raise ValueError("order mismatch")
     limit = max_order if max_order is not None else max_brute_order(default=10) * 2
     if a.n > limit:
         raise ValueError(f"order {a.n} exceeds the similarity search bound {limit}")
-    ga, gb = WeightedDigraph.from_matrix(a), WeightedDigraph.from_matrix(b)
-    out_a, in_a = _edge_maps(ga)
-    out_b, in_b = _edge_maps(gb)
-
-    sig_a = [_signature(out_a, in_a, u) for u in range(a.n)]
-    sig_b = [_signature(out_b, in_b, v) for v in range(b.n)]
-    if Counter(sig_a) != Counter(sig_b):
+    ia, ib = _similarity_index(a), _similarity_index(b)
+    if ia.counts != ib.counts:
         return None
-    buckets: dict[tuple, list[int]] = {}
-    for u, sig in enumerate(sig_a):
-        buckets.setdefault(sig, []).append(u)
-    candidates = [buckets[sig] for sig in sig_b]
-    order = bfs_order(b.n, gb.edges, rank=lambda v: (len(candidates[v]), v))
+    out_a, in_a, out_b, in_b = ia.out, ia.inc, ib.out, ib.inc
+    order, anchors = ib.tree
     sigma: dict[int, int] = {}
     inverse: dict[int, int] = {}
 
     def consistent(v: int, u: int) -> bool:
-        for edges_b, edges_a in ((out_b, out_a), (in_b, in_a)):
-            for vv, w in edges_b[v].items():
-                if vv in sigma and edges_a[u].get(sigma[vv]) != w:
+        for edges_b, edges_a in ((out_b[v], out_a[u]), (in_b[v], in_a[u])):
+            for vv, w in edges_b.items():
+                if vv in sigma and edges_a.get(sigma[vv]) != w:
                     return False
-            for uu, w in edges_a[u].items():
-                if uu in inverse and edges_b[v].get(inverse[uu]) != w:
+            for uu, w in edges_a.items():
+                if uu in inverse and edges_b.get(inverse[uu]) != w:
                     return False
         return True
 
@@ -347,7 +423,11 @@ def find_similarity_permutation(
         if pos == len(order):
             return True
         v = order[pos]
-        for u in candidates[v]:
+        if anchors[v] < 0:
+            candidates = ia.buckets[ib.signatures[v]]
+        else:
+            candidates = _candidates(ia, ib, v, sigma[anchors[v]])
+        for u in candidates:
             if u in inverse or not consistent(v, u):
                 continue
             sigma[v], inverse[u] = u, v

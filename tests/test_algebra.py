@@ -215,6 +215,19 @@ class TestSparseView:
             (i, j) for i in range(n) for j in range(n) if relabelled[i][j] != 0
         }
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 8), st.integers(0, 10 ** 6), st.data())
+    def test_permuted_equals_the_relabelled_grid_built_anew(self, n, seed, data):
+        # permuted writes the sparse rows itself; they must be the ones the
+        # constructor would make from the relabelled grid, column order included.
+        m = random_stochastic(random.Random(seed), n, density=0.5)
+        perm = data.draw(st.permutations(range(n)))
+        p = m.permuted(perm)
+        fresh = StochMatrix([[m[perm[i], perm[j]] for j in range(n)] for i in range(n)])
+        assert p.sparse_rows == fresh.sparse_rows
+        assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+        assert p.permuted([perm.index(k) for k in range(n)]) == m
+
     def test_all_zero_row_rejected(self):
         with pytest.raises(ValueError, match="row 1 sums to 0, not 1"):
             StochMatrix([[1, 0], [0, 0]])

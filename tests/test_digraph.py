@@ -37,6 +37,7 @@ from karpelevic.digraph import (
     to_dot,
 )
 from karpelevic.digraph import _edge_maps, _signature, _weight_key
+from karpelevic.digraph import _candidates, _similarity_index
 from karpelevic.farey import arc_params, ArcType
 from karpelevic.realize import (
     Composition,
@@ -468,6 +469,207 @@ class TestSignatureBuckets:
             assert sigma is not None
         if sigma is not None:
             assert a.permuted(sigma) == b
+
+
+def reference_bfs_order(g, rank):
+    """Reference: g's vertices breadth-first over neighbour sets, each
+    component from its vertex of least ``rank``, neighbours in increasing
+    order."""
+    neighbours = [set() for _ in range(g.n)]
+    for i, j in g.edges:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    order, seen = [], set()
+    for root in sorted(range(g.n), key=rank):
+        if root not in seen:
+            head = len(order)
+            seen.add(root)
+            order.append(root)
+            while head < len(order):
+                for u in sorted(neighbours[order[head]] - seen):
+                    seen.add(u)
+                    order.append(u)
+                head += 1
+    return order
+
+
+def bucket_similarity(a, b):
+    """Reference: the search that scans signature buckets.  Each call builds
+    the digraphs, edge maps and signatures of both matrices again, and every
+    vertex tries each vertex of a with its signature, in increasing order."""
+    out_a, in_a = _edge_maps(WeightedDigraph.from_matrix(a))
+    gb = WeightedDigraph.from_matrix(b)
+    out_b, in_b = _edge_maps(gb)
+    sig_a = [_signature(out_a, in_a, u) for u in range(a.n)]
+    sig_b = [_signature(out_b, in_b, v) for v in range(b.n)]
+    if sorted(sig_a) != sorted(sig_b):
+        return None
+    candidates = [[u for u in range(a.n) if sig_a[u] == sig] for sig in sig_b]
+    order = reference_bfs_order(gb, lambda v: (len(candidates[v]), v))
+    sigma, inverse = {}, {}
+
+    def consistent(v, u):
+        for edges_b, edges_a in ((out_b, out_a), (in_b, in_a)):
+            for vv, w in edges_b[v].items():
+                if vv in sigma and edges_a[u].get(sigma[vv]) != w:
+                    return False
+            for uu, w in edges_a[u].items():
+                if uu in inverse and edges_b[v].get(inverse[uu]) != w:
+                    return False
+        return True
+
+    def assign(pos):
+        if pos == len(order):
+            return True
+        v = order[pos]
+        for u in candidates[v]:
+            if u in inverse or not consistent(v, u):
+                continue
+            sigma[v], inverse[u] = u, v
+            if assign(pos + 1):
+                return True
+            del sigma[v], inverse[u]
+        return False
+
+    return [sigma[v] for v in range(b.n)] if assign(0) else None
+
+
+@st.composite
+def repeated_weight_matrices(draw, n):
+    """Order-n stochastic matrices whose rows hold one to three nonzeros of
+    relative size 1 or 2, so weights and vertex signatures repeat."""
+    rows = []
+    for _ in range(n):
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+        sizes = [draw(st.integers(1, 2)) for _ in cols]
+        rows.append({j: F(k, sum(sizes)) for j, k in zip(cols, sizes)})
+    return StochMatrix(rows)
+
+
+@st.composite
+def similarity_pairs(draw, max_n=8):
+    """(a, b) of one order: b is a relabelling of a, a relabelling of a
+    with one row drawn again, or drawn on its own."""
+    n = draw(st.integers(1, max_n))
+    a = draw(repeated_weight_matrices(n))
+    kind = draw(st.sampled_from(["relabelled", "edited", "drawn"]))
+    if kind == "drawn":
+        return a, draw(repeated_weight_matrices(n))
+    b = a
+    if kind == "edited":
+        rows = [dict(row) for row in a.sparse_rows]
+        rows[draw(st.integers(0, n - 1))] = dict(draw(repeated_weight_matrices(n)).sparse_rows[0])
+        b = StochMatrix(rows)
+    return a, b.permuted(draw(st.permutations(range(n))))
+
+
+def fresh_copy(m):
+    """An equal matrix that has never been searched."""
+    return StochMatrix([dict(row) for row in m.sparse_rows])
+
+
+class TestNeighbourDrawnSearch:
+    """Candidates drawn from the placed neighbour give the bucket search's
+    answers, witnesses included."""
+
+    def test_realization_pairs(self):
+        alpha = F(37, 101)
+        for idx, arc in enumerate(catalogue_arcs()):
+            classes = enumerate_sparsest(arc)
+            ms = [build_sparsest(arc, alpha, c) for c in (classes[0], classes[-1])]
+            perm = list(range(arc.n))
+            random.Random(idx).shuffle(perm)
+            ms.append(ms[0].permuted(perm))
+            for a, b in itertools.product(ms, repeat=2):
+                assert find_similarity_permutation(a, b, max_order=arc.n) == bucket_similarity(a, b)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(similarity_pairs())
+    def test_drawn_pairs(self, pair):
+        a, b = pair
+        assert find_similarity_permutation(a, b) == bucket_similarity(a, b)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(similarity_pairs())
+    def test_order_and_candidates_follow_their_definitions(self, pair):
+        a, b = pair
+        ia, ib = _similarity_index(a), _similarity_index(b)
+        order, anchors = ib.tree
+        gb = WeightedDigraph.from_matrix(b)
+        sig_b = [_signature(*_edge_maps(gb), v) for v in range(b.n)]
+        assert order == reference_bfs_order(gb, lambda v: (sig_b.count(sig_b[v]), v))
+        position = {v: k for k, v in enumerate(order)}
+        for v in range(b.n):
+            earlier = [w for w in range(b.n) if (b[v, w] or b[w, v]) and position[w] < position[v]]
+            w = anchors[v]
+            if not earlier:
+                assert w == -1
+                continue
+            assert w in earlier
+            bucket = ia.buckets.get(ib.signatures[v], [])
+            for image in range(a.n):
+                expected = [u for u in bucket if (a[u, image], a[image, u]) == (b[v, w], b[w, v])]
+                assert _candidates(ia, ib, v, image) == expected
+
+
+class TestCachedIndex:
+    """The index kept on a matrix changes nothing but the time taken."""
+
+    @staticmethod
+    def _pair(seed=0):
+        arc = arc_params(ArcType.TYPE_III, q=5, d=3, y=2)
+        classes = enumerate_sparsest(arc)
+        m = build_sparsest(arc, F(2, 7), classes[0])
+        other = build_sparsest(arc, F(2, 7), classes[-1])
+        perm = list(range(arc.n))
+        random.Random(seed).shuffle(perm)
+        return m, other, perm
+
+    def test_equality_hash_json_and_repr_unchanged(self):
+        m, other, perm = self._pair()
+        before = (m.to_json(), repr(m), hash(m))
+        assert find_similarity_permutation(m, m.permuted(perm)) is not None
+        assert find_similarity_permutation(other, m) is None
+        assert _similarity_index(m) is _similarity_index(m)
+        fresh = fresh_copy(m)
+        assert m == fresh and fresh == m and hash(m) == hash(fresh)
+        assert (m.to_json(), repr(m), hash(m)) == before
+        assert StochMatrix.from_json(m.to_json()) == m
+        assert m != other
+
+    @pytest.mark.parametrize("matrix_first", [True, False])
+    @pytest.mark.parametrize("searched_before_permuting", [True, False])
+    def test_matrix_and_permuted_copy_in_either_order(self, matrix_first, searched_before_permuting):
+        m, other, perm = self._pair(seed=3)
+        if searched_before_permuting:
+            assert find_similarity_permutation(m, other) is None
+        p = m.permuted(perm)
+        calls = [(m, p), (p, m)] if matrix_first else [(p, m), (m, p)]
+        for a, b in calls:
+            sigma = find_similarity_permutation(a, b)
+            assert sigma is not None and a.permuted(sigma) == b
+        assert find_similarity_permutation(p, other) is None
+        assert find_similarity_permutation(other, p) is None
+
+    def test_reused_matrices_answer_as_fresh_copies(self):
+        # Distinct classes are dissimilar, so two matrices are similar iff
+        # they come from the same class.
+        alpha = F(37, 101)
+        for idx, arc in enumerate(catalogue_arcs(max_q=5, max_d=3)):
+            classes = enumerate_sparsest(arc)[:3]
+            ms = [build_sparsest(arc, alpha, c) for c in classes]
+            for a, b in itertools.product(ms, repeat=2):
+                assert (find_similarity_permutation(a, b) is not None) == (a is b)
+            rng = random.Random(idx)
+            for m in ms[: len(classes)]:
+                perm = list(range(arc.n))
+                rng.shuffle(perm)
+                ms.append(m.permuted(perm))
+            labelled = [(k % len(classes), m) for k, m in enumerate(ms)]
+            for (i, a), (j, b) in itertools.product(labelled, repeat=2):
+                reused = find_similarity_permutation(a, b)
+                assert reused == find_similarity_permutation(fresh_copy(a), fresh_copy(b))
+                assert (reused is not None) == (i == j)
 
 
 class TestCycleStructure:
