@@ -43,16 +43,12 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
-import numpy as np
-
 from karpelevic.algebra import RatLike, rat
 from karpelevic.farey import ArcParams, ArcType, arcs_of_order
 
 __all__ = [
     "ArcTrace",
-    "RootFindingError",
     "ContinuationError",
-    "poly_roots",
     "trace_arc",
     "point_at",
     "region_boundary",
@@ -64,100 +60,14 @@ __all__ = [
     "boundary_svg",
 ]
 
-DEFAULT_RESIDUAL_SCALE = 1e-10
 NEWTON_ITERS = 30
 STEP_FLOOR = 1e-12
 TOUCHDOWN_GAP = 1e-4
 _EPS = sys.float_info.epsilon
 
 
-class RootFindingError(RuntimeError):
-    """Polishing failed to reach the residual target."""
-
-
 class ContinuationError(RuntimeError):
     """Step refinement hit its floor away from a real double root."""
-
-
-def _as_float_coeffs(coeffs: Sequence) -> np.ndarray:
-    arr = np.asarray([float(c) for c in coeffs], dtype=float)
-    if arr.size == 0 or arr[-1] == 0.0:
-        raise ValueError("leading coefficient must be nonzero")
-    return arr
-
-
-def _eval_with_derivative(coeffs: np.ndarray, z: complex) -> tuple[complex, complex]:
-    p = 0.0 + 0.0j
-    dp = 0.0 + 0.0j
-    for c in coeffs[::-1]:
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
-
-
-def _newton_polish(coeffs: np.ndarray, z: complex, target: float, iters: int = 60) -> complex:
-    best = z
-    best_res = abs(_eval_with_derivative(coeffs, z)[0])
-    for _ in range(iters):
-        p, dp = _eval_with_derivative(coeffs, z)
-        if abs(p) < best_res:
-            best, best_res = z, abs(p)
-        if abs(p) <= target:
-            return z
-        if dp == 0:
-            break
-        step = p / dp
-        z = z - step
-        if abs(step) < 1e-17 * max(1.0, abs(z)):
-            break
-    p = _eval_with_derivative(coeffs, z)[0]
-    if abs(p) < best_res:
-        best, best_res = z, abs(p)
-    if best_res <= target:
-        return best
-    raise RootFindingError(
-        f"Newton polish stalled at residual {best_res:.3e} (target {target:.3e})"
-    )
-
-
-def _residual_target(coeffs: np.ndarray, scale: float) -> float:
-    degree = len(coeffs) - 1
-    return scale * degree * float(np.max(np.abs(coeffs)))
-
-
-def poly_roots(coeffs: Sequence, residual_scale: float = DEFAULT_RESIDUAL_SCALE) -> list[complex]:
-    """All complex roots of a polynomial given by ascending coefficients.
-
-    Companion-matrix start (numpy.roots) followed by a Newton polish to
-    residual |p(root)| <= residual_scale * degree * max|coeff|.  Roots are
-    returned sorted by (argument in [0, 2*pi), modulus), so the ordering
-    is deterministic.
-    """
-    arr = _as_float_coeffs(coeffs)
-    if len(arr) < 2:
-        raise ValueError("degree must be at least 1")
-    target = _residual_target(arr, residual_scale)
-    raw = np.roots(arr[::-1])
-    polished = []
-    for z in raw:
-        try:
-            polished.append(_newton_polish(arr, complex(z), target))
-        except RootFindingError:
-            # Multiple roots converge slowly; accept the companion value if
-            # it already meets a relaxed residual, else re-raise.
-            res = abs(_eval_with_derivative(arr, complex(z))[0])
-            if res <= 100 * target:
-                polished.append(complex(z))
-            else:
-                raise
-
-    def key(z: complex):
-        angle = cmath.phase(z) % (2 * math.pi)
-        if angle > 2 * math.pi - 1e-12:
-            angle = 0.0
-        return (round(angle, 12), round(abs(z), 12))
-
-    return sorted(polished, key=key)
 
 
 def _endpoint(fraction_num: int, fraction_den: int) -> complex:
@@ -433,7 +343,6 @@ class Region:
 
     def __init__(self, n: int, m: int = 512):
         self.n = n
-        self.m = m
         self.traces = region_boundary(n, m)
 
     def radius_at(self, theta: float) -> float:

@@ -202,10 +202,13 @@ def cmd_augment(args) -> int:
         real = type2_augment(real, (src - 1, dst - 1))
     params = {}
     for assignment in args.param or []:
-        if "=" not in assignment:
+        name, _, value = assignment.partition("=")
+        if name in params:
+            raise ValueError(f"--param {name} given twice")
+        try:
+            params[name] = rat(value)
+        except ValueError:
             raise ValueError(f"--param expects name=p/q, got {assignment!r}")
-        name, value = assignment.split("=", 1)
-        params[name] = rat(value)
     free = real.free_parameters()
     if args.alpha is None:
         print(f"connectors: {[tuple((a + 1, b + 1) for a, b in c) for c in real.connectors]}")

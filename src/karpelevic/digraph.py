@@ -28,7 +28,6 @@ not from every vertex with its signature.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -50,21 +49,11 @@ __all__ = [
     "cycle_structure_check",
     "to_dot",
     "cyclic_distance",
-    "max_brute_order",
 ]
 
 COATES_DEFAULT_BOUND = 16
-
-
-def max_brute_order(default: int = 10) -> int:
-    """Size cap for factorial-flavoured searches, from KARPELEVIC_MAX_BRUTE."""
-    raw = os.environ.get("KARPELEVIC_MAX_BRUTE")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"KARPELEVIC_MAX_BRUTE must be an integer, got {raw!r}")
+# Largest order the backtracking relabelling searches take on by default.
+SEARCH_ORDER_BOUND = 20
 
 
 def cyclic_distance(n: int, i: int, j: int) -> int:
@@ -398,7 +387,7 @@ def find_similarity_permutation(
     """
     if a.n != b.n:
         raise ValueError("order mismatch")
-    limit = max_order if max_order is not None else max_brute_order(default=10) * 2
+    limit = max_order if max_order is not None else SEARCH_ORDER_BOUND
     if a.n > limit:
         raise ValueError(f"order {a.n} exceeds the similarity search bound {limit}")
     ia, ib = _similarity_index(a), _similarity_index(b)

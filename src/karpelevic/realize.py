@@ -40,12 +40,12 @@ from karpelevic.algebra import (
     rat,
 )
 from karpelevic.digraph import (
+    SEARCH_ORDER_BOUND,
     CycleStructureReport,
     WeightedDigraph,
     bfs_order,
     cycle_structure_check,
     cyclic_distance,
-    max_brute_order,
     simple_cycles,
 )
 from karpelevic.farey import ArcParams, ArcType
@@ -683,9 +683,8 @@ def dd_support_check(m: StochMatrix, k: int) -> Optional[list[int]]:
     exists.
     """
     n = m.n
-    limit = max_brute_order(default=10) * 2
-    if n > limit:
-        raise ValueError(f"order {n} exceeds the support search bound {limit}")
+    if n > SEARCH_ORDER_BOUND:
+        raise ValueError(f"order {n} exceeds the support search bound {SEARCH_ORDER_BOUND}")
     offsets = {k % n, (k + 1) % n}
     support = m.support()
 

@@ -1,19 +1,29 @@
 """Shared fixtures and oracles for the test suite.
 
 Holds the matrices transcribed from the worked order-12 and order-15
-examples, a seeded random-stochastic-matrix generator, and the
-exhaustive search used to confirm the characterization of digraphs whose
+examples, a seeded random-stochastic-matrix generator, a runner for
+scripts in a fresh interpreter, the companion-matrix root finder the
+tests take as their reference, the exhaustive search used to confirm the characterization of digraphs whose
 cycle lengths are exactly {q, n}, and the list of small Type II/III arcs
 that several modules check their realizations on.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from typing import Sequence
 
+import numpy as np
 import pytest
 
+import karpelevic
 from karpelevic.algebra import StochMatrix
 from karpelevic.digraph import WeightedDigraph, simple_cycles
 from karpelevic.farey import ArcType, arc_params
@@ -89,6 +99,122 @@ def random_stochastic(rng, n: int, density: float = 0.6) -> StochMatrix:
         total = sum(weights)
         rows.append([Fraction(w, total) for w in weights])
     return StochMatrix(rows)
+
+
+def run_script(script: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run a Python script in a fresh interpreter that imports this
+    checkout's package, so it may block imports without touching ours."""
+    src = Path(karpelevic.__file__).resolve().parents[1]
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+# -- reference root finder ----------------------------------------------
+#
+# The package traces and decides each arc through its branch equation and
+# never needs every root of a polynomial; the tests still compare against
+# all roots of a characteristic or reduced polynomial, found here.
+
+DEFAULT_RESIDUAL_SCALE = 1e-10
+
+
+class RootFindingError(RuntimeError):
+    """Polishing failed to reach the residual target."""
+
+
+def _as_float_coeffs(coeffs: Sequence) -> np.ndarray:
+    arr = np.asarray([float(c) for c in coeffs], dtype=float)
+    if arr.size == 0 or arr[-1] == 0.0:
+        raise ValueError("leading coefficient must be nonzero")
+    return arr
+
+
+def _eval_with_derivative(coeffs: np.ndarray, z: complex) -> tuple[complex, complex]:
+    p = 0.0 + 0.0j
+    dp = 0.0 + 0.0j
+    for c in coeffs[::-1]:
+        dp = dp * z + p
+        p = p * z + c
+    return p, dp
+
+
+def _newton_polish(coeffs: np.ndarray, z: complex, target: float, iters: int = 60) -> complex:
+    best = z
+    best_res = abs(_eval_with_derivative(coeffs, z)[0])
+    for _ in range(iters):
+        p, dp = _eval_with_derivative(coeffs, z)
+        if abs(p) < best_res:
+            best, best_res = z, abs(p)
+        if abs(p) <= target:
+            return z
+        if dp == 0:
+            break
+        step = p / dp
+        z = z - step
+        if abs(step) < 1e-17 * max(1.0, abs(z)):
+            break
+    p = _eval_with_derivative(coeffs, z)[0]
+    if abs(p) < best_res:
+        best, best_res = z, abs(p)
+    if best_res <= target:
+        return best
+    raise RootFindingError(
+        f"Newton polish stalled at residual {best_res:.3e} (target {target:.3e})"
+    )
+
+
+def _residual_target(coeffs: np.ndarray, scale: float) -> float:
+    degree = len(coeffs) - 1
+    return scale * degree * float(np.max(np.abs(coeffs)))
+
+
+def poly_roots(coeffs: Sequence, residual_scale: float = DEFAULT_RESIDUAL_SCALE) -> list[complex]:
+    """All complex roots of a polynomial given by ascending coefficients.
+
+    Companion-matrix start (numpy.roots) followed by a Newton polish to
+    residual |p(root)| <= residual_scale * degree * max|coeff|.  Roots are
+    returned sorted by (argument in [0, 2*pi), modulus), so the ordering
+    is deterministic.
+
+    This is a test reference, and it is residual-stable only: the residual
+    bound is not a bound on a root's error, which is far larger near
+    clustered roots.  The roots of (t - 15/16)^10 - (1/16)^10 (Type 0,
+    n = 10) come out 3.8e-4 from the true ones.  On Type II with q = 2,
+    d = 6 at a = 39/2500, the nearest root lies 1.3e-6 from the traced
+    point, which agrees with a 60-digit solve to 1e-16.
+    """
+    arr = _as_float_coeffs(coeffs)
+    if len(arr) < 2:
+        raise ValueError("degree must be at least 1")
+    target = _residual_target(arr, residual_scale)
+    raw = np.roots(arr[::-1])
+    polished = []
+    for z in raw:
+        try:
+            polished.append(_newton_polish(arr, complex(z), target))
+        except RootFindingError:
+            # Multiple roots converge slowly; accept the companion value if
+            # it already meets a relaxed residual, else re-raise.
+            res = abs(_eval_with_derivative(arr, complex(z))[0])
+            if res <= 100 * target:
+                polished.append(complex(z))
+            else:
+                raise
+
+    def key(z: complex):
+        angle = cmath.phase(z) % (2 * math.pi)
+        if angle > 2 * math.pi - 1e-12:
+            angle = 0.0
+        return (round(angle, 12), round(abs(z), 12))
+
+    return sorted(polished, key=key)
+
 
 
 # -- exhaustive {q, n}-cycle digraph search -----------------------------

@@ -19,11 +19,12 @@ from conftest import (
     fits_anchored_window,
     order12_augmented,
     order12_sparsest,
+    poly_roots,
     random_stochastic,
     single_edge_cycle_lengths,
 )
 from karpelevic.algebra import charpoly_exact
-from karpelevic.boundary import Region, point_at, poly_roots, trace_arc
+from karpelevic.boundary import Region, point_at, trace_arc
 from karpelevic.digraph import WeightedDigraph, charpoly_coates, is_perm_similar
 from karpelevic.farey import ArcType, arc_params, arcs_of_order
 from karpelevic.itopoly import coefficient_identity_check, reduced_ito

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import poly_roots, run_script
 from karpelevic.algebra import charpoly_exact
 from karpelevic.boundary import (
     Region,
@@ -15,7 +17,6 @@ from karpelevic.boundary import (
     boundary_svg,
     contains,
     point_at,
-    poly_roots,
     radius_at,
     region_boundary,
     trace_arc,
@@ -373,3 +374,45 @@ class TestEmitters:
         svg = boundary_svg(region_boundary(3, 16))
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert svg.count("<polyline") == 4
+
+
+class TestWithoutNumpy:
+    """The package runs on the standard library alone: tracing, membership
+    and the CLI verbs that reach them run where importing numpy fails."""
+
+    SCRIPT = textwrap.dedent(
+        """
+        import cmath, contextlib, io, json, sys
+        sys.modules["numpy"] = None  # any import of numpy now raises
+        from fractions import Fraction as F
+        from karpelevic.boundary import Region, contains, point_at, radius_at, trace_arc
+        from karpelevic.cli import main
+        from karpelevic.farey import ArcType, arc_params, arcs_of_order
+
+        arcs = arcs_of_order(7)
+        for arc in arcs[: len(arcs) // 2]:
+            z = point_at(trace_arc(arc, 64), F(1, 3))
+            assert contains(7, z) and not contains(7, 1.01 * z), arc
+            assert abs(radius_at(7, cmath.phase(z)) - abs(z)) < 1e-9, arc
+        region = Region(4, 64)
+        assert len(region.traces) == len(arcs_of_order(4))
+        assert region.contains(0.5j) and not region.contains(0.7 + 0.7j)
+
+        region_out, matrix_out = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(region_out):
+            assert main(["region", "5", "--json"]) == 0
+        assert len(json.loads(region_out.getvalue())["arcs"]) == len(arcs_of_order(5))
+        with contextlib.redirect_stdout(matrix_out):
+            assert main(["realize", "II", "--q", "4", "--d", "3", "--z", "3",
+                         "--alpha", "1/3", "--composition", "0,3,3"]) == 0
+        with open(sys.argv[1], "w") as f:
+            f.write(matrix_out.getvalue())
+        arc12 = json.dumps(arc_params(ArcType.TYPE_II, q=4, d=3, z=3).to_json())
+        sys.exit(main(["verify", "--matrix", sys.argv[1], "--arc", arc12, "--alpha", "1/3"]))
+        """
+    )
+
+    def test_boundary_and_cli_verbs(self, tmp_path):
+        result = run_script(self.SCRIPT, str(tmp_path / "m12.json"))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("OK")

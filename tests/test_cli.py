@@ -252,6 +252,22 @@ class TestAugmentCli:
         )
         assert code == 1 and "rejected" in err
 
+    def test_repeated_param_exit_1(self, capsys):
+        code, out, err = run(
+            capsys, "augment", "--q", "4", "--d", "3", "--z", "3", "--composition", "0,3,3",
+            "--add", "2,6", "--alpha", "1/2", "--param", "alpha_1=1/2", "--param", "alpha_1=9/10",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --param alpha_1 given twice\n"
+
+    def test_empty_param_value_exit_1(self, capsys):
+        code, out, err = run(
+            capsys, "augment", "--q", "4", "--d", "3", "--z", "3", "--composition", "0,3,3",
+            "--add", "2,6", "--alpha", "1/2", "--param", "alpha_1=",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --param expects name=p/q, got 'alpha_1='\n"
+
 
 class TestProbeCli:
     def test_probe_found(self, capsys, tmp_path):

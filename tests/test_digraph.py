@@ -1,20 +1,14 @@
 import itertools
 import math
-import os
 import random
-import subprocess
-import sys
 import textwrap
 import time
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-
-import karpelevic
 
 from conftest import (
     back_edge_subset_valid,
@@ -22,6 +16,7 @@ from conftest import (
     fits_anchored_window,
     order12_sparsest,
     random_stochastic,
+    run_script,
     single_edge_cycle_lengths,
 )
 from karpelevic.algebra import StochMatrix, charpoly_exact, cyclic_shift_matrix
@@ -261,15 +256,7 @@ class TestWithoutNetworkx:
     )
 
     def test_cycle_consumers_and_cli_verify(self, tmp_path):
-        src = Path(karpelevic.__file__).resolve().parents[1]
-        path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
-        result = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "m12.json")],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        result = run_script(self.SCRIPT, str(tmp_path / "m12.json"))
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("OK")
 
@@ -356,14 +343,9 @@ class TestPermSimilar:
         with pytest.raises(ValueError):
             is_perm_similar(cyclic_shift_matrix(3), cyclic_shift_matrix(4))
 
-    def test_size_bound_from_environment(self, monkeypatch):
+    def test_size_bound(self):
         big = cyclic_shift_matrix(24)
         with pytest.raises(ValueError, match="bound"):
-            is_perm_similar(big, big)
-        monkeypatch.setenv("KARPELEVIC_MAX_BRUTE", "12")
-        assert is_perm_similar(big, big)
-        monkeypatch.setenv("KARPELEVIC_MAX_BRUTE", "not a number")
-        with pytest.raises(ValueError, match="KARPELEVIC_MAX_BRUTE"):
             is_perm_similar(big, big)
 
 
