@@ -60,12 +60,15 @@ def rat(value: RatLike) -> Fraction:
         text = value.strip()
         if "." in text or "e" in text or "E" in text:
             raise ValueError(f"not an exact rational literal: {value!r}")
-        if "/" in text:
+        try:
+            if "/" not in text:
+                return Fraction(int(text))
             num, den = (int(part) for part in text.split("/", 1))
-            if den == 0:
-                raise ValueError(f"zero denominator: {value!r}")
-            return Fraction(num, den)
-        return Fraction(int(text))
+        except ValueError:
+            raise ValueError(f"not an exact rational literal: {value!r}") from None
+        if den == 0:
+            raise ValueError(f"zero denominator: {value!r}")
+        return Fraction(num, den)
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 

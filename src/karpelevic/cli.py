@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 from karpelevic.algebra import StochMatrix, rat, rat_str
@@ -118,9 +119,7 @@ def cmd_realize(args) -> int:
             raise ValueError("Type I needs --n and --q")
         if args.alphas:
             weights = [rat(x) for x in args.alphas.split(",")]
-            product = Fraction(1)
-            for w in weights:
-                product *= w
+            product = prod(weights)
             if product != alpha:
                 raise ValueError(
                     f"--alphas multiply to {rat_str(product)}, not --alpha {rat_str(alpha)}"

@@ -103,9 +103,6 @@ class WeightedDigraph:
         w = rat(weight)
         return cls(n, {e: w for e in edges})
 
-    def weight(self, u: int, v: int) -> Fraction:
-        return self.edges.get((u, v), Fraction(0))
-
     def adjacency(self) -> list[list[Fraction]]:
         grid = [[Fraction(0)] * self.n for _ in range(self.n)]
         for (u, v), w in self.edges.items():

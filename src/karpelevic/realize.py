@@ -27,9 +27,9 @@ matrices.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 from karpelevic.algebra import (
@@ -191,8 +191,6 @@ def type1(n: int, q: int, alphas: Sequence[RatLike]) -> StochMatrix:
         raise ValueError("need 2 <= q < n")
     if 2 * q <= n:
         raise ValueError("Type I requires 2q > n")
-    from math import gcd
-
     if gcd(q, n) != 1:
         raise ValueError("q and n must be coprime")
     weights = [rat(a) for a in alphas]
@@ -201,10 +199,7 @@ def type1(n: int, q: int, alphas: Sequence[RatLike]) -> StochMatrix:
     for w in weights:
         if not (0 < w <= 1):
             raise ValueError(f"weights must lie in (0, 1], got {w}")
-    a = Fraction(1)
-    for w in weights:
-        a *= w
-    _check_open_unit(a, "the product of the weights")
+    _check_open_unit(prod(weights), "the product of the weights")
     return _cycle_with_back_edges(n, q, dict(enumerate(weights)))
 
 
@@ -270,35 +265,16 @@ class TypeIIRealization:
                 f"composition must sum to n-z-d = {n - z - d}, got {composition.total}"
             )
         conns = _type2_connectors(q, d, z, composition.parts)
-        real = cls(
+        return cls(
             q=q,
             d=d,
             z=z,
             composition=composition,
             connectors=tuple((c,) for c in conns),
         )
-        assert real.long_cycle_lengths() == {n - z}
-        return real
 
     def block_of(self, v: int) -> int:
         return v // self.q
-
-    def long_cycle_lengths(self) -> set[int]:
-        """Lengths of all cycles using one connector per block pair.
-
-        Each choice of one connector (a_t, b_t) per t closes a cycle that
-        runs through every block; its length is
-        d + sum_t (a_t - b_(t-1)) mod q.
-        """
-        lengths: set[int] = set()
-        for combo in itertools.product(*self.connectors):
-            total = self.d
-            for t in range(self.d):
-                a_t = combo[t][0]
-                b_prev = combo[(t - 1) % self.d][1]
-                total += (a_t - b_prev) % self.q
-            lengths.add(total)
-        return lengths
 
     def augmented(self, edge: tuple[int, int]) -> "TypeIIRealization":
         """Add one connector edge, or raise if it breaks the length law.
@@ -306,9 +282,9 @@ class TypeIIRealization:
         The edge must belong to the candidate set between some block t and
         its successor; it is accepted only if every cycle of the enlarged
         digraph but the d block q-cycles has length n - z.  The cycles are
-        enumerated: once every block pair has two connectors, a simple cycle
-        can run round the blocks more than once, which the one connector per
-        pair of :meth:`long_cycle_lengths` does not see.
+        enumerated, not summed over one connector per block pair: once
+        every block pair has two connectors, a simple cycle can run round
+        the blocks more than once.
         """
         src, dst = edge
         t = self.block_of(src)
@@ -541,7 +517,7 @@ class TypeIIIFamilySpec:
         for v, w in self.weights.items():
             _check_open_unit(w, f"weight at vertex {v}")
         products = {
-            t: _product(self.weights[v] for v in block)
+            t: prod(self.weights[v] for v in block)
             for t, block in enumerate(self.blocks)
         }
         if len(set(products.values())) != 1:
@@ -549,14 +525,7 @@ class TypeIIIFamilySpec:
 
     @property
     def alpha(self) -> Fraction:
-        return _product(self.weights[v] for v in self.blocks[0])
-
-
-def _product(values: Iterable[Fraction]) -> Fraction:
-    out = Fraction(1)
-    for v in values:
-        out *= v
-    return out
+        return prod(self.weights[v] for v in self.blocks[0])
 
 
 def type3_family(spec: TypeIIIFamilySpec) -> StochMatrix:

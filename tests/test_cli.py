@@ -115,6 +115,11 @@ class TestRealize:
         code, _, err = run(capsys, "realize", "0", "--n", "3", "--alpha", "0.5")
         assert code == 1 and "rational" in err
 
+    @pytest.mark.parametrize("alpha", ["abc", "1/x"])
+    def test_non_numeric_alpha_rejected(self, capsys, alpha):
+        code, _, err = run(capsys, "realize", "0", "--n", "5", "--alpha", alpha)
+        assert code == 1 and "rational" in err
+
     def test_domain_error_exit_1(self, capsys):
         code, _, err = run(capsys, "realize", "0", "--n", "3", "--alpha", "3/2")
         assert code == 1 and "between 0 and 1" in err

@@ -102,6 +102,17 @@ class TestReducedIto:
                         # even degree at a = 1/2.)
                         assert reduce_poly(full) == inst.poly
 
+    ARCS_TO_30 = [arc for n in range(2, 31) for arc in arcs_of_order(n)]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(ARCS_TO_30),
+        st.fractions(min_value=0, max_value=1, max_denominator=10 ** 4),
+    )
+    def test_closed_form_times_extraneous_roots_is_full_poly(self, arc, a):
+        extraneous = arc.s + arc.q * arc.d - arc.reduced_degree
+        assert reduced_ito(arc, a).poly.shift(extraneous) == full_arc_poly(arc, a)
+
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
             reduced_ito(_arc(ArcType.TYPE_0, n=3), F(3, 2))

@@ -1,6 +1,7 @@
-"""The package's imports against what pyproject.toml declares."""
+"""The package's imports against what pyproject.toml declares, and its exports."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -39,3 +40,14 @@ def test_every_import_is_declared():
 def test_imported_packages_sees_nested_imports():
     source = "import os.path\nfrom . import x\ndef f():\n    from mpmath import mp\n"
     assert imported_packages(source) == {"os", "mpmath"}
+
+
+def test_every_exported_name_resolves():
+    names = ["karpelevic"] + [f"karpelevic.{path.stem}"
+                              for path in sorted((ROOT / "src" / "karpelevic").glob("*.py"))
+                              if path.stem != "__init__"]
+    modules = [importlib.import_module(name) for name in names]
+    assert all(hasattr(module, "__all__") for module in modules)
+    dangling = [(module.__name__, name) for module in modules
+                for name in module.__all__ if not hasattr(module, name)]
+    assert not dangling, f"listed in __all__ but not defined: {dangling}"

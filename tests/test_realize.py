@@ -517,9 +517,26 @@ class TestAugment:
             type2_augment(base, (0, 9))
 
 
+class TestSparsestCycleLengths:
+    def test_every_sparsest_class_has_only_q_and_n_minus_z_cycles(self):
+        """Each sparsest Type II build is d q-cycles and long cycles of
+        length n - z only, over every class with q <= 7 and d <= 5."""
+        for q in range(2, 8):
+            for d in range(2, 6):
+                for z in range(1, q):
+                    if gcd(q, z) != 1:
+                        continue
+                    arc = arc_params(ArcType.TYPE_II, q=q, d=d, z=z)
+                    for comp in enumerate_sparsest(arc):
+                        m = build_sparsest(arc, F(1, 3), comp)
+                        report = simple_cycles(WeightedDigraph.from_matrix(m))
+                        assert report.lengths() == {q, q * d - z}, (arc, comp)
+
+
 class TestAugmentProperty:
-    """The closed form behind type2_augment (long_cycle_lengths) against an
-    enumeration of the instantiated digraph's cycles, which does not use it."""
+    """type2_augment reads the length law off the cycles of the unweighted
+    skeleton; checked here against the cycles of the instantiated weighted
+    digraph, long cycles counted too."""
 
     ARCS = [
         arc_params(ArcType.TYPE_II, q=q, d=d, z=z)
