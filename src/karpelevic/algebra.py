@@ -3,10 +3,11 @@
 Everything in this module is exact: scalars are ``fractions.Fraction``
 (arbitrary-precision, always in lowest terms), polynomials are dense
 coefficient lists over Fraction, and matrices are immutable and stored as
-their nonzero entries row by row, so that building, relabelling and
-reducing the sparse realization matrices follows the nonzeros; the dense
-grid of a matrix is derived from them when it is read.  The characteristic
-polynomial finishes in Python ints after scaling by a common denominator.
+their nonzero entries row by row, as sorted ``(column, entry)`` pairs.
+Building, relabelling and reducing the sparse realization matrices follows
+those pairs; the dense grid of a matrix is derived from them only when it
+is read.  The characteristic polynomial is reduced on the nonzeros and
+finishes in Python ints after scaling by a common denominator.
 No floating point enters anywhere; the float world lives in
 :mod:`karpelevic.boundary` only.
 
@@ -280,6 +281,21 @@ def _sparse_row(i: int, row: Row, n: int) -> tuple[tuple[int, Fraction], ...]:
     return tuple((j, e) for j, e in enumerate(dense) if e)
 
 
+def _check_row(i: int, row: Sequence[tuple[int, Fraction]]) -> None:
+    """Raise unless the entries of row i lie in [0, 1] and sum to exactly 1.
+    Zero entries pass both tests, so only the nonzero pairs are read.  When
+    the entries share one denominator, as the split rows w, 1 - w of a
+    realization do, their sum is one when their numerators add up to it."""
+    if any(not 0 <= e.numerator <= e.denominator for _, e in row):
+        raise ValueError(f"row {i} has an entry outside [0, 1]")
+    den = row[0][1].denominator if row else 1
+    if all(e.denominator == den for _, e in row) and sum(e.numerator for _, e in row) == den:
+        return
+    total = sum(e for _, e in row)
+    if total != 1:
+        raise ValueError(f"row {i} sums to {total}, not 1")
+
+
 @dataclass(frozen=True)
 class StochMatrix:
     """Square matrix of exact rationals with unit row sums.
@@ -289,11 +305,12 @@ class StochMatrix:
     given dense, as a sequence of n rationals, or sparse, as a dict
     ``{column: entry}``; both are turned into these pairs first, and
     everything after that reads only the pairs.  The realization builders
-    and :meth:`permuted` pass dicts, so on matrices with O(n) nonzeros
-    construction, validation, :meth:`support`, :meth:`nnz` and
-    ``WeightedDigraph.from_matrix`` take O(n) steps rather than O(n^2).
-    The dense grid ``entries`` is filled in from the pairs the first time
-    it is read (indexing, JSON, repr).
+    write the sorted pairs themselves and hand them to :meth:`_from_pairs`,
+    which keeps every check, and :meth:`permuted` relabels the pairs, so on
+    matrices with O(n) nonzeros construction, validation, :meth:`support`,
+    :meth:`nnz` and ``WeightedDigraph.from_matrix`` take O(n) steps rather
+    than O(n^2).  The dense grid ``entries`` is filled in from the pairs the
+    first time it is read (indexing, JSON, repr).
 
     Entries are validated at construction: each in [0, 1], each row summing
     to exactly 1.  Two matrices are equal when their entries are.
@@ -302,22 +319,43 @@ class StochMatrix:
 
     sparse_rows: tuple[tuple[tuple[int, Fraction], ...], ...]
 
-    def __init__(self, entries: Iterable[Row], *, _validate: bool = True):
+    def __init__(self, entries: Iterable[Row]):
         rows = tuple(entries)
         n = len(rows)
         sparse = tuple(_sparse_row(i, row, n) for i, row in enumerate(rows))
+        for i, row in enumerate(sparse):
+            if not (len(row) == 1 and row[0][1] == 1):
+                _check_row(i, row)
         object.__setattr__(self, "sparse_rows", sparse)
-        if _validate:
-            # Zero entries lie in [0, 1] and add nothing to a row sum.  Most
-            # rows of a realization hold a single 1, which passes at once.
-            for i, row in enumerate(sparse):
-                if len(row) == 1 and row[0][1] == 1:
+
+    @classmethod
+    def _of(cls, rows: tuple[tuple[tuple[int, Fraction], ...], ...]) -> "StochMatrix":
+        """The matrix whose ``sparse_rows`` are ``rows``, taken as they are."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "sparse_rows", rows)
+        return out
+
+    @classmethod
+    def _from_pairs(cls, rows: Iterable[tuple[tuple[int, Fraction], ...]]) -> "StochMatrix":
+        """The matrix with row i given as its ``(column, Fraction)`` pairs in
+        increasing column order, as the realization builders write them.
+
+        A zero entry is dropped; a column outside 0..n-1, an entry outside
+        [0, 1] or a row sum other than 1 raises as in the constructor."""
+        rows = list(rows)
+        n = len(rows)
+        for i, row in enumerate(rows):
+            if len(row) == 1:
+                # Most rows of a realization hold a single 1, which passes.
+                j, e = row[0]
+                if (e is _ONE or e == 1) and 0 <= j < n:
                     continue
-                if any(not 0 <= e.numerator <= e.denominator for _, e in row):
-                    raise ValueError(f"row {i} has an entry outside [0, 1]")
-                total = sum(e for _, e in row)
-                if total != 1:
-                    raise ValueError(f"row {i} sums to {total}, not 1")
+            else:
+                row = rows[i] = tuple(p for p in row if p[1])
+            if row and not (0 <= row[0][0] and row[-1][0] < n):
+                raise ValueError(f"row {i} has a column outside 0..{n - 1}")
+            _check_row(i, row)
+        return cls._of(tuple(rows))
 
     @cached_property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -350,17 +388,17 @@ class StochMatrix:
             for k, a in row:
                 for j, b in other.sparse_rows[k]:
                     acc[j] = acc.get(j, _ZERO) + a * b
-            prod.append(acc)
-        return StochMatrix(prod)
+            prod.append(tuple(sorted(acc.items())))
+        return StochMatrix._from_pairs(prod)
 
     def transpose(self) -> "StochMatrix":
         # The transpose of a stochastic matrix need not be stochastic; this
         # exists for permutation matrices, where it is the inverse.
-        cols: list[dict[int, Fraction]] = [{} for _ in range(self.n)]
+        cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.n)]
         for i, row in enumerate(self.sparse_rows):
             for j, e in row:
-                cols[j][i] = e
-        return StochMatrix(cols, _validate=False)
+                cols[j].append((i, e))
+        return StochMatrix._of(tuple(map(tuple, cols)))
 
     def permuted(self, perm: Sequence[int]) -> "StochMatrix":
         """Relabel by perm: entry (i, j) of the result is self[perm[i], perm[j]].
@@ -375,10 +413,9 @@ class StochMatrix:
             slot[v] = i
         # A relabelling of valid sparse rows is valid sparse rows: only the
         # columns change, and they are distinct, so sorting compares ints.
-        out = StochMatrix.__new__(StochMatrix)
-        rows = tuple(tuple(sorted((slot[j], e) for j, e in self.sparse_rows[v])) for v in perm)
-        object.__setattr__(out, "sparse_rows", rows)
-        return out
+        return StochMatrix._of(
+            tuple(tuple(sorted((slot[j], e) for j, e in self.sparse_rows[v])) for v in perm)
+        )
 
     def support(self) -> set[tuple[int, int]]:
         return {(i, j) for i, row in enumerate(self.sparse_rows) for j, _ in row}
@@ -429,48 +466,66 @@ def cyclic_shift_matrix(n: int, power: int = 1) -> StochMatrix:
     if n < 1:
         raise ValueError("order must be at least 1")
     k = power % n
-    return StochMatrix([{(i + k) % n: _ONE} for i in range(n)], _validate=False)
+    return StochMatrix._of(tuple((((i + k) % n, _ONE),) for i in range(n)))
 
 
 def _hessenberg_columns(matrix) -> list[list[tuple[int, Fraction]]]:
     """The nonzeros of each column of an upper Hessenberg matrix similar to
-    ``matrix``, as ``(row, entry)`` pairs, by exact elimination in Fractions."""
-    if isinstance(matrix, StochMatrix):
-        n = matrix.n
-        h: list[list] = [[0] * n for _ in range(n)]
-        for row, pairs in zip(h, matrix.sparse_rows):
-            for j, e in pairs:
-                row[j] = e
-    else:
-        h = [[rat(e) or 0 for e in row] for row in matrix]
-        n = len(h)
-        for i, row in enumerate(h):
-            if len(row) != n:
-                raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+    ``matrix``, as ``(row, entry)`` pairs, by exact elimination in Fractions.
 
-    # Similarity reduction to upper Hessenberg with exact pivoting.
+    The elimination keeps each row and each column as a dict of its
+    nonzeros keyed by vertex.  ``at[p]`` is the vertex at position p and
+    ``pos`` its inverse, so a pivot swap, of two rows and the same two
+    columns, swaps two positions and moves no entry."""
+    if isinstance(matrix, StochMatrix):
+        rows = [dict(pairs) for pairs in matrix.sparse_rows]
+    else:
+        grid = [[rat(e) for e in row] for row in matrix]
+        for i, row in enumerate(grid):
+            if len(row) != len(grid):
+                raise ValueError(f"row {i} has length {len(row)}, expected {len(grid)}")
+        rows = [{j: e for j, e in enumerate(row) if e} for row in grid]
+    n = len(rows)
+    cols: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, e in row.items():
+            cols[j][i] = e
+
+    def add(r: int, c: int, x: Fraction) -> None:
+        # Entry (r, c) += x, dropping it from both dicts when it cancels.
+        x += rows[r].get(c, 0)
+        if x:
+            rows[r][c] = cols[c][r] = x
+        else:
+            del rows[r][c], cols[c][r]
+
+    at = list(range(n))
+    pos = list(range(n))
     for j in range(n - 2):
-        below = [i for i in range(j + 1, n) if h[i][j]]
+        c = at[j]
+        below = sorted(pos[r] for r in cols[c] if pos[r] > j)
         if not below:
             continue
-        pivot_row = below[0]
-        if pivot_row != j + 1:
-            h[j + 1], h[pivot_row] = h[pivot_row], h[j + 1]
-            for row in h:
-                row[j + 1], row[pivot_row] = row[pivot_row], row[j + 1]
-        # The swap leaves the other nonzeros of column j in rows below[1:].
-        row_p = h[j + 1]
-        pivot = row_p[j]
+        p = at[below[0]]
+        if below[0] != j + 1:
+            v = at[j + 1]
+            at[j + 1], at[below[0]] = p, v
+            pos[p], pos[v] = j + 1, below[0]
+        # Row p, now at position j + 1, is zero left of column j, so
+        # subtracting a multiple of it from a row below clears that row's
+        # entry in column j and changes no column left of it.
+        row_p = rows[p]
+        pivot = row_p[c]
         for i in below[1:]:
-            m = h[i][j] / pivot
-            row_i = h[i]
-            for k in range(j, n):
-                if row_p[k]:
-                    row_i[k] -= m * row_p[k]
-            for row in h:
-                if row[i]:
-                    row[j + 1] += m * row[i]
-    return [[(i, e) for i, e in enumerate(col[: k + 2]) if e] for k, col in enumerate(zip(*h))]
+            v = at[i]
+            m = rows[v][c] / pivot
+            del rows[v][c], cols[c][v]
+            for k, e in row_p.items():
+                if k != c:
+                    add(v, k, -m * e)
+            for r, e in cols[v].items():
+                add(r, p, m * e)
+    return [sorted((pos[r], e) for r, e in cols[at[k]].items()) for k in range(n)]
 
 
 def charpoly_exact(matrix) -> RatPoly:
@@ -492,14 +547,15 @@ def charpoly_exact(matrix) -> RatPoly:
     a denominator and D is the lcm of the entry denominators.
 
     Any other matrix is reduced to H by exact similarity transforms in
-    Fractions, on a working grid that holds int 0 for the zeros, so zero
-    tests run in C.  A column with nothing below its subdiagonal needs no
-    elimination, an elimination touches only the nonzero entries of the
-    pivot row and of the eliminated column, and the recurrence reads only
-    the nonzeros of each column and multiplies subdiagonal entries only
-    down to the lowest nonzero entry above the diagonal.  On the sparse
-    realization matrices the Fraction arithmetic therefore follows the
-    nonzeros and their fill-in.
+    Fractions, on a dict of the nonzeros of each row and of each column; a
+    grid is loaded into the same dicts, and no dense working grid is made.
+    A pivot swap relabels two positions.  A column with nothing below its
+    subdiagonal needs no elimination, an elimination touches only the
+    nonzero entries of the pivot row and of the eliminated column, and the
+    recurrence reads only the nonzeros of each column and multiplies
+    subdiagonal entries only down to the lowest nonzero entry above the
+    diagonal.  On the sparse realization matrices the Fraction arithmetic
+    therefore follows the nonzeros and their fill-in.
     """
     if isinstance(matrix, StochMatrix) and all(
         row[-1][0] <= i + 1 for i, row in enumerate(matrix.sparse_rows) if row

@@ -50,6 +50,14 @@ def _parse_composition(text: str, bound: int) -> Composition:
     return Composition(parts, bound)
 
 
+def _rat_flag(flag: str, text: str) -> Fraction:
+    """Parse an exact rational flag value; a malformed one names the flag."""
+    try:
+        return rat(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _arc_from_flags(args) -> ArcParams:
     tag = ArcType(args.type)
     if tag is ArcType.TYPE_0:
@@ -109,7 +117,7 @@ def cmd_arcs(args) -> int:
 
 def cmd_realize(args) -> int:
     tag = ArcType(args.type)
-    alpha = rat(args.alpha)
+    alpha = _rat_flag("--alpha", args.alpha)
     if tag is ArcType.TYPE_0:
         if args.n is None:
             raise ValueError("Type 0 needs --n")
@@ -118,7 +126,7 @@ def cmd_realize(args) -> int:
         if args.n is None or args.q is None:
             raise ValueError("Type I needs --n and --q")
         if args.alphas:
-            weights = [rat(x) for x in args.alphas.split(",")]
+            weights = [_rat_flag("--alphas", x) for x in args.alphas.split(",")]
             product = prod(weights)
             if product != alpha:
                 raise ValueError(
@@ -141,7 +149,7 @@ def cmd_enumerate(args) -> int:
     arc = _arc_from_flags(args)
     comps = enumerate_sparsest(arc)
     if args.alpha is not None:
-        alpha = rat(args.alpha)
+        alpha = _rat_flag("--alpha", args.alpha)
         payload = [
             {"composition": list(c.parts), "matrix": build_sparsest(arc, alpha, c).to_json()}
             for c in comps
@@ -160,7 +168,7 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     matrix = _load_matrix(args.matrix)
     arc = ArcParams.from_json(json.loads(args.arc))
-    result = verify_realization(matrix, arc, rat(args.alpha))
+    result = verify_realization(matrix, arc, _rat_flag("--alpha", args.alpha))
     status = "OK" if result else "FAIL"
     print(f"{status} ({result.describe()})")
     return 0 if result else 1
@@ -213,7 +221,7 @@ def cmd_augment(args) -> int:
         print(f"connectors: {[tuple((a + 1, b + 1) for a, b in c) for c in real.connectors]}")
         print(f"free parameters: {free}")
         return 0
-    matrix = real.instantiate(rat(args.alpha), params)
+    matrix = real.instantiate(_rat_flag("--alpha", args.alpha), params)
     _emit_matrix(matrix, args.emit)
     return 0
 
@@ -221,7 +229,7 @@ def cmd_augment(args) -> int:
 def cmd_probe(args) -> int:
     matrix = _load_matrix(args.matrix)
     arc = ArcParams.from_json(json.loads(args.arc))
-    report = conjecture_probe(matrix, arc, rat(args.alpha))
+    report = conjecture_probe(matrix, arc, _rat_flag("--alpha", args.alpha))
     print(f"{report.outcome}: {report.detail}")
     if report.spec is not None:
         blocks = [sorted(v + 1 for v in block) for block in report.spec.blocks]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from karpelevic.algebra import RatLike, RatPoly, rat
+from karpelevic.algebra import _ZERO, RatLike, RatPoly, rat
 from karpelevic.farey import ArcParams, ArcType
 
 __all__ = [
@@ -46,11 +46,17 @@ def _check_alpha(alpha: Fraction) -> None:
         raise ValueError(f"parameter must lie in [0, 1], got {alpha}")
 
 
+def _binomial_terms(q: int, b: Fraction, d: int) -> list[tuple[int, Fraction]]:
+    """The d + 1 terms of (t^q - b)^d by the binomial theorem, as
+    (exponent, coefficient) pairs: C(d, k) (-b)^k at t^(q (d - k))."""
+    return [(q * (d - k), comb(d, k) * (-b) ** k) for k in range(d + 1)]
+
+
 def _binomial_power(q: int, b: Fraction, d: int) -> RatPoly:
-    """(t^q - b)^d by the binomial theorem: C(d, k) (-b)^k at t^(q (d - k))."""
-    coeffs = [Fraction(0)] * (q * d + 1)
-    for k in range(d + 1):
-        coeffs[q * (d - k)] = comb(d, k) * (-b) ** k
+    """(t^q - b)^d, expanded."""
+    coeffs = [_ZERO] * (q * d + 1)
+    for e, c in _binomial_terms(q, b, d):
+        coeffs[e] = c
     return RatPoly(coeffs)
 
 
@@ -85,11 +91,18 @@ class ItoInstance:
 def _closed_form(arc: ArcParams, a: Fraction) -> RatPoly:
     """Types 0, I and III are t^y (t^q - b)^d - a^d with y = s - q d >= 0
     (0 for Type 0, s - q for Type I); Type II is (t^q - b)^d - a^d t^z
-    with z = q d - s."""
-    binomial = _binomial_power(arc.q, 1 - a, arc.d)
+    with z = q d - s.  The d + 2 terms are written into one list of the
+    shared zero; they meet only in the constant term of Type 0."""
+    q, d = arc.q, arc.d
     if arc.type_tag is ArcType.TYPE_II:
-        return binomial - RatPoly.monomial(arc.q * arc.d - arc.s, a ** arc.d)
-    return binomial.shift(arc.s - arc.q * arc.d) - RatPoly([a ** arc.d])
+        y, z = 0, q * d - arc.s
+    else:
+        y, z = arc.s - q * d, 0
+    coeffs = [_ZERO] * (y + q * d + 1)
+    for e, c in _binomial_terms(q, 1 - a, d):
+        coeffs[y + e] = c
+    coeffs[z] -= a ** d
+    return RatPoly(coeffs)
 
 
 def reduced_ito(arc: ArcParams, alpha: RatLike) -> ItoInstance:

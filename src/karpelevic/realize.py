@@ -33,6 +33,7 @@ from math import gcd, prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 from karpelevic.algebra import (
+    _ONE,
     RatLike,
     RatPoly,
     StochMatrix,
@@ -71,9 +72,6 @@ __all__ = [
     "dd_support_check",
     "conjecture_probe",
 ]
-
-
-_ONE = Fraction(1)
 
 
 def _check_open_unit(a: Fraction, what: str = "parameter") -> None:
@@ -149,19 +147,24 @@ def _necklace_classes(total: int, length: int, bound: int) -> list[Composition]:
 def _cycle_with_back_edges(n: int, q: int, split: Mapping[int, Fraction]) -> StochMatrix:
     """The n-cycle i -> i+1 (mod n) in which each row i of ``split`` keeps
     weight split[i] on its step edge and puts 1 - split[i] on the back edge
-    i -> (i+1-q) mod n; every other row steps with weight 1.  Entries
-    accumulate, so the q = 1 back edge is the self-loop and n = 1 works."""
-    rows: list[dict[int, Fraction]] = []
+    i -> (i+1-q) mod n; every other row steps with weight 1.  A zero back
+    weight is dropped, and at n = 1 the two edges are the one self-loop,
+    whose entries add up."""
+    rows = []
     for i in range(n):
+        step = (i + 1) % n
         w = split.get(i)
         if w is None:
-            rows.append({(i + 1) % n: _ONE})
+            rows.append(((step, _ONE),))
             continue
-        row = {(i + 1) % n: w}
         back = (i + 1 - q) % n
-        row[back] = row.get(back, 0) + (1 - w)
-        rows.append(row)
-    return StochMatrix(rows)
+        if back == step:
+            rows.append(((step, w + (1 - w)),))
+        elif back < step:
+            rows.append(((back, 1 - w), (step, w)))
+        else:
+            rows.append(((step, w), (back, 1 - w)))
+    return StochMatrix._from_pairs(rows)
 
 
 # -- Type 0 --------------------------------------------------------------
@@ -371,15 +374,12 @@ class TypeIIRealization:
                 )
             forward[sources[-1]] = dependent
 
-        rows: list[dict[int, Fraction]] = []
-        for v in range(self.n):
-            t = self.block_of(v)
-            successor = t * self.q + (v + 1 - t * self.q) % self.q
-            rows.append({successor: forward.get(v, _ONE)})
+        q = self.q
+        rows = [((v - v % q + (v + 1) % q, forward.get(v, _ONE)),) for v in range(self.n)]
         for conns in self.connectors:
             for src, dst in conns:
-                rows[src][dst] = 1 - forward[src]
-        return StochMatrix(rows)
+                rows[src] = tuple(sorted(rows[src] + ((dst, 1 - forward[src]),)))
+        return StochMatrix._from_pairs(rows)
 
     def digraph(self, alpha: RatLike, params: Optional[Mapping[str, RatLike]] = None) -> WeightedDigraph:
         return WeightedDigraph.from_matrix(self.instantiate(alpha, params))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import catalogue_arcs, random_stochastic
 from karpelevic.algebra import (
+    _hessenberg_columns,
     RatPoly,
     StochMatrix,
     charpoly_exact,
@@ -294,6 +295,28 @@ class TestSparseConstruction:
             with pytest.raises(ValueError, match="row 1 has a column outside 0..1"):
                 StochMatrix([{0: 1}, row])
 
+    @pytest.mark.parametrize("rows, message", [
+        ([((0, F(1)),), ((0, F(1, 2)), (1, F(1, 3)))], "row 1 sums to 5/6, not 1"),
+        ([((0, F(1)),), ((1, F(1, 2)),)], "row 1 sums to 1/2, not 1"),
+        ([((0, F(1)),), ()], "row 1 sums to 0, not 1"),
+        ([((0, F(1)),), ((0, F(3, 2)), (1, F(-1, 2)))], "row 1 has an entry outside [0, 1]"),
+        ([((0, F(1)),), ((2, F(1)),)], "row 1 has a column outside 0..1"),
+        ([((0, F(1)),), ((-1, F(1)),)], "row 1 has a column outside 0..1"),
+        ([((0, F(1)),), ((0, F(1, 2)), (2, F(1, 2)))], "row 1 has a column outside 0..1"),
+    ])
+    def test_pairs_checked_as_rows_are(self, rows, message):
+        # The builders' constructor raises what the public one raises on
+        # the same rows given as dicts.
+        for build in (StochMatrix._from_pairs, lambda rows: StochMatrix([dict(r) for r in rows])):
+            with pytest.raises(ValueError) as exc:
+                build(rows)
+            assert str(exc.value) == message
+
+    def test_pairs_drop_zeros(self):
+        m = StochMatrix._from_pairs([((0, F(0)), (1, F(1))), ((0, F(1, 3)), (1, F(2, 3)))])
+        assert m.sparse_rows == (((1, F(1)),), ((0, F(1, 3)), (1, F(2, 3))))
+        assert m == StochMatrix([[0, 1], [F(1, 3), F(2, 3)]])
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.sampled_from(catalogue_arcs()), st.integers(1, 100), st.data())
     def test_build_sparsest_matches_dense_reference(self, arc, k, data):
@@ -393,6 +416,93 @@ def charpoly_faddeev_leverrier(grid):
         m = [[am[i][j] + (coeffs[n - k + 1] if i == j else 0) for j in range(n)] for i in range(n)]
         coeffs[n - k] = -sum(sum(a[i][t] * m[t][i] for t in range(n)) for i in range(n)) / k
     return RatPoly(coeffs)
+
+
+def dense_hessenberg_columns(matrix):
+    """Test-only reference: the Hessenberg reduction on a dense working grid,
+    with the pivots, swaps and similarity transforms _hessenberg_columns
+    makes on its dicts of the nonzeros, so it must give the same H."""
+    if isinstance(matrix, StochMatrix):
+        n = matrix.n
+        h = [[0] * n for _ in range(n)]
+        for row, pairs in zip(h, matrix.sparse_rows):
+            for j, e in pairs:
+                row[j] = e
+    else:
+        h = [[rat(e) or 0 for e in row] for row in matrix]
+        n = len(h)
+        for i, row in enumerate(h):
+            if len(row) != n:
+                raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+    for j in range(n - 2):
+        below = [i for i in range(j + 1, n) if h[i][j]]
+        if not below:
+            continue
+        pivot_row = below[0]
+        if pivot_row != j + 1:
+            h[j + 1], h[pivot_row] = h[pivot_row], h[j + 1]
+            for row in h:
+                row[j + 1], row[pivot_row] = row[pivot_row], row[j + 1]
+        row_p = h[j + 1]
+        pivot = row_p[j]
+        for i in below[1:]:
+            m = h[i][j] / pivot
+            row_i = h[i]
+            for k in range(j, n):
+                if row_p[k]:
+                    row_i[k] -= m * row_p[k]
+            for row in h:
+                if row[i]:
+                    row[j + 1] += m * row[i]
+    return [[(i, e) for i, e in enumerate(col[: k + 2]) if e] for k, col in enumerate(zip(*h))]
+
+
+@st.composite
+def sparse_rational_grids(draw, max_n=8):
+    """Square grids of order <= 8 that are not stochastic and hold mostly
+    zeros: up to 3n nonzero cells, negative or above 1, small values (so
+    fill-in often cancels) mixed with the coprime denominators above."""
+    n = draw(st.integers(1, max_n))
+    small = st.sampled_from([1, -1, 2, -2, F(1, 2), F(-1, 2), F(1, 3), F(-2, 3)])
+    wide = st.builds(F, st.integers(-300, 300).filter(bool), st.sampled_from(PRIME_DENOMINATORS))
+    grid = [[0] * n for _ in range(n)]
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for i, j in draw(st.lists(cells, max_size=3 * n)):
+        grid[i][j] = draw(st.one_of(small, wide))
+    return grid
+
+
+class TestSparseElimination:
+    """The elimination on dicts of the nonzeros against the dense-grid
+    reference: identical columns, entries and their order included."""
+
+    def test_every_type2_class(self):
+        alpha = F(37, 101)
+        count = 0
+        for arc in catalogue_arcs(6, 4):
+            if arc.type_tag is not ArcType.TYPE_II:
+                continue
+            for composition in enumerate_sparsest(arc):
+                m = build_sparsest(arc, alpha, composition)
+                cols = _hessenberg_columns(m)
+                assert cols == dense_hessenberg_columns(m), (arc, composition)
+                assert all(type(e) is F and e for col in cols for _, e in col)
+                count += 1
+        assert count == 93  # the classes of the 33 Type II arcs
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(sparse_rational_grids())
+    # the pivot of column 0 comes from a swap, and fill-in at (2, 1) cancels
+    @example([[0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 0, 0], [1, 0, 0, 1]])
+    @example([[0] * 5 for _ in range(5)])
+    def test_grids_with_zeros(self, grid):
+        cols = _hessenberg_columns(grid)
+        assert cols == dense_hessenberg_columns(grid)
+        assert all(type(e) is F and e for col in cols for _, e in col)
+
+    def test_row_length_checked_at_load(self):
+        with pytest.raises(ValueError, match="row 1 has length 1, expected 2"):
+            _hessenberg_columns([[0, 1], [1]])
 
 
 class TestCharpoly:

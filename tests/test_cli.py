@@ -130,6 +130,40 @@ class TestRealize:
         assert err.startswith("error: ") and "zero denominator" in err
 
 
+class TestRationalFlagErrors:
+    """A malformed exact rational names the flag it came from."""
+
+    @pytest.mark.parametrize("value, reason", [
+        ("abc", "not an exact rational literal: 'abc'"),
+        ("0.5", "not an exact rational literal: '0.5'"),
+        ("1/0", "zero denominator: '1/0'"),
+    ])
+    def test_alpha_on_every_verb(self, capsys, tmp_path, value, reason):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(type2_sparsest(4, 3, 3, F(1, 3), Composition((0, 3, 3), 4)).to_json()))
+        for argv in (
+            ["realize", "0", "--n", "5"],
+            ["realize", "II", "--q", "4", "--d", "3", "--z", "3", "--composition", "0,3,3"],
+            ["enumerate", "--type", "II", "--q", "4", "--d", "3", "--z", "3"],
+            ["verify", "--matrix", str(f), "--arc", ARC12_JSON],
+            ["augment", "--q", "4", "--d", "3", "--z", "3", "--composition", "0,3,3"],
+            ["probe", "--matrix", str(f), "--arc", ARC12_JSON],
+        ):
+            code, out, err = run(capsys, *argv, "--alpha", value)
+            assert (code, out, err) == (1, "", f"error: --alpha: {reason}\n"), argv
+
+    @pytest.mark.parametrize("value, reason", [
+        ("1/2,x", "not an exact rational literal: 'x'"),
+        ("1/3,", "not an exact rational literal: ''"),
+        ("1/0,1/6", "zero denominator: '1/0'"),
+    ])
+    def test_alphas(self, capsys, value, reason):
+        code, out, err = run(
+            capsys, "realize", "I", "--n", "5", "--q", "4", "--alpha", "1/6", "--alphas", value,
+        )
+        assert (code, out, err) == (1, "", f"error: --alphas: {reason}\n")
+
+
 class TestEnumerate:
     def test_count(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--type", "II", "--q", "4", "--d", "3", "--z", "3")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import order12_augmented, order12_sparsest
+from conftest import catalogue_arcs, order12_augmented, order12_sparsest
 from karpelevic.algebra import RatPoly, StochMatrix, charpoly_exact, cyclic_shift_matrix
 from karpelevic.digraph import WeightedDigraph, is_perm_similar, simple_cycles
 from karpelevic.farey import ArcType, arc_params
@@ -635,3 +635,116 @@ class TestGridVerification:
             for comp in enumerate_sparsest(arc):
                 for a in alphas:
                     assert bool(verify_realization(build_sparsest(arc, a, comp), arc, a))
+
+
+def dict_cycle_with_back_edges(n, q, split):
+    """Test-only reference: the cycle with back edges written row by row as
+    {column: entry} dicts for the public constructor.  Each row i of
+    ``split`` keeps split[i] on i -> i+1 and adds 1 - split[i] on
+    i -> i+1-q (mod n); entries at one column add up."""
+    rows = []
+    for i in range(n):
+        w = split.get(i)
+        if w is None:
+            rows.append({(i + 1) % n: F(1)})
+            continue
+        row = {(i + 1) % n: w}
+        back = (i + 1 - q) % n
+        row[back] = row.get(back, 0) + (1 - w)
+        rows.append(row)
+    return StochMatrix(rows)
+
+
+def dict_instantiate(real, alpha, params):
+    """Test-only reference: a Type II digraph instantiated through dict rows.
+    Each connector source but the last of a block takes its named weight,
+    the last takes (1 - alpha) over their product; a source keeps its
+    weight on the block cycle and puts the rest on its connector."""
+    q = real.q
+    forward = {}
+    for conns in real.connectors:
+        sources = sorted(v for v, _ in conns)
+        for v in sources[:-1]:
+            forward[v] = params[f"alpha_{v + 1}"]
+        forward[sources[-1]] = (1 - alpha) / prod(forward[v] for v in sources[:-1])
+    rows = [{v - v % q + (v + 1) % q: forward.get(v, F(1))} for v in range(real.n)]
+    for conns in real.connectors:
+        for src, dst in conns:
+            rows[src][dst] = 1 - forward[src]
+    return StochMatrix(rows)
+
+
+def assert_same_matrix(m, reference):
+    assert m == reference and hash(m) == hash(reference)
+    assert m.sparse_rows == reference.sparse_rows
+    assert all(type(e) is F and e for row in m.sparse_rows for _, e in row)
+
+
+class TestPairBuilders:
+    """The builders write sorted (column, entry) pairs; each must give the
+    matrix the dict-built reference gives."""
+
+    ALPHAS = (F(1, 101), F(1, 3), F(37, 101), F(100, 101))
+
+    def test_type0(self):
+        for n in range(1, 10):  # n = 1 is the self-loop, where the entries add up
+            for a in self.ALPHAS:
+                reference = dict_cycle_with_back_edges(n, 1, dict.fromkeys(range(n), a))
+                assert_same_matrix(type0(n, a), reference)
+        assert type0(1, F(1, 3)).sparse_rows == (((0, F(1)),),)
+
+    def test_type1(self):
+        rng = random.Random(5)
+        for n in range(3, 14):
+            for q in range(2, n):
+                if 2 * q <= n or gcd(q, n) != 1:
+                    continue
+                for a in self.ALPHAS:
+                    # Unit weights have no back edge: a zero entry is dropped.
+                    unit = [a] + [F(1)] * (n - q)
+                    mixed = [F(rng.randint(1, 3), 3) for _ in range(n - q)] + [a]
+                    for weights in (unit, mixed):
+                        m = type1(n, q, weights)
+                        assert_same_matrix(m, dict_cycle_with_back_edges(n, q, dict(enumerate(weights))))
+                    assert type1(n, q, unit).nnz() == n + 1
+
+    def test_type2_sparsest(self):
+        for arc in catalogue_arcs(6, 4):
+            if arc.type_tag is not ArcType.TYPE_II:
+                continue
+            for composition in enumerate_sparsest(arc):
+                real = type2_base(arc.q, arc.d, arc.z, composition)
+                for a in self.ALPHAS:
+                    assert_same_matrix(build_sparsest(arc, a, composition), dict_instantiate(real, a, {}))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_type2_augmented(self, data):
+        arc = data.draw(st.sampled_from(TestAugmentProperty.ARCS))
+        q, d, z = arc.q, arc.d, arc.z
+        real = type2_base(q, d, z, data.draw(st.sampled_from(enumerate_sparsest(arc))))
+        candidates = [e for t in range(d) for e in _allowed_connectors(q, d, z, t)]
+        for edge in data.draw(st.lists(st.sampled_from(candidates), max_size=2 * q * d)):
+            try:
+                real = type2_augment(real, edge)
+            except ValueError:
+                pass
+        alpha = F(data.draw(st.integers(50, 99)), 100)
+        free = {name: F(data.draw(st.integers(90, 99)), 100) for name in real.free_parameters()}
+        assert_same_matrix(real.instantiate(alpha, free), dict_instantiate(real, alpha, free))
+
+    def test_type3(self):
+        for arc in catalogue_arcs(6, 4):
+            if arc.type_tag is not ArcType.TYPE_III:
+                continue
+            n, q = arc.n, arc.q
+            for composition in enumerate_sparsest(arc):
+                # split row k sits at k*q + parts[0] + ... + parts[k-1] - 1
+                split = [(k * q + sum(composition.parts[:k]) - 1) % n for k in range(1, arc.d + 1)]
+                for a in self.ALPHAS:
+                    reference = dict_cycle_with_back_edges(n, q, dict.fromkeys(split, a))
+                    assert_same_matrix(build_sparsest(arc, a, composition), reference)
+        a, a1 = F(1, 2), F(9, 10)
+        weights = {3: a1, 4: a1, 5: a1, 6: a / a1 ** 3, 10: a, 14: a}
+        spec = TypeIIIFamilySpec(n=15, q=4, d=3, y=3, blocks=[{3, 4, 5, 6}, {10}, {14}], weights=weights)
+        assert_same_matrix(type3_family(spec), dict_cycle_with_back_edges(15, 4, weights))
