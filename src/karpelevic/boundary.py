@@ -3,21 +3,22 @@
 This is the only floating-point module; everything upstream hands over
 exact data.
 
-Each arc is one root of t^s (t^q - b)^d = a^d t^(q d), b = 1 - a, as the
-parameter a runs over [0, 1].  Taking the d-th root makes it a *simple*
-root of one branch equation (Johnson & Paparella, "A matricial view of
-the Karpelevic theorem", LAA 2017).  With t = omega*u and
-omega = e^(2*pi*i*p/q) it reads
+Each arc is one root of the reduced form t^y (t^q - b)^d = a^d t^z,
+b = 1 - a, as the parameter a runs over [0, 1]; (y, z) are the shifts of
+``itopoly.reduced_shifts``, the same for all four arc types.  Taking the
+d-th root makes it a *simple* root of one branch equation (Johnson &
+Paparella, "A matricial view of the Karpelevic theorem", LAA 2017).  With
+t = omega*u and omega = e^(2*pi*i*p/q) it reads
 
-    u^q - (1 - a) - a*c*u^e = 0,    e = q - s/d,
+    u^q - (1 - a) - a*c*u^e = 0,    e = q - s/d = (z - y)/d,
                                      c = e^(2*pi*i*(q*r - p*s)/(q*d)),
 
 with the principal power u^e: u runs from 1 at a = 0 to
-e^(2*pi*i*(r/s - p/q)) at a = 1, far from the cut.  The exponent is z/d
-for Type II, -y/d for Type III and q - s for Type I.  Away from a
-touchdown |df/du| is of order q, so Newton continuation follows the root
-without ever looking at the other roots of the reduced polynomial.  Type 0
+e^(2*pi*i*(r/s - p/q)) at a = 1, far from the cut.  Away from a touchdown
+|df/du| is of order q, so Newton continuation follows the root without
+ever looking at the other roots of the reduced polynomial.  Type 0
 (q = 1, e = 0) is linear and sampled in closed form, b + a*e^(2*pi*i*r/s).
+Every sample's residual is read in the reduced form itself.
 
 Two roots of a branch equation meet only at a real double root, where an
 arc touches down on the real axis (the two order-3 Type I arcs).  There
@@ -45,6 +46,7 @@ from typing import Sequence, Union
 
 from karpelevic.algebra import RatLike, rat
 from karpelevic.farey import ArcParams, ArcType, arcs_of_order
+from karpelevic.itopoly import reduced_shifts
 
 __all__ = [
     "ArcTrace",
@@ -74,22 +76,10 @@ def _endpoint(fraction_num: int, fraction_den: int) -> complex:
     return cmath.exp(2j * math.pi * fraction_num / fraction_den)
 
 
-def _reduced_value(arc: ArcParams, a: float, t: complex) -> complex:
-    """The arc's reduced polynomial (the itopoly closed form) at (a, t)."""
-    b = 1.0 - a
-    if arc.type_tag is ArcType.TYPE_0:
-        return (t - b) ** arc.d - a ** arc.d
-    if arc.type_tag is ArcType.TYPE_I:
-        return t ** arc.s - b * t ** (arc.s - arc.q) - a
-    power = (t ** arc.q - b) ** arc.d
-    if arc.type_tag is ArcType.TYPE_II:
-        return power - a ** arc.d * t ** arc.z
-    return t ** arc.y * power - a ** arc.d
-
-
 @dataclass(frozen=True)
 class _Branch:
-    """The branch equation f(u) = u^q - (1 - a) - a*c*u^e of one arc, t = omega*u."""
+    """The branch equation f(u) = u^q - (1 - a) - a*c*u^e of one arc,
+    t = omega*u, with e = q - s/d = (z - y)/d."""
 
     q: int
     e: float
@@ -188,7 +178,7 @@ class ArcTrace:
 
     samples[0] and samples[-1] are the exact endpoints e^(2*pi*i*p/q) at 0
     and e^(2*pi*i*r/s) at 1.  ``residual_bound`` is the largest residual of
-    any sample in the arc's reduced polynomial.
+    any sample in the arc's reduced form t^y (t^q - b)^d - a^d t^z.
     """
 
     arc: ArcParams
@@ -229,6 +219,8 @@ def trace_arc(arc: ArcParams, m: int) -> ArcTrace:
         grid.append(tail)
 
     points = []
+    # Type 0 is sampled in closed form: at n = 2 its root passes through
+    # u = 0 at a = 1/2, where df/du divides by u.
     if arc.type_tag is ArcType.TYPE_0:
         points = [(a, (1.0 - a) + a * goal) for a in grid]
     else:
@@ -246,7 +238,8 @@ def trace_arc(arc: ArcParams, m: int) -> ArcTrace:
                 points.append((a, branch.omega * u))
 
     samples = [(0.0, _endpoint(arc.p, arc.q))] + points[::-1] + [(1.0, goal)]
-    worst = max(abs(_reduced_value(arc, a, t)) for a, t in samples)
+    q, d, (y, z) = arc.q, arc.d, reduced_shifts(arc)
+    worst = max(abs(t ** y * (t ** q - (1.0 - a)) ** d - a ** d * t ** z) for a, t in samples)
     return ArcTrace(arc=arc, samples=tuple(samples), residual_bound=max(worst, 1e-15))
 
 

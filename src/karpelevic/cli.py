@@ -59,20 +59,7 @@ def _rat_flag(flag: str, text: str) -> Fraction:
 
 
 def _arc_from_flags(args) -> ArcParams:
-    tag = ArcType(args.type)
-    if tag is ArcType.TYPE_0:
-        return arc_params(tag, n=args.n)
-    if tag is ArcType.TYPE_I:
-        if args.n is None or args.q is None:
-            raise ValueError("Type I needs --n and --q")
-        return arc_params(tag, n=args.n, q=args.q)
-    if tag is ArcType.TYPE_II:
-        if args.q is None or args.d is None or args.z is None:
-            raise ValueError("Type II needs --q, --d and --z")
-        return arc_params(tag, q=args.q, d=args.d, z=args.z)
-    if args.q is None or args.d is None or args.y is None:
-        raise ValueError("Type III needs --q, --d and --y")
-    return arc_params(tag, q=args.q, d=args.d, y=args.y)
+    return arc_params(ArcType(args.type), n=args.n, q=args.q, d=args.d, z=args.z, y=args.y)
 
 
 def _load_matrix(spec: str) -> StochMatrix:
@@ -197,8 +184,6 @@ def cmd_region(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    if args.q is None or args.d is None or args.z is None or args.composition is None:
-        raise ValueError("augment needs --q, --d, --z and --composition")
     comp = _parse_composition(args.composition, args.q)
     real = type2_base(args.q, args.d, args.z, comp)
     for spec in args.add or []:
@@ -206,7 +191,13 @@ def cmd_augment(args) -> int:
             src, dst = (int(x) for x in spec.split(","))
         except ValueError:
             raise ValueError(f"--add expects 'src,dst' (1-based), got {spec!r}")
-        real = type2_augment(real, (src - 1, dst - 1))
+        edge = (src - 1, dst - 1)
+        try:
+            real = type2_augment(real, edge)
+        except ValueError as exc:
+            # The API names the edge 0-based; name it as it was typed.
+            reason = str(exc).removeprefix(f"edge {edge} ")
+            raise ValueError(f"edge {(src, dst)} {reason}") from None
     params = {}
     for assignment in args.param or []:
         name, _, value = assignment.partition("=")

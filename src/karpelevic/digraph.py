@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import prod
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from karpelevic.algebra import RatLike, RatPoly, StochMatrix, rat, rat_str
 from karpelevic.farey import ArcParams
@@ -288,21 +288,19 @@ def _bfs_tree(neighbours: list[list[int]], roots: Iterable[int]) -> tuple[list[i
     return order, parent
 
 
-def bfs_order(
-    n: int, edges: Iterable[tuple[int, int]], rank: Optional[Callable[[int], object]] = None
-) -> list[int]:
+def bfs_order(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     """Vertices 0..n-1 breadth-first over the undirected support ``edges``.
 
-    Each component starts at its vertex of least ``rank`` (default: the
-    vertex itself) and neighbours are visited in increasing order, so every
-    vertex but a root comes after one of its neighbours.  Searches that
-    assign vertices in this order find each new vertex next to a placed one.
+    Each component starts at its least vertex and neighbours are visited in
+    increasing order, so every vertex but a root comes after one of its
+    neighbours.  Searches that assign vertices in this order find each new
+    vertex next to a placed one.
     """
     neighbours: list[list[int]] = [[] for _ in range(n)]
     for i, j in edges:
         neighbours[i].append(j)
         neighbours[j].append(i)
-    return _bfs_tree(neighbours, sorted(range(n), key=rank))[0]
+    return _bfs_tree(neighbours, range(n))[0]
 
 
 class _SimilarityIndex:

@@ -145,20 +145,12 @@ class ArcParams:
 
     @property
     def reduced_degree(self) -> int:
-        """Degree of the arc polynomial after extraneous zero roots go.
-
-        Type 0: d (= n, since q = 1).  Type I: s.  Type II: q*d.
-        Type III: s.  Equals the matrix order n exactly when s = n
-        (Type II: when q*d = n), which is what realization constructors
-        require.
+        """Degree of the arc polynomial after extraneous zero roots go:
+        max(s, q*d), which is n for Type 0, s for Types I and III and q*d
+        for Type II.  Equals the matrix order n exactly when s = n (Type II:
+        when q*d = n), which is what realization constructors require.
         """
-        if self.type_tag is ArcType.TYPE_0:
-            return self.d
-        if self.type_tag is ArcType.TYPE_I:
-            return self.s
-        if self.type_tag is ArcType.TYPE_II:
-            return self.q * self.d
-        return self.s
+        return max(self.s, self.q * self.d)
 
     # -- serialization ------------------------------------------------
 
@@ -232,6 +224,14 @@ def arcs_of_order(n: int) -> list[ArcParams]:
     return [classify_arc(n, pair) for pair in farey_pairs(n)]
 
 
+_REQUIRED = {
+    ArcType.TYPE_0: ("n",),
+    ArcType.TYPE_I: ("n", "q"),
+    ArcType.TYPE_II: ("q", "d", "z"),
+    ArcType.TYPE_III: ("q", "d", "y"),
+}
+
+
 def arc_params(
     type_tag: ArcType,
     *,
@@ -246,33 +246,33 @@ def arc_params(
     Finds the canonical Farey pair carrying the requested type: endpoints
     p/q < r/s with r*q - p*s = 1 and r minimal.  The matrix order n equals
     the reduced-polynomial degree, which is the setting every realization
-    constructor works in.
+    constructor works in.  Each type's parameters (``_REQUIRED``) are
+    checked first, and every missing one is named.
     """
+    given = {"n": n, "q": q, "d": d, "z": z, "y": y}
+    missing = [name for name in _REQUIRED[type_tag] if given[name] is None]
+    if missing:
+        *rest, last = missing
+        names = f"{', '.join(rest)} and {last}" if rest else last
+        raise ValueError(f"Type {type_tag.value} needs {names}")
+
     if type_tag is ArcType.TYPE_0:
-        if n is None:
-            raise ValueError("Type 0 needs n")
         if n < 2:
             raise ValueError("arcs exist for orders n >= 2 only")
         return ArcParams(n=n, p=0, q=1, r=1, s=n, d=n, type_tag=ArcType.TYPE_0)
 
-    if q is None or q < 2:
+    if q < 2:
         raise ValueError("need q >= 2")
     if type_tag is ArcType.TYPE_I:
-        if n is None:
-            raise ValueError("Type I needs n")
         if not (q < n < 2 * q):
             raise ValueError("Type I requires q < n < 2q")
         s = n
     elif type_tag is ArcType.TYPE_II:
-        if d is None or z is None:
-            raise ValueError("Type II needs d and z")
         if d < 2 or not (1 <= z <= q - 1):
             raise ValueError("Type II requires d >= 2 and z in 1..q-1")
         s = q * d - z
         n = q * d
     else:
-        if d is None or y is None:
-            raise ValueError("Type III needs d and y")
         if d < 2 or not (1 <= y <= q - 1):
             raise ValueError("Type III requires d >= 2 and y in 1..q-1")
         s = q * d + y

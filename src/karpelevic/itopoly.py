@@ -7,14 +7,16 @@ family
 
 where (p/q, r/s) are the arc endpoints and d = floor(n/q).  The polynomial
 has extraneous zero roots; dividing out the maximal power of t leaves the
-reduced polynomial, whose closed form depends only on the arc type:
+reduced polynomial, which has one shape for all four arc types:
 
-    Type 0:   (t - b)^d - a^d                (q = 1, d = n = s)
-    Type I:   t^s - b t^(s-q) - a            (d = 1)
-    Type II:  (t^q - b)^d - a^d t^z          (z = q d - s)
-    Type III: t^y (t^q - b)^d - a^d          (y = s - q d)
+    t^y (t^q - b)^d - a^d t^z,    y = max(s - q d, 0),  z = max(q d - s, 0).
 
-Every form is built from (t^q - b)^d expanded by the binomial theorem:
+Type II (s < q d) has y = 0 and its z; Type III (s > q d) has its y and
+z = 0; Type I (d = 1) has y = s - q and Type 0 (q = 1, d = n = s) has
+y = z = 0.  ``reduced_shifts`` gives the pair, and the degree is
+max(s, q d).
+
+The form is built from (t^q - b)^d expanded by the binomial theorem:
 its d + 1 nonzero terms are C(d, k) (-b)^k t^(q (d - k)), so no
 polynomial is ever raised to a power.
 
@@ -30,13 +32,14 @@ from fractions import Fraction
 from math import comb
 
 from karpelevic.algebra import _ZERO, RatLike, RatPoly, rat
-from karpelevic.farey import ArcParams, ArcType
+from karpelevic.farey import ArcParams
 
 __all__ = [
     "ItoInstance",
     "full_arc_poly",
     "reduce_poly",
     "reduced_ito",
+    "reduced_shifts",
     "coefficient_identity_check",
 ]
 
@@ -88,16 +91,18 @@ class ItoInstance:
         return self.poly.coeff_from_top(j)
 
 
+def reduced_shifts(arc: ArcParams) -> tuple[int, int]:
+    """The shifts (y, z) of the reduced form t^y (t^q - b)^d - a^d t^z:
+    y = max(s - q d, 0) and z = max(q d - s, 0)."""
+    gap = arc.s - arc.q * arc.d
+    return max(gap, 0), max(-gap, 0)
+
+
 def _closed_form(arc: ArcParams, a: Fraction) -> RatPoly:
-    """Types 0, I and III are t^y (t^q - b)^d - a^d with y = s - q d >= 0
-    (0 for Type 0, s - q for Type I); Type II is (t^q - b)^d - a^d t^z
-    with z = q d - s.  The d + 2 terms are written into one list of the
-    shared zero; they meet only in the constant term of Type 0."""
+    """t^y (t^q - b)^d - a^d t^z, its d + 2 terms written into one list of
+    the shared zero; they meet only in the constant term of Type 0."""
     q, d = arc.q, arc.d
-    if arc.type_tag is ArcType.TYPE_II:
-        y, z = 0, q * d - arc.s
-    else:
-        y, z = arc.s - q * d, 0
+    y, z = reduced_shifts(arc)
     coeffs = [_ZERO] * (y + q * d + 1)
     for e, c in _binomial_terms(q, 1 - a, d):
         coeffs[y + e] = c

@@ -210,19 +210,10 @@ def type1(n: int, q: int, alphas: Sequence[RatLike]) -> StochMatrix:
 
 
 def _type2_connectors(q: int, d: int, z: int, parts: Sequence[int]) -> list[tuple[int, int]]:
-    """Base connector edges (a_t, b_t), 0-based, one per consecutive block pair."""
-    prefix = 0
-    conns: list[tuple[int, int]] = []
-    for t in range(d):
-        if t == 0:
-            a_t = 0
-            b_t = q
-        else:
-            prefix = (prefix + parts[t]) % q
-            a_t = t * q + prefix
-            b_t = (t + 1) * q + prefix if t <= d - 2 else (q - parts[0]) % q
-        conns.append((a_t, b_t))
-    return conns
+    """Base connector edges, 0-based, one per consecutive block pair: block
+    t's is its candidate at offset parts[1] + ... + parts[t] (mod q)."""
+    offsets = [sum(parts[1 : t + 1]) % q for t in range(d)]
+    return [_allowed_connectors(q, d, z, t)[i] for t, i in enumerate(offsets)]
 
 
 def _allowed_connectors(q: int, d: int, z: int, t: int) -> list[tuple[int, int]]:
@@ -736,9 +727,11 @@ def conjecture_probe(
 
     Requires verify_realization to pass first.  Any family-form digraph
     has exactly one n-cycle, so every family relabelling maps some n-cycle
-    of m onto the standard cycle; the search is therefore exhaustive over
-    (n-cycle, rotation) pairs.  INCONCLUSIVE is returned only when cycle
-    enumeration exceeds the budget.
+    of m onto the standard cycle.  Family form is read at cyclic offsets
+    (step edges at +1, back edges at 1 - q, blocks by cyclic distance), so
+    rotating the labels along the cycle keeps or breaks it as a whole: one
+    relabelling per n-cycle makes the search exhaustive.  INCONCLUSIVE is
+    returned only when cycle enumeration exceeds the budget.
     """
     if arc.type_tag is not ArcType.TYPE_III:
         raise ValueError("the probe applies to Type III arcs only")
@@ -755,27 +748,19 @@ def conjecture_probe(
             detail=f"cycle enumeration produced {report.count()} cycles, over budget",
         )
     n_cycles = report.cycles_of_length(n)
-    tried = 0
-    for cyc, _ in n_cycles:
-        for rot in range(n):
-            tried += 1
-            # Vertex ordering[k] goes to slot k; the n-cycle becomes standard.
-            ordering = cyc[rot:] + cyc[:rot]
-            relabelled = m.permuted(list(ordering))
-            spec = _family_spec_of(relabelled, n, q, d, y)
-            if spec is not None:
-                return ProbeReport(
-                    outcome=ProbeOutcome.FOUND,
-                    spec=spec,
-                    permutation=tuple(ordering),
-                    detail=f"family form found after {tried} relabellings",
-                )
+    for tried, (cyc, _) in enumerate(n_cycles, 1):
+        # Vertex cyc[k] goes to slot k; the n-cycle becomes standard.
+        spec = _family_spec_of(m.permuted(list(cyc)), n, q, d, y)
+        if spec is not None:
+            return ProbeReport(
+                outcome=ProbeOutcome.FOUND,
+                spec=spec,
+                permutation=tuple(cyc),
+                detail=f"family form found after {tried} relabellings",
+            )
     return ProbeReport(
         outcome=ProbeOutcome.NOT_FOUND,
-        detail=(
-            f"exhausted {len(n_cycles)} n-cycles x {n} rotations "
-            f"({tried} relabellings) without finding family form"
-        ),
+        detail=f"exhausted {len(n_cycles)} n-cycles without finding family form",
     )
 
 

@@ -108,6 +108,26 @@ class TestTraceArc:
         with pytest.raises(ValueError):
             trace_arc(arc_params(ArcType.TYPE_0, n=3), 1)
 
+    def test_residual_bound_is_the_worst_exact_residual(self):
+        """residual_bound against |reduced_ito(arc, a)(t)| evaluated exactly
+        at each float sample (a, t), on every arc of orders 2..10."""
+
+        def exact_residual(poly, t):
+            x, y = F(t.real), F(t.imag)
+            re = im = F(0)
+            for c in reversed(poly.coeffs):
+                re, im = re * x - im * y + c, re * y + im * x
+            return math.hypot(re, im)
+
+        for n in range(2, 11):
+            for arc in arcs_of_order(n):
+                trace = trace_arc(arc, 32)
+                worst = max(exact_residual(reduced_ito(arc, F(a)).poly, t) for a, t in trace.samples)
+                worst = max(worst, 1e-15)
+                assert abs(trace.residual_bound - worst) <= 1e-12, arc
+                # The two differ by rounding only, not by a factor.
+                assert worst / 2 <= trace.residual_bound <= 2 * worst, arc
+
 
 def _upper_half_arcs(n):
     return [classify_arc(n, pair) for pair in farey_pairs(n) if pair.hi <= F(1, 2)]

@@ -181,6 +181,30 @@ class TestEnumerate:
         assert [e["composition"] for e in data] == [[0, 0, 3], [0, 1, 2], [0, 2, 1], [1, 1, 1]]
 
 
+ENUMERATE_FLAGS = {
+    "0": {"--n": "5"},
+    "I": {"--n": "5", "--q": "3"},
+    "II": {"--q": "4", "--d": "3", "--z": "3"},
+    "III": {"--q": "4", "--d": "3", "--y": "3"},
+}
+
+
+class TestRequiredFlags:
+    @pytest.mark.parametrize(
+        "tag, flag", [(tag, flag) for tag, flags in ENUMERATE_FLAGS.items() for flag in flags]
+    )
+    def test_missing_flag_is_named(self, capsys, tag, flag):
+        argv = [x for key, value in ENUMERATE_FLAGS[tag].items() if key != flag for x in (key, value)]
+        code, out, err = run(capsys, "enumerate", "--type", tag, *argv)
+        assert (code, out, err) == (1, "", f"error: Type {tag} needs {flag[2:]}\n")
+
+    @pytest.mark.parametrize("tag", list(ENUMERATE_FLAGS))
+    def test_complete_flags(self, capsys, tag):
+        argv = [x for item in ENUMERATE_FLAGS[tag].items() for x in item]
+        code, out, _ = run(capsys, "enumerate", "--type", tag, "--json", *argv)
+        assert code == 0 and json.loads(out)
+
+
 class TestVerifyRoundTrip:
     def test_pipe(self, capsys, tmp_path):
         code, out, _ = run(
@@ -290,6 +314,20 @@ class TestAugmentCli:
             "--add", "5,9",
         )
         assert code == 1 and "rejected" in err
+
+    @pytest.mark.parametrize("adds, message", [
+        (["2,99"], "edge (2, 99) out of range"),
+        (["0,5"], "edge (0, 5) out of range"),
+        (["2,3"], "edge (2, 3) is not a candidate connector from block 0 to block 1"),
+        (["2,6", "2,6"], "edge (2, 6) is already present"),
+        (["5,9"], "edge (5, 9) rejected: it would create a long cycle of length [5] instead of 9"),
+    ])
+    def test_edge_errors_name_the_edge_as_typed(self, capsys, adds, message):
+        argv = [x for edge in adds for x in ("--add", edge)]
+        code, out, err = run(
+            capsys, "augment", "--q", "4", "--d", "3", "--z", "3", "--composition", "0,3,3", *argv,
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_repeated_param_exit_1(self, capsys):
         code, out, err = run(

@@ -222,3 +222,48 @@ class TestSynthesizedArcs:
             arc_params(ArcType.TYPE_I, n=9, q=4)  # 2q <= n
         with pytest.raises(ValueError):
             arc_params(ArcType.TYPE_II, q=4, d=2, z=2)  # s = 6 shares gcd with q
+
+
+# One complete parameter set per type; arc_params needs every key.
+REQUIRED = {
+    ArcType.TYPE_0: {"n": 5},
+    ArcType.TYPE_I: {"n": 5, "q": 3},
+    ArcType.TYPE_II: {"q": 4, "d": 3, "z": 3},
+    ArcType.TYPE_III: {"q": 4, "d": 3, "y": 3},
+}
+
+
+class TestRequiredParameters:
+    @pytest.mark.parametrize(
+        "tag, name", [(tag, name) for tag, params in REQUIRED.items() for name in params]
+    )
+    def test_each_missing_parameter_is_named(self, tag, name):
+        params = {key: value for key, value in REQUIRED[tag].items() if key != name}
+        with pytest.raises(ValueError, match=f"^Type {tag.value} needs {name}$"):
+            arc_params(tag, **params)
+
+    def test_every_missing_parameter_is_named(self):
+        with pytest.raises(ValueError, match="^Type II needs q, d and z$"):
+            arc_params(ArcType.TYPE_II)
+        with pytest.raises(ValueError, match="^Type I needs n and q$"):
+            arc_params(ArcType.TYPE_I, d=2, y=1)
+
+    def test_missing_before_range(self):
+        with pytest.raises(ValueError, match="^Type III needs y$"):
+            arc_params(ArcType.TYPE_III, q=1, d=0)
+
+    @pytest.mark.parametrize("tag", list(REQUIRED))
+    def test_complete_parameters_build(self, tag):
+        assert arc_params(tag, **REQUIRED[tag]).type_tag is tag
+
+    def test_reduced_degree_per_type(self):
+        """max(s, q d) is n for Type 0, s for Types I and III, q d for Type II."""
+        for n in range(2, 31):
+            for arc in arcs_of_order(n):
+                expected = {
+                    ArcType.TYPE_0: n,
+                    ArcType.TYPE_I: arc.s,
+                    ArcType.TYPE_II: arc.q * arc.d,
+                    ArcType.TYPE_III: arc.s,
+                }[arc.type_tag]
+                assert arc.reduced_degree == expected, arc

@@ -15,6 +15,7 @@ from karpelevic.itopoly import (
     full_arc_poly,
     reduce_poly,
     reduced_ito,
+    reduced_shifts,
 )
 
 F = Fraction
@@ -116,6 +117,22 @@ class TestReducedIto:
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
             reduced_ito(_arc(ArcType.TYPE_0, n=3), F(3, 2))
+
+
+class TestReducedShifts:
+    def test_each_type(self):
+        """(y, z) read off each type: Type 0 (0, 0), Type I (s - q, 0),
+        Type II (0, z), Type III (y, 0); the degree is y + q d."""
+        for n in range(2, 31):
+            for arc in arcs_of_order(n):
+                expected = {
+                    ArcType.TYPE_0: (0, 0),
+                    ArcType.TYPE_I: (arc.s - arc.q, 0),
+                    ArcType.TYPE_II: (0, arc.z),
+                    ArcType.TYPE_III: (arc.y, 0),
+                }[arc.type_tag]
+                assert reduced_shifts(arc) == expected, arc
+                assert expected[0] + arc.q * arc.d == arc.reduced_degree
 
 
 def closed_form_by_powers(arc, a):

@@ -28,7 +28,7 @@ from karpelevic.realize import (
     type3_sparsest,
     verify_realization,
 )
-from karpelevic.realize import _allowed_connectors, _necklace_classes
+from karpelevic.realize import _allowed_connectors, _family_spec_of, _necklace_classes
 
 F = Fraction
 
@@ -533,6 +533,23 @@ class TestSparsestCycleLengths:
                         assert report.lengths() == {q, q * d - z}, (arc, comp)
 
 
+class TestSparsestConnectors:
+    def test_each_connector_is_a_candidate(self):
+        """Block t's sparsest connector lies in _allowed_connectors(q, d, z, t),
+        and the wrap-around one ends at (q - parts[0]) mod q, over every
+        class with q <= 7 and d <= 5."""
+        for q in range(2, 8):
+            for d in range(2, 6):
+                for z in range(1, q):
+                    if gcd(q, z) != 1:
+                        continue
+                    for comp in enumerate_sparsest(arc_params(ArcType.TYPE_II, q=q, d=d, z=z)):
+                        conns = type2_base(q, d, z, comp).connectors
+                        for t, (edge,) in enumerate(conns):
+                            assert edge in _allowed_connectors(q, d, z, t), (q, d, z, comp, t)
+                        assert conns[-1][0][1] == (q - comp.parts[0]) % q
+
+
 class TestAugmentProperty:
     """type2_augment reads the length law off the cycles of the unweighted
     skeleton; checked here against the cycles of the instantiated weighted
@@ -605,6 +622,87 @@ class TestProbe:
         report = conjecture_probe(m, ARC_III, F(1, 2), cycle_budget=1)
         assert report.outcome == ProbeOutcome.INCONCLUSIVE
         assert "budget" in report.detail
+
+
+TYPE3_ARCS_TO_20 = [
+    arc_params(ArcType.TYPE_III, q=q, d=d, y=y)
+    for q in range(2, 10)
+    for d in range(2, 10)
+    for y in range(1, q)
+    if gcd(q, y) == 1 and q * d + y <= 20
+]
+
+
+def probe_matrices(seed=7, members=6):
+    """(arc, alpha, matrix): the sparsest classes of every Type III arc with
+    n <= 20 and family members grown from them, each relabelled at random."""
+    rng = random.Random(seed)
+    a, w = F(1, 3), F(9, 10)
+    for arc in TYPE3_ARCS_TO_20:
+        n, q, d, y = arc.n, arc.q, arc.d, arc.y
+        for comp in enumerate_sparsest(arc):
+            m = type3_sparsest(q, d, y, a, comp)
+            found = [m]
+            rows = [i for i, row in enumerate(m.sparse_rows) if len(row) == 2]
+            for _ in range(members):
+                # Grow each block back from its row; every step weight is
+                # 9/10 but the row's own, which restores the product a.
+                blocks = [[(r - k) % n for k in range(1 + rng.randrange(q))] for r in rows]
+                weights = {v: w for block in blocks for v in block}
+                weights.update({block[0]: a / w ** (len(block) - 1) for block in blocks})
+                try:
+                    spec = TypeIIIFamilySpec(n=n, q=q, d=d, y=y, blocks=blocks, weights=weights)
+                except ValueError:
+                    continue  # blocks grown too close together
+                found.append(type3_family(spec))
+            for m in found:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                yield arc, a, m.permuted(perm)
+
+
+def probe_by_rotations(m, arc):
+    """The probe's search over every (n-cycle, rotation) pair, first hit."""
+    n = arc.n
+    for cyc, _ in simple_cycles(WeightedDigraph.from_matrix(m)).cycles_of_length(n):
+        for rot in range(n):
+            ordering = cyc[rot:] + cyc[:rot]
+            spec = _family_spec_of(m.permuted(list(ordering)), n, arc.q, arc.d, arc.y)
+            if spec is not None:
+                return ProbeOutcome.FOUND, spec, ordering
+    return ProbeOutcome.NOT_FOUND, None, None
+
+
+@pytest.fixture(scope="module")
+def probe_cases():
+    return list(probe_matrices())
+
+
+class TestProbeRotations:
+    def test_cases_include_grown_families(self, probe_cases):
+        grown = [m for arc, _, m in probe_cases if sum(len(row) == 2 for row in m.sparse_rows) > arc.d]
+        assert len(grown) >= 40
+
+    def test_family_form_is_rotation_invariant(self, probe_cases):
+        """Rotating the labels along an n-cycle by r moves every block vertex
+        from slot v to v - r, or keeps the matrix out of family form."""
+        for arc, _, m in probe_cases:
+            n = arc.n
+            for cyc, _ in simple_cycles(WeightedDigraph.from_matrix(m)).cycles_of_length(n):
+                spec0 = _family_spec_of(m.permuted(list(cyc)), n, arc.q, arc.d, arc.y)
+                for rot in range(1, n):
+                    ordering = cyc[rot:] + cyc[:rot]
+                    spec = _family_spec_of(m.permuted(list(ordering)), n, arc.q, arc.d, arc.y)
+                    assert (spec is None) == (spec0 is None), (arc, cyc, rot)
+                    if spec is not None:
+                        shifted = {frozenset((v - rot) % n for v in b) for b in spec0.blocks}
+                        assert set(spec.blocks) == shifted
+                        assert spec.weights == {(v - rot) % n: x for v, x in spec0.weights.items()}
+
+    def test_probe_matches_the_rotation_search(self, probe_cases):
+        for arc, a, m in probe_cases:
+            report = conjecture_probe(m, arc, a)
+            assert (report.outcome, report.spec, report.permutation) == probe_by_rotations(m, arc)
 
 
 class TestGridVerification:
