@@ -29,13 +29,11 @@ from karpelevic.digraph import WeightedDigraph, to_dot
 from karpelevic.farey import ArcParams, ArcType, arc_params, arcs_of_order
 from karpelevic.realize import (
     Composition,
+    TypeIIRealization,
     build_sparsest,
     conjecture_probe,
     enumerate_sparsest,
-    type0,
     type1,
-    type2_base,
-    type2_augment,
     verify_realization,
 )
 
@@ -103,30 +101,20 @@ def cmd_arcs(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    tag = ArcType(args.type)
     alpha = _rat_flag("--alpha", args.alpha)
-    if tag is ArcType.TYPE_0:
-        if args.n is None:
-            raise ValueError("Type 0 needs --n")
-        matrix = type0(args.n, alpha)
-    elif tag is ArcType.TYPE_I:
-        if args.n is None or args.q is None:
-            raise ValueError("Type I needs --n and --q")
-        if args.alphas:
-            weights = [_rat_flag("--alphas", x) for x in args.alphas.split(",")]
-            product = prod(weights)
-            if product != alpha:
-                raise ValueError(
-                    f"--alphas multiply to {rat_str(product)}, not --alpha {rat_str(alpha)}"
-                )
-        else:
-            weights = [alpha] + [Fraction(1)] * (args.n - args.q)
-        matrix = type1(args.n, args.q, weights)
+    arc = _arc_from_flags(args)
+    if args.alphas:
+        weights = [_rat_flag("--alphas", x) for x in args.alphas.split(",")]
+        product = prod(weights)
+        if product != alpha:
+            raise ValueError(
+                f"--alphas multiply to {rat_str(product)}, not --alpha {rat_str(alpha)}"
+            )
+        matrix = type1(arc.n, arc.q, weights)
     else:
-        arc = _arc_from_flags(args)
-        if args.composition is None:
-            raise ValueError(f"Type {tag.value} needs --composition")
-        comp = _parse_composition(args.composition, arc.q)
+        comp = Composition((), arc.q)  # the one class of a Type 0 or I arc
+        if args.composition is not None:
+            comp = _parse_composition(args.composition, arc.q)
         matrix = build_sparsest(arc, alpha, comp)
     _emit_matrix(matrix, args.emit)
     return 0
@@ -184,8 +172,8 @@ def cmd_region(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    comp = _parse_composition(args.composition, args.q)
-    real = type2_base(args.q, args.d, args.z, comp)
+    arc = arc_params(ArcType.TYPE_II, q=args.q, d=args.d, z=args.z)
+    real = TypeIIRealization.sparsest(arc, _parse_composition(args.composition, arc.q))
     for spec in args.add or []:
         try:
             src, dst = (int(x) for x in spec.split(","))
@@ -193,7 +181,7 @@ def cmd_augment(args) -> int:
             raise ValueError(f"--add expects 'src,dst' (1-based), got {spec!r}")
         edge = (src - 1, dst - 1)
         try:
-            real = type2_augment(real, edge)
+            real = real.augmented(edge)
         except ValueError as exc:
             # The API names the edge 0-based; name it as it was typed.
             reason = str(exc).removeprefix(f"edge {edge} ")

@@ -2,7 +2,10 @@
 
 All constructions work at matrix order n equal to the reduced-polynomial
 degree (Type II: n = q*d, Type III: n = q*d + y), with the family
-parameter held as an exact rational in (0, 1).
+parameter held as an exact rational in (0, 1).  The one entry to a
+sparsest realization is ``build_sparsest(arc, alpha, composition)`` on a
+validated :class:`ArcParams`; ``enumerate_sparsest(arc)`` lists one
+composition per class.
 
 Construction catalogue, 0-based throughout:
 
@@ -10,13 +13,12 @@ Construction catalogue, 0-based throughout:
 - Type I:   an n-cycle with the first n+1-q rows split between the step
             edge i -> i+1 (weight a_i) and the back edge i -> i+1-q.
 - Type II:  d disjoint q-cycles joined into a single long cycle by d
-            connector edges; the connector offsets are indexed by a
-            composition of n - z - d into d parts below q.  Extra
+            connector edges whose offsets a composition indexes.  Extra
             connectors can be grafted on as long as every resulting long
             cycle keeps length n - z.
-- Type III: an n-cycle plus d back edges i -> i+1-q whose positions are
-            indexed by a composition of y; more generally, d blocks of
-            clustered back edges with per-block weight products all equal.
+- Type III: an n-cycle plus d back edges i -> i+1-q whose positions a
+            composition indexes; more generally, d blocks of clustered
+            back edges with per-block weight products all equal.
 
 Compositions are deduplicated up to cyclic rotation (necklace classes);
 rotating a composition relabels the realization, so necklace classes
@@ -29,7 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from itertools import accumulate
+from math import prod
 from typing import Iterable, Mapping, Optional, Sequence
 
 from karpelevic.algebra import (
@@ -49,7 +52,7 @@ from karpelevic.digraph import (
     cyclic_distance,
     simple_cycles,
 )
-from karpelevic.farey import ArcParams, ArcType
+from karpelevic.farey import ArcParams, ArcType, arc_params
 from karpelevic.itopoly import reduced_ito
 
 __all__ = [
@@ -61,10 +64,6 @@ __all__ = [
     "ProbeReport",
     "type0",
     "type1",
-    "type2_sparsest",
-    "type2_base",
-    "type2_augment",
-    "type3_sparsest",
     "type3_family",
     "enumerate_sparsest",
     "build_sparsest",
@@ -190,12 +189,7 @@ def type1(n: int, q: int, alphas: Sequence[RatLike]) -> StochMatrix:
     rows step forward with weight 1.  Each alphas[i] lies in (0, 1] and
     a is their product.
     """
-    if not (2 <= q < n):
-        raise ValueError("need 2 <= q < n")
-    if 2 * q <= n:
-        raise ValueError("Type I requires 2q > n")
-    if gcd(q, n) != 1:
-        raise ValueError("q and n must be coprime")
+    arc_params(ArcType.TYPE_I, n=n, q=q)
     weights = [rat(a) for a in alphas]
     if len(weights) != n + 1 - q:
         raise ValueError(f"need exactly n+1-q = {n + 1 - q} weights, got {len(weights)}")
@@ -244,25 +238,17 @@ class TypeIIRealization:
         return self.q * self.d
 
     @classmethod
-    def sparsest(cls, q: int, d: int, z: int, composition: Composition) -> "TypeIIRealization":
-        if d < 2:
-            raise ValueError("Type II requires d >= 2")
-        if not (1 <= z <= q - 1):
-            raise ValueError("need z in 1..q-1")
-        n = q * d
-        if composition.bound != q:
-            raise ValueError(f"composition bound must be q = {q}")
-        if len(composition.parts) != d:
-            raise ValueError(f"composition must have d = {d} parts")
-        if composition.total != n - z - d:
-            raise ValueError(
-                f"composition must sum to n-z-d = {n - z - d}, got {composition.total}"
-            )
-        conns = _type2_connectors(q, d, z, composition.parts)
+    def sparsest(cls, arc: ArcParams, composition: Composition) -> "TypeIIRealization":
+        """The sparsest digraph of a Type II arc for one composition."""
+        if arc.type_tag is not ArcType.TYPE_II:
+            raise ValueError(f"the arc is {arc.type_tag}, not {ArcType.TYPE_II}")
+        _check_composition(arc, composition)
+        assert arc.z is not None
+        conns = _type2_connectors(arc.q, arc.d, arc.z, composition.parts)
         return cls(
-            q=q,
-            d=d,
-            z=z,
+            q=arc.q,
+            d=arc.d,
+            z=arc.z,
             composition=composition,
             connectors=tuple((c,) for c in conns),
         )
@@ -376,60 +362,7 @@ class TypeIIRealization:
         return WeightedDigraph.from_matrix(self.instantiate(alpha, params))
 
 
-def type2_base(q: int, d: int, z: int, x: Composition) -> TypeIIRealization:
-    """The sparsest Type II digraph for a composition of n - z - d."""
-    return TypeIIRealization.sparsest(q, d, z, x)
-
-
-def type2_sparsest(q: int, d: int, z: int, alpha: RatLike, x: Composition) -> StochMatrix:
-    """Sparsest realization of (t^q - b)^d - a^d t^z for one composition."""
-    return type2_base(q, d, z, x).instantiate(alpha)
-
-
-def type2_augment(base: TypeIIRealization, new_edge: tuple[int, int]) -> TypeIIRealization:
-    """Add a connector edge to a Type II digraph; raises if rejected."""
-    return base.augmented(new_edge)
-
-
 # -- Type III ------------------------------------------------------------
-
-
-def _type3_alpha_rows(q: int, d: int, y: int, parts: Sequence[int]) -> list[int]:
-    """0-based rows carrying the split (back-edge) weights.
-
-    Row k (1-based formula) sits at position k*q + parts[0] + ... + parts[k-1]
-    on the n-cycle; the d-th one always lands on the last vertex.
-    """
-    n = q * d + y
-    rows = []
-    acc = 0
-    for k in range(1, d + 1):
-        acc += parts[k - 1]
-        rows.append((k * q + acc - 1) % n)
-    return rows
-
-
-def type3_sparsest(q: int, d: int, y: int, alpha: RatLike, parts: Composition) -> StochMatrix:
-    """Sparsest realization of t^y (t^q - b)^d - a^d for one composition.
-
-    An n-cycle (n = q*d + y) in which d rows split between the step edge
-    (weight a) and the back edge i -> (i+1-q) mod n (weight 1 - a); the
-    splitting rows are spaced so the d q-cycles are vertex-disjoint.
-    """
-    if d < 2:
-        raise ValueError("Type III requires d >= 2")
-    if not (1 <= y <= q - 1):
-        raise ValueError("need y in 1..q-1")
-    n = q * d + y
-    if parts.bound != q:
-        raise ValueError(f"composition bound must be q = {q}")
-    if len(parts.parts) != d:
-        raise ValueError(f"composition must have d = {d} parts")
-    if parts.total != y:
-        raise ValueError(f"composition must sum to y = {y}, got {parts.total}")
-    a = rat(alpha)
-    _check_open_unit(a)
-    return _cycle_with_back_edges(n, q, dict.fromkeys(_type3_alpha_rows(q, d, y, parts.parts), a))
 
 
 @dataclass(frozen=True)
@@ -528,40 +461,67 @@ def type3_family(spec: TypeIIIFamilySpec) -> StochMatrix:
 # -- enumeration ---------------------------------------------------------
 
 
+def _sparsest_shape(arc: ArcParams) -> tuple[int, int]:
+    """(total, length) of the arc's sparsest compositions, whose parts lie
+    below q; Types 0 and I take the empty one.  Sparsest realizations have
+    order n = reduced degree, so any other arc raises."""
+    if arc.reduced_degree != arc.n:
+        raise ValueError(
+            "sparsest realizations require matrix order = reduced degree "
+            f"(got n = {arc.n}, degree = {arc.reduced_degree})"
+        )
+    if arc.type_tag is ArcType.TYPE_II:
+        assert arc.z is not None
+        return arc.n - arc.z - arc.d, arc.d
+    if arc.type_tag is ArcType.TYPE_III:
+        assert arc.y is not None
+        return arc.y, arc.d
+    return 0, 0
+
+
+def _check_composition(arc: ArcParams, composition: Composition) -> None:
+    """Raise unless the composition has the arc's sparsest shape."""
+    total, length = _sparsest_shape(arc)
+    if (composition.bound, len(composition.parts), composition.total) != (arc.q, length, total):
+        bound = "" if composition.bound == arc.q else f" with parts below {composition.bound}"
+        raise ValueError(
+            f"the arc takes a composition of {total} into {length} parts below {arc.q}, "
+            f"got {composition}{bound}"
+        )
+
+
 def enumerate_sparsest(arc: ArcParams) -> list[Composition]:
     """All sparsest-realization classes of the arc, as canonical compositions.
 
     Type II/III arcs yield the necklace classes (lexicographically minimal
-    cyclic rotations) of the compositions of n-z-d resp. y into d parts
-    below q.  Type 0 and Type I have a single sparsest class, reported as
-    one empty composition.
+    cyclic rotations) of the compositions of the arc's shape.  Type 0 and
+    Type I have a single sparsest class, reported as one empty composition.
     """
-    if arc.reduced_degree != arc.n:
-        raise ValueError(
-            "sparsest enumeration requires matrix order = reduced degree "
-            f"(got n = {arc.n}, degree = {arc.reduced_degree})"
-        )
-    if arc.type_tag in (ArcType.TYPE_0, ArcType.TYPE_I):
-        return [Composition((), max(arc.q, 1))]
-    if arc.type_tag is ArcType.TYPE_II:
-        assert arc.z is not None
-        return _necklace_classes(arc.n - arc.z - arc.d, arc.d, arc.q)
-    assert arc.y is not None
-    return _necklace_classes(arc.y, arc.d, arc.q)
+    total, length = _sparsest_shape(arc)
+    return _necklace_classes(total, length, arc.q)
 
 
 def build_sparsest(arc: ArcParams, alpha: RatLike, composition: Composition) -> StochMatrix:
-    """Materialise one sparsest realization class at a parameter value."""
+    """Materialise one sparsest realization class at a parameter value.
+
+    The composition has the shape :func:`enumerate_sparsest` lists, in any
+    rotation.  A Type III realization is an n-cycle in which d rows split
+    between the step edge (weight a) and the back edge i -> (i+1-q) mod n
+    (weight 1 - a); split row k (1-based) sits at 0-based position
+    k*q + parts[0] + ... + parts[k-1] - 1, so the d q-cycles are
+    vertex-disjoint and the last one ends on the last vertex.
+    """
+    if arc.type_tag is ArcType.TYPE_II:
+        return TypeIIRealization.sparsest(arc, composition).instantiate(alpha)
+    _check_composition(arc, composition)
     if arc.type_tag is ArcType.TYPE_0:
         return type0(arc.n, alpha)
     if arc.type_tag is ArcType.TYPE_I:
-        weights: list[RatLike] = [alpha] + [1] * (arc.n - arc.q)
-        return type1(arc.n, arc.q, weights)
-    if arc.type_tag is ArcType.TYPE_II:
-        assert arc.z is not None
-        return type2_sparsest(arc.q, arc.d, arc.z, alpha, composition)
-    assert arc.y is not None
-    return type3_sparsest(arc.q, arc.d, arc.y, alpha, composition)
+        return type1(arc.n, arc.q, [alpha] + [1] * (arc.n - arc.q))
+    a = rat(alpha)
+    _check_open_unit(a)
+    split = [k * arc.q + acc - 1 for k, acc in enumerate(accumulate(composition.parts), 1)]
+    return _cycle_with_back_edges(arc.n, arc.q, dict.fromkeys(split, a))
 
 
 # -- verification --------------------------------------------------------
@@ -725,7 +685,9 @@ def conjecture_probe(
 ) -> ProbeReport:
     """Search for a relabelling putting a Type III realization in family form.
 
-    Requires verify_realization to pass first.  Any family-form digraph
+    Refuses m unless its characteristic polynomial is the arc's reduced
+    polynomial, the check that makes verify_realization true; the cycles
+    of m are enumerated once, for the search.  Any family-form digraph
     has exactly one n-cycle, so every family relabelling maps some n-cycle
     of m onto the standard cycle.  Family form is read at cyclic offsets
     (step edges at +1, back edges at 1 - q, blocks by cyclic distance), so
@@ -735,9 +697,7 @@ def conjecture_probe(
     """
     if arc.type_tag is not ArcType.TYPE_III:
         raise ValueError("the probe applies to Type III arcs only")
-    a = rat(alpha)
-    check = verify_realization(m, arc, a)
-    if not check:
+    if reduced_ito(arc, alpha).poly != charpoly_exact(m):
         raise ValueError("matrix does not realise the arc polynomial; probe refused")
     n, q, d, y = arc.n, arc.q, arc.d, arc.y
     assert y is not None

@@ -30,10 +30,9 @@ from karpelevic.farey import ArcType, arc_params, arcs_of_order
 from karpelevic.itopoly import coefficient_identity_check, reduced_ito
 from karpelevic.realize import (
     Composition,
+    TypeIIRealization,
     build_sparsest,
     enumerate_sparsest,
-    type2_augment,
-    type2_base,
     verify_realization,
 )
 
@@ -224,7 +223,7 @@ def test_criterion_10_augmentation_fidelity():
     with criterion(10, "augmented order-12 fixtures reachable; middle-pair edges all rejected", 10.0):
         alpha, free = F(1, 2), F(9, 10)
         arc = arc_params(ArcType.TYPE_II, q=4, d=3, z=3)
-        base = type2_base(4, 3, 3, Composition((0, 3, 3), 4))
+        base = TypeIIRealization.sparsest(arc, Composition((0, 3, 3), 4))
         fixtures = order12_augmented(alpha, free)
 
         plans = {
@@ -235,7 +234,7 @@ def test_criterion_10_augmentation_fidelity():
         for name, (edges, params) in plans.items():
             real = base
             for edge in edges:
-                real = type2_augment(real, edge)
+                real = real.augmented(edge)
             m = real.instantiate(alpha, params)
             assert m == fixtures[name], name
             assert bool(verify_realization(m, arc, alpha)), name
@@ -243,11 +242,11 @@ def test_criterion_10_augmentation_fidelity():
         # No edge can ever be added between the middle pair of blocks.
         for edge in [(4, 8), (5, 9), (6, 10)]:
             with pytest.raises(ValueError, match="rejected"):
-                type2_augment(base, edge)
+                base.augmented(edge)
         # ... not even after other pairs have been filled.
         filled = base
         for edge in [(1, 5), (2, 6), (3, 7)]:
-            filled = type2_augment(filled, edge)
+            filled = filled.augmented(edge)
         for edge in [(4, 8), (5, 9), (6, 10)]:
             with pytest.raises(ValueError, match="rejected"):
-                type2_augment(filled, edge)
+                filled.augmented(edge)

@@ -20,7 +20,7 @@ from karpelevic.algebra import (
 )
 from karpelevic.digraph import WeightedDigraph, charpoly_coates
 from karpelevic.farey import ArcType, arc_params
-from karpelevic.realize import build_sparsest, enumerate_sparsest, type2_base
+from karpelevic.realize import TypeIIRealization, build_sparsest, enumerate_sparsest
 
 F = Fraction
 
@@ -243,7 +243,7 @@ def dense_realization(arc, alpha, composition):
         # d q-cycles; each connector source keeps b on its cycle edge.
         for v in range(n):
             grid[v][v - v % q + (v + 1) % q] = F(1)
-        for ((src, dst),) in type2_base(q, d, arc.z, composition).connectors:
+        for ((src, dst),) in TypeIIRealization.sparsest(arc, composition).connectors:
             grid[src][src - src % q + (src + 1) % q] = b
             grid[src][dst] = alpha
         return grid

@@ -25,7 +25,7 @@ from karpelevic.boundary import (
 )
 from karpelevic.farey import ArcType, FareyPair, arc_params, arcs_of_order, classify_arc, farey_pairs
 from karpelevic.itopoly import reduced_ito
-from karpelevic.realize import Composition, type2_sparsest
+from karpelevic.realize import Composition, build_sparsest
 
 F = Fraction
 
@@ -370,7 +370,7 @@ class TestEigenvalueOnArc:
     def test_order12_eigenvalue_hits_arc(self):
         arc = arc_params(ArcType.TYPE_II, q=4, d=3, z=3)
         trace = trace_arc(arc, 128)
-        m = type2_sparsest(4, 3, 3, F(1, 3), Composition((0, 3, 3), 4))
+        m = build_sparsest(arc, F(1, 3), Composition((0, 3, 3), 4))
         roots = poly_roots([float(c) for c in charpoly_exact(m).coeffs])
         target = point_at(trace, F(1, 3))
         assert min(abs(r - target) for r in roots) < 1e-8

@@ -12,12 +12,14 @@ from karpelevic.algebra import StochMatrix, charpoly_exact
 from karpelevic.cli import main
 from karpelevic.farey import ArcType, arc_params
 from karpelevic.itopoly import reduced_ito
-from karpelevic.realize import Composition, type0, type2_sparsest, type3_sparsest
+from karpelevic.realize import Composition, build_sparsest, type0
 
 F = Fraction
 
-ARC12_JSON = json.dumps(arc_params(ArcType.TYPE_II, q=4, d=3, z=3).to_json())
-ARC15_JSON = json.dumps(arc_params(ArcType.TYPE_III, q=4, d=3, y=3).to_json())
+ARC12 = arc_params(ArcType.TYPE_II, q=4, d=3, z=3)
+ARC15 = arc_params(ArcType.TYPE_III, q=4, d=3, y=3)
+ARC12_JSON = json.dumps(ARC12.to_json())
+ARC15_JSON = json.dumps(ARC15.to_json())
 
 
 def _ones_as_true(m: StochMatrix) -> dict:
@@ -28,8 +30,8 @@ def _ones_as_true(m: StochMatrix) -> dict:
 
 # Read as 1, `true` would make these verify against ARC12_JSON at 1/3 and
 # ARC15_JSON at 1/2.
-BOOL_MATRIX12 = _ones_as_true(type2_sparsest(4, 3, 3, F(1, 3), Composition((0, 3, 3), 4)))
-BOOL_MATRIX15 = _ones_as_true(type3_sparsest(4, 3, 3, F(1, 2), Composition((0, 0, 3), 4)))
+BOOL_MATRIX12 = _ones_as_true(build_sparsest(ARC12, F(1, 3), Composition((0, 3, 3), 4)))
+BOOL_MATRIX15 = _ones_as_true(build_sparsest(ARC15, F(1, 2), Composition((0, 0, 3), 4)))
 # The order-5 arc 2/5-1/2 is Type III with y = 1, not Type I; the order-15
 # arc 1/4-4/15 has y = 3, not 1.
 MISCLASSIFIED_ARC5 = json.dumps({"n": 5, "p": 1, "q": 2, "r": 2, "s": 5, "d": 2, "type": "I"})
@@ -140,7 +142,7 @@ class TestRationalFlagErrors:
     ])
     def test_alpha_on_every_verb(self, capsys, tmp_path, value, reason):
         f = tmp_path / "m.json"
-        f.write_text(json.dumps(type2_sparsest(4, 3, 3, F(1, 3), Composition((0, 3, 3), 4)).to_json()))
+        f.write_text(json.dumps(build_sparsest(ARC12, F(1, 3), Composition((0, 3, 3), 4)).to_json()))
         for argv in (
             ["realize", "0", "--n", "5"],
             ["realize", "II", "--q", "4", "--d", "3", "--z", "3", "--composition", "0,3,3"],
@@ -189,20 +191,45 @@ ENUMERATE_FLAGS = {
 }
 
 
+# What each verb needs besides the arc's own flags.
+VERB_ARGV = {
+    "enumerate": lambda tag: ["enumerate", "--type", tag, "--json"],
+    "realize": lambda tag: ["realize", tag, "--alpha", "1/3"]
+    + {"II": ["--composition", "0,3,3"], "III": ["--composition", "0,0,3"]}.get(tag, []),
+}
+MISSING_FLAG_CASES = [(tag, flag) for tag, flags in ENUMERATE_FLAGS.items() for flag in flags]
+
+
 class TestRequiredFlags:
-    @pytest.mark.parametrize(
-        "tag, flag", [(tag, flag) for tag, flags in ENUMERATE_FLAGS.items() for flag in flags]
-    )
-    def test_missing_flag_is_named(self, capsys, tag, flag):
+    """Every verb that reads an arc from flags names the missing ones alike."""
+
+    @staticmethod
+    def check_missing_flag(capsys, verb, tag, flag):
         argv = [x for key, value in ENUMERATE_FLAGS[tag].items() if key != flag for x in (key, value)]
-        code, out, err = run(capsys, "enumerate", "--type", tag, *argv)
+        code, out, err = run(capsys, *VERB_ARGV[verb](tag), *argv)
         assert (code, out, err) == (1, "", f"error: Type {tag} needs {flag[2:]}\n")
+
+    @staticmethod
+    def check_complete_flags(capsys, verb, tag):
+        argv = [x for item in ENUMERATE_FLAGS[tag].items() for x in item]
+        code, out, _ = run(capsys, *VERB_ARGV[verb](tag), *argv)
+        assert code == 0 and json.loads(out)
+
+    @pytest.mark.parametrize("tag, flag", MISSING_FLAG_CASES)
+    def test_missing_flag_is_named(self, capsys, tag, flag):
+        self.check_missing_flag(capsys, "enumerate", tag, flag)
 
     @pytest.mark.parametrize("tag", list(ENUMERATE_FLAGS))
     def test_complete_flags(self, capsys, tag):
-        argv = [x for item in ENUMERATE_FLAGS[tag].items() for x in item]
-        code, out, _ = run(capsys, "enumerate", "--type", tag, "--json", *argv)
-        assert code == 0 and json.loads(out)
+        self.check_complete_flags(capsys, "enumerate", tag)
+
+    @pytest.mark.parametrize("tag, flag", MISSING_FLAG_CASES)
+    def test_realize_missing_flag_is_named(self, capsys, tag, flag):
+        self.check_missing_flag(capsys, "realize", tag, flag)
+
+    @pytest.mark.parametrize("tag", list(ENUMERATE_FLAGS))
+    def test_realize_complete_flags(self, capsys, tag):
+        self.check_complete_flags(capsys, "realize", tag)
 
 
 class TestVerifyRoundTrip:
@@ -276,7 +303,7 @@ class TestMalformedJson:
         "matrix, arc",
         [
             (BOOL_MATRIX15, ARC15_JSON),
-            (type3_sparsest(4, 3, 3, F(1, 2), Composition((0, 0, 3), 4)).to_json(),
+            (build_sparsest(ARC15, F(1, 2), Composition((0, 0, 3), 4)).to_json(),
              MISCLASSIFIED_ARC15),
         ],
         ids=["bool-entries", "arc-misclassified"],
@@ -430,7 +457,7 @@ FUZZ_POSITIONAL = {"arcs": FUZZ_INTS, "region": FUZZ_INTS, "realize": ["0", "I",
 @pytest.fixture(scope="module")
 def fuzz_matrix(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "m12.json"
-    matrix = type2_sparsest(4, 3, 3, F(1, 3), Composition((0, 3, 3), 4))
+    matrix = build_sparsest(ARC12, F(1, 3), Composition((0, 3, 3), 4))
     path.write_text(json.dumps(matrix.to_json()))
     return str(path)
 

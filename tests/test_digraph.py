@@ -40,11 +40,11 @@ from karpelevic.realize import (
     enumerate_sparsest,
     type0,
     type1,
-    type2_sparsest,
-    type3_sparsest,
 )
 
 F = Fraction
+
+ARC12 = arc_params(ArcType.TYPE_II, q=4, d=3, z=3)
 
 
 def brute_force_similar(a, b):
@@ -102,7 +102,7 @@ class TestSimpleCycles:
         # Realization digraphs never contain cycles shorter than q.
         cases = [
             type1(5, 4, [F(1, 6), F(1)]),
-            type2_sparsest(4, 3, 3, F(1, 3), Composition((0, 3, 3), 4)),
+            build_sparsest(ARC12, F(1, 3), Composition((0, 3, 3), 4)),
         ]
         for m, q in zip(cases, (4, 4)):
             lengths = simple_cycles(WeightedDigraph.from_matrix(m)).lengths()
@@ -237,16 +237,15 @@ class TestWithoutNetworkx:
         from karpelevic.digraph import WeightedDigraph, charpoly_coates
         from karpelevic.farey import ArcType, arc_params
         from karpelevic.realize import (
-            Composition, ProbeOutcome, conjecture_probe, type2_sparsest, type3_sparsest,
-            verify_realization,
+            Composition, ProbeOutcome, build_sparsest, conjecture_probe, verify_realization,
         )
 
         arc12 = arc_params(ArcType.TYPE_II, q=4, d=3, z=3)
-        m12 = type2_sparsest(4, 3, 3, F(1, 3), Composition((0, 3, 3), 4))
+        m12 = build_sparsest(arc12, F(1, 3), Composition((0, 3, 3), 4))
         assert verify_realization(m12, arc12, F(1, 3))
         assert charpoly_coates(WeightedDigraph.from_matrix(m12)) == charpoly_exact(m12)
         arc15 = arc_params(ArcType.TYPE_III, q=4, d=3, y=3)
-        m15 = type3_sparsest(4, 3, 3, F(1, 2), Composition((0, 0, 3), 4))
+        m15 = build_sparsest(arc15, F(1, 2), Composition((0, 0, 3), 4))
         assert conjecture_probe(m15, arc15, F(1, 2)).outcome == ProbeOutcome.FOUND
         with open(sys.argv[1], "w") as f:
             json.dump(m12.to_json(), f)
@@ -304,8 +303,8 @@ class TestPermSimilar:
         assert is_perm_similar(c4, c4.transpose())
 
     def test_paper_rotation_equivalence(self):
-        a = type2_sparsest(4, 3, 3, F(1, 3), Composition((1, 2, 3), 4))
-        b = type2_sparsest(4, 3, 3, F(1, 3), Composition((2, 3, 1), 4))
+        a = build_sparsest(ARC12, F(1, 3), Composition((1, 2, 3), 4))
+        b = build_sparsest(ARC12, F(1, 3), Composition((2, 3, 1), 4))
         assert is_perm_similar(a, b)
 
     def test_agrees_with_brute_force(self):
@@ -358,7 +357,8 @@ class TestSimilarityOnRealizations:
     @staticmethod
     def _type3_q8_d7_y7(parts):
         # n = 63; the constant class (1,...,1) has a rotation group of order 7.
-        return type3_sparsest(8, 7, 7, F(1, 3), Composition(parts, 8))
+        arc = arc_params(ArcType.TYPE_III, q=8, d=7, y=7)
+        return build_sparsest(arc, F(1, 3), Composition(parts, 8))
 
     def test_relabelled_constant_composition(self):
         m = self._type3_q8_d7_y7((1,) * 7)

@@ -51,3 +51,11 @@ def test_every_exported_name_resolves():
     dangling = [(module.__name__, name) for module in modules
                 for name in module.__all__ if not hasattr(module, name)]
     assert not dangling, f"listed in __all__ but not defined: {dangling}"
+
+
+def test_readme_library_sketch_runs():
+    """The README's library sketch is the documented entry point; run it as written."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library sketch\n", 1)[1]
+    sketch = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(sketch, "README.md (library sketch)", "exec"), {})

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd, prod
 
@@ -7,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import catalogue_arcs, order12_augmented, order12_sparsest
+from karpelevic import digraph as digraph_module
+from karpelevic import realize as realize_module
 from karpelevic.algebra import RatPoly, StochMatrix, charpoly_exact, cyclic_shift_matrix
 from karpelevic.digraph import WeightedDigraph, is_perm_similar, simple_cycles
-from karpelevic.farey import ArcType, arc_params
+from karpelevic.farey import ArcType, arc_params, arcs_of_order
 from karpelevic.realize import (
     Composition,
     ProbeOutcome,
     TypeIIIFamilySpec,
+    TypeIIRealization,
     build_sparsest,
     conjecture_probe,
     dd_band_index,
@@ -21,11 +25,7 @@ from karpelevic.realize import (
     enumerate_sparsest,
     type0,
     type1,
-    type2_augment,
-    type2_base,
-    type2_sparsest,
     type3_family,
-    type3_sparsest,
     verify_realization,
 )
 from karpelevic.realize import _allowed_connectors, _family_spec_of, _necklace_classes
@@ -103,9 +103,9 @@ class TestType1:
 class TestType2:
     def test_paper_connector_positions(self):
         # (0,3,3): connectors (1,5), (8,12), (11,1) in 1-based labels.
-        base = type2_base(4, 3, 3, Composition((0, 3, 3), 4))
+        base = TypeIIRealization.sparsest(ARC_II, Composition((0, 3, 3), 4))
         assert base.connectors == (((0, 4),), ((7, 11),), ((10, 0),))
-        base = type2_base(4, 3, 3, Composition((2, 2, 2), 4))
+        base = TypeIIRealization.sparsest(ARC_II, Composition((2, 2, 2), 4))
         assert base.connectors == (((0, 4),), ((6, 10),), ((8, 2),))
 
     def test_matches_transcribed_fixtures(self):
@@ -117,13 +117,13 @@ class TestType2:
             "A4": Composition((1, 3, 2), 4),
         }
         for name, comp in by_comp.items():
-            built = type2_sparsest(4, 3, 3, F(1, 3), comp)
+            built = build_sparsest(ARC_II, F(1, 3), comp)
             assert is_perm_similar(built, fixtures[name]), name
 
     def test_small_case_charpoly(self):
         # n=4 arc between 1/3 and 1/2: (t^2 - b)^2 - a^2 t.
         for comp in (Composition((1, 0), 2), Composition((0, 1), 2)):
-            m = type2_sparsest(2, 2, 1, F(1, 3), comp)
+            m = build_sparsest(arc_params(ArcType.TYPE_II, q=2, d=2, z=1), F(1, 3), comp)
             expected = (RatPoly.monomial(2) - RatPoly([F(2, 3)])) ** 2 - RatPoly.monomial(1, F(1, 9))
             assert charpoly_exact(m) == expected
 
@@ -136,7 +136,7 @@ class TestType2:
 
     def test_composition_validation(self):
         with pytest.raises(ValueError):
-            type2_base(4, 3, 3, Composition((0, 3, 2), 4))  # sums to 5
+            TypeIIRealization.sparsest(ARC_II, Composition((0, 3, 2), 4))  # sums to 5
         with pytest.raises(ValueError):
             Composition((0, 4, 2), 4)  # part out of range
 
@@ -150,12 +150,12 @@ class TestType3:
             (1, 1, 1): [5, 10, 15],
         }
         for parts, expected in rows.items():
-            m = type3_sparsest(4, 3, 3, F(1, 2), Composition(parts, 4))
+            m = build_sparsest(ARC_III, F(1, 2), Composition(parts, 4))
             split = sorted(i + 1 for i in range(15) if m[i, (i + 1) % 15] == F(1, 2))
             assert split == expected
 
     def test_charpoly(self):
-        m = type3_sparsest(4, 3, 3, F(1, 3), Composition((0, 1, 2), 4))
+        m = build_sparsest(ARC_III, F(1, 3), Composition((0, 1, 2), 4))
         expected = (RatPoly.monomial(4) - RatPoly([F(2, 3)])) ** 3
         expected = expected.shift(3) - RatPoly([F(1, 27)])
         assert charpoly_exact(m) == expected
@@ -170,7 +170,7 @@ class TestType3:
     def test_family_degenerate_blocks_match_sparsest(self):
         # Singleton blocks at the sparsest positions reproduce the sparsest matrix.
         parts = Composition((0, 1, 2), 4)
-        sparse = type3_sparsest(4, 3, 3, F(1, 2), parts)
+        sparse = build_sparsest(ARC_III, F(1, 2), parts)
         positions = [i for i in range(15) if sparse[i, (i + 1) % 15] == F(1, 2)]
         spec = TypeIIIFamilySpec(
             n=15, q=4, d=3, y=3,
@@ -252,7 +252,7 @@ class TestEnumerate:
             Composition(parts, 4)
             for parts in _compositions(arc.n - arc.z - arc.d, arc.d, arc.q)
         ]
-        mats = {c.parts: type2_sparsest(4, 3, 3, F(1, 3), c) for c in comps}
+        mats = {c.parts: build_sparsest(ARC_II, F(1, 3), c) for c in comps}
         for c1 in comps:
             for c2 in comps:
                 same_class = c1.canonical() == c2.canonical()
@@ -261,7 +261,7 @@ class TestEnumerate:
     def test_dedup_consistent_with_similarity_order15(self):
         arc = ARC_III
         comps = [Composition(parts, 4) for parts in _compositions(arc.y, arc.d, arc.q)]
-        mats = {c.parts: type3_sparsest(4, 3, 3, F(1, 3), c) for c in comps}
+        mats = {c.parts: build_sparsest(ARC_III, F(1, 3), c) for c in comps}
         for c1 in comps:
             for c2 in comps:
                 same_class = c1.canonical() == c2.canonical()
@@ -275,6 +275,19 @@ class TestEnumerate:
         assert arc.type_tag is ArcType.TYPE_II and arc.reduced_degree == 12
         with pytest.raises(ValueError):
             enumerate_sparsest(arc)
+
+    def test_build_requires_full_degree(self):
+        """On every arc of orders 2..16 whose reduced degree falls short of
+        n, build_sparsest refuses each class of the same arc at full degree,
+        as enumerate_sparsest refuses the arc."""
+        short = [arc for n in range(2, 17) for arc in arcs_of_order(n) if arc.reduced_degree != arc.n]
+        assert {arc.type_tag for arc in short} == {ArcType.TYPE_I, ArcType.TYPE_II, ArcType.TYPE_III}
+        for arc in short:
+            with pytest.raises(ValueError):
+                enumerate_sparsest(arc)
+            for composition in enumerate_sparsest(replace(arc, n=arc.reduced_degree)):
+                with pytest.raises(ValueError):
+                    build_sparsest(arc, F(1, 3), composition)
 
 
 def _compositions(total, length, bound):
@@ -326,19 +339,21 @@ class TestNecklaceClasses:
         # is not a rotation, and the two realizations are not similar.
         comps = [c.parts for c in enumerate_sparsest(ARC_III)]
         assert (0, 1, 2) in comps and (0, 2, 1) in comps
-        m = type3_sparsest(4, 3, 3, F(1, 3), Composition((0, 1, 2), 4))
-        reflected = type3_sparsest(4, 3, 3, F(1, 3), Composition((2, 1, 0), 4))
+        m = build_sparsest(ARC_III, F(1, 3), Composition((0, 1, 2), 4))
+        reflected = build_sparsest(ARC_III, F(1, 3), Composition((2, 1, 0), 4))
         assert not is_perm_similar(m, reflected)
 
 
 class TestSparsestCycleWeights:
     def test_d_disjoint_q_cycles_of_weight_beta(self):
         cases = [
-            (ARC_II, type2_sparsest(4, 3, 3, F(1, 3), Composition((1, 2, 3), 4))),
-            (ARC_III, type3_sparsest(4, 3, 3, F(1, 7), Composition((0, 2, 1), 4))),
+            (ARC_II, build_sparsest(ARC_II, F(1, 3), Composition((1, 2, 3), 4))),
+            (ARC_III, build_sparsest(ARC_III, F(1, 7), Composition((0, 2, 1), 4))),
             (
                 arc_params(ArcType.TYPE_III, q=3, d=2, y=1),
-                type3_sparsest(3, 2, 1, F(1, 2), Composition((0, 1), 3)),
+                build_sparsest(
+                    arc_params(ArcType.TYPE_III, q=3, d=2, y=1), F(1, 2), Composition((0, 1), 3)
+                ),
             ),
         ]
         for arc, (alpha, m) in zip(
@@ -429,7 +444,7 @@ class TestDDSupport:
         # Synthesized arc with the same (q, s): p/q = 3/4 is the lower
         # endpoint, so the index is p*d = 9.
         assert dd_band_index(ARC_II) == 9
-        m = type2_sparsest(4, 3, 3, F(1, 3), Composition((0, 3, 3), 4))
+        m = build_sparsest(ARC_II, F(1, 3), Composition((0, 3, 3), 4))
         sigma = dd_support_check(m, 9)
         assert sigma is not None
 
@@ -444,10 +459,10 @@ class TestDDSupport:
 
 class TestAugment:
     def test_full_block_pair_fill(self):
-        base = type2_base(4, 3, 3, Composition((0, 3, 3), 4))
+        base = TypeIIRealization.sparsest(ARC_II, Composition((0, 3, 3), 4))
         r = base
         for e in [(1, 5), (2, 6), (3, 7)]:
-            r = type2_augment(r, e)
+            r = r.augmented(e)
         assert r.free_parameters() == ["alpha_1", "alpha_2", "alpha_3"]
         m = r.instantiate(F(1, 2), {f"alpha_{i}": F(9, 10) for i in (1, 2, 3)})
         assert m[3, 0] == F(500, 729)
@@ -455,25 +470,25 @@ class TestAugment:
         assert m == order12_augmented(F(1, 2), F(9, 10))["A11"]
 
     def test_middle_pair_always_rejected(self):
-        base = type2_base(4, 3, 3, Composition((0, 3, 3), 4))
+        base = TypeIIRealization.sparsest(ARC_II, Composition((0, 3, 3), 4))
         for edge in [(4, 8), (5, 9), (6, 10)]:
             with pytest.raises(ValueError, match="rejected"):
-                type2_augment(base, edge)
+                base.augmented(edge)
 
     def test_last_pair_fill(self):
-        base = type2_base(4, 3, 3, Composition((0, 3, 3), 4))
+        base = TypeIIRealization.sparsest(ARC_II, Composition((0, 3, 3), 4))
         r = base
         for e in [(8, 2), (9, 3), (11, 1)]:
-            r = type2_augment(r, e)
+            r = r.augmented(e)
         m = r.instantiate(F(1, 2), {f"alpha_{i}": F(9, 10) for i in (9, 10, 11)})
         assert bool(verify_realization(m, ARC_II, F(1, 2)))
         assert m == order12_augmented(F(1, 2), F(9, 10))["A12"]
 
     def test_mixed_fill(self):
-        base = type2_base(4, 3, 3, Composition((0, 3, 3), 4))
+        base = TypeIIRealization.sparsest(ARC_II, Composition((0, 3, 3), 4))
         r = base
         for e in [(1, 5), (8, 2), (9, 3)]:
-            r = type2_augment(r, e)
+            r = r.augmented(e)
         m = r.instantiate(
             F(1, 2), {"alpha_1": F(9, 10), "alpha_9": F(9, 10), "alpha_10": F(9, 10)}
         )
@@ -481,8 +496,8 @@ class TestAugment:
         assert m == order12_augmented(F(1, 2), F(9, 10))["A13"]
 
     def test_augment_preserves_charpoly_generally(self):
-        base = type2_base(3, 2, 2, Composition((1, 1), 3))
         arc = arc_params(ArcType.TYPE_II, q=3, d=2, z=2)
+        base = TypeIIRealization.sparsest(arc, Composition((1, 1), 3))
         allowed = []
         for i in range(3):
             for edge in [(i, 3 + i)]:
@@ -492,7 +507,7 @@ class TestAugment:
         accepted = 0
         for edge in allowed:
             try:
-                r = type2_augment(r, edge)
+                r = r.augmented(edge)
                 accepted += 1
             except ValueError:
                 continue
@@ -504,17 +519,17 @@ class TestAugment:
             assert bool(verify_realization(m, arc, a))
 
     def test_infeasible_instantiation(self):
-        base = type2_base(4, 3, 3, Composition((0, 3, 3), 4))
-        r = type2_augment(base, (1, 5))
+        base = TypeIIRealization.sparsest(ARC_II, Composition((0, 3, 3), 4))
+        r = base.augmented((1, 5))
         with pytest.raises(ValueError, match="infeasible"):
             r.instantiate(F(1, 2), {"alpha_1": F(1, 10)})
 
     def test_duplicate_and_foreign_edges(self):
-        base = type2_base(4, 3, 3, Composition((0, 3, 3), 4))
+        base = TypeIIRealization.sparsest(ARC_II, Composition((0, 3, 3), 4))
         with pytest.raises(ValueError, match="already present"):
-            type2_augment(base, (0, 4))
+            base.augmented((0, 4))
         with pytest.raises(ValueError, match="not a candidate"):
-            type2_augment(base, (0, 9))
+            base.augmented((0, 9))
 
 
 class TestSparsestCycleLengths:
@@ -543,15 +558,16 @@ class TestSparsestConnectors:
                 for z in range(1, q):
                     if gcd(q, z) != 1:
                         continue
-                    for comp in enumerate_sparsest(arc_params(ArcType.TYPE_II, q=q, d=d, z=z)):
-                        conns = type2_base(q, d, z, comp).connectors
+                    arc = arc_params(ArcType.TYPE_II, q=q, d=d, z=z)
+                    for comp in enumerate_sparsest(arc):
+                        conns = TypeIIRealization.sparsest(arc, comp).connectors
                         for t, (edge,) in enumerate(conns):
                             assert edge in _allowed_connectors(q, d, z, t), (q, d, z, comp, t)
                         assert conns[-1][0][1] == (q - comp.parts[0]) % q
 
 
 class TestAugmentProperty:
-    """type2_augment reads the length law off the cycles of the unweighted
+    """TypeIIRealization.augmented reads the length law off the cycles of the unweighted
     skeleton; checked here against the cycles of the instantiated weighted
     digraph, long cycles counted too."""
 
@@ -568,11 +584,11 @@ class TestAugmentProperty:
     def test_accepted_connectors_keep_long_cycles_at_n_minus_z(self, data):
         arc = data.draw(st.sampled_from(self.ARCS))
         q, d, z = arc.q, arc.d, arc.z
-        real = type2_base(q, d, z, data.draw(st.sampled_from(enumerate_sparsest(arc))))
+        real = TypeIIRealization.sparsest(arc, data.draw(st.sampled_from(enumerate_sparsest(arc))))
         candidates = [e for t in range(d) for e in _allowed_connectors(q, d, z, t)]
         for edge in data.draw(st.lists(st.sampled_from(candidates), max_size=2 * q * d)):
             try:
-                real = type2_augment(real, edge)
+                real = real.augmented(edge)
             except ValueError:
                 pass  # rejected by the length law, or already present
         # At most q - 1 free weights per block, each >= 9/10, multiply to more
@@ -587,7 +603,7 @@ class TestAugmentProperty:
 
 class TestProbe:
     def test_sparsest_found(self):
-        m = type3_sparsest(4, 3, 3, F(1, 2), Composition((0, 0, 3), 4))
+        m = build_sparsest(ARC_III, F(1, 2), Composition((0, 0, 3), 4))
         report = conjecture_probe(m, ARC_III, F(1, 2))
         assert report.outcome == ProbeOutcome.FOUND
         assert report.spec is not None and len(report.spec.blocks) == 3
@@ -608,20 +624,34 @@ class TestProbe:
         assert report.spec.alpha == a
 
     def test_gate_on_bad_matrix(self):
-        bad = type3_sparsest(4, 3, 3, F(1, 3), Composition((0, 0, 3), 4))
+        bad = build_sparsest(ARC_III, F(1, 3), Composition((0, 0, 3), 4))
         with pytest.raises(ValueError):
             conjecture_probe(bad, ARC_III, F(1, 2))  # wrong parameter
 
     def test_small_probe(self):
         arc = arc_params(ArcType.TYPE_III, q=3, d=2, y=1)
-        m = type3_sparsest(3, 2, 1, F(1, 3), Composition((0, 1), 3))
+        m = build_sparsest(arc, F(1, 3), Composition((0, 1), 3))
         assert conjecture_probe(m, arc, F(1, 3)).outcome == ProbeOutcome.FOUND
 
     def test_inconclusive_on_tiny_budget(self):
-        m = type3_sparsest(4, 3, 3, F(1, 2), Composition((0, 0, 3), 4))
+        m = build_sparsest(ARC_III, F(1, 2), Composition((0, 0, 3), 4))
         report = conjecture_probe(m, ARC_III, F(1, 2), cycle_budget=1)
         assert report.outcome == ProbeOutcome.INCONCLUSIVE
         assert "budget" in report.detail
+
+    @pytest.mark.parametrize("budget, outcome", [(10000, ProbeOutcome.FOUND), (1, ProbeOutcome.INCONCLUSIVE)])
+    def test_cycles_enumerated_once(self, monkeypatch, budget, outcome):
+        calls = []
+
+        def counted(g):
+            calls.append(g.n)
+            return simple_cycles(g)
+
+        monkeypatch.setattr(digraph_module, "simple_cycles", counted)
+        monkeypatch.setattr(realize_module, "simple_cycles", counted)
+        m = build_sparsest(ARC_III, F(1, 2), Composition((0, 0, 3), 4))
+        assert conjecture_probe(m, ARC_III, F(1, 2), cycle_budget=budget).outcome == outcome
+        assert calls == [15]
 
 
 TYPE3_ARCS_TO_20 = [
@@ -641,7 +671,7 @@ def probe_matrices(seed=7, members=6):
     for arc in TYPE3_ARCS_TO_20:
         n, q, d, y = arc.n, arc.q, arc.d, arc.y
         for comp in enumerate_sparsest(arc):
-            m = type3_sparsest(q, d, y, a, comp)
+            m = build_sparsest(arc, a, comp)
             found = [m]
             rows = [i for i, row in enumerate(m.sparse_rows) if len(row) == 2]
             for _ in range(members):
@@ -811,7 +841,7 @@ class TestPairBuilders:
             if arc.type_tag is not ArcType.TYPE_II:
                 continue
             for composition in enumerate_sparsest(arc):
-                real = type2_base(arc.q, arc.d, arc.z, composition)
+                real = TypeIIRealization.sparsest(arc, composition)
                 for a in self.ALPHAS:
                     assert_same_matrix(build_sparsest(arc, a, composition), dict_instantiate(real, a, {}))
 
@@ -820,11 +850,11 @@ class TestPairBuilders:
     def test_type2_augmented(self, data):
         arc = data.draw(st.sampled_from(TestAugmentProperty.ARCS))
         q, d, z = arc.q, arc.d, arc.z
-        real = type2_base(q, d, z, data.draw(st.sampled_from(enumerate_sparsest(arc))))
+        real = TypeIIRealization.sparsest(arc, data.draw(st.sampled_from(enumerate_sparsest(arc))))
         candidates = [e for t in range(d) for e in _allowed_connectors(q, d, z, t)]
         for edge in data.draw(st.lists(st.sampled_from(candidates), max_size=2 * q * d)):
             try:
-                real = type2_augment(real, edge)
+                real = real.augmented(edge)
             except ValueError:
                 pass
         alpha = F(data.draw(st.integers(50, 99)), 100)
