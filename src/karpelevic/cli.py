@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import prod
 from pathlib import Path
+from typing import Iterator
 
 from karpelevic.algebra import StochMatrix, rat, rat_str
 from karpelevic.boundary import (
@@ -30,6 +32,7 @@ from karpelevic.farey import ArcParams, ArcType, arc_params, arcs_of_order
 from karpelevic.realize import (
     Composition,
     TypeIIRealization,
+    _check_composition,
     build_sparsest,
     conjecture_probe,
     enumerate_sparsest,
@@ -40,30 +43,43 @@ from karpelevic.realize import (
 __all__ = ["main"]
 
 
-def _parse_composition(text: str, bound: int) -> Composition:
+@contextmanager
+def _naming(flag: str) -> Iterator[None]:
+    """Name the flag in a ValueError or OSError raised inside."""
     try:
-        parts = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise ValueError(f"composition must be comma-separated integers, got {text!r}")
-    return Composition(parts, bound)
+        yield
+    except (ValueError, OSError) as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _rat_flag(flag: str, text: str) -> Fraction:
-    """Parse an exact rational flag value; a malformed one names the flag."""
-    try:
+    with _naming(flag):
         return rat(text)
-    except ValueError as exc:
-        raise ValueError(f"{flag}: {exc}") from None
+
+
+def _composition_flag(text: str | None, arc: ArcParams) -> Composition:
+    """The --composition flag; if absent, the one class of a Type 0 or I arc."""
+    with _naming("--composition"):
+        try:
+            parts = () if text is None else tuple(int(x) for x in text.split(","))
+        except ValueError:
+            raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+        composition = Composition(parts, arc.q)
+        _check_composition(arc, composition)
+    return composition
 
 
 def _arc_from_flags(args) -> ArcParams:
     return arc_params(ArcType(args.type), n=args.n, q=args.q, d=args.d, z=args.z, y=args.y)
 
 
-def _load_matrix(spec: str) -> StochMatrix:
-    if spec == "-":
-        return StochMatrix.from_json(json.load(sys.stdin))
-    return StochMatrix.from_json(json.loads(Path(spec).read_text()))
+def _matrix_and_arc(args) -> tuple[StochMatrix, ArcParams]:
+    """The --matrix (a JSON file, or - for stdin) and --arc flags."""
+    with _naming("--matrix"):
+        text = sys.stdin.read() if args.matrix == "-" else Path(args.matrix).read_text()
+        matrix = StochMatrix.from_json(json.loads(text))
+    with _naming("--arc"):
+        return matrix, ArcParams.from_json(json.loads(args.arc))
 
 
 def _emit_matrix(m: StochMatrix, emit: str) -> None:
@@ -104,6 +120,8 @@ def cmd_realize(args) -> int:
     alpha = _rat_flag("--alpha", args.alpha)
     arc = _arc_from_flags(args)
     if args.alphas:
+        if arc.type_tag is not ArcType.TYPE_I:
+            raise ValueError("--alphas applies to Type I arcs only")
         weights = [_rat_flag("--alphas", x) for x in args.alphas.split(",")]
         product = prod(weights)
         if product != alpha:
@@ -112,10 +130,7 @@ def cmd_realize(args) -> int:
             )
         matrix = type1(arc.n, arc.q, weights)
     else:
-        comp = Composition((), arc.q)  # the one class of a Type 0 or I arc
-        if args.composition is not None:
-            comp = _parse_composition(args.composition, arc.q)
-        matrix = build_sparsest(arc, alpha, comp)
+        matrix = build_sparsest(arc, alpha, _composition_flag(args.composition, arc))
     _emit_matrix(matrix, args.emit)
     return 0
 
@@ -141,8 +156,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    matrix = _load_matrix(args.matrix)
-    arc = ArcParams.from_json(json.loads(args.arc))
+    matrix, arc = _matrix_and_arc(args)
     result = verify_realization(matrix, arc, _rat_flag("--alpha", args.alpha))
     status = "OK" if result else "FAIL"
     print(f"{status} ({result.describe()})")
@@ -173,7 +187,7 @@ def cmd_region(args) -> int:
 
 def cmd_augment(args) -> int:
     arc = arc_params(ArcType.TYPE_II, q=args.q, d=args.d, z=args.z)
-    real = TypeIIRealization.sparsest(arc, _parse_composition(args.composition, arc.q))
+    real = TypeIIRealization.sparsest(arc, _composition_flag(args.composition, arc))
     for spec in args.add or []:
         try:
             src, dst = (int(x) for x in spec.split(","))
@@ -183,8 +197,10 @@ def cmd_augment(args) -> int:
         try:
             real = real.augmented(edge)
         except ValueError as exc:
-            # The API names the edge 0-based; name it as it was typed.
+            # The API numbers the edge and its blocks from 0; name them from 1.
+            t, u = real.block_of(edge[0]), (real.block_of(edge[0]) + 1) % real.d
             reason = str(exc).removeprefix(f"edge {edge} ")
+            reason = reason.replace(f"block {t} to block {u}", f"block {t + 1} to block {u + 1}")
             raise ValueError(f"edge {(src, dst)} {reason}") from None
     params = {}
     for assignment in args.param or []:
@@ -206,8 +222,7 @@ def cmd_augment(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    matrix = _load_matrix(args.matrix)
-    arc = ArcParams.from_json(json.loads(args.arc))
+    matrix, arc = _matrix_and_arc(args)
     report = conjecture_probe(matrix, arc, _rat_flag("--alpha", args.alpha))
     print(f"{report.outcome}: {report.detail}")
     if report.spec is not None:

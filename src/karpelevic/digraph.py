@@ -45,7 +45,6 @@ __all__ = [
     "charpoly_coates",
     "is_perm_similar",
     "find_similarity_permutation",
-    "bfs_order",
     "cycle_structure_check",
     "to_dot",
     "cyclic_distance",
@@ -286,21 +285,6 @@ def _bfs_tree(neighbours: list[list[int]], roots: Iterable[int]) -> tuple[list[i
                     parent[u] = w
                     order.append(u)
     return order, parent
-
-
-def bfs_order(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """Vertices 0..n-1 breadth-first over the undirected support ``edges``.
-
-    Each component starts at its least vertex and neighbours are visited in
-    increasing order, so every vertex but a root comes after one of its
-    neighbours.  Searches that assign vertices in this order find each new
-    vertex next to a placed one.
-    """
-    neighbours: list[list[int]] = [[] for _ in range(n)]
-    for i, j in edges:
-        neighbours[i].append(j)
-        neighbours[j].append(i)
-    return _bfs_tree(neighbours, range(n))[0]
 
 
 class _SimilarityIndex:

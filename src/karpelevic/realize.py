@@ -17,8 +17,9 @@ Construction catalogue, 0-based throughout:
             connectors can be grafted on as long as every resulting long
             cycle keeps length n - z.
 - Type III: an n-cycle plus d back edges i -> i+1-q whose positions a
-            composition indexes; more generally, d blocks of clustered
-            back edges with per-block weight products all equal.
+            composition indexes; more generally, d blocks of back-edge
+            rows, the clusters of such rows closer than q, with per-block
+            weight products all equal.
 
 Compositions are deduplicated up to cyclic rotation (necklace classes);
 rotating a composition relabels the realization, so necklace classes
@@ -47,7 +48,7 @@ from karpelevic.digraph import (
     SEARCH_ORDER_BOUND,
     CycleStructureReport,
     WeightedDigraph,
-    bfs_order,
+    _bfs_tree,
     cycle_structure_check,
     cyclic_distance,
     simple_cycles,
@@ -365,6 +366,21 @@ class TypeIIRealization:
 # -- Type III ------------------------------------------------------------
 
 
+def _clusters(n: int, q: int, vertices: Iterable[int]) -> list[frozenset[int]]:
+    """The components of the relation "circular distance < q" on distinct
+    ``vertices`` of 0..n-1, ordered by least vertex.  On the circle they are
+    the maximal cyclic runs of the sorted vertices whose consecutive gaps
+    stay below q: a run starts after each gap of q or more, the gap from
+    the last vertex round to the first included."""
+    vs = sorted(vertices)
+    starts = [k for k in range(len(vs)) if (vs[k] - vs[k - 1]) % n >= q]
+    if not starts:
+        return [frozenset(vs)] if vs else []
+    runs = [frozenset(vs[a:b]) for a, b in zip(starts, starts[1:])]
+    runs.append(frozenset(vs[starts[-1]:] + vs[: starts[0]]))
+    return sorted(runs, key=min)
+
+
 @dataclass(frozen=True)
 class TypeIIIFamilySpec:
     """Blocks of clustered back edges defining a Type III family member.
@@ -372,9 +388,9 @@ class TypeIIIFamilySpec:
     ``blocks[t]`` is a set of 0-based vertices i carrying the back edge
     i -> (i+1-q) mod n.  Within a block all circular distances stay below
     q (the q-cycles share vertices); across blocks they are at least q
-    (vertex-disjoint).  ``weights[i]`` is the step-edge weight at block
-    vertex i, in (0, 1); each block's weights multiply to the family
-    parameter.
+    (vertex-disjoint), so the blocks are the :func:`_clusters` of their
+    vertices.  ``weights[i]`` is the step-edge weight at block vertex i, in
+    (0, 1); each block's weights multiply to the family parameter.
     """
 
     n: int
@@ -384,26 +400,9 @@ class TypeIIIFamilySpec:
     blocks: tuple[frozenset[int], ...]
     weights: Mapping[int, Fraction]
 
-    def __init__(
-        self,
-        n: int,
-        q: int,
-        d: int,
-        y: int,
-        blocks: Iterable[Iterable[int]],
-        weights: Mapping[int, RatLike],
-    ):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "blocks", tuple(frozenset(b) for b in blocks))
-        object.__setattr__(
-            self, "weights", {int(v): rat(w) for v, w in weights.items()}
-        )
-        self._validate()
-
-    def _validate(self) -> None:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "blocks", tuple(frozenset(b) for b in self.blocks))
+        object.__setattr__(self, "weights", {int(v): rat(w) for v, w in self.weights.items()})
         if self.n != self.q * self.d + self.y:
             raise ValueError("need n = q*d + y")
         if not (1 <= self.y <= self.q - 1) or self.d < 2:
@@ -425,17 +424,13 @@ class TypeIIIFamilySpec:
                             f"vertices {i} and {j} in block {t} are at circular "
                             f"distance >= q = {self.q}"
                         )
-        for t, bt in enumerate(self.blocks):
-            for u, bu in enumerate(self.blocks):
-                if t >= u:
-                    continue
-                for i in bt:
-                    for j in bu:
-                        if cyclic_distance(self.n, i, j) < self.q:
-                            raise ValueError(
-                                f"vertices {i} (block {t}) and {j} (block {u}) are at "
-                                f"circular distance < q = {self.q}"
-                            )
+        # Blocks closer than q within are q apart exactly when they are the clusters.
+        clusters = _clusters(self.n, self.q, members)
+        if set(self.blocks) != set(clusters):
+            raise ValueError(
+                f"vertices closer than q = {self.q} must share a block; the clusters "
+                f"are {[sorted(c) for c in clusters]}"
+            )
         if set(self.weights) != set(members):
             raise ValueError("weights must be given exactly on the block vertices")
         for v, w in self.weights.items():
@@ -608,9 +603,13 @@ def dd_support_check(m: StochMatrix, k: int) -> Optional[list[int]]:
     offsets = {k % n, (k + 1) % n}
     support = m.support()
 
-    # In BFS order every vertex but a root follows an already-placed
-    # neighbour, so its slot is forced to two candidates.
-    vertices = bfs_order(n, support)
+    # Breadth first, every vertex but a root hangs on its parent, a
+    # neighbour placed before it, so its slot is forced to two candidates.
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for i, j in support:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    vertices, parent = _bfs_tree(neighbours, range(n))
 
     # position[v] = slot of vertex v in the relabelled matrix.
     position: dict[int, int] = {}
@@ -630,15 +629,11 @@ def dd_support_check(m: StochMatrix, k: int) -> Optional[list[int]]:
         if idx == n:
             return True
         v = vertices[idx]
-        forced: Optional[list[int]] = None
-        for u, s in position.items():
-            if (u, v) in support:
-                forced = [(s + o) % n for o in offsets]
-                break
-            if (v, u) in support:
-                forced = [(s - o) % n for o in offsets]
-                break
-        slots: Iterable[int] = forced if forced is not None else range(n)
+        u = parent[v]
+        slots: Iterable[int] = range(n)
+        if u >= 0:
+            sign = 1 if (u, v) in support else -1
+            slots = [(position[u] + sign * o) % n for o in offsets]
         for slot in slots:
             if slot in taken or not ok(v, slot):
                 continue
@@ -726,53 +721,16 @@ def conjecture_probe(
 
 def _family_spec_of(m: StochMatrix, n: int, q: int, d: int, y: int) -> Optional[TypeIIIFamilySpec]:
     """Read a family spec off a matrix already aligned to the standard
-    n-cycle, or None if it is not in family form."""
-    weights: dict[int, Fraction] = {}
-    sources: list[int] = []
-    for i in range(n):
-        row = m.sparse_rows[i]
-        step = (i + 1) % n
-        back = (i + 1 - q) % n
-        if len(row) == 1:
-            if row[0] != (step, 1):
-                return None
-        elif len(row) == 2:
-            entries = dict(row)
-            if set(entries) != {step, back}:
-                return None
-            w = entries[step]
-            if not (0 < w < 1):
-                return None
-            weights[i] = w
-            sources.append(i)
-        else:
-            return None
-    if not sources:
-        return None
-    # Blocks must be the components of the distance-below-q relation.
-    adjacency = {
-        (i, j)
-        for i in sources
-        for j in sources
-        if i != j and cyclic_distance(n, i, j) < q
+    n-cycle, or None if it is not in family form.  The weights are the step
+    entries of the rows with two nonzeros: None if there are none, if one
+    such row has no step entry, or if the matrix is not the one
+    :func:`_cycle_with_back_edges` writes from them."""
+    weights = {
+        i: dict(row).get((i + 1) % n) for i, row in enumerate(m.sparse_rows) if len(row) == 2
     }
-    blocks: list[set[int]] = []
-    remaining = set(sources)
-    while remaining:
-        seed = min(remaining)
-        block = {seed}
-        frontier = [seed]
-        while frontier:
-            v = frontier.pop()
-            for u in list(remaining - block):
-                if (v, u) in adjacency:
-                    block.add(u)
-                    frontier.append(u)
-        blocks.append(block)
-        remaining -= block
-    if len(blocks) != d:
+    if not weights or None in weights.values() or _cycle_with_back_edges(n, q, weights) != m:
         return None
     try:
-        return TypeIIIFamilySpec(n=n, q=q, d=d, y=y, blocks=blocks, weights=weights)
+        return TypeIIIFamilySpec(n, q, d, y, _clusters(n, q, weights), weights)
     except ValueError:
         return None

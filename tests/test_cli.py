@@ -166,6 +166,35 @@ class TestRationalFlagErrors:
         assert (code, out, err) == (1, "", f"error: --alphas: {reason}\n")
 
 
+class TestFlagErrors:
+    """A wrong --alphas or --composition value is reported against its flag."""
+
+    def test_alphas_off_type1(self, capsys):
+        code, out, err = run(
+            capsys, "realize", "II", "--q", "4", "--d", "3", "--z", "3",
+            "--alpha", "1/3", "--alphas", "1/3",
+        )
+        assert (code, out, err) == (1, "", "error: --alphas applies to Type I arcs only\n")
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["realize", "0", "--n", "5", "--alpha", "1/2", "--composition", "1"],
+         "parts must lie in 0..0"),
+        (["realize", "II", "--q", "4", "--d", "3", "--z", "3", "--alpha", "1/3", "--composition", "0,1"],
+         "the arc takes a composition of 6 into 3 parts below 4, got (0,1)"),
+        (["realize", "III", "--q", "4", "--d", "3", "--y", "3", "--alpha", "1/3", "--composition", "x"],
+         "expected comma-separated integers, got 'x'"),
+        (["augment", "--q", "4", "--d", "3", "--z", "3", "--composition", "0,3,4"],
+         "parts must lie in 0..3"),
+        (["augment", "--q", "4", "--d", "3", "--z", "3", "--composition", "1,1,1"],
+         "the arc takes a composition of 6 into 3 parts below 4, got (1,1,1)"),
+        (["augment", "--q", "4", "--d", "3", "--z", "3", "--composition", "0,,3"],
+         "expected comma-separated integers, got '0,,3'"),
+    ])
+    def test_composition(self, capsys, argv, reason):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: --composition: {reason}\n")
+
+
 class TestEnumerate:
     def test_count(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--type", "II", "--q", "4", "--d", "3", "--z", "3")
@@ -316,6 +345,26 @@ class TestMalformedJson:
         assert err.startswith("error: ")
 
 
+    BAD_ARCS = [
+        ("nope", "Expecting value: line 1 column 1 (char 0)"),
+        (json.dumps({**json.loads(ARC15_JSON), "type": "IV"}), "'IV' is not a valid ArcType"),
+    ]
+
+    @pytest.mark.parametrize("verb", ["verify", "probe"])
+    @pytest.mark.parametrize("arc, reason", BAD_ARCS, ids=["not-json", "unknown-type"])
+    def test_arc_errors_name_the_flag(self, capsys, tmp_path, verb, arc, reason):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(self.GOOD_MATRIX))
+        code, out, err = run(capsys, verb, "--matrix", str(f), "--arc", arc, "--alpha", "1/2")
+        assert (code, out, err) == (1, "", f"error: --arc: {reason}\n")
+
+    @pytest.mark.parametrize("verb", ["verify", "probe"])
+    def test_empty_stdin_names_the_matrix_flag(self, capsys, monkeypatch, verb):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        code, out, err = run(capsys, verb, "--matrix", "-", "--arc", ARC15_JSON, "--alpha", "1/2")
+        assert (code, out, err) == (1, "", "error: --matrix: Expecting value: line 1 column 1 (char 0)\n")
+
+
 class TestAugmentCli:
     def test_dry_run_lists_parameters(self, capsys):
         code, out, _ = run(
@@ -345,7 +394,7 @@ class TestAugmentCli:
     @pytest.mark.parametrize("adds, message", [
         (["2,99"], "edge (2, 99) out of range"),
         (["0,5"], "edge (0, 5) out of range"),
-        (["2,3"], "edge (2, 3) is not a candidate connector from block 0 to block 1"),
+        (["2,3"], "edge (2, 3) is not a candidate connector from block 1 to block 2"),
         (["2,6", "2,6"], "edge (2, 6) is already present"),
         (["5,9"], "edge (5, 9) rejected: it would create a long cycle of length [5] instead of 9"),
     ])

@@ -11,7 +11,7 @@ from conftest import catalogue_arcs, order12_augmented, order12_sparsest
 from karpelevic import digraph as digraph_module
 from karpelevic import realize as realize_module
 from karpelevic.algebra import RatPoly, StochMatrix, charpoly_exact, cyclic_shift_matrix
-from karpelevic.digraph import WeightedDigraph, is_perm_similar, simple_cycles
+from karpelevic.digraph import WeightedDigraph, cyclic_distance, is_perm_similar, simple_cycles
 from karpelevic.farey import ArcType, arc_params, arcs_of_order
 from karpelevic.realize import (
     Composition,
@@ -28,7 +28,7 @@ from karpelevic.realize import (
     type3_family,
     verify_realization,
 )
-from karpelevic.realize import _allowed_connectors, _family_spec_of, _necklace_classes
+from karpelevic.realize import _allowed_connectors, _clusters, _family_spec_of, _necklace_classes
 
 F = Fraction
 
@@ -733,6 +733,148 @@ class TestProbeRotations:
         for arc, a, m in probe_cases:
             report = conjecture_probe(m, arc, a)
             assert (report.outcome, report.spec, report.permutation) == probe_by_rotations(m, arc)
+
+
+def reference_spec_check(n, q, d, y, blocks, weights):
+    """Test-only reference: the family rule checked pair by pair, within
+    each block (distance below q) and across every two blocks (distance at
+    least q).  Raises ValueError where TypeIIIFamilySpec must."""
+    blocks = [frozenset(b) for b in blocks]
+    weights = {v: F(w) for v, w in weights.items()}
+    if n != q * d + y or not (1 <= y <= q - 1) or d < 2 or len(blocks) != d:
+        raise ValueError("bad shape")
+    members = [v for block in blocks for v in block]
+    if len(members) != len(set(members)) or not all(blocks):
+        raise ValueError("blocks must be nonempty and pairwise disjoint")
+    if any(not 0 <= v < n for v in members):
+        raise ValueError("block vertices out of range")
+    for block in blocks:
+        if any(cyclic_distance(n, i, j) >= q for i in block for j in block):
+            raise ValueError("in-block distance >= q")
+    for t, bt in enumerate(blocks):
+        for bu in blocks[t + 1:]:
+            if any(cyclic_distance(n, i, j) < q for i in bt for j in bu):
+                raise ValueError("cross-block distance < q")
+    if set(weights) != set(members) or not all(0 < w < 1 for w in weights.values()):
+        raise ValueError("bad weights")
+    if len({prod(weights[v] for v in block) for block in blocks}) != 1:
+        raise ValueError("block weight products differ")
+
+
+def reference_blocks(n, q, sources):
+    """Test-only reference: the components of "circular distance < q" on
+    the sources, by breadth-first search over the adjacency set, each seeded
+    at its least vertex."""
+    adjacency = {(i, j) for i in sources for j in sources if i != j and cyclic_distance(n, i, j) < q}
+    blocks = []
+    remaining = set(sources)
+    while remaining:
+        seed = min(remaining)
+        block, frontier = {seed}, [seed]
+        while frontier:
+            v = frontier.pop()
+            for u in list(remaining - block):
+                if (v, u) in adjacency:
+                    block.add(u)
+                    frontier.append(u)
+        blocks.append(frozenset(block))
+        remaining -= block
+    return blocks
+
+
+def reference_family_spec_of(m, n, q, d, y):
+    """Test-only reference: the family spec of a matrix aligned to the
+    standard n-cycle, read row by row, or None."""
+    weights = {}
+    for i, row in enumerate(m.sparse_rows):
+        step, back = (i + 1) % n, (i + 1 - q) % n
+        if len(row) == 1 and row[0] == (step, 1):
+            continue
+        entries = dict(row)
+        if len(row) != 2 or set(entries) != {step, back} or not 0 < entries[step] < 1:
+            return None
+        weights[i] = entries[step]
+    blocks = reference_blocks(n, q, list(weights))
+    if not weights or len(blocks) != d:
+        return None
+    try:
+        return TypeIIIFamilySpec(n=n, q=q, d=d, y=y, blocks=blocks, weights=weights)
+    except ValueError:
+        return None
+
+
+@st.composite
+def family_block_sets(draw):
+    """(n, q, d, y, blocks, weights): d blocks, each one spanning at most
+    y vertices or, one time in eight, q or more, laid out round the circle
+    at gaps near q, so that both verdicts and every kind of rejection are
+    common; every block's weights multiply to 1/3."""
+    q = draw(st.integers(2, 7))
+    d = draw(st.integers(2, 4))
+    y = draw(st.integers(1, q - 1))
+    n = q * d + y
+    start, blocks = draw(st.integers(0, n - 1)), []
+    for _ in range(d):
+        wide = draw(st.integers(0, 7)) == 0
+        span = draw(st.integers(q, 2 * q - 1) if wide else st.integers(0, y))
+        inner = draw(st.sets(st.integers(1, span - 1))) if span > 1 else set()
+        blocks.append([(start + k) % n for k in sorted({0, span} | inner)])
+        start += span + draw(st.sampled_from([q - 1, q, q, q + 1]))
+    a, w = F(1, 3), F(9, 10)
+    weights = {v: w for block in blocks for v in block}
+    weights.update({block[0]: a / w ** (len(block) - 1) for block in blocks})
+    return n, q, d, y, blocks, weights
+
+
+def accepts(check, *args):
+    try:
+        check(*args)
+    except ValueError:
+        return False
+    return True
+
+
+class TestFamilyBlockRule:
+    """The cluster rule against the pairwise rules it replaced."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(family_block_sets())
+    def test_spec_accepts_as_the_pairwise_rule(self, case):
+        assert accepts(TypeIIIFamilySpec, *case) == accepts(reference_spec_check, *case)
+
+    def test_generated_sets_are_mixed(self):
+        # The property above sees both verdicts, each often.
+        verdicts = []
+
+        @settings(max_examples=400, deadline=None, derandomize=True)
+        @given(family_block_sets())
+        def collect(case):
+            verdicts.append(accepts(reference_spec_check, *case))
+
+        collect()
+        assert 0.05 < sum(verdicts) / len(verdicts) < 0.95
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_clusters_are_the_components(self, data):
+        n = data.draw(st.integers(1, 40))
+        q = data.draw(st.integers(1, n))
+        vertices = data.draw(st.sets(st.integers(0, n - 1)))
+        assert _clusters(n, q, vertices) == reference_blocks(n, q, vertices)
+
+    def test_reader_matches_the_reference(self, probe_cases):
+        rng = random.Random(5)
+        found = 0
+        for arc, _, m in probe_cases:
+            n, q, d, y = arc.n, arc.q, arc.d, arc.y
+            orderings = [list(c) for c, _ in simple_cycles(WeightedDigraph.from_matrix(m)).cycles_of_length(n)]
+            orderings += [list(range(n))] + [rng.sample(range(n), n) for _ in range(3)]
+            for ordering in orderings:
+                aligned = m.permuted(ordering)
+                spec = _family_spec_of(aligned, n, q, d, y)
+                assert spec == reference_family_spec_of(aligned, n, q, d, y), (arc, ordering)
+                found += spec is not None
+        assert found >= len(probe_cases)
 
 
 class TestGridVerification:
