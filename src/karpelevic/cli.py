@@ -198,7 +198,8 @@ def cmd_augment(args) -> int:
             real = real.augmented(edge)
         except ValueError as exc:
             # The API numbers the edge and its blocks from 0; name them from 1.
-            t, u = real.block_of(edge[0]), (real.block_of(edge[0]) + 1) % real.d
+            t = real.block_of(edge[0])
+            u = (t + 1) % real.d
             reason = str(exc).removeprefix(f"edge {edge} ")
             reason = reason.replace(f"block {t} to block {u}", f"block {t + 1} to block {u + 1}")
             raise ValueError(f"edge {(src, dst)} {reason}") from None
