@@ -4,6 +4,8 @@ Everything in this module is exact: scalars are ``fractions.Fraction``
 (arbitrary-precision, always in lowest terms), polynomials are dense
 coefficient lists over Fraction, and matrices are immutable and stored as
 their nonzero entries row by row, as sorted ``(column, entry)`` pairs.
+A matrix is given as dense rows, its JSON wire form; their nonzero pairs,
+or the pairs a realization builder writes itself, pass one validator.
 Building, relabelling and reducing the sparse realization matrices follows
 those pairs; the dense grid of a matrix is derived from them only when it
 is read.  The characteristic polynomial is reduced on the nonzeros and
@@ -18,8 +20,7 @@ ones in positions (i, (i+1) % n).
 
 from __future__ import annotations
 
-import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,8 +29,6 @@ from typing import Union
 
 Rat = Fraction
 RatLike = Union[Fraction, int, str]
-# A matrix row: n entries, or the nonzero ones as {column: entry}.
-Row = Union[Iterable[RatLike], Mapping[int, RatLike]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -43,7 +42,6 @@ __all__ = [
     "poly_eval",
     "charpoly_exact",
     "cyclic_shift_matrix",
-    "identity_matrix",
 ]
 
 
@@ -200,13 +198,6 @@ class RatPoly:
             return self
         return RatPoly((Fraction(0),) * k + self.coeffs)
 
-    def compose(self, inner: "RatPoly") -> "RatPoly":
-        """Exact composition self(inner(t)) by Horner over polynomials."""
-        result = RatPoly.zero()
-        for c in reversed(self.coeffs):
-            result = result * inner + RatPoly((c,))
-        return result
-
     def strip_zero_roots(self) -> tuple["RatPoly", int]:
         """Divide out the maximal power of t; returns (quotient, multiplicity)."""
         if self.is_zero():
@@ -215,9 +206,6 @@ class RatPoly:
         while self.coeffs[k] == 0:
             k += 1
         return RatPoly(self.coeffs[k:]), k
-
-    def __call__(self, x: RatLike) -> Fraction:
-        return poly_eval(self, x)
 
     # -- serialization ------------------------------------------------
 
@@ -258,56 +246,17 @@ def poly_eval(p: RatPoly, x: RatLike) -> Fraction:
     return acc
 
 
-def _fraction_row(row: Iterable[RatLike]) -> tuple[Fraction, ...]:
-    """The row as a tuple of Fractions; a row of Fractions is kept as is."""
-    row = tuple(row)
-    if set(map(type, row)) <= {Fraction}:
-        return row
-    return tuple(map(rat, row))
-
-
-def _sparse_row(i: int, row: Row, n: int) -> tuple[tuple[int, Fraction], ...]:
-    """Row i as the ``(column, entry)`` pairs of its nonzero entries, in
-    column order.  A dense row must have n entries; a ``{column: entry}``
-    dict may list zeros, which are dropped, but no column outside 0..n-1."""
-    if isinstance(row, Mapping):
-        pairs = sorted(row.items())
-        if any(type(j) is not int or not 0 <= j < n for j, _ in pairs):
-            raise ValueError(f"row {i} has a column outside 0..{n - 1}")
-        return tuple((j, e if type(e) is Fraction else rat(e)) for j, e in pairs if e)
-    dense = _fraction_row(row)
-    if len(dense) != n:
-        raise ValueError(f"row {i} has length {len(dense)}, expected {n}")
-    return tuple((j, e) for j, e in enumerate(dense) if e)
-
-
-def _check_row(i: int, row: Sequence[tuple[int, Fraction]]) -> None:
-    """Raise unless the entries of row i lie in [0, 1] and sum to exactly 1.
-    Zero entries pass both tests, so only the nonzero pairs are read.  When
-    the entries share one denominator, as the split rows w, 1 - w of a
-    realization do, their sum is one when their numerators add up to it."""
-    if any(not 0 <= e.numerator <= e.denominator for _, e in row):
-        raise ValueError(f"row {i} has an entry outside [0, 1]")
-    den = row[0][1].denominator if row else 1
-    if all(e.denominator == den for _, e in row) and sum(e.numerator for _, e in row) == den:
-        return
-    total = sum(e for _, e in row)
-    if total != 1:
-        raise ValueError(f"row {i} sums to {total}, not 1")
-
-
 @dataclass(frozen=True)
 class StochMatrix:
     """Square matrix of exact rationals with unit row sums.
 
     The matrix is stored as ``sparse_rows``: row i as the ``(column,
-    entry)`` pairs of its nonzero entries, in column order.  Each row may be
-    given dense, as a sequence of n rationals, or sparse, as a dict
-    ``{column: entry}``; both are turned into these pairs first, and
-    everything after that reads only the pairs.  The realization builders
-    write the sorted pairs themselves and hand them to :meth:`_from_pairs`,
-    which keeps every check, and :meth:`permuted` relabels the pairs, so on
-    matrices with O(n) nonzeros construction, validation, :meth:`support`,
+    entry)`` pairs of its nonzero entries, in column order.  The constructor
+    takes the dense rows, n rationals each, as the JSON wire form holds
+    them, and hands their nonzero pairs to :meth:`_from_pairs`, the one
+    validator; the realization builders write the sorted pairs themselves
+    and call it directly, and :meth:`permuted` relabels the pairs, so on
+    matrices with O(n) nonzeros building, validation, :meth:`support`,
     :meth:`nnz` and ``WeightedDigraph.from_matrix`` take O(n) steps rather
     than O(n^2).  The dense grid ``entries`` is filled in from the pairs the
     first time it is read (indexing, JSON, repr).
@@ -319,14 +268,13 @@ class StochMatrix:
 
     sparse_rows: tuple[tuple[tuple[int, Fraction], ...], ...]
 
-    def __init__(self, entries: Iterable[Row]):
-        rows = tuple(entries)
-        n = len(rows)
-        sparse = tuple(_sparse_row(i, row, n) for i, row in enumerate(rows))
-        for i, row in enumerate(sparse):
-            if not (len(row) == 1 and row[0][1] == 1):
-                _check_row(i, row)
-        object.__setattr__(self, "sparse_rows", sparse)
+    def __init__(self, entries: Iterable[Iterable[RatLike]]):
+        rows = [tuple(map(rat, row)) for row in entries]
+        for i, row in enumerate(rows):
+            if len(row) != len(rows):
+                raise ValueError(f"row {i} has length {len(row)}, expected {len(rows)}")
+        pairs = (tuple((j, e) for j, e in enumerate(row) if e) for row in rows)
+        object.__setattr__(self, "sparse_rows", self._from_pairs(pairs).sparse_rows)
 
     @classmethod
     def _of(cls, rows: tuple[tuple[tuple[int, Fraction], ...], ...]) -> "StochMatrix":
@@ -341,7 +289,7 @@ class StochMatrix:
         increasing column order, as the realization builders write them.
 
         A zero entry is dropped; a column outside 0..n-1, an entry outside
-        [0, 1] or a row sum other than 1 raises as in the constructor."""
+        [0, 1] or a row sum other than 1 raises ValueError."""
         rows = list(rows)
         n = len(rows)
         for i, row in enumerate(rows):
@@ -354,7 +302,17 @@ class StochMatrix:
                 row = rows[i] = tuple(p for p in row if p[1])
             if row and not (0 <= row[0][0] and row[-1][0] < n):
                 raise ValueError(f"row {i} has a column outside 0..{n - 1}")
-            _check_row(i, row)
+            if any(not 0 <= e.numerator <= e.denominator for _, e in row):
+                raise ValueError(f"row {i} has an entry outside [0, 1]")
+            # When the entries share one denominator, as the split rows
+            # w, 1 - w of a realization do, they sum to one when their
+            # numerators add up to it.
+            den = row[0][1].denominator if row else 1
+            if all(e.denominator == den for _, e in row) and sum(e.numerator for _, e in row) == den:
+                continue
+            total = sum(e for _, e in row)
+            if total != 1:
+                raise ValueError(f"row {i} sums to {total}, not 1")
         return cls._of(tuple(rows))
 
     @cached_property
@@ -375,30 +333,6 @@ class StochMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def __matmul__(self, other: "StochMatrix") -> "StochMatrix":
-        if self.n != other.n:
-            raise ValueError("order mismatch")
-        prod = []
-        for row in self.sparse_rows:
-            acc: dict[int, Fraction] = {}
-            for k, a in row:
-                for j, b in other.sparse_rows[k]:
-                    acc[j] = acc.get(j, _ZERO) + a * b
-            prod.append(tuple(sorted(acc.items())))
-        return StochMatrix._from_pairs(prod)
-
-    def transpose(self) -> "StochMatrix":
-        # The transpose of a stochastic matrix need not be stochastic; this
-        # exists for permutation matrices, where it is the inverse.
-        cols: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.n)]
-        for i, row in enumerate(self.sparse_rows):
-            for j, e in row:
-                cols[j].append((i, e))
-        return StochMatrix._of(tuple(map(tuple, cols)))
 
     def permuted(self, perm: Sequence[int]) -> "StochMatrix":
         """Relabel by perm: entry (i, j) of the result is self[perm[i], perm[j]].
@@ -435,30 +369,20 @@ class StochMatrix:
     @classmethod
     def from_json(cls, data: dict) -> "StochMatrix":
         """Inverse of :meth:`to_json`; any other shape raises ValueError."""
-        if not (isinstance(data, dict) and isinstance(data.get("entries"), list)):
-            raise ValueError('a matrix must be a JSON object {"n": ..., "entries": [[...], ...]}')
+        rows = data.get("entries") if isinstance(data, dict) else None
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+                and type(data.get("n")) is int):
+            raise ValueError('a matrix must be a JSON object {"n": int, "entries": [[...], ...]}')
+        if len(rows) != data["n"]:
+            raise ValueError("matrix order does not match 'n'")
         try:
-            entries = [[rat(e) for e in row] for row in data["entries"]]
+            return cls(rows)
         except TypeError as exc:
             raise ValueError(f'matrix entries must be "p/q" strings or integers: {exc}')
-        if len(entries) != data.get("n"):
-            raise ValueError("matrix order does not match 'n'")
-        return cls(entries)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, text: str) -> "StochMatrix":
-        return cls.from_json(json.loads(text))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(rat_str(e) for e in row) for row in self.entries)
         return f"StochMatrix[{self.n}]({body})"
-
-
-def identity_matrix(n: int) -> StochMatrix:
-    return cyclic_shift_matrix(n, 0)
 
 
 def cyclic_shift_matrix(n: int, power: int = 1) -> StochMatrix:

@@ -198,6 +198,11 @@ class ArcTrace:
         return replace(self, arc=arc, samples=tuple((a, z.conjugate()) for a, z in self.samples))
 
 
+def _check_samples(m: int) -> None:
+    if m < 2:
+        raise ValueError("need at least 2 samples")
+
+
 def trace_arc(arc: ArcParams, m: int) -> ArcTrace:
     """Trace one arc on m linear parameter steps plus a geometric tail.
 
@@ -206,8 +211,7 @@ def trace_arc(arc: ArcParams, m: int) -> ArcTrace:
     not converge; a step halved below ``STEP_FLOOR`` crosses a real double
     root by the touchdown rule.  Every accepted point is a sample.
     """
-    if m < 2:
-        raise ValueError("need at least 2 samples")
+    _check_samples(m)
     goal = _endpoint(arc.r, arc.s)
 
     # Linear grid, then geometric refinement toward 0, where the arcs meet
@@ -331,16 +335,12 @@ class Region:
     """The traced boundary of one order, with its membership test.
 
     ``traces`` (m linear steps per arc) are kept for drawing and export;
-    ``contains`` and ``radius_at`` decide exactly and never read them.
+    ``contains`` decides exactly and never reads them.
     """
 
     def __init__(self, n: int, m: int = 512):
         self.n = n
         self.traces = region_boundary(n, m)
-
-    def radius_at(self, theta: float) -> float:
-        """Boundary radius along the ray at angle theta (0 when the ray misses the interior)."""
-        return radius_at(self.n, theta)
 
     def contains(self, z: complex, tol: float = 1e-9) -> bool:
         """Radial membership: |z| <= boundary radius at arg(z), within tol."""

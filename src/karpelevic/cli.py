@@ -17,11 +17,12 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import prod
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from karpelevic.algebra import StochMatrix, rat, rat_str
 from karpelevic.boundary import (
     ContinuationError,
+    _check_samples,
     boundary_svg,
     region_boundary,
     trace_csv,
@@ -29,10 +30,12 @@ from karpelevic.boundary import (
 )
 from karpelevic.digraph import WeightedDigraph, to_dot
 from karpelevic.farey import ArcParams, ArcType, arc_params, arcs_of_order
+from karpelevic.itopoly import _check_alpha
 from karpelevic.realize import (
     Composition,
     TypeIIRealization,
     _check_composition,
+    _check_open_unit,
     build_sparsest,
     conjecture_probe,
     enumerate_sparsest,
@@ -52,9 +55,14 @@ def _naming(flag: str) -> Iterator[None]:
         raise ValueError(f"{flag}: {exc}") from None
 
 
-def _rat_flag(flag: str, text: str) -> Fraction:
+def _rat_flag(flag: str, text: str, check: Callable[[Fraction], None] | None = None) -> Fraction:
+    """The flag's exact rational, passed through the range ``check`` of the
+    call it feeds, so that a range error names the flag as a parse error does."""
     with _naming(flag):
-        return rat(text)
+        value = rat(text)
+        if check is not None:
+            check(value)
+        return value
 
 
 def _composition_flag(text: str | None, arc: ArcParams) -> Composition:
@@ -117,7 +125,7 @@ def cmd_arcs(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    alpha = _rat_flag("--alpha", args.alpha)
+    alpha = _rat_flag("--alpha", args.alpha, _check_open_unit)
     arc = _arc_from_flags(args)
     if args.alphas:
         if arc.type_tag is not ArcType.TYPE_I:
@@ -139,7 +147,7 @@ def cmd_enumerate(args) -> int:
     arc = _arc_from_flags(args)
     comps = enumerate_sparsest(arc)
     if args.alpha is not None:
-        alpha = _rat_flag("--alpha", args.alpha)
+        alpha = _rat_flag("--alpha", args.alpha, _check_open_unit)
         payload = [
             {"composition": list(c.parts), "matrix": build_sparsest(arc, alpha, c).to_json()}
             for c in comps
@@ -157,13 +165,15 @@ def cmd_enumerate(args) -> int:
 
 def cmd_verify(args) -> int:
     matrix, arc = _matrix_and_arc(args)
-    result = verify_realization(matrix, arc, _rat_flag("--alpha", args.alpha))
+    result = verify_realization(matrix, arc, _rat_flag("--alpha", args.alpha, _check_alpha))
     status = "OK" if result else "FAIL"
     print(f"{status} ({result.describe()})")
     return 0 if result else 1
 
 
 def cmd_region(args) -> int:
+    with _naming("--samples"):
+        _check_samples(args.samples)
     traces = region_boundary(args.n, args.samples)
     if args.svg:
         Path(args.svg).write_text(boundary_svg(traces))
@@ -217,14 +227,14 @@ def cmd_augment(args) -> int:
         print(f"connectors: {[tuple((a + 1, b + 1) for a, b in c) for c in real.connectors]}")
         print(f"free parameters: {free}")
         return 0
-    matrix = real.instantiate(_rat_flag("--alpha", args.alpha), params)
+    matrix = real.instantiate(_rat_flag("--alpha", args.alpha, _check_open_unit), params)
     _emit_matrix(matrix, args.emit)
     return 0
 
 
 def cmd_probe(args) -> int:
     matrix, arc = _matrix_and_arc(args)
-    report = conjecture_probe(matrix, arc, _rat_flag("--alpha", args.alpha))
+    report = conjecture_probe(matrix, arc, _rat_flag("--alpha", args.alpha, _check_alpha))
     print(f"{report.outcome}: {report.detail}")
     if report.spec is not None:
         blocks = [sorted(v + 1 for v in block) for block in report.spec.blocks]

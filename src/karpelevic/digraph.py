@@ -43,7 +43,6 @@ __all__ = [
     "CycleStructureReport",
     "simple_cycles",
     "charpoly_coates",
-    "is_perm_similar",
     "find_similarity_permutation",
     "cycle_structure_check",
     "to_dot",
@@ -101,12 +100,6 @@ class WeightedDigraph:
     ) -> "WeightedDigraph":
         w = rat(weight)
         return cls(n, {e: w for e in edges})
-
-    def adjacency(self) -> list[list[Fraction]]:
-        grid = [[Fraction(0)] * self.n for _ in range(self.n)]
-        for (u, v), w in self.edges.items():
-            grid[u][v] = w
-        return grid
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedDigraph):
@@ -409,11 +402,6 @@ def find_similarity_permutation(
     return None
 
 
-def is_perm_similar(a: StochMatrix, b: StochMatrix, max_order: Optional[int] = None) -> bool:
-    """True iff some permutation matrix P gives P A P^T = B, exactly."""
-    return find_similarity_permutation(a, b, max_order=max_order) is not None
-
-
 # -- cycle structure against an arc ------------------------------------
 
 
@@ -429,9 +417,7 @@ class CycleStructureReport:
 
     ok: bool
     lengths: tuple[int, ...]
-    allowed_lengths: tuple[int, ...]
     q_cycle_count: int
-    has_s_cycle: bool
     at_least_d_q_cycles: Optional[bool] = None
     exactly_d_disjoint_equal: Optional[bool] = None
     problems: tuple[str, ...] = field(default_factory=tuple)
@@ -477,9 +463,7 @@ def cycle_structure_check(g: WeightedDigraph, arc: ArcParams) -> CycleStructureR
     return CycleStructureReport(
         ok=not problems,
         lengths=tuple(lengths),
-        allowed_lengths=tuple(allowed),
         q_cycle_count=len(q_cycles),
-        has_s_cycle=s in lengths,
         at_least_d_q_cycles=at_least,
         exactly_d_disjoint_equal=exactly,
         problems=tuple(problems),

@@ -37,7 +37,6 @@ from karpelevic.farey import ArcParams
 __all__ = [
     "ItoInstance",
     "full_arc_poly",
-    "reduce_poly",
     "reduced_ito",
     "reduced_shifts",
     "coefficient_identity_check",
@@ -70,12 +69,6 @@ def full_arc_poly(arc: ArcParams, alpha: RatLike) -> RatPoly:
     lhs = _binomial_power(arc.q, 1 - a, arc.d).shift(arc.s)
     rhs = RatPoly.monomial(arc.q * arc.d, a ** arc.d)
     return lhs - rhs
-
-
-def reduce_poly(full: RatPoly) -> RatPoly:
-    """Divide out the maximal power of t, leaving a nonzero constant term."""
-    reduced, _ = full.strip_zero_roots()
-    return reduced
 
 
 @dataclass(frozen=True)

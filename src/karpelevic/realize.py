@@ -359,9 +359,6 @@ class TypeIIRealization:
                 rows[src] = tuple(sorted(rows[src] + ((dst, 1 - forward[src]),)))
         return StochMatrix._from_pairs(rows)
 
-    def digraph(self, alpha: RatLike, params: Optional[Mapping[str, RatLike]] = None) -> WeightedDigraph:
-        return WeightedDigraph.from_matrix(self.instantiate(alpha, params))
-
 
 # -- Type III ------------------------------------------------------------
 

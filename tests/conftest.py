@@ -1,7 +1,8 @@
 """Shared fixtures and oracles for the test suite.
 
 Holds the matrices transcribed from the worked order-12 and order-15
-examples, a seeded random-stochastic-matrix generator, a runner for
+examples, a seeded random-stochastic-matrix generator, the exact matrix
+product that the cyclic-shift power oracle uses, a runner for
 scripts in a fresh interpreter, the companion-matrix root finder the
 tests take as their reference, the exhaustive search used to confirm the characterization of digraphs whose
 cycle lengths are exactly {q, n}, and the list of small Type II/III arcs
@@ -36,6 +37,20 @@ def grid_matrix(rows: dict[int, dict[int, Fraction]], n: int) -> StochMatrix:
         for j, w in cols.items():
             grid[i - 1][j - 1] = Fraction(w)
     return StochMatrix(grid)
+
+
+def matmul(a: StochMatrix, b: StochMatrix) -> StochMatrix:
+    """The product a b, row by row over the nonzeros."""
+    if a.n != b.n:
+        raise ValueError("order mismatch")
+    prod = []
+    for row in a.sparse_rows:
+        acc: dict[int, Fraction] = {}
+        for k, x in row:
+            for j, y in b.sparse_rows[k]:
+                acc[j] = acc.get(j, Fraction(0)) + x * y
+        prod.append(tuple(sorted(acc.items())))
+    return StochMatrix._from_pairs(prod)
 
 
 def order12_sparsest(alpha: Fraction) -> dict[str, StochMatrix]:

@@ -25,7 +25,7 @@ from conftest import (
 )
 from karpelevic.algebra import charpoly_exact
 from karpelevic.boundary import Region, point_at, trace_arc
-from karpelevic.digraph import WeightedDigraph, charpoly_coates, is_perm_similar
+from karpelevic.digraph import WeightedDigraph, charpoly_coates, find_similarity_permutation
 from karpelevic.farey import ArcType, arc_params, arcs_of_order
 from karpelevic.itopoly import coefficient_identity_check, reduced_ito
 from karpelevic.realize import (
@@ -90,10 +90,10 @@ def test_criterion_1_type2_enumeration():
         for i in range(4):
             assert bool(verify_realization(built[i], arc, alpha))
             for j in range(i + 1, 4):
-                assert not is_perm_similar(built[i], built[j])
+                assert find_similarity_permutation(built[i], built[j]) is None
         fixtures = order12_sparsest(alpha)
         for m in built:
-            matches = [name for name, fx in fixtures.items() if is_perm_similar(m, fx)]
+            matches = [name for name, fx in fixtures.items() if find_similarity_permutation(m, fx) is not None]
             assert len(matches) == 1
 
 
@@ -119,7 +119,7 @@ def test_criterion_2_type3_enumeration():
             assert bool(verify_realization(m, arc, alpha))
         for i in range(4):
             for j in range(i + 1, 4):
-                assert not is_perm_similar(built[i], built[j])
+                assert find_similarity_permutation(built[i], built[j]) is None
 
 
 def test_criterion_3_exact_polynomial_identities():

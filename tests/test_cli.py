@@ -133,7 +133,25 @@ class TestRealize:
 
 
 class TestRationalFlagErrors:
-    """A malformed exact rational names the flag it came from."""
+    """A malformed or out-of-range exact rational names the flag it came from."""
+
+    # The verbs that build a matrix take alpha in (0, 1); verify and probe
+    # check against the arc polynomial, which takes alpha in [0, 1].
+    BUILDERS = (
+        ["realize", "0", "--n", "5"],
+        ["realize", "I", "--n", "5", "--q", "4"],
+        ["realize", "II", "--q", "4", "--d", "3", "--z", "3", "--composition", "0,3,3"],
+        ["realize", "III", "--q", "4", "--d", "3", "--y", "3", "--composition", "0,0,3"],
+        ["enumerate", "--type", "II", "--q", "4", "--d", "3", "--z", "3"],
+        ["augment", "--q", "4", "--d", "3", "--z", "3", "--composition", "0,3,3"],
+    )
+    CHECKERS = (["verify"], ["probe"])
+
+    def _argvs(self, tmp_path, verbs):
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(build_sparsest(ARC12, F(1, 3), Composition((0, 3, 3), 4)).to_json()))
+        return [argv if len(argv) > 1 else argv + ["--matrix", str(f), "--arc", ARC12_JSON]
+                for argv in verbs]
 
     @pytest.mark.parametrize("value, reason", [
         ("abc", "not an exact rational literal: 'abc'"),
@@ -141,17 +159,22 @@ class TestRationalFlagErrors:
         ("1/0", "zero denominator: '1/0'"),
     ])
     def test_alpha_on_every_verb(self, capsys, tmp_path, value, reason):
-        f = tmp_path / "m.json"
-        f.write_text(json.dumps(build_sparsest(ARC12, F(1, 3), Composition((0, 3, 3), 4)).to_json()))
-        for argv in (
-            ["realize", "0", "--n", "5"],
-            ["realize", "II", "--q", "4", "--d", "3", "--z", "3", "--composition", "0,3,3"],
-            ["enumerate", "--type", "II", "--q", "4", "--d", "3", "--z", "3"],
-            ["verify", "--matrix", str(f), "--arc", ARC12_JSON],
-            ["augment", "--q", "4", "--d", "3", "--z", "3", "--composition", "0,3,3"],
-            ["probe", "--matrix", str(f), "--arc", ARC12_JSON],
-        ):
+        for argv in self._argvs(tmp_path, self.BUILDERS + self.CHECKERS):
             code, out, err = run(capsys, *argv, "--alpha", value)
+            assert (code, out, err) == (1, "", f"error: --alpha: {reason}\n"), argv
+
+    @pytest.mark.parametrize("value", ["0", "1", "3/2", "-1/2"])
+    def test_alpha_range_on_building_verbs(self, capsys, tmp_path, value):
+        reason = f"parameter must lie strictly between 0 and 1, got {value}"
+        for argv in self._argvs(tmp_path, self.BUILDERS):
+            code, out, err = run(capsys, *argv, f"--alpha={value}")
+            assert (code, out, err) == (1, "", f"error: --alpha: {reason}\n"), argv
+
+    @pytest.mark.parametrize("value", ["3/2", "-1/2"])
+    def test_alpha_range_on_checking_verbs(self, capsys, tmp_path, value):
+        reason = f"parameter must lie in [0, 1], got {value}"
+        for argv in self._argvs(tmp_path, self.CHECKERS):
+            code, out, err = run(capsys, *argv, f"--alpha={value}")
             assert (code, out, err) == (1, "", f"error: --alpha: {reason}\n"), argv
 
     @pytest.mark.parametrize("value, reason", [
@@ -167,7 +190,12 @@ class TestRationalFlagErrors:
 
 
 class TestFlagErrors:
-    """A wrong --alphas or --composition value is reported against its flag."""
+    """A wrong --alphas, --composition or --samples value is reported against its flag."""
+
+    @pytest.mark.parametrize("samples", ["1", "0", "-3"])
+    def test_samples(self, capsys, samples):
+        code, out, err = run(capsys, "region", "3", "--samples", samples)
+        assert (code, out, err) == (1, "", "error: --samples: need at least 2 samples\n")
 
     def test_alphas_off_type1(self, capsys):
         code, out, err = run(
@@ -357,6 +385,14 @@ class TestMalformedJson:
         f.write_text(json.dumps(self.GOOD_MATRIX))
         code, out, err = run(capsys, verb, "--matrix", str(f), "--arc", arc, "--alpha", "1/2")
         assert (code, out, err) == (1, "", f"error: --arc: {reason}\n")
+
+    def test_malformed_matrix_names_the_flag(self, capsys, tmp_path):
+        # Read character by character, these rows would be the identity.
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps({"n": 2, "entries": ["10", "01"]}))
+        code, out, err = run(capsys, "verify", "--matrix", str(f), "--arc", ARC12_JSON, "--alpha", "1/3")
+        reason = 'a matrix must be a JSON object {"n": int, "entries": [[...], ...]}'
+        assert (code, out, err) == (1, "", f"error: --matrix: {reason}\n")
 
     @pytest.mark.parametrize("verb", ["verify", "probe"])
     def test_empty_stdin_names_the_matrix_flag(self, capsys, monkeypatch, verb):

@@ -13,7 +13,6 @@ from karpelevic.itopoly import (
     _binomial_power,
     coefficient_identity_check,
     full_arc_poly,
-    reduce_poly,
     reduced_ito,
     reduced_shifts,
 )
@@ -41,26 +40,26 @@ class TestFullPoly:
         arc = _arc(ArcType.TYPE_III, q=4, d=3, y=3)
         a = F(1, 2)
         full = full_arc_poly(arc, a)
-        reduced = reduce_poly(full)
+        reduced = full.strip_zero_roots()[0]
         assert full == reduced.shift(12)
 
 
 class TestReduce:
     def test_strip_powers(self):
-        assert reduce_poly(RatPoly([0, 0, 0, 0, -1, 0, 0, 1])) == RatPoly([-1, 0, 0, 1])
+        assert RatPoly([0, 0, 0, 0, -1, 0, 0, 1]).strip_zero_roots()[0] == RatPoly([-1, 0, 0, 1])
         p = (RatPoly.monomial(4) - RatPoly.one()) ** 3
-        assert reduce_poly(p.shift(9)) == p
+        assert p.shift(9).strip_zero_roots()[0] == p
 
     def test_type2_closed_form(self):
         arc = _arc(ArcType.TYPE_II, q=4, d=3, z=3)
         a = F(1, 3)
-        got = reduce_poly(full_arc_poly(arc, a))
+        got = full_arc_poly(arc, a).strip_zero_roots()[0]
         expected = (RatPoly.monomial(4) - RatPoly([F(2, 3)])) ** 3 - RatPoly.monomial(3, F(1, 27))
         assert got == expected
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            reduce_poly(RatPoly.zero())
+            RatPoly.zero().strip_zero_roots()
 
 
 class TestReducedIto:
@@ -99,9 +98,9 @@ class TestReducedIto:
                         # With a nonzero constant term, stripping zero roots
                         # lands exactly on the closed form.  (At special
                         # parameters the closed form itself vanishes at 0
-                        # and reduce_poly strips further, e.g. Type 0 of
+                        # and stripping goes further, e.g. Type 0 of
                         # even degree at a = 1/2.)
-                        assert reduce_poly(full) == inst.poly
+                        assert full.strip_zero_roots()[0] == inst.poly
 
     ARCS_TO_30 = [arc for n in range(2, 31) for arc in arcs_of_order(n)]
 

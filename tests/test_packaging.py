@@ -59,3 +59,35 @@ def test_readme_library_sketch_runs():
     section = readme.split("\n## Library sketch\n", 1)[1]
     sketch = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(sketch, "README.md (library sketch)", "exec"), {})
+
+
+def unread_imports(source: str) -> list[str]:
+    """Names bound by a module's top-level imports that the module never
+    reads: not loaded anywhere in its code, nor listed in its ``__all__``."""
+    tree = ast.parse(source)
+    bound = [
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return [name for name in bound if name not in read]
+
+
+def test_every_import_is_read():
+    unread = {path.name: names
+              for path in sorted((ROOT / "src" / "karpelevic").glob("*.py"))
+              if (names := unread_imports(path.read_text()))}
+    assert not unread, f"imported but never read: {unread}"
+
+
+def test_unread_imports_sees_loads_and_exports():
+    source = ("from __future__ import annotations\nimport json\nimport os.path\n"
+              "from typing import Mapping, Union\nfrom x import y as z\n"
+              "__all__ = ['z']\nT = Union[int, str]\ndef f(p: os.PathLike): pass\n")
+    assert unread_imports(source) == ["json", "Mapping"]

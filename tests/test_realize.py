@@ -11,7 +11,12 @@ from conftest import catalogue_arcs, order12_augmented, order12_sparsest
 from karpelevic import digraph as digraph_module
 from karpelevic import realize as realize_module
 from karpelevic.algebra import RatPoly, StochMatrix, charpoly_exact, cyclic_shift_matrix
-from karpelevic.digraph import WeightedDigraph, cyclic_distance, is_perm_similar, simple_cycles
+from karpelevic.digraph import (
+    WeightedDigraph,
+    cyclic_distance,
+    find_similarity_permutation,
+    simple_cycles,
+)
 from karpelevic.farey import ArcType, arc_params, arcs_of_order
 from karpelevic.realize import (
     Composition,
@@ -59,7 +64,7 @@ class TestType0:
 class TestType1:
     def test_unit_weight_row_has_no_back_edge(self):
         m = type1(5, 4, [F(1, 3), F(1)])
-        assert m.row(1) == (0, 0, 1, 0, 0)
+        assert m.entries[1] == (0, 0, 1, 0, 0)
         assert m.nnz() == 6
 
     def test_example_shape(self):
@@ -118,7 +123,7 @@ class TestType2:
         }
         for name, comp in by_comp.items():
             built = build_sparsest(ARC_II, F(1, 3), comp)
-            assert is_perm_similar(built, fixtures[name]), name
+            assert find_similarity_permutation(built, fixtures[name]) is not None, name
 
     def test_small_case_charpoly(self):
         # n=4 arc between 1/3 and 1/2: (t^2 - b)^2 - a^2 t.
@@ -256,7 +261,8 @@ class TestEnumerate:
         for c1 in comps:
             for c2 in comps:
                 same_class = c1.canonical() == c2.canonical()
-                assert is_perm_similar(mats[c1.parts], mats[c2.parts]) == same_class
+                similar = find_similarity_permutation(mats[c1.parts], mats[c2.parts]) is not None
+                assert similar == same_class
 
     def test_dedup_consistent_with_similarity_order15(self):
         arc = ARC_III
@@ -265,7 +271,8 @@ class TestEnumerate:
         for c1 in comps:
             for c2 in comps:
                 same_class = c1.canonical() == c2.canonical()
-                assert is_perm_similar(mats[c1.parts], mats[c2.parts]) == same_class
+                similar = find_similarity_permutation(mats[c1.parts], mats[c2.parts]) is not None
+                assert similar == same_class
 
     def test_requires_full_degree(self):
         # An order-13 arc with q=4, s=11 reduces to degree 12 < 13.
@@ -341,7 +348,7 @@ class TestNecklaceClasses:
         assert (0, 1, 2) in comps and (0, 2, 1) in comps
         m = build_sparsest(ARC_III, F(1, 3), Composition((0, 1, 2), 4))
         reflected = build_sparsest(ARC_III, F(1, 3), Composition((2, 1, 0), 4))
-        assert not is_perm_similar(m, reflected)
+        assert find_similarity_permutation(m, reflected) is None
 
 
 class TestSparsestCycleWeights:
@@ -595,7 +602,7 @@ class TestAugmentProperty:
         # than 1 - alpha <= 1/2, so every dependent weight lies in (0, 1).
         alpha = F(data.draw(st.integers(50, 99)), 100)
         free = {name: F(data.draw(st.integers(90, 99)), 100) for name in real.free_parameters()}
-        report = simple_cycles(real.digraph(alpha, free))
+        report = simple_cycles(WeightedDigraph.from_matrix(real.instantiate(alpha, free)))
         n = q * d
         assert report.lengths() <= {q, n - z}
         assert len(report.cycles_of_length(n - z)) == prod(len(c) for c in real.connectors)
@@ -909,9 +916,9 @@ class TestGridVerification:
 
 def dict_cycle_with_back_edges(n, q, split):
     """Test-only reference: the cycle with back edges written row by row as
-    {column: entry} dicts for the public constructor.  Each row i of
-    ``split`` keeps split[i] on i -> i+1 and adds 1 - split[i] on
-    i -> i+1-q (mod n); entries at one column add up."""
+    {column: entry} dicts, handed to the public constructor as dense rows.
+    Each row i of ``split`` keeps split[i] on i -> i+1 and adds 1 - split[i]
+    on i -> i+1-q (mod n); entries at one column add up."""
     rows = []
     for i in range(n):
         w = split.get(i)
@@ -922,11 +929,12 @@ def dict_cycle_with_back_edges(n, q, split):
         back = (i + 1 - q) % n
         row[back] = row.get(back, 0) + (1 - w)
         rows.append(row)
-    return StochMatrix(rows)
+    return StochMatrix([[row.get(j, 0) for j in range(n)] for row in rows])
 
 
 def dict_instantiate(real, alpha, params):
-    """Test-only reference: a Type II digraph instantiated through dict rows.
+    """Test-only reference: a Type II digraph instantiated through dict rows,
+    handed to the public constructor as dense rows.
     Each connector source but the last of a block takes its named weight,
     the last takes (1 - alpha) over their product; a source keeps its
     weight on the block cycle and puts the rest on its connector."""
@@ -941,7 +949,7 @@ def dict_instantiate(real, alpha, params):
     for conns in real.connectors:
         for src, dst in conns:
             rows[src][dst] = 1 - forward[src]
-    return StochMatrix(rows)
+    return StochMatrix([[row.get(j, 0) for j in range(real.n)] for row in rows])
 
 
 def assert_same_matrix(m, reference):
@@ -952,7 +960,7 @@ def assert_same_matrix(m, reference):
 
 class TestPairBuilders:
     """The builders write sorted (column, entry) pairs; each must give the
-    matrix the dict-built reference gives."""
+    matrix the dense-built reference gives."""
 
     ALPHAS = (F(1, 101), F(1, 3), F(37, 101), F(100, 101))
 
