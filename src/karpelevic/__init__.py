@@ -3,7 +3,7 @@
 Subpackages:
 
 - :mod:`karpelevic.algebra`   exact rationals, polynomials, stochastic matrices
-- :mod:`karpelevic.farey`     Farey fractions/pairs and boundary-arc classification
+- :mod:`karpelevic.farey`     Farey fractions and boundary-arc classification
 - :mod:`karpelevic.itopoly`   unreduced and reduced boundary-arc polynomials
 - :mod:`karpelevic.digraph`   weighted digraphs, cycle enumeration, Coates expansion
 - :mod:`karpelevic.realize`   constructions of matrices realising each arc type
@@ -24,7 +24,6 @@ from karpelevic.algebra import (
 from karpelevic.farey import (
     ArcParams,
     ArcType,
-    FareyPair,
     classify_arc,
     farey_pairs,
     farey_sequence,
@@ -43,7 +42,6 @@ __all__ = [
     "rat_str",
     "ArcParams",
     "ArcType",
-    "FareyPair",
     "classify_arc",
     "farey_pairs",
     "farey_sequence",

@@ -136,7 +136,8 @@ def cmd_realize(args) -> int:
             raise ValueError(
                 f"--alphas multiply to {rat_str(product)}, not --alpha {rat_str(alpha)}"
             )
-        matrix = type1(arc.n, arc.q, weights)
+        with _naming("--alphas"):
+            matrix = type1(arc.n, arc.q, weights)
     else:
         matrix = build_sparsest(arc, alpha, _composition_flag(args.composition, arc))
     _emit_matrix(matrix, args.emit)

@@ -1,4 +1,4 @@
-"""Farey fractions, Farey pairs, and boundary-arc classification.
+"""Farey fractions and boundary-arc classification.
 
 The fractions p/q with 0 <= p < q <= n and gcd(p, q) = 1 mark the points
 e^(2*pi*i*p/q) where the eigenvalue region of order-n stochastic matrices
@@ -7,9 +7,11 @@ to angle 2*pi) bound the curvilinear arcs of the region's boundary; each
 arc is classified here into one of four types by the denominators of its
 endpoints.
 
-Fractions are plain ``fractions.Fraction`` values.  The wraparound arc is
-represented with upper endpoint 1/1, which keeps the adjacency determinant
-identity hi.p * lo.q - lo.p * hi.q = 1 uniform across all pairs.
+Fractions are plain ``fractions.Fraction`` values and a pair is a plain
+``(lo, hi)`` tuple.  The wraparound arc is represented with upper endpoint
+1/1, which keeps the adjacency determinant identity
+hi.p * lo.q - lo.p * hi.q = 1 uniform across all pairs.  ``ArcParams``
+is the one place that checks adjacency.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import Optional
 
 __all__ = [
     "ArcType",
-    "FareyPair",
     "ArcParams",
     "farey_sequence",
     "farey_pairs",
@@ -62,37 +63,8 @@ def farey_sequence(n: int) -> list[Fraction]:
     return seq
 
 
-@dataclass(frozen=True)
-class FareyPair:
-    """Two consecutive Farey fractions of order n.
-
-    ``hi`` may be 1/1, encoding the wraparound arc from the last sequence
-    element back to angle 2*pi.
-    """
-
-    lo: Fraction
-    hi: Fraction
-    order: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.lo < self.hi <= 1:
-            raise ValueError("pair must be ascending within [0, 1]")
-        det = self.hi.numerator * self.lo.denominator - self.lo.numerator * self.hi.denominator
-        if det != 1:
-            raise ValueError(f"not Farey-adjacent: determinant {det}, expected 1")
-        if self.lo.denominator > self.order or self.hi.denominator > self.order:
-            raise ValueError("denominator exceeds the order")
-        # Adjacency in F_n also needs the mediant to fall outside F_n.
-        if self.lo.denominator + self.hi.denominator <= self.order:
-            raise ValueError("mediant lies within the sequence; not adjacent")
-
-    @property
-    def is_wraparound(self) -> bool:
-        return self.hi == 1
-
-
-def farey_pairs(n: int) -> list[FareyPair]:
-    """All boundary-arc endpoint pairs of order n, in circular order.
+def farey_pairs(n: int) -> list[tuple[Fraction, Fraction]]:
+    """All boundary-arc endpoint pairs (lo, hi) of order n, in circular order.
 
     Consecutive members of ``farey_sequence(n)`` plus the wraparound pair
     (last element, 1/1), so the pairs cover the whole circle.
@@ -100,9 +72,7 @@ def farey_pairs(n: int) -> list[FareyPair]:
     if n < 2:
         raise ValueError("order must be at least 2")
     seq = farey_sequence(n)
-    pairs = [FareyPair(a, b, n) for a, b in zip(seq, seq[1:])]
-    pairs.append(FareyPair(seq[-1], Fraction(1, 1), n))
-    return pairs
+    return list(zip(seq, seq[1:] + [Fraction(1)]))
 
 
 @dataclass(frozen=True)
@@ -186,15 +156,17 @@ class ArcParams:
         return cls(type_tag=ArcType(data.get("type")), **fields)
 
 
-def classify_arc(n: int, pair: FareyPair) -> ArcParams:
-    """Classify a boundary arc of order n into its reduced-polynomial type.
+def classify_arc(n: int, pair: tuple[Fraction, Fraction]) -> ArcParams:
+    """Classify the boundary arc of order n between ``pair = (lo, hi)``.
 
     The endpoint with the smaller denominator supplies (p, q), the other
-    (r, s); a pair whose denominators are equal (order 1) is rejected.
+    (r, s).  The pair must be ascending, and ArcParams rejects it unless
+    lo and hi are neighbours in the order-n Farey sequence, hi = 1/1
+    closing the wraparound arc; equal denominators never are.
     """
-    if pair.order != n:
-        raise ValueError("pair order does not match n")
-    lo, hi = pair.lo, pair.hi
+    lo, hi = pair
+    if not lo < hi:
+        raise ValueError("pair must be ascending")
     if lo.denominator < hi.denominator:
         p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     else:
@@ -266,23 +238,17 @@ def arc_params(
     if type_tag is ArcType.TYPE_I:
         if not (q < n < 2 * q):
             raise ValueError("Type I requires q < n < 2q")
-        s = n
+        s, d, z, y = n, 1, None, None
     elif type_tag is ArcType.TYPE_II:
         if d < 2 or not (1 <= z <= q - 1):
             raise ValueError("Type II requires d >= 2 and z in 1..q-1")
-        s = q * d - z
-        n = q * d
+        s, n, y = q * d - z, q * d, None
     else:
         if d < 2 or not (1 <= y <= q - 1):
             raise ValueError("Type III requires d >= 2 and y in 1..q-1")
-        s = q * d + y
-        n = q * d + y
+        s, n, z = q * d + y, q * d + y, None
     if gcd(q, s) != 1:
         raise ValueError(f"q = {q} and s = {s} are not coprime; no such arc")
     r = pow(q, -1, s)
     p = (r * q - 1) // s
-    pair = FareyPair(Fraction(p, q), Fraction(r, s), n)
-    arc = classify_arc(n, pair)
-    if arc.type_tag is not type_tag:
-        raise ValueError(f"parameters classify as {arc.type_tag}, not {type_tag}")
-    return arc
+    return ArcParams(n=n, p=p, q=q, r=r, s=s, d=d, type_tag=type_tag, z=z, y=y)

@@ -231,7 +231,6 @@ class TypeIIRealization:
     q: int
     d: int
     z: int
-    composition: Composition
     connectors: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
@@ -250,7 +249,6 @@ class TypeIIRealization:
             q=arc.q,
             d=arc.d,
             z=arc.z,
-            composition=composition,
             connectors=tuple((c,) for c in conns),
         )
 
@@ -284,7 +282,6 @@ class TypeIIRealization:
             q=self.q,
             d=self.d,
             z=self.z,
-            composition=self.composition,
             connectors=tuple(new_connectors),
         )
         # A cycle running k times round the blocks has length -k*z (mod q):
@@ -534,10 +531,6 @@ class VerificationResult:
 
     def __bool__(self) -> bool:
         return self.charpoly_ok
-
-    @property
-    def cycle_ok(self) -> bool:
-        return self.cycle_report.ok
 
     def describe(self) -> str:
         poly = "charpoly exact match" if self.charpoly_ok else "charpoly MISMATCH"

@@ -23,7 +23,7 @@ from karpelevic.boundary import (
     trace_csv,
     traces_json_payload,
 )
-from karpelevic.farey import ArcType, FareyPair, arc_params, arcs_of_order, classify_arc, farey_pairs
+from karpelevic.farey import ArcType, arc_params, arcs_of_order, classify_arc, farey_pairs
 from karpelevic.itopoly import reduced_ito
 from karpelevic.realize import Composition, build_sparsest
 
@@ -76,7 +76,7 @@ class TestTraceArc:
             assert abs(z - ((1 - a) + a * omega)) < 1e-10
 
     def test_order4_lens_arc_endpoints(self):
-        arc = classify_arc(4, FareyPair(F(1, 3), F(1, 2), 4))
+        arc = classify_arc(4, (F(1, 3), F(1, 2)))
         trace = trace_arc(arc, 64)
         assert abs(trace.samples[0][1] - (-1)) < 1e-9
         assert abs(trace.samples[-1][1] - cmath.exp(2j * math.pi / 3)) < 1e-9
@@ -130,7 +130,7 @@ class TestTraceArc:
 
 
 def _upper_half_arcs(n):
-    return [classify_arc(n, pair) for pair in farey_pairs(n) if pair.hi <= F(1, 2)]
+    return [classify_arc(n, (lo, hi)) for lo, hi in farey_pairs(n) if hi <= F(1, 2)]
 
 
 class TestBranchContinuation:
@@ -277,18 +277,18 @@ class TestExactMembership:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.integers(3, 60), st.floats(0, 1, exclude_min=True, exclude_max=True))
     def test_carrier_changes_sign_once_on_a_ray(self, n, x):
-        pair = next(p for p in farey_pairs(n) if p.lo <= x < p.hi)
+        lo, hi = next((lo, hi) for lo, hi in farey_pairs(n) if lo <= x < hi)
         # Within 1e-9 of a Farey direction the change lies within rounding
         # of rho = 1, where the scan ends.
-        assume(min(x - pair.lo, pair.hi - x) > 1e-9)
-        arc = classify_arc(n, pair)
+        assume(min(x - lo, hi - x) > 1e-9)
+        arc = classify_arc(n, (lo, hi))
         branch, start = _Branch.of(arc), arc.p / arc.q
         values = [branch.carrier(k / 2000, 2 * math.pi * (x - start)) for k in range(1, 2001)]
         signs = [v > 0 for v in values if v != 0]
         assert sum(s0 != s1 for s0, s1 in zip(signs, signs[1:])) == 1
         # The reference point, the unit circle at the arc's mid angle, is
         # on the outer side too.
-        mid = math.pi * float(pair.lo + pair.hi) - 2 * math.pi * start
+        mid = math.pi * float(lo + hi) - 2 * math.pi * start
         assert signs[-1] == (branch.carrier(1.0, mid) > 0)
 
     def test_carrier_is_the_imaginary_part_of_the_branch_equation(self):

@@ -204,6 +204,16 @@ class TestFlagErrors:
         )
         assert (code, out, err) == (1, "", "error: --alphas applies to Type I arcs only\n")
 
+    @pytest.mark.parametrize("value, reason", [
+        ("3/2,1/3,1,1", "weights must lie in (0, 1], got 3/2"),
+        ("1/2,1", "need exactly n+1-q = 4 weights, got 2"),
+    ])
+    def test_alphas_weights(self, capsys, value, reason):
+        code, out, err = run(
+            capsys, "realize", "I", "--n", "7", "--q", "4", "--alpha", "1/2", "--alphas", value,
+        )
+        assert (code, out, err) == (1, "", f"error: --alphas: {reason}\n")
+
     @pytest.mark.parametrize("argv, reason", [
         (["realize", "0", "--n", "5", "--alpha", "1/2", "--composition", "1"],
          "parts must lie in 0..0"),

@@ -2,11 +2,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from karpelevic.farey import (
     ArcParams,
     ArcType,
-    FareyPair,
     arc_params,
     arcs_of_order,
     classify_arc,
@@ -23,6 +24,37 @@ def brute_force_sequence(n):
 
 def totient(k):
     return sum(1 for i in range(1, k + 1) if gcd(i, k) == 1)
+
+
+def farey_pair_checks(n, lo, hi):
+    """Whether (lo, hi) is an arc of order n, by a statement of Farey
+    adjacency independent of ArcParams: ascending in [0, 1], determinant
+    1, denominators at most n, a mediant outside the order-n sequence,
+    and denominators that differ (only 0/1-1/1, of order 1, fails that
+    last check alone)."""
+    det = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+    return (
+        0 <= lo < hi <= 1
+        and det == 1
+        and max(lo.denominator, hi.denominator) <= n
+        and lo.denominator + hi.denominator > n
+        and lo.denominator != hi.denominator
+    )
+
+
+@st.composite
+def orders_and_pairs(draw):
+    """An order n in 1..40 and reduced fractions lo < hi in [0, 1] with
+    denominators at most 40.  Half the draws are neighbours in the Farey
+    sequence of an order within one of n, so accepted pairs are not rare."""
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        seq = brute_force_sequence(draw(st.integers(max(n - 1, 1), min(n + 1, 40)))) + [F(1)]
+        i = draw(st.integers(0, len(seq) - 2))
+        return n, seq[i], seq[i + 1]
+    fractions = st.integers(1, 40).flatmap(lambda q: st.builds(F, st.integers(0, q), st.just(q)))
+    lo, hi = sorted(draw(st.lists(fractions, min_size=2, max_size=2, unique=True)))
+    return n, lo, hi
 
 
 class TestSequence:
@@ -47,34 +79,28 @@ class TestSequence:
 class TestPairs:
     def test_adjacency_determinant_everywhere(self):
         for n in range(2, 101):
-            for pair in farey_pairs(n):
-                det = (
-                    pair.hi.numerator * pair.lo.denominator
-                    - pair.lo.numerator * pair.hi.denominator
-                )
-                assert det == 1
+            for lo, hi in farey_pairs(n):
+                assert hi.numerator * lo.denominator - lo.numerator * hi.denominator == 1
 
     def test_n3_pairs(self):
-        pairs = [(p.lo, p.hi) for p in farey_pairs(3)]
-        assert pairs == [
+        assert farey_pairs(3) == [
             (F(0), F(1, 3)),
             (F(1, 3), F(1, 2)),
             (F(1, 2), F(2, 3)),
             (F(2, 3), F(1)),
         ]
-        assert farey_pairs(3)[-1].is_wraparound
 
     def test_membership_examples(self):
-        assert (F(1, 3), F(1, 2)) in [(p.lo, p.hi) for p in farey_pairs(4)]
-        assert (F(2, 9), F(1, 4)) in [(p.lo, p.hi) for p in farey_pairs(12)]
+        assert (F(1, 3), F(1, 2)) in farey_pairs(4)
+        assert (F(2, 9), F(1, 4)) in farey_pairs(12)
 
     def test_invalid_pairs_rejected(self):
         with pytest.raises(ValueError):
-            FareyPair(F(1, 3), F(1, 4), 4)  # not ascending
+            classify_arc(4, (F(1, 3), F(1, 4)))  # not ascending
         with pytest.raises(ValueError):
-            FareyPair(F(1, 4), F(1, 2), 4)  # determinant 2
+            classify_arc(4, (F(1, 4), F(1, 2)))  # determinant 2
         with pytest.raises(ValueError):
-            FareyPair(F(1, 4), F(1, 3), 12)  # mediant 2/7 lies inside F_12
+            classify_arc(12, (F(1, 4), F(1, 3)))  # mediant 2/7 lies inside F_12
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
@@ -82,31 +108,43 @@ class TestPairs:
 
     def test_pairs_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
-            FareyPair(F(5, 2), F(3), 2)  # adjacent, but above 1
+            classify_arc(2, (F(5, 2), F(3)))  # adjacent, but above 1
         with pytest.raises(ValueError):
-            FareyPair(F(-1, 2), F(0), 2)  # adjacent, but below 0
+            classify_arc(2, (F(-1, 2), F(0)))  # adjacent, but below 0
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(orders_and_pairs())
+    def test_classify_arc_rejects_exactly_the_non_arcs(self, drawn):
+        n, lo, hi = drawn
+        try:
+            classify_arc(n, (lo, hi))
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == farey_pair_checks(n, lo, hi)
 
 
 class TestClassification:
     def test_type0_example(self):
-        arc = classify_arc(4, FareyPair(F(0), F(1, 4), 4))
+        arc = classify_arc(4, (F(0), F(1, 4)))
         assert arc.type_tag is ArcType.TYPE_0
         assert (arc.q, arc.d, arc.s) == (1, 4, 4)
 
     def test_type1_example(self):
-        arc = classify_arc(5, FareyPair(F(1, 5), F(1, 4), 5))
+        arc = classify_arc(5, (F(1, 5), F(1, 4)))
         assert arc.type_tag is ArcType.TYPE_I
         assert (arc.q, arc.s, arc.d) == (4, 5, 1)
         assert arc.reduced_degree == 5
 
     def test_type2_example(self):
-        arc = classify_arc(12, FareyPair(F(2, 9), F(1, 4), 12))
+        arc = classify_arc(12, (F(2, 9), F(1, 4)))
         assert arc.type_tag is ArcType.TYPE_II
         assert (arc.q, arc.s, arc.d, arc.z) == (4, 9, 3, 3)
         assert arc.reduced_degree == 12
 
     def test_type3_example(self):
-        arc = classify_arc(15, FareyPair(F(1, 4), F(4, 15), 15))
+        arc = classify_arc(15, (F(1, 4), F(4, 15)))
         assert arc.type_tag is ArcType.TYPE_III
         assert (arc.q, arc.s, arc.d, arc.y) == (4, 15, 3, 3)
         assert arc.reduced_degree == 15
@@ -150,7 +188,7 @@ class TestClassification:
         ids=["type", "type-and-z", "order", "outside-unit-interval"],
     )
     def test_from_json_rejects_arc_that_disagrees_with_endpoints(self, change):
-        data = {**classify_arc(5, FareyPair(F(2, 5), F(1, 2), 5)).to_json(), **change}
+        data = {**classify_arc(5, (F(2, 5), F(1, 2))).to_json(), **change}
         with pytest.raises(ValueError):
             ArcParams.from_json(data)
 
@@ -209,11 +247,8 @@ class TestSynthesizedArcs:
                     if gcd(q, q * d - z) != 1:
                         continue
                     arc = arc_params(ArcType.TYPE_II, q=q, d=d, z=z)
-                    assert classify_arc(arc.n, FareyPair(
-                        min(F(arc.p, arc.q), F(arc.r, arc.s)),
-                        max(F(arc.p, arc.q), F(arc.r, arc.s)),
-                        arc.n,
-                    )) == arc
+                    pair = tuple(sorted([F(arc.p, arc.q), F(arc.r, arc.s)]))
+                    assert classify_arc(arc.n, pair) == arc
 
     def test_incoherent_parameters_rejected(self):
         with pytest.raises(ValueError):

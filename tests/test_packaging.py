@@ -1,12 +1,18 @@
-"""The package's imports against what pyproject.toml declares, and its exports."""
+"""The package's imports against what pyproject.toml declares, its exports,
+and the README's examples run as written."""
 
 import ast
+import contextlib
 import importlib
+import io
 import re
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
+
+from karpelevic.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -59,6 +65,44 @@ def test_readme_library_sketch_runs():
     section = readme.split("\n## Library sketch\n", 1)[1]
     sketch = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(sketch, "README.md (library sketch)", "exec"), {})
+
+
+def readme_commands() -> list[tuple[list[str], str | None]]:
+    """Each ``karpelevic ...`` line of the README's command-line block, as
+    its arguments and the file named by a trailing ``> file``, if any.
+    Backslash continuations are joined and ``# ...`` comments dropped."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] != ["karpelevic"]:
+            continue
+        target = None
+        if ">" in words:
+            at = words.index(">")
+            words, target = words[:at], words[at + 1]
+        commands.append((words[1:], target))
+    return commands
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    """The README's commands run in order, each exiting 0, so the
+    documented flags cannot drift from the parser."""
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 13
+    for argv, target in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code == 0, (argv, err.getvalue())
+        if target is not None:
+            Path(target).write_text(out.getvalue())
 
 
 def unread_imports(source: str) -> list[str]:

@@ -276,9 +276,9 @@ class TestEnumerate:
 
     def test_requires_full_degree(self):
         # An order-13 arc with q=4, s=11 reduces to degree 12 < 13.
-        from karpelevic.farey import FareyPair, classify_arc
+        from karpelevic.farey import classify_arc
 
-        arc = classify_arc(13, FareyPair(F(1, 4), F(3, 11), 13))
+        arc = classify_arc(13, (F(1, 4), F(3, 11)))
         assert arc.type_tag is ArcType.TYPE_II and arc.reduced_degree == 12
         with pytest.raises(ValueError):
             enumerate_sparsest(arc)
@@ -417,7 +417,7 @@ class TestVerifyProperty:
         den = data.draw(st.integers(2, 200))
         alpha = F(data.draw(st.integers(1, den - 1)), den)
         result = verify_realization(build_sparsest(arc, alpha, composition), arc, alpha)
-        assert result.charpoly_ok and result.cycle_ok, result.describe()
+        assert result.charpoly_ok and result.cycle_report.ok, result.describe()
 
 
 class TestDDSupport:
@@ -432,9 +432,9 @@ class TestDDSupport:
         # the band index is 2 (p*d - 1 here: 1/4 is the arc's upper
         # endpoint).  A 9-cycle cannot fit offsets {3, 4} at all: nine
         # steps of 3 or 4 cannot sum to a multiple of 12 without repeats.
-        from karpelevic.farey import FareyPair, classify_arc
+        from karpelevic.farey import classify_arc
 
-        arc = classify_arc(12, FareyPair(F(2, 9), F(1, 4), 12))
+        arc = classify_arc(12, (F(2, 9), F(1, 4)))
         k = dd_band_index(arc)
         assert k == 2
         a1 = order12_sparsest(F(1, 3))["A1"]
