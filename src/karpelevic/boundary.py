@@ -16,9 +16,10 @@ t = omega*u and omega = e^(2*pi*i*p/q) it reads
 with the principal power u^e: u runs from 1 at a = 0 to
 e^(2*pi*i*(r/s - p/q)) at a = 1, far from the cut.  Away from a touchdown
 |df/du| is of order q, so Newton continuation follows the root without
-ever looking at the other roots of the reduced polynomial.  Type 0
-(q = 1, e = 0) is linear and sampled in closed form, b + a*e^(2*pi*i*r/s).
-Every sample's residual is read in the reduced form itself.
+ever looking at the other roots of the reduced polynomial, each step's
+tangent predictor read off the last Newton evaluation at the root before.
+Type 0 (q = 1, e = 0) is linear and sampled in closed form,
+b + a*e^(2*pi*i*r/s).  Every sample's residual is read in the reduced form.
 
 Two roots of a branch equation meet only at a real double root, where an
 arc touches down on the real axis (the two order-3 Type I arcs).  There
@@ -66,6 +67,7 @@ NEWTON_ITERS = 30
 STEP_FLOOR = 1e-12
 TOUCHDOWN_GAP = 1e-4
 _EPS = sys.float_info.epsilon
+_Solved = tuple[complex, complex, complex, complex]  # a root u, then f, df/du, df/da at u
 
 
 class ContinuationError(RuntimeError):
@@ -120,56 +122,46 @@ class _Branch:
         w = self.c * u ** self.e
         return (self.q * (self.q - 1) * u ** self.q - a * self.e * (self.e - 1) * w) / (u * u)
 
-    def solve(self, a: float, u: complex) -> complex | None:
+    def solve(self, a: float, u: complex) -> _Solved | None:
         """Newton from u to a root at a, or None if it does not converge.
 
-        Converged means the residual is down at rounding level.
+        Converged means the residual is down at rounding level.  The root
+        comes back as (u, f, df/du, df/da), the last evaluation Newton made,
+        so the next tangent predictor from it evaluates nothing.
         """
         for _ in range(NEWTON_ITERS):
-            f, df, _, size = self.terms(a, u)
+            f, df, fa, size = self.terms(a, u)
             if abs(f) <= 16 * _EPS * size:
-                return u
+                return u, f, df, fa
             if df == 0:
                 return None
             u -= f / df
         return None
 
-    def step(self, a0: float, u0: complex, a1: float) -> complex | None:
-        """Tangent predictor from the root u0 at a0 to a1, then Newton.
-
-        None unless Newton converges within half the predictor's move, so
-        the result is the same root continued, not a neighbour.
-        """
-        _, df, fa, _ = self.terms(a0, u0)
-        guess = u0 - (a1 - a0) * fa / df
-        u1 = self.solve(a1, guess)
-        if u1 is None or abs(u1 - guess) > 0.5 * abs(guess - u0):
-            return None
-        return u1
-
-    def touchdown(self, arc: ArcParams, a0: float, u0: complex, a1: float) -> complex:
-        """Cross the real double root next to (a0, u0) and land at a1.
+    def touchdown(self, arc: ArcParams, a0: float, here: _Solved, a1: float) -> _Solved:
+        """Cross the real double root next to ``here``, solved at a0, to a1.
 
         Both roots of the local quadratic model are polished; the one in
         the arc's closed half plane nearest the parameter-0 endpoint wins.
         """
-        f, df, fa, _ = self.terms(a0, u0)
+        u0, f, df, fa = here
         d2f = self.curvature(a0, u0)
         if abs((self.omega * u0).imag) > TOUCHDOWN_GAP or abs(2 * df / d2f) > TOUCHDOWN_GAP:
             raise ContinuationError(
                 f"continuation stalled at a = {a0:.6g}, away from a real double root"
             )
         root = cmath.sqrt(df * df - 2 * d2f * (f + fa * (a1 - a0)))
-        points = []
+        landed = {}
         for sign in (1, -1):
-            u = self.solve(a1, u0 + (sign * root - df) / d2f)
-            if u is not None:
-                points.append(self.omega * u)
-        if not points:
+            found = self.solve(a1, u0 + (sign * root - df) / d2f)
+            if found is not None:
+                landed[self.omega * found[0]] = found
+        if not landed:
             raise ContinuationError(f"no root found past the double root at a = {a0:.6g}")
         half_sign = 1.0 if arc.p * arc.s + arc.r * arc.q <= arc.q * arc.s else -1.0  # mid <= 1/2
-        best = min(points, key=lambda t: (-half_sign * round(t.imag, 12), abs(t - self.omega)))
-        return best / self.omega
+        best = min(landed, key=lambda t: (-half_sign * round(t.imag, 12), abs(t - self.omega)))
+        u, found = best / self.omega, landed[best]  # u may differ from found[0] in the last bit
+        return found if u == found[0] else (u, *self.terms(a1, u)[:3])
 
 
 @dataclass(frozen=True)
@@ -206,10 +198,11 @@ def _check_samples(m: int) -> None:
 def trace_arc(arc: ArcParams, m: int) -> ArcTrace:
     """Trace one arc on m linear parameter steps plus a geometric tail.
 
-    Continuation runs down from a = 1.  Each step is a tangent predictor
-    and a Newton solve of the branch equation, halved whenever Newton does
-    not converge; a step halved below ``STEP_FLOOR`` crosses a real double
-    root by the touchdown rule.  Every accepted point is a sample.
+    Continuation runs down from a = 1.  A step is a tangent predictor, read
+    off Newton's last evaluation at the previous sample, and a Newton solve
+    of the branch equation; it is halved until Newton lands within half the
+    predictor's move, and one halved below ``STEP_FLOOR`` crosses a real
+    double root by the touchdown rule.  Every accepted point is a sample.
     """
     _check_samples(m)
     goal = _endpoint(arc.r, arc.s)
@@ -229,17 +222,23 @@ def trace_arc(arc: ArcParams, m: int) -> ArcTrace:
         points = [(a, (1.0 - a) + a * goal) for a in grid]
     else:
         branch = _Branch.of(arc)
-        a, u = 1.0, goal / branch.omega
+        u = goal / branch.omega
+        a, here = 1.0, (u, *branch.terms(1.0, u)[:3])
         for target in grid:
             while a > target:
+                u, _, df, fa = here
                 a_try = target
-                while (u_try := branch.step(a, u, a_try)) is None:
+                while True:
+                    guess = u - (a_try - a) * fa / df
+                    found = branch.solve(a_try, guess)
+                    if found is not None and abs(found[0] - guess) <= 0.5 * abs(guess - u):
+                        break
                     a_try = 0.5 * (a + a_try)
                     if a - a_try < STEP_FLOOR:
-                        a_try, u_try = target, branch.touchdown(arc, a, u, target)
+                        a_try, found = target, branch.touchdown(arc, a, here, target)
                         break
-                a, u = a_try, u_try
-                points.append((a, branch.omega * u))
+                a, here = a_try, found
+                points.append((a, branch.omega * here[0]))
 
     samples = [(0.0, _endpoint(arc.p, arc.q))] + points[::-1] + [(1.0, goal)]
     q, d, (y, z) = arc.q, arc.d, reduced_shifts(arc)
@@ -264,10 +263,10 @@ def point_at(trace: ArcTrace, alpha: Union[RatLike, float]) -> complex:
     (a0, z0), (a1, z1) = pts[hi - 1], pts[hi]
     seed = z0 + (a - a0) / (a1 - a0) * (z1 - z0)
     branch = _Branch.of(arc)
-    u = branch.solve(a, seed / branch.omega)
-    if u is None:
+    found = branch.solve(a, seed / branch.omega)
+    if found is None:
         raise ContinuationError(f"Newton did not converge at a = {a:.6g}")
-    return branch.omega * u
+    return branch.omega * found[0]
 
 
 def region_boundary(n: int, m: int) -> list[ArcTrace]:

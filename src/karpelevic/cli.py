@@ -5,13 +5,15 @@ Verbs: arcs, realize, enumerate, verify, region, augment, probe.
 Exact rationals cross the command line as "p/q" strings; decimals are
 rejected everywhere except --tol.  Vertices are 1-based on the command
 line (matching the DOT output); the Python API underneath is 0-based.
-Exit codes: 0 success, 1 domain error, 2 usage error.
+Exit codes: 0 success (also when the reader closes stdout early), 1 domain
+error, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -326,7 +328,16 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (`karpelevic arcs 200 | head -1`), which is
+        # no error; stdout goes to devnull so the flush at exit cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (ValueError, KeyError, ContinuationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -219,14 +219,18 @@ def arc_params(
     p/q < r/s with r*q - p*s = 1 and r minimal.  The matrix order n equals
     the reduced-polynomial degree, which is the setting every realization
     constructor works in.  Each type's parameters (``_REQUIRED``) are
-    checked first, and every missing one is named.
+    checked first: every missing one is named, then every one given that
+    the type does not take.
     """
     given = {"n": n, "q": q, "d": d, "z": z, "y": y}
-    missing = [name for name in _REQUIRED[type_tag] if given[name] is None]
-    if missing:
-        *rest, last = missing
-        names = f"{', '.join(rest)} and {last}" if rest else last
-        raise ValueError(f"Type {type_tag.value} needs {names}")
+    required = _REQUIRED[type_tag]
+    missing = [name for name in required if given[name] is None]
+    unused = [name for name, value in given.items() if value is not None and name not in required]
+    for names, verb in ((missing, "needs"), (unused, "does not take")):
+        if names:
+            *rest, last = names
+            listed = f"{', '.join(rest)} and {last}" if rest else last
+            raise ValueError(f"Type {type_tag.value} {verb} {listed}")
 
     if type_tag is ArcType.TYPE_0:
         if n < 2:

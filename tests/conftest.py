@@ -116,14 +116,19 @@ def random_stochastic(rng, n: int, density: float = 0.6) -> StochMatrix:
     return StochMatrix(rows)
 
 
+def package_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = Path(karpelevic.__file__).resolve().parents[1]
+    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_script(script: str, *argv: str) -> subprocess.CompletedProcess:
     """Run a Python script in a fresh interpreter that imports this
     checkout's package, so it may block imports without touching ours."""
-    src = Path(karpelevic.__file__).resolve().parents[1]
-    path = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-c", script, *argv],
-        env={**os.environ, "PYTHONPATH": path},
+        env=package_env(),
         capture_output=True,
         text=True,
         timeout=120,

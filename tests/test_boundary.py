@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 import textwrap
 from fractions import Fraction
 
@@ -12,6 +13,10 @@ from hypothesis import strategies as st
 from conftest import poly_roots, run_script
 from karpelevic.algebra import charpoly_exact
 from karpelevic.boundary import (
+    NEWTON_ITERS,
+    STEP_FLOOR,
+    TOUCHDOWN_GAP,
+    ArcTrace,
     Region,
     _Branch,
     boundary_svg,
@@ -24,7 +29,7 @@ from karpelevic.boundary import (
     traces_json_payload,
 )
 from karpelevic.farey import ArcType, arc_params, arcs_of_order, classify_arc, farey_pairs
-from karpelevic.itopoly import reduced_ito
+from karpelevic.itopoly import reduced_ito, reduced_shifts
 from karpelevic.realize import Composition, build_sparsest
 
 F = Fraction
@@ -133,6 +138,124 @@ def _upper_half_arcs(n):
     return [classify_arc(n, (lo, hi)) for lo, hi in farey_pairs(n) if hi <= F(1, 2)]
 
 
+def _reference_newton(branch, a, u):
+    for _ in range(NEWTON_ITERS):
+        f, df, _, size = branch.terms(a, u)
+        if abs(f) <= 16 * sys.float_info.epsilon * size:
+            return u
+        if df == 0:
+            return None
+        u -= f / df
+    return None
+
+
+def reference_trace(arc, m):
+    """Test-only reference: the predictor-then-Newton walk that evaluates
+    each accepted root twice, once as Newton's converged point and again
+    for the next tangent predictor, so trace_arc, which reads the second
+    evaluation off the first, must give the same samples bit for bit."""
+    goal = cmath.exp(2j * math.pi * arc.r / arc.s)
+    grid = [k / m for k in range(m - 1, 0, -1)]
+    tail = 1.0 / m
+    while tail / 2 >= 1e-6:
+        tail /= 2
+        grid.append(tail)
+    if arc.type_tag is ArcType.TYPE_0:
+        points = [(a, (1.0 - a) + a * goal) for a in grid]
+    else:
+        branch, points = _Branch.of(arc), []
+
+        def step(a0, u0, a1):
+            _, df, fa, _ = branch.terms(a0, u0)
+            guess = u0 - (a1 - a0) * fa / df
+            u1 = _reference_newton(branch, a1, guess)
+            if u1 is None or abs(u1 - guess) > 0.5 * abs(guess - u0):
+                return None
+            return u1
+
+        def touchdown(a0, u0, a1):
+            f, df, fa, _ = branch.terms(a0, u0)
+            d2f = branch.curvature(a0, u0)
+            assert abs((branch.omega * u0).imag) <= TOUCHDOWN_GAP
+            assert abs(2 * df / d2f) <= TOUCHDOWN_GAP
+            root = cmath.sqrt(df * df - 2 * d2f * (f + fa * (a1 - a0)))
+            seeds = [u0 + (sign * root - df) / d2f for sign in (1, -1)]
+            roots = [_reference_newton(branch, a1, seed) for seed in seeds]
+            ts = [branch.omega * u for u in roots if u is not None]
+            half_sign = 1.0 if arc.p * arc.s + arc.r * arc.q <= arc.q * arc.s else -1.0
+            best = min(ts, key=lambda t: (-half_sign * round(t.imag, 12), abs(t - branch.omega)))
+            return best / branch.omega
+
+        a, u = 1.0, goal / branch.omega
+        for target in grid:
+            while a > target:
+                a_try = target
+                while (u_try := step(a, u, a_try)) is None:
+                    a_try = 0.5 * (a + a_try)
+                    if a - a_try < STEP_FLOOR:
+                        a_try, u_try = target, touchdown(a, u, target)
+                        break
+                a, u = a_try, u_try
+                points.append((a, branch.omega * u))
+    samples = [(0.0, cmath.exp(2j * math.pi * arc.p / arc.q))] + points[::-1] + [(1.0, goal)]
+    q, d, (y, z) = arc.q, arc.d, reduced_shifts(arc)
+    worst = max(abs(t ** y * (t ** q - (1.0 - a)) ** d - a ** d * t ** z) for a, t in samples)
+    return ArcTrace(arc=arc, samples=tuple(samples), residual_bound=max(worst, 1e-15))
+
+
+def reference_point_at(trace, alpha):
+    """Test-only reference for point_at: one Newton solve from the chord."""
+    a, arc = float(alpha), trace.arc
+    if arc.type_tag is ArcType.TYPE_0:
+        return (1.0 - a) + a * cmath.exp(2j * math.pi * arc.r / arc.s)
+    hi = next(k for k, (ak, _) in enumerate(trace.samples) if ak > a or k == len(trace.samples) - 1)
+    (a0, z0), (a1, z1) = trace.samples[hi - 1], trace.samples[hi]
+    seed, branch = z0 + (a - a0) / (a1 - a0) * (z1 - z0), _Branch.of(arc)
+    return branch.omega * _reference_newton(branch, a, seed / branch.omega)
+
+
+class TestReuseOfNewtonEvaluations:
+    """trace_arc hands each converged Newton evaluation to the next step's
+    predictor instead of evaluating the root again."""
+
+    # At m = 64 the touchdown on 1/3-1/2 lands a last bit away from
+    # Newton's converged root, which m = 16 and 128 do not show.
+    @pytest.mark.parametrize("m", [16, 64, 128])
+    def test_bit_identical_to_the_reference(self, m):
+        # Every upper-half arc of orders 2..20, and the order-3 touchdown
+        # arc 1/2-2/3, the mirror of the upper-half 1/3-1/2.
+        arcs = [arc for n in range(2, 21) for arc in _upper_half_arcs(n)]
+        for arc in arcs + [classify_arc(3, (F(1, 2), F(2, 3)))]:
+            trace, expected = trace_arc(arc, m), reference_trace(arc, m)
+            # repr tells -0.0 from 0.0 and prints every float exactly.
+            assert repr(trace) == repr(expected), (arc, m)
+            for alpha in (F(3, 1000), F(1, 17), F(5, 7)):
+                assert repr(point_at(trace, alpha)) == repr(reference_point_at(expected, alpha))
+
+    def test_no_point_evaluated_twice(self, monkeypatch):
+        terms, touchdown = _Branch.terms, _Branch.touchdown
+        calls, touchdowns = [], []
+
+        def recording_terms(self, a, u):
+            calls.append((a, u))
+            return terms(self, a, u)
+
+        def recording_touchdown(self, *args):
+            touchdowns.append(args)
+            return touchdown(self, *args)
+
+        monkeypatch.setattr(_Branch, "terms", recording_terms)
+        monkeypatch.setattr(_Branch, "touchdown", recording_touchdown)
+        for n in range(2, 13):
+            for arc in arcs_of_order(n):
+                calls.clear()
+                trace_arc(arc, 128)
+                repeated = len(calls) - len(set(calls))
+                assert repeated == 0, (arc, repeated, len(calls))
+        touched = {(F(arc.p, arc.q), F(arc.r, arc.s)) for arc, *_ in touchdowns}
+        assert touched == {(F(1, 2), F(1, 3)), (F(1, 2), F(2, 3))}  # the order-3 Type I arcs
+
+
 class TestBranchContinuation:
     def test_orders_11_to_14_trace_and_meet_residual_target(self):
         # The q = 2 arcs of orders 12..14 once defeated the root solver.
@@ -147,6 +270,19 @@ class TestBranchContinuation:
                     residual = abs(sum(c * z ** k for k, c in enumerate(coeffs)))
                     bound = 1e-10 * (len(coeffs) - 1) * max(abs(c) for c in coeffs)
                     assert residual <= bound, (arc, alpha, residual, bound)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([arc for n in range(2, 31) for arc in arcs_of_order(n)]),
+        st.fractions(0, 1, max_denominator=10**4),
+    )
+    def test_generated_arcs_meet_residual_target(self, arc, alpha):
+        # Any arc of orders 2..30, either half plane, at any alpha in [0, 1].
+        coeffs = [float(c) for c in reduced_ito(arc, alpha).poly.coeffs]
+        z = point_at(trace_arc(arc, 64), alpha)
+        residual = abs(sum(c * z ** k for k, c in enumerate(coeffs)))
+        bound = 1e-10 * (len(coeffs) - 1) * max(abs(c) for c in coeffs)
+        assert residual <= bound, (arc, alpha, residual, bound)
 
     def test_forward_error_against_companion_roots(self):
         # Each sample at a = k/16 sits on an independently computed root of

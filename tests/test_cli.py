@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import package_env
 from karpelevic.algebra import StochMatrix, charpoly_exact
 from karpelevic.cli import main
 from karpelevic.farey import ArcType, arc_params
@@ -297,6 +299,38 @@ class TestRequiredFlags:
     @pytest.mark.parametrize("tag", list(ENUMERATE_FLAGS))
     def test_realize_complete_flags(self, capsys, tag):
         self.check_complete_flags(capsys, "realize", tag)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["realize", "II", "--q", "4", "--d", "3", "--z", "3", "--n", "99", "--y", "1",
+              "--alpha", "1/3", "--composition", "0,3,3"], "Type II does not take n and y"),
+            (["realize", "I", "--n", "5", "--q", "3", "--d", "9", "--z", "2", "--alpha", "1/2"],
+             "Type I does not take d and z"),
+            (["enumerate", "--type", "III", "--q", "4", "--d", "3", "--y", "3", "--z", "1"],
+             "Type III does not take z"),
+        ],
+    )
+    def test_unused_flags_are_named(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+class TestClosedPipe:
+    def test_reader_closing_after_one_line(self):
+        # The order-200 table, about 600 KB, outgrows the pipe buffer, so the
+        # verb is still printing when the reader closes its end.
+        entry = "import sys; from karpelevic.cli import main; sys.exit(main())"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", entry, "arcs", "200"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env(), text=True,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert (first, err) == ("0/1-1/200  Type0  q=1 s=200 d=200 deg=200\n", "")
 
 
 class TestVerifyRoundTrip:

@@ -283,6 +283,19 @@ class TestRequiredParameters:
         with pytest.raises(ValueError, match="^Type I needs n and q$"):
             arc_params(ArcType.TYPE_I, d=2, y=1)
 
+    @pytest.mark.parametrize(
+        "tag, name", [(tag, name) for tag in REQUIRED for name in "nqdzy" if name not in REQUIRED[tag]]
+    )
+    def test_each_unused_parameter_is_named(self, tag, name):
+        with pytest.raises(ValueError, match=f"^Type {tag.value} does not take {name}$"):
+            arc_params(tag, **REQUIRED[tag], **{name: 2})
+
+    def test_every_unused_parameter_is_named(self):
+        with pytest.raises(ValueError, match="^Type II does not take n and y$"):
+            arc_params(ArcType.TYPE_II, q=4, d=3, z=3, n=99, y=1)
+        with pytest.raises(ValueError, match="^Type 0 does not take q, d, z and y$"):
+            arc_params(ArcType.TYPE_0, n=5, q=3, d=2, z=1, y=1)
+
     def test_missing_before_range(self):
         with pytest.raises(ValueError, match="^Type III needs y$"):
             arc_params(ArcType.TYPE_III, q=1, d=0)
