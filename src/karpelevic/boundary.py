@@ -142,7 +142,8 @@ class _Branch:
         """Cross the real double root next to ``here``, solved at a0, to a1.
 
         Both roots of the local quadratic model are polished; the one in
-        the arc's closed half plane nearest the parameter-0 endpoint wins.
+        the arc's closed half plane nearest the parameter-0 endpoint wins,
+        returned as Newton's solve left it.
         """
         u0, f, df, fa = here
         d2f = self.curvature(a0, u0)
@@ -151,17 +152,17 @@ class _Branch:
                 f"continuation stalled at a = {a0:.6g}, away from a real double root"
             )
         root = cmath.sqrt(df * df - 2 * d2f * (f + fa * (a1 - a0)))
-        landed = {}
-        for sign in (1, -1):
-            found = self.solve(a1, u0 + (sign * root - df) / d2f)
-            if found is not None:
-                landed[self.omega * found[0]] = found
+        seeds = (u0 + (sign * root - df) / d2f for sign in (1, -1))
+        landed = [found for found in (self.solve(a1, seed) for seed in seeds) if found is not None]
         if not landed:
             raise ContinuationError(f"no root found past the double root at a = {a0:.6g}")
         half_sign = 1.0 if arc.p * arc.s + arc.r * arc.q <= arc.q * arc.s else -1.0  # mid <= 1/2
-        best = min(landed, key=lambda t: (-half_sign * round(t.imag, 12), abs(t - self.omega)))
-        u, found = best / self.omega, landed[best]  # u may differ from found[0] in the last bit
-        return found if u == found[0] else (u, *self.terms(a1, u)[:3])
+
+        def rank(found: _Solved) -> tuple[float, float]:
+            t = self.omega * found[0]
+            return -half_sign * round(t.imag, 12), abs(t - self.omega)
+
+        return min(landed, key=rank)
 
 
 @dataclass(frozen=True)

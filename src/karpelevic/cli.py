@@ -74,7 +74,7 @@ def _composition_flag(text: str | None, arc: ArcParams) -> Composition:
             parts = () if text is None else tuple(int(x) for x in text.split(","))
         except ValueError:
             raise ValueError(f"expected comma-separated integers, got {text!r}") from None
-        composition = Composition(parts, arc.q)
+        composition = Composition(parts)
         _check_composition(arc, composition)
     return composition
 
@@ -262,38 +262,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p_arcs.add_argument("--json", action="store_true")
     p_arcs.set_defaults(func=cmd_arcs)
 
-    def add_type_flags(p, with_alpha: bool):
-        p.add_argument("type", choices=["0", "I", "II", "III"])
-        p.add_argument("--n", type=int)
-        p.add_argument("--q", type=int)
-        p.add_argument("--d", type=int)
-        p.add_argument("--z", type=int)
-        p.add_argument("--y", type=int)
-        if with_alpha:
-            p.add_argument("--alpha", required=True, help='exact rational "p/q"')
+    # Flag groups that several verbs share, each declared once.
+    arc_flags = argparse.ArgumentParser(add_help=False)
+    for name in ("n", "q", "d", "z", "y"):
+        arc_flags.add_argument(f"--{name}", type=int)
+    emit = argparse.ArgumentParser(add_help=False)
+    emit.add_argument("--emit", choices=["json", "dot", "both"], default="json")
+    checked = argparse.ArgumentParser(add_help=False)
+    checked.add_argument("--matrix", required=True, help="matrix JSON path, or - for stdin")
+    checked.add_argument("--arc", required=True, help="arc parameters as JSON")
+    checked.add_argument("--alpha", required=True)
+    types = [tag.value for tag in ArcType]
 
-    p_realize = sub.add_parser("realize", help="construct a realization matrix")
-    add_type_flags(p_realize, with_alpha=True)
+    p_realize = sub.add_parser(
+        "realize", parents=[arc_flags, emit], help="construct a realization matrix"
+    )
+    p_realize.add_argument("type", choices=types)
+    p_realize.add_argument("--alpha", required=True, help='exact rational "p/q"')
     p_realize.add_argument("--composition", help="comma-separated parts (Type II/III)")
     p_realize.add_argument("--alphas", help="comma-separated weights (Type I)")
-    p_realize.add_argument("--emit", choices=["json", "dot", "both"], default="json")
     p_realize.set_defaults(func=cmd_realize)
 
-    p_enum = sub.add_parser("enumerate", help="list sparsest realization classes")
-    p_enum.add_argument("--type", required=True, choices=["0", "I", "II", "III"])
-    p_enum.add_argument("--n", type=int)
-    p_enum.add_argument("--q", type=int)
-    p_enum.add_argument("--d", type=int)
-    p_enum.add_argument("--z", type=int)
-    p_enum.add_argument("--y", type=int)
+    p_enum = sub.add_parser("enumerate", parents=[arc_flags], help="list sparsest realization classes")
+    p_enum.add_argument("--type", required=True, choices=types)
     p_enum.add_argument("--alpha", help="also emit the matrices at this parameter")
     p_enum.add_argument("--json", action="store_true")
     p_enum.set_defaults(func=cmd_enumerate)
 
-    p_verify = sub.add_parser("verify", help="verify a matrix against an arc polynomial")
-    p_verify.add_argument("--matrix", required=True, help="matrix JSON path, or - for stdin")
-    p_verify.add_argument("--arc", required=True, help="arc parameters as JSON")
-    p_verify.add_argument("--alpha", required=True)
+    p_verify = sub.add_parser(
+        "verify", parents=[checked], help="verify a matrix against an arc polynomial"
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     p_region = sub.add_parser("region", help="trace the full boundary of one order")
@@ -304,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--json", action="store_true")
     p_region.set_defaults(func=cmd_region)
 
-    p_aug = sub.add_parser("augment", help="add connector edges to a Type II digraph")
+    p_aug = sub.add_parser("augment", parents=[emit], help="add connector edges to a Type II digraph")
     p_aug.add_argument("--q", type=int, required=True)
     p_aug.add_argument("--d", type=int, required=True)
     p_aug.add_argument("--z", type=int, required=True)
@@ -312,13 +310,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_aug.add_argument("--add", action="append", help="connector 'src,dst' (1-based); repeatable")
     p_aug.add_argument("--alpha", help="instantiate at this parameter")
     p_aug.add_argument("--param", action="append", help="free weight, e.g. alpha_2=9/10")
-    p_aug.add_argument("--emit", choices=["json", "dot", "both"], default="json")
     p_aug.set_defaults(func=cmd_augment)
 
-    p_probe = sub.add_parser("probe", help="search a Type III realization for family form")
-    p_probe.add_argument("--matrix", required=True)
-    p_probe.add_argument("--arc", required=True)
-    p_probe.add_argument("--alpha", required=True)
+    p_probe = sub.add_parser(
+        "probe", parents=[checked], help="search a Type III realization for family form"
+    )
     p_probe.set_defaults(func=cmd_probe)
 
     return parser

@@ -11,13 +11,15 @@ Fractions are plain ``fractions.Fraction`` values and a pair is a plain
 ``(lo, hi)`` tuple.  The wraparound arc is represented with upper endpoint
 1/1, which keeps the adjacency determinant identity
 hi.p * lo.q - lo.p * hi.q = 1 uniform across all pairs.  ``ArcParams``
-is the one place that checks adjacency.
+is the one place that checks adjacency, and it derives d, the type, z
+and y from the order and the endpoints, so only ``ArcParams.from_json``,
+where outside JSON states them, compares them.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Optional
@@ -80,11 +82,10 @@ class ArcParams:
     """A classified boundary arc.
 
     (p, q) is the endpoint with the smaller denominator, (r, s) the one
-    with the larger; d = floor(n / q).  ``z`` (Type II) and ``y``
-    (Type III) measure how far s falls short of / exceeds q*d.  The
-    constructor checks, in integers, that p/q and r/s are neighbours in
-    the order-n Farey sequence and that d, the type, z and y are the ones
-    they determine; anything else raises ValueError.
+    with the larger.  The constructor checks, in integers, that p/q and
+    r/s are neighbours in the order-n Farey sequence, raising ValueError
+    otherwise, and derives d = floor(n / q), the type, and ``z`` (Type II)
+    and ``y`` (Type III), how far s falls short of / exceeds q*d.
     """
 
     n: int
@@ -92,10 +93,10 @@ class ArcParams:
     q: int
     r: int
     s: int
-    d: int
-    type_tag: ArcType
-    z: Optional[int] = None
-    y: Optional[int] = None
+    d: int = field(init=False)
+    type_tag: ArcType = field(init=False)
+    z: Optional[int] = field(init=False)
+    y: Optional[int] = field(init=False)
 
     def __post_init__(self) -> None:
         if not (0 < self.q < self.s):
@@ -106,12 +107,10 @@ class ArcParams:
             raise ValueError("endpoints must be Farey neighbours: |q*r - p*s| = 1")
         if not (self.s <= self.n < self.q + self.s):
             raise ValueError(f"endpoints are not neighbours in the order-{self.n} sequence")
-        if self.d != self.n // self.q:
-            raise ValueError("d must equal floor(n / q)")
-        tag, z, y = _arc_type(self.q, self.s, self.d)
-        if (self.type_tag, self.z, self.y) != (tag, z, y):
-            arc = f"{self.p}/{self.q}-{self.r}/{self.s}"
-            raise ValueError(f"the order-{self.n} arc {arc} is {tag} with z={z}, y={y}")
+        d = self.n // self.q
+        tag, z, y = _arc_type(self.q, self.s, d)
+        for name, value in (("d", d), ("type_tag", tag), ("z", z), ("y", y)):
+            object.__setattr__(self, name, value)
 
     @property
     def reduced_degree(self) -> int:
@@ -144,8 +143,8 @@ class ArcParams:
     def from_json(cls, data: dict) -> "ArcParams":
         """Inverse of :meth:`to_json`; any other shape raises ValueError.
 
-        So does an arc whose type, d, z or y disagree with its endpoints
-        (checked by the constructor).
+        So does an arc whose d, type, z or y disagree with the ones its
+        endpoints determine.
         """
         if not isinstance(data, dict):
             raise ValueError(f"arc parameters must be a JSON object, got {type(data).__name__}")
@@ -153,7 +152,14 @@ class ArcParams:
         for key, value in fields.items():
             if type(value) is not int and not (key in ("z", "y") and value is None):
                 raise ValueError(f"arc field {key!r} must be an integer, got {value!r}")
-        return cls(type_tag=ArcType(data.get("type")), **fields)
+        tag = ArcType(data.get("type"))
+        arc = cls(*(fields[key] for key in ("n", "p", "q", "r", "s")))
+        if fields["d"] != arc.d:
+            raise ValueError("d must equal floor(n / q)")
+        if (tag, fields["z"], fields["y"]) != (arc.type_tag, arc.z, arc.y):
+            ends = f"{arc.p}/{arc.q}-{arc.r}/{arc.s}"
+            raise ValueError(f"the order-{arc.n} arc {ends} is {arc.type_tag} with z={arc.z}, y={arc.y}")
+        return arc
 
 
 def classify_arc(n: int, pair: tuple[Fraction, Fraction]) -> ArcParams:
@@ -171,9 +177,7 @@ def classify_arc(n: int, pair: tuple[Fraction, Fraction]) -> ArcParams:
         p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     else:
         p, q, r, s = hi.numerator, hi.denominator, lo.numerator, lo.denominator
-    d = n // q
-    tag, z, y = _arc_type(q, s, d)
-    return ArcParams(n=n, p=p, q=q, r=r, s=s, d=d, type_tag=tag, z=z, y=y)
+    return ArcParams(n, p, q, r, s)
 
 
 def _arc_type(q: int, s: int, d: int) -> tuple[ArcType, Optional[int], Optional[int]]:
@@ -235,24 +239,24 @@ def arc_params(
     if type_tag is ArcType.TYPE_0:
         if n < 2:
             raise ValueError("arcs exist for orders n >= 2 only")
-        return ArcParams(n=n, p=0, q=1, r=1, s=n, d=n, type_tag=ArcType.TYPE_0)
+        return ArcParams(n, 0, 1, 1, n)
 
     if q < 2:
         raise ValueError("need q >= 2")
     if type_tag is ArcType.TYPE_I:
         if not (q < n < 2 * q):
             raise ValueError("Type I requires q < n < 2q")
-        s, d, z, y = n, 1, None, None
+        s = n
     elif type_tag is ArcType.TYPE_II:
         if d < 2 or not (1 <= z <= q - 1):
             raise ValueError("Type II requires d >= 2 and z in 1..q-1")
-        s, n, y = q * d - z, q * d, None
+        s, n = q * d - z, q * d
     else:
         if d < 2 or not (1 <= y <= q - 1):
             raise ValueError("Type III requires d >= 2 and y in 1..q-1")
-        s, n, z = q * d + y, q * d + y, None
+        s = n = q * d + y
     if gcd(q, s) != 1:
         raise ValueError(f"q = {q} and s = {s} are not coprime; no such arc")
     r = pow(q, -1, s)
     p = (r * q - 1) // s
-    return ArcParams(n=n, p=p, q=q, r=r, s=s, d=d, type_tag=type_tag, z=z, y=y)
+    return ArcParams(n, p, q, r, s)

@@ -5,7 +5,10 @@ degree (Type II: n = q*d, Type III: n = q*d + y), with the family
 parameter held as an exact rational in (0, 1).  The one entry to a
 sparsest realization is ``build_sparsest(arc, alpha, composition)`` on a
 validated :class:`ArcParams`; ``enumerate_sparsest(arc)`` lists one
-composition per class.
+composition per class.  A :class:`Composition` holds bare parts, which
+the build checks against the arc: parts below q, then the arc's sum and
+length.  A :class:`TypeIIIFamilySpec` takes n, q and the step weights of
+the split rows; d, y and the blocks follow from them.
 
 Construction catalogue, 0-based throughout:
 
@@ -30,7 +33,7 @@ matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import prod
@@ -39,7 +42,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 from karpelevic.algebra import (
     _ONE,
     RatLike,
-    RatPoly,
     StochMatrix,
     charpoly_exact,
     rat,
@@ -50,7 +52,6 @@ from karpelevic.digraph import (
     WeightedDigraph,
     _bfs_tree,
     cycle_structure_check,
-    cyclic_distance,
     simple_cycles,
 )
 from karpelevic.farey import ArcParams, ArcType, arc_params
@@ -84,14 +85,10 @@ def _check_open_unit(a: Fraction, what: str = "parameter") -> None:
 
 @dataclass(frozen=True)
 class Composition:
-    """Ordered tuple of integers in 0..bound-1 indexing a sparsest realization."""
+    """Ordered tuple of integers indexing a sparsest realization; an arc
+    takes parts in 0..q-1 (see :func:`_check_composition`)."""
 
     parts: tuple[int, ...]
-    bound: int
-
-    def __post_init__(self) -> None:
-        if any(not 0 <= p < self.bound for p in self.parts):
-            raise ValueError(f"parts must lie in 0..{self.bound - 1}")
 
     @property
     def total(self) -> int:
@@ -106,7 +103,7 @@ class Composition:
         is its own."""
         if not self.parts:
             return self
-        return Composition(min(self.rotations()), self.bound)
+        return Composition(min(self.rotations()))
 
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.parts)) + ")"
@@ -130,7 +127,7 @@ def _necklace_classes(total: int, length: int, bound: int) -> list[Composition]:
     def grow(t: int, p: int, left: int) -> None:
         if t > length:
             if length % p == 0:
-                out.append(Composition(tuple(a[1:]), bound))
+                out.append(Composition(tuple(a[1:])))
             return
         room = (length - t) * (bound - 1)  # the most parts t+1.. can add
         for v in range(max(a[t - p], left - room), min(bound - 1, left) + 1):
@@ -377,62 +374,44 @@ def _clusters(n: int, q: int, vertices: Iterable[int]) -> list[frozenset[int]]:
 
 @dataclass(frozen=True)
 class TypeIIIFamilySpec:
-    """Blocks of clustered back edges defining a Type III family member.
+    """The Type III family member on the n-cycle whose rows i in ``weights``
+    keep weight weights[i] on the step edge and put the rest on the back
+    edge i -> (i+1-q) mod n.
 
-    ``blocks[t]`` is a set of 0-based vertices i carrying the back edge
-    i -> (i+1-q) mod n.  Within a block all circular distances stay below
-    q (the q-cycles share vertices); across blocks they are at least q
-    (vertex-disjoint), so the blocks are the :func:`_clusters` of their
-    vertices.  ``weights[i]`` is the step-edge weight at block vertex i, in
-    (0, 1); each block's weights multiply to the family parameter.
+    d and y are derived from n = q*d + y, and ``blocks`` are the
+    :func:`_clusters` of the split rows: within a block the back edges'
+    q-cycles share vertices, across blocks they are vertex-disjoint.  There
+    must be d blocks, every weight must lie in (0, 1), and each block's
+    weights must multiply to the family parameter.  With d blocks at least
+    q apart, the blocks span at most n - q*d = y < q rows between them, so
+    no two rows of one block are q or more apart.
     """
 
     n: int
     q: int
-    d: int
-    y: int
-    blocks: tuple[frozenset[int], ...]
+    d: int = field(init=False)
+    y: int = field(init=False)
+    blocks: tuple[frozenset[int], ...] = field(init=False)
     weights: Mapping[int, Fraction]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", tuple(frozenset(b) for b in self.blocks))
         object.__setattr__(self, "weights", {int(v): rat(w) for v, w in self.weights.items()})
-        if self.n != self.q * self.d + self.y:
-            raise ValueError("need n = q*d + y")
-        if not (1 <= self.y <= self.q - 1) or self.d < 2:
-            raise ValueError("need d >= 2 and y in 1..q-1")
-        if len(self.blocks) != self.d:
-            raise ValueError(f"need exactly d = {self.d} blocks")
-        members = [v for block in self.blocks for v in block]
-        if len(members) != len(set(members)):
-            raise ValueError("blocks must be pairwise disjoint")
-        if any(not block for block in self.blocks):
-            raise ValueError("blocks must be nonempty")
-        if any(not 0 <= v < self.n for v in members):
+        if self.q < 2:
+            raise ValueError("need q >= 2")
+        d, y = divmod(self.n, self.q)
+        if d < 2 or y == 0:
+            raise ValueError("need n = q*d + y with d >= 2 and y in 1..q-1")
+        if any(not 0 <= v < self.n for v in self.weights):
             raise ValueError("block vertices out of range")
-        for t, block in enumerate(self.blocks):
-            for i in block:
-                for j in block:
-                    if i < j and cyclic_distance(self.n, i, j) >= self.q:
-                        raise ValueError(
-                            f"vertices {i} and {j} in block {t} are at circular "
-                            f"distance >= q = {self.q}"
-                        )
-        # Blocks closer than q within are q apart exactly when they are the clusters.
-        clusters = _clusters(self.n, self.q, members)
-        if set(self.blocks) != set(clusters):
-            raise ValueError(
-                f"vertices closer than q = {self.q} must share a block; the clusters "
-                f"are {[sorted(c) for c in clusters]}"
-            )
-        if set(self.weights) != set(members):
-            raise ValueError("weights must be given exactly on the block vertices")
+        blocks = tuple(_clusters(self.n, self.q, self.weights))
+        for name, value in (("d", d), ("y", y), ("blocks", blocks)):
+            object.__setattr__(self, name, value)
+        if len(blocks) != d:
+            clusters = [sorted(b) for b in blocks]
+            raise ValueError(f"need d = {d} blocks, the clusters of rows closer than q; got {clusters}")
         for v, w in self.weights.items():
             _check_open_unit(w, f"weight at vertex {v}")
-        products = {
-            t: prod(self.weights[v] for v in block)
-            for t, block in enumerate(self.blocks)
-        }
+        products = {t: prod(self.weights[v] for v in block) for t, block in enumerate(blocks)}
         if len(set(products.values())) != 1:
             raise ValueError(f"block weight products differ: {products}")
 
@@ -469,13 +448,15 @@ def _sparsest_shape(arc: ArcParams) -> tuple[int, int]:
 
 
 def _check_composition(arc: ArcParams, composition: Composition) -> None:
-    """Raise unless the composition has the arc's sparsest shape."""
+    """Raise unless the composition's parts lie below q and it has the
+    arc's sparsest shape."""
+    if any(not 0 <= p < arc.q for p in composition.parts):
+        raise ValueError(f"parts must lie in 0..{arc.q - 1}")
     total, length = _sparsest_shape(arc)
-    if (composition.bound, len(composition.parts), composition.total) != (arc.q, length, total):
-        bound = "" if composition.bound == arc.q else f" with parts below {composition.bound}"
+    if (len(composition.parts), composition.total) != (length, total):
         raise ValueError(
             f"the arc takes a composition of {total} into {length} parts below {arc.q}, "
-            f"got {composition}{bound}"
+            f"got {composition}"
         )
 
 
@@ -494,22 +475,24 @@ def build_sparsest(arc: ArcParams, alpha: RatLike, composition: Composition) -> 
     """Materialise one sparsest realization class at a parameter value.
 
     The composition has the shape :func:`enumerate_sparsest` lists, in any
-    rotation.  A Type III realization is an n-cycle in which d rows split
+    rotation.  Types 0, I and III are n-cycles in which some rows split
     between the step edge (weight a) and the back edge i -> (i+1-q) mod n
-    (weight 1 - a); split row k (1-based) sits at 0-based position
+    (weight 1 - a): every row for Type 0 (q = 1), row 0 for Type I, and
+    for Type III d rows, split row k (1-based) at 0-based position
     k*q + parts[0] + ... + parts[k-1] - 1, so the d q-cycles are
     vertex-disjoint and the last one ends on the last vertex.
     """
     if arc.type_tag is ArcType.TYPE_II:
         return TypeIIRealization.sparsest(arc, composition).instantiate(alpha)
     _check_composition(arc, composition)
-    if arc.type_tag is ArcType.TYPE_0:
-        return type0(arc.n, alpha)
-    if arc.type_tag is ArcType.TYPE_I:
-        return type1(arc.n, arc.q, [alpha] + [1] * (arc.n - arc.q))
     a = rat(alpha)
     _check_open_unit(a)
-    split = [k * arc.q + acc - 1 for k, acc in enumerate(accumulate(composition.parts), 1)]
+    if arc.type_tag is ArcType.TYPE_0:
+        split: Iterable[int] = range(arc.n)
+    elif arc.type_tag is ArcType.TYPE_I:
+        split = [0]
+    else:
+        split = [k * arc.q + acc - 1 for k, acc in enumerate(accumulate(composition.parts), 1)]
     return _cycle_with_back_edges(arc.n, arc.q, dict.fromkeys(split, a))
 
 
@@ -526,8 +509,6 @@ class VerificationResult:
 
     charpoly_ok: bool
     cycle_report: CycleStructureReport
-    expected: RatPoly
-    actual: RatPoly
 
     def __bool__(self) -> bool:
         return self.charpoly_ok
@@ -551,14 +532,9 @@ def verify_realization(m: StochMatrix, arc: ArcParams, alpha: RatLike) -> Verifi
         raise ValueError(
             f"matrix order {m.n} does not match the reduced degree {arc.reduced_degree}"
         )
-    expected = reduced_ito(arc, alpha).poly
-    actual = charpoly_exact(m)
-    report = cycle_structure_check(WeightedDigraph.from_matrix(m), arc)
     return VerificationResult(
-        charpoly_ok=(expected == actual),
-        cycle_report=report,
-        expected=expected,
-        actual=actual,
+        charpoly_ok=reduced_ito(arc, alpha).poly == charpoly_exact(m),
+        cycle_report=cycle_structure_check(WeightedDigraph.from_matrix(m), arc),
     )
 
 
@@ -684,8 +660,7 @@ def conjecture_probe(
         raise ValueError("the probe applies to Type III arcs only")
     if reduced_ito(arc, alpha).poly != charpoly_exact(m):
         raise ValueError("matrix does not realise the arc polynomial; probe refused")
-    n, q, d, y = arc.n, arc.q, arc.d, arc.y
-    assert y is not None
+    n, q = arc.n, arc.q
     report = simple_cycles(WeightedDigraph.from_matrix(m))
     if report.count() > cycle_budget:
         return ProbeReport(
@@ -695,7 +670,7 @@ def conjecture_probe(
     n_cycles = report.cycles_of_length(n)
     for tried, (cyc, _) in enumerate(n_cycles, 1):
         # Vertex cyc[k] goes to slot k; the n-cycle becomes standard.
-        spec = _family_spec_of(m.permuted(list(cyc)), n, q, d, y)
+        spec = _family_spec_of(m.permuted(list(cyc)), n, q)
         if spec is not None:
             return ProbeReport(
                 outcome=ProbeOutcome.FOUND,
@@ -709,7 +684,7 @@ def conjecture_probe(
     )
 
 
-def _family_spec_of(m: StochMatrix, n: int, q: int, d: int, y: int) -> Optional[TypeIIIFamilySpec]:
+def _family_spec_of(m: StochMatrix, n: int, q: int) -> Optional[TypeIIIFamilySpec]:
     """Read a family spec off a matrix already aligned to the standard
     n-cycle, or None if it is not in family form.  The weights are the step
     entries of the rows with two nonzeros: None if there are none, if one
@@ -721,6 +696,6 @@ def _family_spec_of(m: StochMatrix, n: int, q: int, d: int, y: int) -> Optional[
     if not weights or None in weights.values() or _cycle_with_back_edges(n, q, weights) != m:
         return None
     try:
-        return TypeIIIFamilySpec(n, q, d, y, _clusters(n, q, weights), weights)
+        return TypeIIIFamilySpec(n, q, weights)
     except ValueError:
         return None

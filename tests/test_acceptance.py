@@ -223,7 +223,7 @@ def test_criterion_10_augmentation_fidelity():
     with criterion(10, "augmented order-12 fixtures reachable; middle-pair edges all rejected", 10.0):
         alpha, free = F(1, 2), F(9, 10)
         arc = arc_params(ArcType.TYPE_II, q=4, d=3, z=3)
-        base = TypeIIRealization.sparsest(arc, Composition((0, 3, 3), 4))
+        base = TypeIIRealization.sparsest(arc, Composition((0, 3, 3)))
         fixtures = order12_augmented(alpha, free)
 
         plans = {

@@ -181,10 +181,10 @@ def reference_trace(arc, m):
             root = cmath.sqrt(df * df - 2 * d2f * (f + fa * (a1 - a0)))
             seeds = [u0 + (sign * root - df) / d2f for sign in (1, -1)]
             roots = [_reference_newton(branch, a1, seed) for seed in seeds]
-            ts = [branch.omega * u for u in roots if u is not None]
+            pairs = [(branch.omega * u, u) for u in roots if u is not None]
             half_sign = 1.0 if arc.p * arc.s + arc.r * arc.q <= arc.q * arc.s else -1.0
-            best = min(ts, key=lambda t: (-half_sign * round(t.imag, 12), abs(t - branch.omega)))
-            return best / branch.omega
+            best = min(pairs, key=lambda tu: (-half_sign * round(tu[0].imag, 12), abs(tu[0] - branch.omega)))
+            return best[1]  # Newton's root itself
 
         a, u = 1.0, goal / branch.omega
         for target in grid:
@@ -218,8 +218,9 @@ class TestReuseOfNewtonEvaluations:
     """trace_arc hands each converged Newton evaluation to the next step's
     predictor instead of evaluating the root again."""
 
-    # At m = 64 the touchdown on 1/3-1/2 lands a last bit away from
-    # Newton's converged root, which m = 16 and 128 do not show.
+    # At m = 64, and not at 16 or 128, the touchdown on 1/3-1/2 lands where
+    # (omega*u)/omega is a last bit away from Newton's root u, which pins
+    # that both return u itself.
     @pytest.mark.parametrize("m", [16, 64, 128])
     def test_bit_identical_to_the_reference(self, m):
         # Every upper-half arc of orders 2..20, and the order-3 touchdown
@@ -505,7 +506,7 @@ class TestEigenvalueOnArc:
     def test_order12_eigenvalue_hits_arc(self):
         arc = arc_params(ArcType.TYPE_II, q=4, d=3, z=3)
         trace = trace_arc(arc, 128)
-        m = build_sparsest(arc, F(1, 3), Composition((0, 3, 3), 4))
+        m = build_sparsest(arc, F(1, 3), Composition((0, 3, 3)))
         roots = poly_roots([float(c) for c in charpoly_exact(m).coeffs])
         target = point_at(trace, F(1, 3))
         assert min(abs(r - target) for r in roots) < 1e-8

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import package_env
 from karpelevic.algebra import StochMatrix, charpoly_exact
-from karpelevic.cli import main
+from karpelevic.cli import _build_parser, main
 from karpelevic.farey import ArcType, arc_params
 from karpelevic.itopoly import reduced_ito
 from karpelevic.realize import Composition, build_sparsest, type0
@@ -32,8 +33,8 @@ def _ones_as_true(m: StochMatrix) -> dict:
 
 # Read as 1, `true` would make these verify against ARC12_JSON at 1/3 and
 # ARC15_JSON at 1/2.
-BOOL_MATRIX12 = _ones_as_true(build_sparsest(ARC12, F(1, 3), Composition((0, 3, 3), 4)))
-BOOL_MATRIX15 = _ones_as_true(build_sparsest(ARC15, F(1, 2), Composition((0, 0, 3), 4)))
+BOOL_MATRIX12 = _ones_as_true(build_sparsest(ARC12, F(1, 3), Composition((0, 3, 3))))
+BOOL_MATRIX15 = _ones_as_true(build_sparsest(ARC15, F(1, 2), Composition((0, 0, 3))))
 # The order-5 arc 2/5-1/2 is Type III with y = 1, not Type I; the order-15
 # arc 1/4-4/15 has y = 3, not 1.
 MISCLASSIFIED_ARC5 = json.dumps({"n": 5, "p": 1, "q": 2, "r": 2, "s": 5, "d": 2, "type": "I"})
@@ -151,7 +152,7 @@ class TestRationalFlagErrors:
 
     def _argvs(self, tmp_path, verbs):
         f = tmp_path / "m.json"
-        f.write_text(json.dumps(build_sparsest(ARC12, F(1, 3), Composition((0, 3, 3), 4)).to_json()))
+        f.write_text(json.dumps(build_sparsest(ARC12, F(1, 3), Composition((0, 3, 3))).to_json()))
         return [argv if len(argv) > 1 else argv + ["--matrix", str(f), "--arc", ARC12_JSON]
                 for argv in verbs]
 
@@ -316,6 +317,66 @@ class TestRequiredFlags:
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+INT, REQUIRED, TYPES = "int", True, ["0", "I", "II", "III"]
+ARC_FLAGS = {f"--{name}": ("Store", INT, None, None, False) for name in "nqdzy"}
+EMIT = {"--emit": ("Store", None, ["json", "dot", "both"], "json", False)}
+CHECKED = {flag: ("Store", None, None, None, REQUIRED) for flag in ("--matrix", "--arc", "--alpha")}
+# Each verb's arguments: name -> (action, type, choices, default, required).
+FLAG_TABLE = {
+    "arcs": {"n": ("Store", INT, None, None, REQUIRED), "--json": ("StoreTrue", None, None, False, False)},
+    "realize": {
+        "type": ("Store", None, TYPES, None, REQUIRED),
+        **ARC_FLAGS,
+        "--alpha": ("Store", None, None, None, REQUIRED),
+        "--composition": ("Store", None, None, None, False),
+        "--alphas": ("Store", None, None, None, False),
+        **EMIT,
+    },
+    "enumerate": {
+        "--type": ("Store", None, TYPES, None, REQUIRED),
+        **ARC_FLAGS,
+        "--alpha": ("Store", None, None, None, False),
+        "--json": ("StoreTrue", None, None, False, False),
+    },
+    "verify": CHECKED,
+    "region": {
+        "n": ("Store", INT, None, None, REQUIRED),
+        "--samples": ("Store", INT, None, 512, False),
+        "--svg": ("Store", None, None, None, False),
+        "--csv-dir": ("Store", None, None, None, False),
+        "--json": ("StoreTrue", None, None, False, False),
+    },
+    "augment": {
+        **{flag: ("Store", INT, None, None, REQUIRED) for flag in ("--q", "--d", "--z")},
+        "--composition": ("Store", None, None, None, REQUIRED),
+        "--add": ("Append", None, None, None, False),
+        "--alpha": ("Store", None, None, None, False),
+        "--param": ("Append", None, None, None, False),
+        **EMIT,
+    },
+    "probe": CHECKED,
+}
+
+
+class TestFlagTable:
+    def test_each_verb_keeps_its_flags(self):
+        """Flags shared through parent parsers keep, verb by verb, their
+        action, type, choices, default and required-ness."""
+        parser = _build_parser()
+        (verbs,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        table = {
+            verb: {
+                (a.option_strings or [a.dest])[0]: (
+                    type(a).__name__.strip("_").removesuffix("Action"),
+                    getattr(a.type, "__name__", None), a.choices, a.default, a.required,
+                )
+                for a in sub._actions if a.dest != "help"
+            }
+            for verb, sub in verbs.items()
+        }
+        assert table == FLAG_TABLE
+
+
 class TestClosedPipe:
     def test_reader_closing_after_one_line(self):
         # The order-200 table, about 600 KB, outgrows the pipe buffer, so the
@@ -404,7 +465,7 @@ class TestMalformedJson:
         "matrix, arc",
         [
             (BOOL_MATRIX15, ARC15_JSON),
-            (build_sparsest(ARC15, F(1, 2), Composition((0, 0, 3), 4)).to_json(),
+            (build_sparsest(ARC15, F(1, 2), Composition((0, 0, 3))).to_json(),
              MISCLASSIFIED_ARC15),
         ],
         ids=["bool-entries", "arc-misclassified"],
@@ -586,7 +647,7 @@ FUZZ_POSITIONAL = {"arcs": FUZZ_INTS, "region": FUZZ_INTS, "realize": ["0", "I",
 @pytest.fixture(scope="module")
 def fuzz_matrix(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "m12.json"
-    matrix = build_sparsest(ARC12, F(1, 3), Composition((0, 3, 3), 4))
+    matrix = build_sparsest(ARC12, F(1, 3), Composition((0, 3, 3)))
     path.write_text(json.dumps(matrix.to_json()))
     return str(path)
 

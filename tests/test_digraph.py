@@ -96,7 +96,7 @@ class TestSimpleCycles:
         # Realization digraphs never contain cycles shorter than q.
         cases = [
             type1(5, 4, [F(1, 6), F(1)]),
-            build_sparsest(ARC12, F(1, 3), Composition((0, 3, 3), 4)),
+            build_sparsest(ARC12, F(1, 3), Composition((0, 3, 3))),
         ]
         for m, q in zip(cases, (4, 4)):
             lengths = simple_cycles(WeightedDigraph.from_matrix(m)).lengths()
@@ -235,11 +235,11 @@ class TestWithoutNetworkx:
         )
 
         arc12 = arc_params(ArcType.TYPE_II, q=4, d=3, z=3)
-        m12 = build_sparsest(arc12, F(1, 3), Composition((0, 3, 3), 4))
+        m12 = build_sparsest(arc12, F(1, 3), Composition((0, 3, 3)))
         assert verify_realization(m12, arc12, F(1, 3))
         assert charpoly_coates(WeightedDigraph.from_matrix(m12)) == charpoly_exact(m12)
         arc15 = arc_params(ArcType.TYPE_III, q=4, d=3, y=3)
-        m15 = build_sparsest(arc15, F(1, 2), Composition((0, 0, 3), 4))
+        m15 = build_sparsest(arc15, F(1, 2), Composition((0, 0, 3)))
         assert conjecture_probe(m15, arc15, F(1, 2)).outcome == ProbeOutcome.FOUND
         with open(sys.argv[1], "w") as f:
             json.dump(m12.to_json(), f)
@@ -297,8 +297,8 @@ class TestPermSimilar:
         assert find_similarity_permutation(c4, cyclic_shift_matrix(4, 3)) is not None
 
     def test_paper_rotation_equivalence(self):
-        a = build_sparsest(ARC12, F(1, 3), Composition((1, 2, 3), 4))
-        b = build_sparsest(ARC12, F(1, 3), Composition((2, 3, 1), 4))
+        a = build_sparsest(ARC12, F(1, 3), Composition((1, 2, 3)))
+        b = build_sparsest(ARC12, F(1, 3), Composition((2, 3, 1)))
         assert find_similarity_permutation(a, b) is not None
 
     def test_agrees_with_brute_force(self):
@@ -354,7 +354,7 @@ class TestSimilarityOnRealizations:
     def _type3_q8_d7_y7(parts):
         # n = 63; the constant class (1,...,1) has a rotation group of order 7.
         arc = arc_params(ArcType.TYPE_III, q=8, d=7, y=7)
-        return build_sparsest(arc, F(1, 3), Composition(parts, 8))
+        return build_sparsest(arc, F(1, 3), Composition(parts))
 
     def test_relabelled_constant_composition(self):
         m = self._type3_q8_d7_y7((1,) * 7)

@@ -195,36 +195,42 @@ class TestClassification:
 
 class TestArcParamsChecks:
     def test_misclassified_arc_rejected(self):
-        # 2/5-1/2 of order 5 is Type III with y = 1; as Type I it once
+        # 2/5-1/2 of order 5 is Type III with y = 1; read as Type I it once
         # reached an AssertionError in reduced_ito.
-        with pytest.raises(ValueError):
-            ArcParams(n=5, p=1, q=2, r=2, s=5, d=2, type_tag=ArcType.TYPE_I)
+        arc = ArcParams(n=5, p=1, q=2, r=2, s=5)
+        assert (arc.d, arc.type_tag, arc.z, arc.y) == (2, ArcType.TYPE_III, None, 1)
+        with pytest.raises(ValueError, match=r"^the order-5 arc 1/2-2/5 is TypeIII with z=None, y=1$"):
+            ArcParams.from_json({**arc.to_json(), "type": "I"})
 
-    def test_every_other_type_z_or_y_rejected_to_order_20(self):
+    def test_from_json_rejects_every_other_type_z_or_y_to_order_40(self):
+        """JSON that states any type, z or y but the arc's (each with the other
+        two right), or any d but floor(n / q), is rejected; the arc's own JSON
+        reads back to the arc."""
         accepted = []
-        for n in range(2, 21):
+        for n in range(2, 41):
             for arc in arcs_of_order(n):
-                ends = {k: getattr(arc, k) for k in ("n", "p", "q", "r", "s", "d")}
+                data = arc.to_json()
+                assert ArcParams.from_json(data) == arc
                 plausible = (None, *range(1, arc.q))
-                for tag in ArcType:
-                    for z in plausible:
-                        for y in plausible:
-                            if (tag, z, y) == (arc.type_tag, arc.z, arc.y):
-                                continue
-                            try:
-                                accepted.append(ArcParams(type_tag=tag, z=z, y=y, **ends))
-                            except ValueError:
-                                pass
+                stated = [{"type": tag.value} for tag in ArcType if tag is not arc.type_tag]
+                stated += [{"z": z} for z in plausible if z != arc.z]
+                stated += [{"y": y} for y in plausible if y != arc.y]
+                stated += [{"d": arc.d - 1}, {"d": arc.d + 1}]
+                for change in stated:
+                    try:
+                        accepted.append(ArcParams.from_json({**data, **change}))
+                    except ValueError:
+                        pass
         assert accepted == []
 
     @pytest.mark.parametrize(
         "fields",
         [
-            dict(n=4, p=3, q=2, r=5, s=3, d=2, type_tag=ArcType.TYPE_II, z=1),  # 3/2-5/3
-            dict(n=4, p=-1, q=2, r=-1, s=3, d=2, type_tag=ArcType.TYPE_II, z=1),  # -1/2 - -1/3
-            dict(n=7, p=1, q=2, r=2, s=5, d=3, type_tag=ArcType.TYPE_II, z=1),  # 3/7 between
-            dict(n=4, p=1, q=2, r=2, s=5, d=2, type_tag=ArcType.TYPE_III, y=1),  # s above n
-            dict(n=5, p=1, q=3, r=3, s=5, d=1, type_tag=ArcType.TYPE_I),  # |q*r - p*s| = 4
+            dict(n=4, p=3, q=2, r=5, s=3),  # 3/2-5/3
+            dict(n=4, p=-1, q=2, r=-1, s=3),  # -1/2 - -1/3
+            dict(n=7, p=1, q=2, r=2, s=5),  # 3/7 between
+            dict(n=4, p=1, q=2, r=2, s=5),  # s above n
+            dict(n=5, p=1, q=3, r=3, s=5),  # |q*r - p*s| = 4
         ],
         ids=["above-1", "below-0", "not-neighbours", "s-above-order", "determinant"],
     )

@@ -28,7 +28,7 @@ def _arc(tag, **kw):
 
 class TestFullPoly:
     def test_beta_zero(self):
-        arc = ArcParams(n=4, p=1, q=2, r=2, s=3, d=2, type_tag=ArcType.TYPE_II, z=1)
+        arc = ArcParams(n=4, p=1, q=2, r=2, s=3)
         assert full_arc_poly(arc, 1) == RatPoly([0, 0, 0, 0, -1, 0, 0, 1])
 
     def test_alpha_zero(self):

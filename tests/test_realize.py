@@ -108,18 +108,18 @@ class TestType1:
 class TestType2:
     def test_paper_connector_positions(self):
         # (0,3,3): connectors (1,5), (8,12), (11,1) in 1-based labels.
-        base = TypeIIRealization.sparsest(ARC_II, Composition((0, 3, 3), 4))
+        base = TypeIIRealization.sparsest(ARC_II, Composition((0, 3, 3)))
         assert base.connectors == (((0, 4),), ((7, 11),), ((10, 0),))
-        base = TypeIIRealization.sparsest(ARC_II, Composition((2, 2, 2), 4))
+        base = TypeIIRealization.sparsest(ARC_II, Composition((2, 2, 2)))
         assert base.connectors == (((0, 4),), ((6, 10),), ((8, 2),))
 
     def test_matches_transcribed_fixtures(self):
         fixtures = order12_sparsest(F(1, 3))
         by_comp = {
-            "A1": Composition((0, 3, 3), 4),
-            "A2": Composition((2, 2, 2), 4),
-            "A3": Composition((1, 2, 3), 4),
-            "A4": Composition((1, 3, 2), 4),
+            "A1": Composition((0, 3, 3)),
+            "A2": Composition((2, 2, 2)),
+            "A3": Composition((1, 2, 3)),
+            "A4": Composition((1, 3, 2)),
         }
         for name, comp in by_comp.items():
             built = build_sparsest(ARC_II, F(1, 3), comp)
@@ -127,7 +127,7 @@ class TestType2:
 
     def test_small_case_charpoly(self):
         # n=4 arc between 1/3 and 1/2: (t^2 - b)^2 - a^2 t.
-        for comp in (Composition((1, 0), 2), Composition((0, 1), 2)):
+        for comp in (Composition((1, 0)), Composition((0, 1))):
             m = build_sparsest(arc_params(ArcType.TYPE_II, q=2, d=2, z=1), F(1, 3), comp)
             expected = (RatPoly.monomial(2) - RatPoly([F(2, 3)])) ** 2 - RatPoly.monomial(1, F(1, 9))
             assert charpoly_exact(m) == expected
@@ -141,9 +141,9 @@ class TestType2:
 
     def test_composition_validation(self):
         with pytest.raises(ValueError):
-            TypeIIRealization.sparsest(ARC_II, Composition((0, 3, 2), 4))  # sums to 5
-        with pytest.raises(ValueError):
-            Composition((0, 4, 2), 4)  # part out of range
+            TypeIIRealization.sparsest(ARC_II, Composition((0, 3, 2)))  # sums to 5
+        with pytest.raises(ValueError, match=r"^parts must lie in 0\.\.3$"):
+            TypeIIRealization.sparsest(ARC_II, Composition((0, 4, 2)))
 
 
 class TestType3:
@@ -155,12 +155,12 @@ class TestType3:
             (1, 1, 1): [5, 10, 15],
         }
         for parts, expected in rows.items():
-            m = build_sparsest(ARC_III, F(1, 2), Composition(parts, 4))
+            m = build_sparsest(ARC_III, F(1, 2), Composition(parts))
             split = sorted(i + 1 for i in range(15) if m[i, (i + 1) % 15] == F(1, 2))
             assert split == expected
 
     def test_charpoly(self):
-        m = build_sparsest(ARC_III, F(1, 3), Composition((0, 1, 2), 4))
+        m = build_sparsest(ARC_III, F(1, 3), Composition((0, 1, 2)))
         expected = (RatPoly.monomial(4) - RatPoly([F(2, 3)])) ** 3
         expected = expected.shift(3) - RatPoly([F(1, 27)])
         assert charpoly_exact(m) == expected
@@ -174,53 +174,38 @@ class TestType3:
 
     def test_family_degenerate_blocks_match_sparsest(self):
         # Singleton blocks at the sparsest positions reproduce the sparsest matrix.
-        parts = Composition((0, 1, 2), 4)
+        parts = Composition((0, 1, 2))
         sparse = build_sparsest(ARC_III, F(1, 2), parts)
         positions = [i for i in range(15) if sparse[i, (i + 1) % 15] == F(1, 2)]
-        spec = TypeIIIFamilySpec(
-            n=15, q=4, d=3, y=3,
-            blocks=[{p} for p in positions],
-            weights={p: F(1, 2) for p in positions},
-        )
+        spec = TypeIIIFamilySpec(n=15, q=4, weights={p: F(1, 2) for p in positions})
+        assert set(spec.blocks) == {frozenset({p}) for p in positions}
         assert type3_family(spec) == sparse
 
     def test_family_paper_examples(self):
         # First order-15 family example: paired blocks {4,5}, {9,10}, {14,15}.
         a, a1 = F(1, 2), F(9, 10)
         spec = TypeIIIFamilySpec(
-            n=15, q=4, d=3, y=3,
-            blocks=[{3, 4}, {8, 9}, {13, 14}],
-            weights={3: a1, 4: a / a1, 8: a1, 9: a / a1, 13: a1, 14: a / a1},
+            n=15, q=4, weights={3: a1, 4: a / a1, 8: a1, 9: a / a1, 13: a1, 14: a / a1}
         )
+        assert (spec.d, spec.y) == (3, 3)
+        assert spec.blocks == (frozenset({3, 4}), frozenset({8, 9}), frozenset({13, 14}))
         m = type3_family(spec)
         assert bool(verify_realization(m, ARC_III, a))
         # Second example: one long block {4,5,6,7} plus singletons {11}, {15}.
         spec2 = TypeIIIFamilySpec(
-            n=15, q=4, d=3, y=3,
-            blocks=[{3, 4, 5, 6}, {10}, {14}],
-            weights={3: a1, 4: a1, 5: a1, 6: a / a1 ** 3, 10: a, 14: a},
+            n=15, q=4, weights={3: a1, 4: a1, 5: a1, 6: a / a1 ** 3, 10: a, 14: a}
         )
+        assert spec2.blocks == (frozenset({3, 4, 5, 6}), frozenset({10}), frozenset({14}))
         assert bool(verify_realization(type3_family(spec2), ARC_III, a))
 
     def test_family_validation(self):
-        with pytest.raises(ValueError):  # cross-block distance below q
-            TypeIIIFamilySpec(
-                n=15, q=4, d=3, y=3,
-                blocks=[{3}, {5}, {10}],
-                weights={3: F(1, 2), 5: F(1, 2), 10: F(1, 2)},
-            )
+        half = F(1, 2)
+        with pytest.raises(ValueError):  # rows 3 and 5 closer than q: two blocks, not d = 3
+            TypeIIIFamilySpec(n=15, q=4, weights={3: half, 5: half, 10: half})
         with pytest.raises(ValueError):  # block products differ
-            TypeIIIFamilySpec(
-                n=15, q=4, d=3, y=3,
-                blocks=[{3, 4}, {8}, {13}],
-                weights={3: F(1, 2), 4: F(1, 2), 8: F(1, 2), 13: F(1, 2)},
-            )
-        with pytest.raises(ValueError):  # in-block distance >= q never occurs in one block
-            TypeIIIFamilySpec(
-                n=15, q=4, d=3, y=3,
-                blocks=[{3, 8}, {11}, {14}],
-                weights={3: F(1, 2), 8: F(1, 2), 11: F(1, 2), 14: F(1, 2)},
-            )
+            TypeIIIFamilySpec(n=15, q=4, weights={3: half, 4: half, 8: half, 13: half})
+        with pytest.raises(ValueError):  # rows 8, 11 and 14 chain into one block: two blocks
+            TypeIIIFamilySpec(n=15, q=4, weights={3: half, 8: half, 11: half, 14: half})
 
 
 class TestEnumerate:
@@ -254,7 +239,7 @@ class TestEnumerate:
         # Rotation classes coincide with permutation-similarity classes.
         arc = ARC_II
         comps = [
-            Composition(parts, 4)
+            Composition(parts)
             for parts in _compositions(arc.n - arc.z - arc.d, arc.d, arc.q)
         ]
         mats = {c.parts: build_sparsest(ARC_II, F(1, 3), c) for c in comps}
@@ -266,7 +251,7 @@ class TestEnumerate:
 
     def test_dedup_consistent_with_similarity_order15(self):
         arc = ARC_III
-        comps = [Composition(parts, 4) for parts in _compositions(arc.y, arc.d, arc.q)]
+        comps = [Composition(parts) for parts in _compositions(arc.y, arc.d, arc.q)]
         mats = {c.parts: build_sparsest(ARC_III, F(1, 3), c) for c in comps}
         for c1 in comps:
             for c2 in comps:
@@ -346,20 +331,20 @@ class TestNecklaceClasses:
         # is not a rotation, and the two realizations are not similar.
         comps = [c.parts for c in enumerate_sparsest(ARC_III)]
         assert (0, 1, 2) in comps and (0, 2, 1) in comps
-        m = build_sparsest(ARC_III, F(1, 3), Composition((0, 1, 2), 4))
-        reflected = build_sparsest(ARC_III, F(1, 3), Composition((2, 1, 0), 4))
+        m = build_sparsest(ARC_III, F(1, 3), Composition((0, 1, 2)))
+        reflected = build_sparsest(ARC_III, F(1, 3), Composition((2, 1, 0)))
         assert find_similarity_permutation(m, reflected) is None
 
 
 class TestSparsestCycleWeights:
     def test_d_disjoint_q_cycles_of_weight_beta(self):
         cases = [
-            (ARC_II, build_sparsest(ARC_II, F(1, 3), Composition((1, 2, 3), 4))),
-            (ARC_III, build_sparsest(ARC_III, F(1, 7), Composition((0, 2, 1), 4))),
+            (ARC_II, build_sparsest(ARC_II, F(1, 3), Composition((1, 2, 3)))),
+            (ARC_III, build_sparsest(ARC_III, F(1, 7), Composition((0, 2, 1)))),
             (
                 arc_params(ArcType.TYPE_III, q=3, d=2, y=1),
                 build_sparsest(
-                    arc_params(ArcType.TYPE_III, q=3, d=2, y=1), F(1, 2), Composition((0, 1), 3)
+                    arc_params(ArcType.TYPE_III, q=3, d=2, y=1), F(1, 2), Composition((0, 1))
                 ),
             ),
         ]
@@ -451,7 +436,7 @@ class TestDDSupport:
         # Synthesized arc with the same (q, s): p/q = 3/4 is the lower
         # endpoint, so the index is p*d = 9.
         assert dd_band_index(ARC_II) == 9
-        m = build_sparsest(ARC_II, F(1, 3), Composition((0, 3, 3), 4))
+        m = build_sparsest(ARC_II, F(1, 3), Composition((0, 3, 3)))
         sigma = dd_support_check(m, 9)
         assert sigma is not None
 
@@ -466,7 +451,7 @@ class TestDDSupport:
 
 class TestAugment:
     def test_full_block_pair_fill(self):
-        base = TypeIIRealization.sparsest(ARC_II, Composition((0, 3, 3), 4))
+        base = TypeIIRealization.sparsest(ARC_II, Composition((0, 3, 3)))
         r = base
         for e in [(1, 5), (2, 6), (3, 7)]:
             r = r.augmented(e)
@@ -477,13 +462,13 @@ class TestAugment:
         assert m == order12_augmented(F(1, 2), F(9, 10))["A11"]
 
     def test_middle_pair_always_rejected(self):
-        base = TypeIIRealization.sparsest(ARC_II, Composition((0, 3, 3), 4))
+        base = TypeIIRealization.sparsest(ARC_II, Composition((0, 3, 3)))
         for edge in [(4, 8), (5, 9), (6, 10)]:
             with pytest.raises(ValueError, match="rejected"):
                 base.augmented(edge)
 
     def test_last_pair_fill(self):
-        base = TypeIIRealization.sparsest(ARC_II, Composition((0, 3, 3), 4))
+        base = TypeIIRealization.sparsest(ARC_II, Composition((0, 3, 3)))
         r = base
         for e in [(8, 2), (9, 3), (11, 1)]:
             r = r.augmented(e)
@@ -492,7 +477,7 @@ class TestAugment:
         assert m == order12_augmented(F(1, 2), F(9, 10))["A12"]
 
     def test_mixed_fill(self):
-        base = TypeIIRealization.sparsest(ARC_II, Composition((0, 3, 3), 4))
+        base = TypeIIRealization.sparsest(ARC_II, Composition((0, 3, 3)))
         r = base
         for e in [(1, 5), (8, 2), (9, 3)]:
             r = r.augmented(e)
@@ -504,7 +489,7 @@ class TestAugment:
 
     def test_augment_preserves_charpoly_generally(self):
         arc = arc_params(ArcType.TYPE_II, q=3, d=2, z=2)
-        base = TypeIIRealization.sparsest(arc, Composition((1, 1), 3))
+        base = TypeIIRealization.sparsest(arc, Composition((1, 1)))
         allowed = []
         for i in range(3):
             for edge in [(i, 3 + i)]:
@@ -526,13 +511,13 @@ class TestAugment:
             assert bool(verify_realization(m, arc, a))
 
     def test_infeasible_instantiation(self):
-        base = TypeIIRealization.sparsest(ARC_II, Composition((0, 3, 3), 4))
+        base = TypeIIRealization.sparsest(ARC_II, Composition((0, 3, 3)))
         r = base.augmented((1, 5))
         with pytest.raises(ValueError, match="infeasible"):
             r.instantiate(F(1, 2), {"alpha_1": F(1, 10)})
 
     def test_duplicate_and_foreign_edges(self):
-        base = TypeIIRealization.sparsest(ARC_II, Composition((0, 3, 3), 4))
+        base = TypeIIRealization.sparsest(ARC_II, Composition((0, 3, 3)))
         with pytest.raises(ValueError, match="already present"):
             base.augmented((0, 4))
         with pytest.raises(ValueError, match="not a candidate"):
@@ -610,7 +595,7 @@ class TestAugmentProperty:
 
 class TestProbe:
     def test_sparsest_found(self):
-        m = build_sparsest(ARC_III, F(1, 2), Composition((0, 0, 3), 4))
+        m = build_sparsest(ARC_III, F(1, 2), Composition((0, 0, 3)))
         report = conjecture_probe(m, ARC_III, F(1, 2))
         assert report.outcome == ProbeOutcome.FOUND
         assert report.spec is not None and len(report.spec.blocks) == 3
@@ -618,9 +603,7 @@ class TestProbe:
     def test_family_found_after_relabelling(self):
         a, a1 = F(1, 2), F(9, 10)
         spec = TypeIIIFamilySpec(
-            n=15, q=4, d=3, y=3,
-            blocks=[{3, 4, 5, 6}, {10}, {14}],
-            weights={3: a1, 4: a1, 5: a1, 6: a / a1 ** 3, 10: a, 14: a},
+            n=15, q=4, weights={3: a1, 4: a1, 5: a1, 6: a / a1 ** 3, 10: a, 14: a}
         )
         m = type3_family(spec)
         rng = random.Random(13)
@@ -631,17 +614,17 @@ class TestProbe:
         assert report.spec.alpha == a
 
     def test_gate_on_bad_matrix(self):
-        bad = build_sparsest(ARC_III, F(1, 3), Composition((0, 0, 3), 4))
+        bad = build_sparsest(ARC_III, F(1, 3), Composition((0, 0, 3)))
         with pytest.raises(ValueError):
             conjecture_probe(bad, ARC_III, F(1, 2))  # wrong parameter
 
     def test_small_probe(self):
         arc = arc_params(ArcType.TYPE_III, q=3, d=2, y=1)
-        m = build_sparsest(arc, F(1, 3), Composition((0, 1), 3))
+        m = build_sparsest(arc, F(1, 3), Composition((0, 1)))
         assert conjecture_probe(m, arc, F(1, 3)).outcome == ProbeOutcome.FOUND
 
     def test_inconclusive_on_tiny_budget(self):
-        m = build_sparsest(ARC_III, F(1, 2), Composition((0, 0, 3), 4))
+        m = build_sparsest(ARC_III, F(1, 2), Composition((0, 0, 3)))
         report = conjecture_probe(m, ARC_III, F(1, 2), cycle_budget=1)
         assert report.outcome == ProbeOutcome.INCONCLUSIVE
         assert "budget" in report.detail
@@ -656,7 +639,7 @@ class TestProbe:
 
         monkeypatch.setattr(digraph_module, "simple_cycles", counted)
         monkeypatch.setattr(realize_module, "simple_cycles", counted)
-        m = build_sparsest(ARC_III, F(1, 2), Composition((0, 0, 3), 4))
+        m = build_sparsest(ARC_III, F(1, 2), Composition((0, 0, 3)))
         assert conjecture_probe(m, ARC_III, F(1, 2), cycle_budget=budget).outcome == outcome
         assert calls == [15]
 
@@ -676,7 +659,7 @@ def probe_matrices(seed=7, members=6):
     rng = random.Random(seed)
     a, w = F(1, 3), F(9, 10)
     for arc in TYPE3_ARCS_TO_20:
-        n, q, d, y = arc.n, arc.q, arc.d, arc.y
+        n, q = arc.n, arc.q
         for comp in enumerate_sparsest(arc):
             m = build_sparsest(arc, a, comp)
             found = [m]
@@ -688,7 +671,7 @@ def probe_matrices(seed=7, members=6):
                 weights = {v: w for block in blocks for v in block}
                 weights.update({block[0]: a / w ** (len(block) - 1) for block in blocks})
                 try:
-                    spec = TypeIIIFamilySpec(n=n, q=q, d=d, y=y, blocks=blocks, weights=weights)
+                    spec = TypeIIIFamilySpec(n=n, q=q, weights=weights)
                 except ValueError:
                     continue  # blocks grown too close together
                 found.append(type3_family(spec))
@@ -704,7 +687,7 @@ def probe_by_rotations(m, arc):
     for cyc, _ in simple_cycles(WeightedDigraph.from_matrix(m)).cycles_of_length(n):
         for rot in range(n):
             ordering = cyc[rot:] + cyc[:rot]
-            spec = _family_spec_of(m.permuted(list(ordering)), n, arc.q, arc.d, arc.y)
+            spec = _family_spec_of(m.permuted(list(ordering)), n, arc.q)
             if spec is not None:
                 return ProbeOutcome.FOUND, spec, ordering
     return ProbeOutcome.NOT_FOUND, None, None
@@ -726,10 +709,10 @@ class TestProbeRotations:
         for arc, _, m in probe_cases:
             n = arc.n
             for cyc, _ in simple_cycles(WeightedDigraph.from_matrix(m)).cycles_of_length(n):
-                spec0 = _family_spec_of(m.permuted(list(cyc)), n, arc.q, arc.d, arc.y)
+                spec0 = _family_spec_of(m.permuted(list(cyc)), n, arc.q)
                 for rot in range(1, n):
                     ordering = cyc[rot:] + cyc[:rot]
-                    spec = _family_spec_of(m.permuted(list(ordering)), n, arc.q, arc.d, arc.y)
+                    spec = _family_spec_of(m.permuted(list(ordering)), n, arc.q)
                     assert (spec is None) == (spec0 is None), (arc, cyc, rot)
                     if spec is not None:
                         shifted = {frozenset((v - rot) % n for v in b) for b in spec0.blocks}
@@ -805,9 +788,11 @@ def reference_family_spec_of(m, n, q, d, y):
     if not weights or len(blocks) != d:
         return None
     try:
-        return TypeIIIFamilySpec(n=n, q=q, d=d, y=y, blocks=blocks, weights=weights)
+        spec = TypeIIIFamilySpec(n=n, q=q, weights=weights)
     except ValueError:
         return None
+    assert (spec.d, spec.y, set(spec.blocks)) == (d, y, set(blocks))
+    return spec
 
 
 @st.composite
@@ -847,7 +832,16 @@ class TestFamilyBlockRule:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(family_block_sets())
     def test_spec_accepts_as_the_pairwise_rule(self, case):
-        assert accepts(TypeIIIFamilySpec, *case) == accepts(reference_spec_check, *case)
+        """The drawn blocks pass the pairwise rule exactly when the spec on
+        their weights is accepted and its derived blocks are the ones drawn."""
+        n, q, _, _, blocks, weights = case
+        try:
+            spec = TypeIIIFamilySpec(n, q, weights)
+        except ValueError:
+            derived = False
+        else:
+            derived = set(spec.blocks) == {frozenset(b) for b in blocks}
+        assert derived == accepts(reference_spec_check, *case)
 
     def test_generated_sets_are_mixed(self):
         # The property above sees both verdicts, each often.
@@ -878,7 +872,7 @@ class TestFamilyBlockRule:
             orderings += [list(range(n))] + [rng.sample(range(n), n) for _ in range(3)]
             for ordering in orderings:
                 aligned = m.permuted(ordering)
-                spec = _family_spec_of(aligned, n, q, d, y)
+                spec = _family_spec_of(aligned, n, q)
                 assert spec == reference_family_spec_of(aligned, n, q, d, y), (arc, ordering)
                 found += spec is not None
         assert found >= len(probe_cases)
@@ -969,6 +963,9 @@ class TestPairBuilders:
             for a in self.ALPHAS:
                 reference = dict_cycle_with_back_edges(n, 1, dict.fromkeys(range(n), a))
                 assert_same_matrix(type0(n, a), reference)
+                if n >= 2:
+                    arc = arc_params(ArcType.TYPE_0, n=n)
+                    assert_same_matrix(build_sparsest(arc, a, Composition(())), reference)
         assert type0(1, F(1, 3)).sparse_rows == (((0, F(1)),),)
 
     def test_type1(self):
@@ -985,6 +982,8 @@ class TestPairBuilders:
                         m = type1(n, q, weights)
                         assert_same_matrix(m, dict_cycle_with_back_edges(n, q, dict(enumerate(weights))))
                     assert type1(n, q, unit).nnz() == n + 1
+                    arc = arc_params(ArcType.TYPE_I, n=n, q=q)
+                    assert_same_matrix(build_sparsest(arc, a, Composition(())), type1(n, q, unit))
 
     def test_type2_sparsest(self):
         for arc in catalogue_arcs(6, 4):
@@ -1024,5 +1023,5 @@ class TestPairBuilders:
                     assert_same_matrix(build_sparsest(arc, a, composition), reference)
         a, a1 = F(1, 2), F(9, 10)
         weights = {3: a1, 4: a1, 5: a1, 6: a / a1 ** 3, 10: a, 14: a}
-        spec = TypeIIIFamilySpec(n=15, q=4, d=3, y=3, blocks=[{3, 4, 5, 6}, {10}, {14}], weights=weights)
+        spec = TypeIIIFamilySpec(n=15, q=4, weights=weights)
         assert_same_matrix(type3_family(spec), dict_cycle_with_back_edges(15, 4, weights))
