@@ -8,8 +8,12 @@ A matrix is given as dense rows, its JSON wire form; their nonzero pairs,
 or the pairs a realization builder writes itself, pass one validator.
 Building, relabelling and reducing the sparse realization matrices follows
 those pairs; the dense grid of a matrix is derived from them only when it
-is read.  The characteristic polynomial is reduced on the nonzeros and
-finishes in Python ints after scaling by a common denominator.
+is read.  A matrix also keeps one integer view, made when first read: L,
+the lcm of its entry denominators, and its rows as ``(column, int
+numerator over L)`` pairs, which the characteristic polynomial and the
+similarity search read instead of the Fractions.  The characteristic
+polynomial is reduced on the nonzeros and finishes in Python ints after
+scaling by a common denominator.
 No floating point enters anywhere; the float world lives in
 :mod:`karpelevic.boundary` only.
 
@@ -326,6 +330,19 @@ class StochMatrix:
             grid.append(tuple(dense))
         return tuple(grid)
 
+    @cached_property
+    def _int_view(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """(L, rows): L the lcm of the entry denominators, and each row as
+        ``(column, int numerator over L)`` pairs.  Kept in the instance dict,
+        like ``entries``, so ``==``, ``hash``, JSON and ``repr`` never see it."""
+        # A row with one nonzero holds a 1, which is L over L.
+        d = lcm(*(e.denominator for row in self.sparse_rows if len(row) > 1 for _, e in row))
+        return d, tuple(
+            ((row[0][0], d),) if len(row) == 1
+            else tuple((j, e.numerator * (d // e.denominator)) for j, e in row)
+            for row in self.sparse_rows
+        )
+
     @property
     def n(self) -> int:
         return len(self.sparse_rows)
@@ -468,7 +485,8 @@ def charpoly_exact(matrix) -> RatPoly:
     every Type III realization is) is loaded transposed: its transpose has
     the same characteristic polynomial and is already upper Hessenberg,
     column k being row k of M, so there is no elimination, no pivot enters
-    a denominator and D is the lcm of the entry denominators.
+    a denominator, and D and DH are read as they are from the matrix's
+    integer view (L and its rows over L), made once per matrix.
 
     Any other matrix is reduced to H by exact similarity transforms in
     Fractions, on a dict of the nonzeros of each row and of each column; a
@@ -484,14 +502,14 @@ def charpoly_exact(matrix) -> RatPoly:
     if isinstance(matrix, StochMatrix) and all(
         row[-1][0] <= i + 1 for i, row in enumerate(matrix.sparse_rows) if row
     ):
-        cols = matrix.sparse_rows
+        d, rows = matrix._int_view
+        g = [list(row) for row in rows]
     else:
         cols = _hessenberg_columns(matrix)
-    n = len(cols)
-
-    # The nonzeros of column k lie in rows 0..k+1; scaled by D they are ints.
-    d = lcm(*(e.denominator for col in cols for _, e in col))
-    g = [[(i, e.numerator * (d // e.denominator)) for i, e in col] for col in cols]
+        # The nonzeros of column k lie in rows 0..k+1; scaled by D they are ints.
+        d = lcm(*(e.denominator for col in cols for _, e in col))
+        g = [[(i, e.numerator * (d // e.denominator)) for i, e in col] for col in cols]
+    n = len(g)
     sub = [0] * n  # sub[m] = (DH)[m][m-1]
     for k, col in enumerate(g):
         if col and col[-1][0] == k + 1:

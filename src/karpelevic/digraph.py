@@ -11,19 +11,21 @@ vertices, which is checked elsewhere against exact elimination.  Simple
 cycles are enumerated by a depth-first search (Tiernan's): from each
 vertex in turn, paths grow only through larger vertices, so every cycle
 is found once, from its least vertex, already in canonical rotation.
-Before each search one reverse search marks the vertices that can still
-get back to the start through larger vertices, and the path enters only
-those (the reachability pruning of Johnson's algorithm), so no path runs
-into a dead end that cannot close.
+Loops are read off the edges, and a start with no neighbour above it, in
+or out, opens no search.  Before each other search one reverse search
+marks the vertices that can still get back to the start through larger
+vertices, and the path enters only those (the reachability pruning of
+Johnson's algorithm), so no path runs into a dead end that cannot close.
 
-Permutation similarity is decided exactly by a backtracking search that
-matches vertex weight signatures and grows the map breadth-first along
-edges, so each new vertex is pinned by an already-mapped neighbour.  What
-the search reads of a matrix (neighbour maps, signatures and their counts,
+Permutation similarity is decided exactly by an iterative backtracking
+search that matches vertex weight signatures and grows the map
+breadth-first along edges, so each new vertex is pinned by an
+already-mapped neighbour.  What the search reads of a matrix (L and the
+int neighbour maps of its integer view, signatures and their counts,
 breadth-first order) is indexed once per matrix and kept on it, so a
-matrix compared many times is read, not rebuilt; and a vertex past a root
-takes its candidates from the neighbours of its placed neighbour's image,
-not from every vertex with its signature.
+matrix compared many times is read, not rebuilt, and no Fraction is read;
+and a vertex past a root takes its candidates from the neighbours of its
+placed neighbour's image, not from every vertex with its signature.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import prod
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from karpelevic.algebra import RatLike, RatPoly, StochMatrix, rat, rat_str
 from karpelevic.farey import ArcParams
@@ -46,18 +48,11 @@ __all__ = [
     "find_similarity_permutation",
     "cycle_structure_check",
     "to_dot",
-    "cyclic_distance",
 ]
 
 COATES_DEFAULT_BOUND = 16
 # Largest order the backtracking relabelling searches take on by default.
 SEARCH_ORDER_BOUND = 20
-
-
-def cyclic_distance(n: int, i: int, j: int) -> int:
-    """min((i-j) mod n, (j-i) mod n), the circular distance on 0..n-1."""
-    a = (i - j) % n
-    return min(a, n - a)
 
 
 class WeightedDigraph:
@@ -137,25 +132,37 @@ class CycleReport:
 def simple_cycles(g: WeightedDigraph) -> CycleReport:
     """Enumerate every simple cycle once, up to rotation, with its weight.
 
-    Depth-first from each vertex ``start`` through larger vertices only;
-    a path closes when its last vertex has an edge back to ``start``.
-    A reverse search over predecessor lists first marks the vertices
-    above ``start`` that reach it through vertices above ``start``, and
-    the path enters only marked vertices that are not on it already.
+    Self-loops are read off the edges.  Longer cycles are found
+    depth-first from each vertex ``start`` through larger vertices only; a
+    path closes when its last vertex has an edge back to ``start``.  A
+    start with no successor or no predecessor above it is the least vertex
+    of no such cycle, so no search runs from it (the least-vertex pruning
+    of Johnson's algorithm).  From any other start, a reverse search over
+    predecessor lists first marks the vertices above ``start`` that reach
+    it through vertices above ``start``, and the path enters only marked
+    vertices that are not on it already.
     Successors are visited in increasing order, so cycles come out in
     lexicographic order and each length's list is already sorted.  A
-    cycle's weight is formed as one Fraction from the products of the
-    numerators and of the denominators of its edge weights.
+    longer cycle's weight is formed as one Fraction from the products of
+    the numerators and of the denominators of its edge weights.
     """
     succ: list[list[int]] = [[] for _ in range(g.n)]
     pred: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        succ[u].append(v)
-        pred[v].append(u)
-    by_length: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {}
+    loops = []
+    for (u, v), w in g.edges.items():
+        if u == v:
+            loops.append(((u,), w))
+        else:
+            succ[u].append(v)
+            pred[v].append(u)
+    by_length: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {1: loops} if loops else {}
     reaches = [-1] * g.n  # reaches[v] == start: v gets back to start above it
     on_path = [False] * g.n
     for start in range(g.n):
+        # Both lists increase; without a neighbour above it both ways, start
+        # is the least vertex of no cycle longer than a loop.
+        if not (succ[start] and pred[start] and succ[start][-1] > start < pred[start][-1]):
+            continue
         frontier = [start]
         while frontier:
             for u in pred[frontier.pop()]:
@@ -220,39 +227,6 @@ def charpoly_coates(g: WeightedDigraph, bound: int = COATES_DEFAULT_BOUND) -> Ra
 # -- permutation similarity -------------------------------------------
 
 
-_WeightKey = tuple[int, int]
-
-
-def _weight_key(w: Fraction | int) -> _WeightKey:
-    """(numerator, denominator): equal exactly for equal rationals, int or
-    Fraction, and hashed, compared and sorted as plain ints."""
-    return w.numerator, w.denominator
-
-
-_NO_LOOP = _weight_key(0)
-
-
-def _edge_maps(g: WeightedDigraph):
-    """Out- and in-neighbour maps of g, each weight kept as its _weight_key.
-    Both are filled in the order of g.edges, which is sorted, so the keys
-    of every map come in increasing order."""
-    out: list[dict[int, _WeightKey]] = [dict() for _ in range(g.n)]
-    inc: list[dict[int, _WeightKey]] = [dict() for _ in range(g.n)]
-    for (u, v), w in g.edges.items():
-        out[u][v] = inc[v][u] = _weight_key(w)
-    return out, inc
-
-
-def _signature(out: list[dict[int, _WeightKey]], inc: list[dict[int, _WeightKey]], v: int) -> tuple:
-    """Sorted out-weights, sorted in-weights and self-loop weight of v: a
-    hashable key that every relabelling preserves."""
-    return (
-        tuple(sorted(out[v].values())),
-        tuple(sorted(inc[v].values())),
-        out[v].get(v, _NO_LOOP),
-    )
-
-
 def _bfs_tree(neighbours: list[list[int]], roots: Iterable[int]) -> tuple[list[int], list[int]]:
     """Breadth-first order of the vertices and the parent of each (-1 for a
     root): each component starts at its first vertex in ``roots`` and the
@@ -281,20 +255,47 @@ def _bfs_tree(neighbours: list[list[int]], roots: Iterable[int]) -> tuple[list[i
 
 
 class _SimilarityIndex:
-    """What the similarity search reads of one matrix: its out- and
-    in-neighbour maps with _weight_key weights, the vertex signatures, the
-    vertices of each signature in increasing order (``buckets``) and the
-    number of them (``counts``, a plain dict, so that comparing two is one
-    C-level dict comparison).  The breadth-first ``tree``, read only when
+    """What the similarity search reads of one matrix, built from its integer
+    view (L, rows over L): ``scale`` L, the out- and in-neighbour maps with
+    int weights over L, the vertex signatures (sorted out-weights, sorted
+    in-weights and self-loop weight, 0 for none), the vertices of each
+    signature in increasing order (``buckets``) and the number of them
+    (``counts``, a plain dict, so that comparing two is one C-level dict
+    comparison).  :meth:`candidates` reads off the vertices a placed
+    neighbour's image allows.  The breadth-first ``tree``, read only when
     the matrix is searched for, is filled in when first read."""
 
     def __init__(self, m: StochMatrix):
-        self.out, self.inc = _edge_maps(WeightedDigraph.from_matrix(m))
-        self.signatures = [_signature(self.out, self.inc, v) for v in range(m.n)]
+        self.scale, rows = m._int_view
+        # Both maps are filled in increasing order of their keys.
+        self.out = [dict(row) for row in rows]
+        self.inc: list[dict[int, int]] = [{} for _ in rows]
+        for u, row in enumerate(rows):
+            for v, w in row:
+                self.inc[v][u] = w
+        self.signatures = [
+            (tuple(sorted(o.values())), tuple(sorted(i.values())), o.get(v, 0))
+            for v, (o, i) in enumerate(zip(self.out, self.inc))
+        ]
         self.buckets: dict[tuple, list[int]] = {}
         for v, sig in enumerate(self.signatures):
             self.buckets.setdefault(sig, []).append(v)
         self.counts = {sig: len(vs) for sig, vs in self.buckets.items()}
+
+    def candidates(self, sig: tuple, image: int, to_image: Optional[int],
+                   from_image: Optional[int]) -> list[int]:
+        """The vertices u with signature ``sig`` whose edges u -> image and
+        image -> u have the int weights ``to_image`` and ``from_image`` (None
+        for no edge), in increasing order.  They are drawn from the
+        neighbours of ``image`` along one of those edges, not from the whole
+        signature bucket."""
+        out, inc = self.out, self.inc
+        near = inc[image] if to_image is not None else out[image]
+        return [
+            u for u in near
+            if out[u].get(image) == to_image and inc[u].get(image) == from_image
+            and self.signatures[u] == sig
+        ]
 
     @cached_property
     def tree(self) -> tuple[list[int], list[int]]:
@@ -318,44 +319,30 @@ def _similarity_index(m: StochMatrix) -> _SimilarityIndex:
     return index
 
 
-def _candidates(a: _SimilarityIndex, b: _SimilarityIndex, v: int, image: int) -> list[int]:
-    """The vertices of a, in increasing order, with v's signature and with
-    the edges, both ways and of equal weights, to ``image`` that v has to
-    w, the neighbour it hangs on in b's tree; ``image`` is where w was
-    placed.  They are drawn from the neighbours of ``image`` along one edge
-    between v and w, so the search never scans v's whole signature bucket."""
-    w, sig = b.tree[1][v], b.signatures[v]
-    edges = b.out[v].get(w), b.inc[v].get(w)
-    out, inc = a.out, a.inc
-    near = inc[image] if edges[0] is not None else out[image]
-    # The keys of a's maps increase (see _edge_maps), and so does the list.
-    return [
-        u for u in near
-        if (out[u].get(image), inc[u].get(image)) == edges and a.signatures[u] == sig
-    ]
-
-
 def find_similarity_permutation(
     a: StochMatrix, b: StochMatrix, max_order: Optional[int] = None
 ) -> Optional[list[int]]:
     """A permutation sigma with a[sigma[i], sigma[j]] == b[i, j], or None.
 
-    A vertex v of b may go only to a vertex of a with the same signature:
-    sorted out-weights, sorted in-weights and self-loop weight, kept as
-    integer (numerator, denominator) pairs.  Each matrix is indexed once,
-    on its first call, and the index is kept on the matrix (see
-    :class:`_SimilarityIndex`), so later calls on it only read its
-    neighbour maps, signatures and order.  Matrices whose signature counts
-    differ are told apart there.  Vertices are assigned
-    breadth-first over b's support, each component rooted at its vertex
-    with the fewest candidates; a root takes its candidates from the
-    vertices of a with its signature.  Every other vertex v hangs on an
-    assigned neighbour w, and takes as candidates only the neighbours of
-    sigma[w] in a with v's signature and v's edges to w, in increasing
-    order: any other vertex would fail on that edge.  An assignment v -> u
-    is kept only if the edges of v and of u to assigned vertices correspond
-    with equal weights.  On the sparse, nearly rigid realization digraphs
-    the edges propagate the map with little or no backtracking.
+    Each matrix is indexed once, on its first call, from its integer view
+    (its entries as int numerators over L, the lcm of their denominators),
+    and the index is kept on the matrix (see :class:`_SimilarityIndex`).
+    L is a relabelling invariant, and over one L equal ints are equal
+    entries, so matrices whose L or signature counts differ are told apart
+    there.  A vertex v of b may go only to a vertex of a with the same
+    signature: sorted out-weights, sorted in-weights and self-loop weight.
+    Vertices are assigned breadth-first over b's support, each component
+    rooted at its vertex with the fewest candidates; a root takes its
+    candidates from the vertices of a with its signature.  Every other
+    vertex v hangs on an assigned neighbour w, and takes as candidates only
+    the neighbours of sigma[w] in a with v's signature and v's edges to w,
+    in increasing order: any other vertex would fail on that edge.  An
+    assignment v -> u is kept only if the edges of v and of u to assigned
+    vertices correspond with equal weights.  The search is iterative: one
+    iterator over the candidates left per placed position, and ``sigma``
+    and ``inverse`` as lists (-1 for unassigned).  On the sparse, nearly
+    rigid realization digraphs the edges propagate the map with little or
+    no backtracking.
     """
     if a.n != b.n:
         raise ValueError("order mismatch")
@@ -363,43 +350,50 @@ def find_similarity_permutation(
     if a.n > limit:
         raise ValueError(f"order {a.n} exceeds the similarity search bound {limit}")
     ia, ib = _similarity_index(a), _similarity_index(b)
-    if ia.counts != ib.counts:
+    if ia.scale != ib.scale or ia.counts != ib.counts:
         return None
     out_a, in_a, out_b, in_b = ia.out, ia.inc, ib.out, ib.inc
     order, anchors = ib.tree
-    sigma: dict[int, int] = {}
-    inverse: dict[int, int] = {}
+    sigma = [-1] * b.n
+    inverse = [-1] * b.n
 
     def consistent(v: int, u: int) -> bool:
         for edges_b, edges_a in ((out_b[v], out_a[u]), (in_b[v], in_a[u])):
             for vv, w in edges_b.items():
-                if vv in sigma and edges_a.get(sigma[vv]) != w:
+                x = sigma[vv]
+                if x >= 0 and edges_a.get(x) != w:
                     return False
             for uu, w in edges_a.items():
-                if uu in inverse and edges_b.get(inverse[uu]) != w:
+                y = inverse[uu]
+                if y >= 0 and edges_b.get(y) != w:
                     return False
         return True
 
-    def assign(pos: int) -> bool:
-        if pos == len(order):
-            return True
+    pending: list[Iterator[int]] = []  # the candidates left at each position
+    pos = 0
+    while pos < b.n:
         v = order[pos]
-        if anchors[v] < 0:
-            candidates = ia.buckets[ib.signatures[v]]
+        if pos == len(pending):
+            w = anchors[v]
+            if w < 0:
+                pending.append(iter(ia.buckets[ib.signatures[v]]))
+            else:
+                edges = out_b[v].get(w), in_b[v].get(w)
+                pending.append(iter(ia.candidates(ib.signatures[v], sigma[w], *edges)))
+        else:  # back from a dead end: free v's image
+            u = sigma[v]
+            sigma[v] = inverse[u] = -1
+        for u in pending[pos]:
+            if inverse[u] < 0 and consistent(v, u):
+                sigma[v], inverse[u] = u, v
+                pos += 1
+                break
         else:
-            candidates = _candidates(ia, ib, v, sigma[anchors[v]])
-        for u in candidates:
-            if u in inverse or not consistent(v, u):
-                continue
-            sigma[v], inverse[u] = u, v
-            if assign(pos + 1):
-                return True
-            del sigma[v], inverse[u]
-        return False
-
-    if assign(0):
-        return [sigma[v] for v in range(b.n)]
-    return None
+            if not pos:
+                return None
+            pending.pop()
+            pos -= 1
+    return sigma
 
 
 # -- cycle structure against an arc ------------------------------------

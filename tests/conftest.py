@@ -5,8 +5,9 @@ examples, a seeded random-stochastic-matrix generator, the exact matrix
 product that the cyclic-shift power oracle uses, a runner for
 scripts in a fresh interpreter, the companion-matrix root finder the
 tests take as their reference, the exhaustive search used to confirm the characterization of digraphs whose
-cycle lengths are exactly {q, n}, and the list of small Type II/III arcs
-that several modules check their realizations on.
+cycle lengths are exactly {q, n}, the circular distance on 0..n-1 that
+the block and window references read, and the list of small Type II/III
+arcs that several modules check their realizations on.
 """
 
 from __future__ import annotations
@@ -283,6 +284,12 @@ def fits_anchored_window(n: int, q: int, sources: frozenset) -> bool:
         if all(v <= n - q for v in shifted):
             return True
     return False
+
+
+def cyclic_distance(n: int, i: int, j: int) -> int:
+    """min((i-j) mod n, (j-i) mod n), the circular distance on 0..n-1."""
+    a = (i - j) % n
+    return min(a, n - a)
 
 
 def catalogue_arcs(max_q=6, max_d=4):

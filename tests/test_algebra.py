@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from karpelevic.algebra import (
 )
 from karpelevic.digraph import WeightedDigraph, charpoly_coates
 from karpelevic.farey import ArcType, arc_params
-from karpelevic.realize import TypeIIRealization, build_sparsest, enumerate_sparsest
+from karpelevic.realize import TypeIIRealization, build_sparsest, enumerate_sparsest, type0, type1
 
 F = Fraction
 
@@ -398,6 +399,59 @@ def mixed_denominator_stochastic(draw, max_n=7):
         row[support[0]] = 1 - sum(row)
         rows.append(row)
     return StochMatrix(rows)
+
+
+class TestIntegerView:
+    """The cached integer view: L, the lcm of the entry denominators, and
+    every nonzero as an int numerator over L, in the order of its row."""
+
+    SMALL_ARCS = [arc for arc in catalogue_arcs(max_q=5, max_d=3) if arc.n <= 17]
+
+    @staticmethod
+    def check(m):
+        scale, rows = m._int_view
+        assert scale == math.lcm(*(e.denominator for row in m.entries for e in row))
+        assert len(rows) == m.n
+        for pairs, sparse in zip(rows, m.sparse_rows):
+            assert [j for j, _ in pairs] == [j for j, _ in sparse]
+            for (_, num), (_, entry) in zip(pairs, sparse):
+                assert type(num) is int and Fraction(num, scale) == entry
+        return scale
+
+    def check_relabellings(self, m, data):
+        scale = self.check(m)
+        p = m.permuted(data.draw(st.permutations(range(m.n))))
+        assert self.check(p) == scale
+        assert self.check(p.permuted(data.draw(st.permutations(range(m.n))))) == scale
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.one_of(mixed_denominator_stochastic(), sparse_stochastic()), st.data())
+    def test_rational_rows(self, m, data):
+        self.check_relabellings(m, data)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from(["0", "I", "II", "III"]), st.data())
+    def test_builders(self, kind, data):
+        den = data.draw(st.integers(2, 60))
+        alpha = F(data.draw(st.integers(1, den - 1)), den)
+        if kind == "0":
+            m = type0(data.draw(st.integers(1, 9)), alpha)
+        elif kind == "I":
+            n, q = data.draw(st.sampled_from(
+                [(n, q) for n in range(3, 10) for q in range(n // 2 + 1, n) if math.gcd(n, q) == 1]))
+            m = type1(n, q, [alpha] + [F(data.draw(st.integers(1, 9)), 9) for _ in range(n - q)])
+        else:
+            tag = ArcType.TYPE_II if kind == "II" else ArcType.TYPE_III
+            arc = data.draw(st.sampled_from([a for a in self.SMALL_ARCS if a.type_tag is tag]))
+            m = build_sparsest(arc, alpha, data.draw(st.sampled_from(enumerate_sparsest(arc))))
+        self.check_relabellings(m, data)
+
+    def test_kept_outside_equality_hash_json_and_repr(self):
+        m = StochMatrix([[F(1, 2), F(1, 2), 0], [0, F(1, 3), F(2, 3)], [1, 0, 0]])
+        before = (m.to_json(), repr(m), hash(m))
+        assert m._int_view == (6, (((0, 3), (1, 3)), ((1, 2), (2, 4)), ((0, 6),)))
+        assert m._int_view is m._int_view
+        assert m == StochMatrix(m.entries) and (m.to_json(), repr(m), hash(m)) == before
 
 
 @st.composite

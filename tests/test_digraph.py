@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     back_edge_subset_valid,
     catalogue_arcs,
+    cyclic_distance,
     fits_anchored_window,
     order12_sparsest,
     random_stochastic,
@@ -25,13 +26,11 @@ from karpelevic.digraph import (
     WeightedDigraph,
     charpoly_coates,
     cycle_structure_check,
-    cyclic_distance,
     find_similarity_permutation,
     simple_cycles,
     to_dot,
 )
-from karpelevic.digraph import _edge_maps, _signature, _weight_key
-from karpelevic.digraph import _candidates, _similarity_index
+from karpelevic.digraph import _similarity_index
 from karpelevic.farey import arc_params, ArcType
 from karpelevic.realize import (
     Composition,
@@ -141,6 +140,36 @@ class TestSimpleCyclesAgainstBruteForce:
         expected = brute_force_cycles(g)
         assert report == expected
         assert list(report) == sorted(expected)
+
+
+class TestSkippedStarts:
+    """A start with no successor or no predecessor above it opens no
+    search; what it closes, its loop at most, is still reported."""
+
+    @staticmethod
+    def check(g):
+        report = simple_cycles(g).by_length
+        assert report == brute_force_cycles(g)
+        assert list(report) == sorted(report)
+        return report
+
+    def test_loop_on_vertex_without_larger_neighbour(self):
+        # Vertex 2 has a loop and neighbours 0 both ways, none above it.
+        g = WeightedDigraph(3, {(0, 1): F(1, 2), (0, 2): F(1, 2), (1, 0): F(1),
+                                (2, 0): F(2, 3), (2, 2): F(1, 3)})
+        assert self.check(g) == {1: [((2,), F(1, 3))], 2: [((0, 1), F(1, 2)), ((0, 2), F(1, 3))]}
+
+    def test_in_edges_from_below_on_a_cycle_led_elsewhere(self):
+        # Vertex 1 is entered from 0 only; its cycles are found from 0.
+        g = WeightedDigraph(4, {(0, 1): F(1), (1, 2): F(1, 4), (1, 3): F(3, 4),
+                                (2, 0): F(1), (3, 0): F(1), (3, 3): F(1, 2)})
+        report = self.check(g)
+        assert [c for c, _ in report[3]] == [(0, 1, 2), (0, 1, 3)]
+        assert report[1] == [((3,), F(1, 2))]
+
+    @pytest.mark.parametrize("edges", [{}, {(0, 0): F(1)}], ids=["no-loop", "loop"])
+    def test_one_vertex(self, edges):
+        assert self.check(WeightedDigraph(1, edges)) == ({1: [((0,), F(1))]} if edges else {})
 
 
 def tiernan_cycles(g):
@@ -406,11 +435,6 @@ class TestSimilarityOnRealizations:
 class TestSignatureBuckets:
     """Candidates come from a dict keyed by vertex signature."""
 
-    @staticmethod
-    def _signatures(m):
-        out, inc = _edge_maps(WeightedDigraph.from_matrix(m))
-        return sorted(_signature(out, inc, v) for v in range(m.n))
-
     def test_equal_signatures_but_not_similar(self):
         # A 6-cycle and two 3-cycles: every vertex has one in- and one
         # out-edge of weight 1 and no loop.
@@ -418,18 +442,23 @@ class TestSignatureBuckets:
         two_threes = StochMatrix(
             [[1 if j == 3 * (i // 3) + (i + 1) % 3 else 0 for j in range(6)] for i in range(6)]
         )
-        assert self._signatures(six) == self._signatures(two_threes)
+        ia, ib = _similarity_index(six), _similarity_index(two_threes)
+        assert ia.scale == ib.scale == 1
+        assert sorted(ia.signatures) == sorted(ib.signatures) and ia.counts == ib.counts
         assert find_similarity_permutation(six, two_threes) is None
         assert find_similarity_permutation(two_threes, six) is None
 
     def test_int_and_fraction_zero_share_a_bucket(self):
-        assert _weight_key(0) == _weight_key(F(0))
-        assert hash(_weight_key(0)) == hash(_weight_key(F(0)))
-        buckets = {((), (), _weight_key(0)): [0]}
-        assert buckets[((), (), _weight_key(F(0)))] == [0]
+        # A vertex without a loop has loop weight int 0, which equals and
+        # hashes as F(0), so a key with either zero finds its bucket.
         ints = StochMatrix([[0, 1, 0], [0, 0, 1], [F(1, 2), 0, F(1, 2)]])
         fractions = StochMatrix([[F(1, 2), F(1, 2), F(0)], [F(0), F(0), F(1)], [F(1), F(0), F(0)]])
-        assert self._signatures(ints) == self._signatures(fractions)
+        ia, ib = _similarity_index(ints), _similarity_index(fractions)
+        out_weights, in_weights, loop = ia.signatures[0]
+        assert type(loop) is int and loop == 0 == F(0) and hash(loop) == hash(F(0))
+        assert ia.buckets[(out_weights, in_weights, F(0))] == [0]
+        assert ia.scale == ib.scale == 2
+        assert sorted(ia.signatures) == sorted(ib.signatures)
         sigma = find_similarity_permutation(ints, fractions)
         assert sigma is not None and ints.permuted(sigma) == fractions
 
@@ -471,15 +500,32 @@ def reference_bfs_order(g, rank):
     return order
 
 
+def reference_edge_maps(m):
+    """Out- and in-neighbour maps of m with its Fraction entries as weights."""
+    out = [{j: m[i, j] for j in range(m.n) if m[i, j]} for i in range(m.n)]
+    inc = [{i: m[i, j] for i in range(m.n) if m[i, j]} for j in range(m.n)]
+    return out, inc
+
+
+def reference_signatures(out, inc):
+    """Sorted out-weights, sorted in-weights and self-loop weight (0 for
+    none) of each vertex, as Fractions."""
+    return [
+        (tuple(sorted(out[v].values())), tuple(sorted(inc[v].values())), out[v].get(v, 0))
+        for v in range(len(out))
+    ]
+
+
 def bucket_similarity(a, b):
-    """Reference: the search that scans signature buckets.  Each call builds
-    the digraphs, edge maps and signatures of both matrices again, and every
-    vertex tries each vertex of a with its signature, in increasing order."""
-    out_a, in_a = _edge_maps(WeightedDigraph.from_matrix(a))
+    """Reference: the search that scans signature buckets.  Each call reads
+    both matrices' Fraction entries again into edge maps and signatures,
+    and every vertex tries each vertex of a with its signature, in
+    increasing order."""
+    out_a, in_a = reference_edge_maps(a)
+    out_b, in_b = reference_edge_maps(b)
     gb = WeightedDigraph.from_matrix(b)
-    out_b, in_b = _edge_maps(gb)
-    sig_a = [_signature(out_a, in_a, u) for u in range(a.n)]
-    sig_b = [_signature(out_b, in_b, v) for v in range(b.n)]
+    sig_a = reference_signatures(out_a, in_a)
+    sig_b = reference_signatures(out_b, in_b)
     if sorted(sig_a) != sorted(sig_b):
         return None
     candidates = [[u for u in range(a.n) if sig_a[u] == sig] for sig in sig_b]
@@ -544,6 +590,21 @@ def similarity_pairs(draw, max_n=8):
     return a, b.permuted(draw(st.permutations(range(n))))
 
 
+class TestDenominatorInvariant:
+    """L, the lcm of the entry denominators, is kept by relabelling, so
+    matrices whose L differ are told apart before any search."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(similarity_pairs(max_n=5))
+    @example((StochMatrix([[F(1, 2), F(1, 2)], [1, 0]]), StochMatrix([[F(1, 3), F(2, 3)], [1, 0]])))
+    def test_different_denominators_never_similar(self, pair):
+        a, b = pair
+        similar = brute_force_similar(a, b)
+        assert (find_similarity_permutation(a, b) is not None) == similar
+        if a._int_view[0] != b._int_view[0]:
+            assert not similar
+
+
 def fresh_copy(m):
     """An equal matrix that has never been searched."""
     return StochMatrix(m.entries)
@@ -577,7 +638,7 @@ class TestNeighbourDrawnSearch:
         ia, ib = _similarity_index(a), _similarity_index(b)
         order, anchors = ib.tree
         gb = WeightedDigraph.from_matrix(b)
-        sig_b = [_signature(*_edge_maps(gb), v) for v in range(b.n)]
+        sig_b = reference_signatures(*reference_edge_maps(b))
         assert order == reference_bfs_order(gb, lambda v: (sig_b.count(sig_b[v]), v))
         position = {v: k for k, v in enumerate(order)}
         for v in range(b.n):
@@ -587,10 +648,15 @@ class TestNeighbourDrawnSearch:
                 assert w == -1
                 continue
             assert w in earlier
-            bucket = ia.buckets.get(ib.signatures[v], [])
+            # v's signature and its edges to w as weights over a's L.
+            ratio = F(ia.scale, ib.scale)
+            outs, ins, loop = ib.signatures[v]
+            sig = (tuple(x * ratio for x in outs), tuple(x * ratio for x in ins), loop * ratio)
+            edges = [None if x is None else x * ratio for x in (ib.out[v].get(w), ib.inc[v].get(w))]
+            bucket = ia.buckets.get(sig, [])
             for image in range(a.n):
                 expected = [u for u in bucket if (a[u, image], a[image, u]) == (b[v, w], b[w, v])]
-                assert _candidates(ia, ib, v, image) == expected
+                assert ia.candidates(sig, image, *edges) == expected
 
 
 class TestCachedIndex:

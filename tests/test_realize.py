@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import catalogue_arcs, order12_augmented, order12_sparsest
+from conftest import catalogue_arcs, cyclic_distance, order12_augmented, order12_sparsest
 from karpelevic import digraph as digraph_module
 from karpelevic import realize as realize_module
 from karpelevic.algebra import RatPoly, StochMatrix, charpoly_exact, cyclic_shift_matrix
 from karpelevic.digraph import (
     WeightedDigraph,
-    cyclic_distance,
     find_similarity_permutation,
     simple_cycles,
 )
