@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Union
+from typing import Optional, Union
 
 Rat = Fraction
 RatLike = Union[Fraction, int, str]
@@ -469,6 +469,39 @@ def _hessenberg_columns(matrix) -> list[list[tuple[int, Fraction]]]:
     return [sorted((pos[r], e) for r, e in cols[at[k]].items()) for k in range(n)]
 
 
+def _hessenberg_order(rows) -> Optional[list[int]]:
+    """An order of the vertices making the matrix with these sparse rows
+    lower Hessenberg (every nonzero at j <= i + 1), or None.
+
+    The identity if the rows already are; else a forced walk.  In such an
+    order only v_i's edges can reach v_(i+1), so a walk starts at a vertex
+    with one non-loop successor and steps to the unique unplaced successor,
+    failing on none or on two or more, with no backtracking.  A walk from
+    any vertex of a walk that met two would meet two again, so none starts.
+    On a strongly connected digraph an order is found whenever one exists.
+    """
+    n = len(rows)
+    if all(row[-1][0] <= i + 1 for i, row in enumerate(rows) if row):
+        return list(range(n))
+    succ = [[j for j, _ in row] for row in rows]
+    dead: set[int] = set()
+    for start in range(n):
+        if start in dead or len(succ[start]) - (start in succ[start]) != 1:
+            continue
+        order, placed = [start], {start}
+        while len(order) < n:
+            ahead = [j for j in succ[order[-1]] if j not in placed]
+            if len(ahead) != 1:
+                break
+            placed.add(ahead[0])
+            order.append(ahead[0])
+        else:
+            return order
+        if ahead:
+            dead.update(order)
+    return None
+
+
 def charpoly_exact(matrix) -> RatPoly:
     """Monic characteristic polynomial det(tI - M) over exact rationals.
 
@@ -481,12 +514,12 @@ def charpoly_exact(matrix) -> RatPoly:
     common case on a realization, is the shared zero.  Nothing is rounded
     anywhere.
 
-    A StochMatrix whose nonzeros all have j <= i + 1 (lower Hessenberg, as
-    every Type III realization is) is loaded transposed: its transpose has
-    the same characteristic polynomial and is already upper Hessenberg,
-    column k being row k of M, so there is no elimination, no pivot enters
-    a denominator, and D and DH are read as they are from the matrix's
-    integer view (L and its rows over L), made once per matrix.
+    A StochMatrix that some relabelling makes lower Hessenberg, as every
+    Type 0, I and III realization and many Type II ones are, is relabelled
+    by :func:`_hessenberg_order` and loaded transposed: the transpose is
+    upper Hessenberg with the same characteristic polynomial, so there is
+    no elimination, and D and DH are read from the matrix's integer view
+    (L and its rows over L), made once per matrix.
 
     Any other matrix is reduced to H by exact similarity transforms in
     Fractions, on a dict of the nonzeros of each row and of each column; a
@@ -499,11 +532,11 @@ def charpoly_exact(matrix) -> RatPoly:
     diagonal.  On the sparse realization matrices the Fraction arithmetic
     therefore follows the nonzeros and their fill-in.
     """
-    if isinstance(matrix, StochMatrix) and all(
-        row[-1][0] <= i + 1 for i, row in enumerate(matrix.sparse_rows) if row
-    ):
+    order = _hessenberg_order(matrix.sparse_rows) if isinstance(matrix, StochMatrix) else None
+    if order is not None:
         d, rows = matrix._int_view
-        g = [list(row) for row in rows]
+        slot = {v: k for k, v in enumerate(order)}
+        g = [sorted((slot[j], x) for j, x in rows[v]) for v in order]
     else:
         cols = _hessenberg_columns(matrix)
         # The nonzeros of column k lie in rows 0..k+1; scaled by D they are ints.

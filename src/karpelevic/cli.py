@@ -3,7 +3,7 @@
 Verbs: arcs, realize, enumerate, verify, region, augment, probe.
 
 Exact rationals cross the command line as "p/q" strings; decimals are
-rejected everywhere except --tol.  Vertices are 1-based on the command
+rejected everywhere.  Vertices are 1-based on the command
 line (matching the DOT output); the Python API underneath is 0-based.
 Exit codes: 0 success (also when the reader closes stdout early), 1 domain
 error, 2 usage error.
@@ -237,13 +237,16 @@ def cmd_augment(args) -> int:
 
 def cmd_probe(args) -> int:
     matrix, arc = _matrix_and_arc(args)
-    report = conjecture_probe(matrix, arc, _rat_flag("--alpha", args.alpha, _check_alpha))
-    print(f"{report.outcome}: {report.detail}")
-    if report.spec is not None:
-        blocks = [sorted(v + 1 for v in block) for block in report.spec.blocks]
-        weights = {v + 1: rat_str(w) for v, w in sorted(report.spec.weights.items())}
-        print(f"blocks (1-based): {blocks}")
-        print(f"step weights: {weights}")
+    found = conjecture_probe(matrix, arc, _rat_flag("--alpha", args.alpha, _check_alpha))
+    if found is None:
+        print("NOT-FOUND: no relabelling puts the matrix in family form")
+        return 0
+    spec, permutation = found
+    print(f"FOUND: family form with the vertices in the order {[v + 1 for v in permutation]}")
+    blocks = [sorted(v + 1 for v in block) for block in spec.blocks]
+    weights = {v + 1: rat_str(w) for v, w in sorted(spec.weights.items())}
+    print(f"blocks (1-based): {blocks}")
+    print(f"step weights: {weights}")
     return 0
 
 

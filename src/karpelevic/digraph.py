@@ -125,9 +125,6 @@ class CycleReport:
     def all_cycles(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return [c for length in sorted(self.by_length) for c in self.by_length[length]]
 
-    def count(self) -> int:
-        return sum(len(v) for v in self.by_length.values())
-
 
 def simple_cycles(g: WeightedDigraph) -> CycleReport:
     """Enumerate every simple cycle once, up to rotation, with its weight.

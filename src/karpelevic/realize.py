@@ -9,6 +9,9 @@ composition per class.  A :class:`Composition` holds bare parts, which
 the build checks against the arc: parts below q, then the arc's sum and
 length.  A :class:`TypeIIIFamilySpec` takes n, q and the step weights of
 the split rows; d, y and the blocks follow from them.
+``conjecture_probe`` finds a relabelling into that form, if one exists,
+by one forced walk (each step to the one successor not yet placed), which
+in family form runs along the n-cycle; it enumerates no cycles.
 
 Construction catalogue, 0-based throughout:
 
@@ -33,7 +36,7 @@ matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate
 from math import prod
@@ -43,6 +46,7 @@ from karpelevic.algebra import (
     _ONE,
     RatLike,
     StochMatrix,
+    _hessenberg_order,
     charpoly_exact,
     rat,
 )
@@ -62,8 +66,6 @@ __all__ = [
     "TypeIIRealization",
     "TypeIIIFamilySpec",
     "VerificationResult",
-    "ProbeOutcome",
-    "ProbeReport",
     "type0",
     "type1",
     "type3_family",
@@ -275,12 +277,7 @@ class TypeIIRealization:
             raise ValueError(f"edge {edge} is already present")
         new_connectors = list(self.connectors)
         new_connectors[t] = tuple(sorted(new_connectors[t] + (edge,)))
-        candidate = TypeIIRealization(
-            q=self.q,
-            d=self.d,
-            z=self.z,
-            connectors=tuple(new_connectors),
-        )
+        candidate = replace(self, connectors=tuple(new_connectors))
         # A cycle running k times round the blocks has length -k*z (mod q):
         # never q, and n - z only for k = 1.  So the blocks are the only
         # q-cycles, and any length but q and n - z is a broken long cycle.
@@ -621,67 +618,35 @@ def dd_support_check(m: StochMatrix, k: int) -> Optional[list[int]]:
 # -- conjecture probe ------------------------------------------------------
 
 
-class ProbeOutcome:
-    FOUND = "FOUND"
-    NOT_FOUND = "NOT-FOUND"
-    INCONCLUSIVE = "INCONCLUSIVE"
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Result of searching for a block-family relabelling of a Type III
-    realization."""
-
-    outcome: str
-    spec: Optional[TypeIIIFamilySpec] = None
-    permutation: Optional[tuple[int, ...]] = None
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.outcome == ProbeOutcome.FOUND
-
-
 def conjecture_probe(
-    m: StochMatrix, arc: ArcParams, alpha: RatLike, cycle_budget: int = 10000
-) -> ProbeReport:
+    m: StochMatrix, arc: ArcParams, alpha: RatLike
+) -> Optional[tuple[TypeIIIFamilySpec, tuple[int, ...]]]:
     """Search for a relabelling putting a Type III realization in family form.
 
-    Refuses m unless its characteristic polynomial is the arc's reduced
-    polynomial, the check that makes verify_realization true; the cycles
-    of m are enumerated once, for the search.  Any family-form digraph
-    has exactly one n-cycle, so every family relabelling maps some n-cycle
-    of m onto the standard cycle.  Family form is read at cyclic offsets
-    (step edges at +1, back edges at 1 - q, blocks by cyclic distance), so
-    rotating the labels along the cycle keeps or breaks it as a whole: one
-    relabelling per n-cycle makes the search exhaustive.  INCONCLUSIVE is
-    returned only when cycle enumeration exceeds the budget.
+    Returns (spec, permutation), vertex permutation[k] going to slot k, or
+    None.  Refuses m unless its characteristic polynomial is the arc's
+    reduced polynomial, the check that makes verify_realization true.
+
+    A family-form digraph is strongly connected with one n-cycle, and a
+    forced walk of :func:`_hessenberg_order` on it follows that cycle:
+    until the walk first leaves a row i by its back edge it has placed a
+    stretch s, ..., i of the cycle, so i+1 is unplaced too.  A walk started
+    just after a block has q - 1 unsplit rows ahead and succeeds.  So the
+    first walk that succeeds decides: m is aligned by it, rotated to start
+    at vertex 0, and its spec read; family form is read at cyclic offsets,
+    so the rotation keeps it.
     """
     if arc.type_tag is not ArcType.TYPE_III:
         raise ValueError("the probe applies to Type III arcs only")
     if reduced_ito(arc, alpha).poly != charpoly_exact(m):
         raise ValueError("matrix does not realise the arc polynomial; probe refused")
-    n, q = arc.n, arc.q
-    report = simple_cycles(WeightedDigraph.from_matrix(m))
-    if report.count() > cycle_budget:
-        return ProbeReport(
-            outcome=ProbeOutcome.INCONCLUSIVE,
-            detail=f"cycle enumeration produced {report.count()} cycles, over budget",
-        )
-    n_cycles = report.cycles_of_length(n)
-    for tried, (cyc, _) in enumerate(n_cycles, 1):
-        # Vertex cyc[k] goes to slot k; the n-cycle becomes standard.
-        spec = _family_spec_of(m.permuted(list(cyc)), n, q)
-        if spec is not None:
-            return ProbeReport(
-                outcome=ProbeOutcome.FOUND,
-                spec=spec,
-                permutation=tuple(cyc),
-                detail=f"family form found after {tried} relabellings",
-            )
-    return ProbeReport(
-        outcome=ProbeOutcome.NOT_FOUND,
-        detail=f"exhausted {len(n_cycles)} n-cycles without finding family form",
-    )
+    order = _hessenberg_order(m.sparse_rows)
+    if order is None:
+        return None
+    k = order.index(0)
+    permutation = tuple(order[k:] + order[:k])
+    spec = _family_spec_of(m.permuted(permutation), arc.n, arc.q)
+    return None if spec is None else (spec, permutation)
 
 
 def _family_spec_of(m: StochMatrix, n: int, q: int) -> Optional[TypeIIIFamilySpec]:

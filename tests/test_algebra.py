@@ -5,12 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import catalogue_arcs, matmul, random_stochastic
+from karpelevic import algebra as algebra_module
 from karpelevic.algebra import (
     _hessenberg_columns,
+    _hessenberg_order,
     RatPoly,
     StochMatrix,
     charpoly_exact,
@@ -21,7 +23,16 @@ from karpelevic.algebra import (
 )
 from karpelevic.digraph import WeightedDigraph, charpoly_coates
 from karpelevic.farey import ArcType, arc_params
-from karpelevic.realize import TypeIIRealization, build_sparsest, enumerate_sparsest, type0, type1
+from karpelevic.itopoly import reduced_ito
+from karpelevic.realize import (
+    TypeIIIFamilySpec,
+    TypeIIRealization,
+    build_sparsest,
+    enumerate_sparsest,
+    type0,
+    type1,
+    type3_family,
+)
 
 F = Fraction
 
@@ -646,3 +657,129 @@ class TestCharpoly:
         p = charpoly_exact(m)
         assert p.degree == 6 and p.coeffs[-1] == 1
         assert poly_eval(p, 1) == 0  # row sums 1 force the eigenvalue 1
+
+
+def lower_hessenberg_under(succ, order):
+    """Whether every edge i -> j of ``succ`` has slot(j) <= slot(i) + 1."""
+    slot = {v: k for k, v in enumerate(order)}
+    return all(slot[j] <= slot[i] + 1 for i, js in enumerate(succ) for j in js)
+
+
+def strongly_connected(succ):
+    n = len(succ)
+    pred = [[i for i in range(n) if j in succ[i]] for j in range(n)]
+    for edges in (succ, pred):
+        seen, frontier = {0}, [0]
+        while frontier:
+            for v in edges[frontier.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+        if len(seen) < n:
+            return False
+    return True
+
+
+@st.composite
+def digraphs(draw, max_n=6):
+    """Successor sets of a digraph on at most 6 vertices, each vertex with
+    at least one.  Half are a relabelled lower-Hessenberg pattern, whose
+    step edges i -> i+1 are kept with probability one half each, so that
+    many are strongly connected."""
+    n = draw(st.integers(1, max_n))
+    hessenberg = draw(st.booleans())
+    succ = []
+    for i in range(n):
+        cols = range(min(i + 2, n)) if hessenberg else range(n)
+        out = draw(st.sets(st.sampled_from(cols), min_size=1))
+        if hessenberg and i + 1 < n and draw(st.booleans()):
+            out.add(i + 1)
+        succ.append(out)
+    perm = draw(st.permutations(range(n)))  # vertex i becomes perm[i]
+    relabelled = [set() for _ in range(n)]
+    for i, out in enumerate(succ):
+        relabelled[perm[i]] = {perm[j] for j in out}
+    return relabelled
+
+
+TYPE_I_SHAPES = [(n, q) for n in range(3, 13) for q in range(n // 2 + 1, n) if math.gcd(n, q) == 1]
+TYPE_III_ARCS = [arc for arc in catalogue_arcs(max_q=6, max_d=4) if arc.type_tag is ArcType.TYPE_III]
+
+
+@st.composite
+def relabelled_cycle_realizations(draw):
+    """(matrix, its reduced polynomial): a Type 0, Type I or sparsest Type
+    III realization, or a Type III family member grown from one, under a
+    random relabelling.  Each is an n-cycle with back edges."""
+    kind = draw(st.sampled_from(["0", "I", "III", "family"]))
+    alpha = F(draw(st.integers(1, 50)), 101)
+    if kind == "0":
+        n = draw(st.integers(2, 12))
+        m, arc = type0(n, alpha), arc_params(ArcType.TYPE_0, n=n)
+    elif kind == "I":
+        n, q = draw(st.sampled_from(TYPE_I_SHAPES))
+        weights = [alpha] + [F(draw(st.integers(1, 9)), 9) for _ in range(n - q)]
+        m, arc, alpha = type1(n, q, weights), arc_params(ArcType.TYPE_I, n=n, q=q), math.prod(weights)
+    else:
+        arc = draw(st.sampled_from(TYPE_III_ARCS))
+        m = build_sparsest(arc, alpha, draw(st.sampled_from(enumerate_sparsest(arc))))
+        if kind == "family":
+            # Grow each block back from its split row; the row's own step
+            # weight restores the block's product alpha.
+            n, q, w = arc.n, arc.q, F(19, 20)
+            weights = {}
+            for r in (i for i, row in enumerate(m.sparse_rows) if len(row) == 2):
+                block = [(r - k) % n for k in range(draw(st.integers(1, q)))]
+                weights.update(dict.fromkeys(block, w))
+                weights[r] = alpha / w ** (len(block) - 1)
+            try:
+                m = type3_family(TypeIIIFamilySpec(n=n, q=q, weights=weights))
+            except ValueError:
+                assume(False)  # blocks grown too close together
+    return m.permuted(draw(st.permutations(range(m.n)))), reduced_ito(arc, alpha).poly
+
+
+class TestHessenbergOrder:
+    """_hessenberg_order against a brute force over every order, and on the
+    n-cycle realizations, where it must always find one."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(digraphs())
+    # the walk from 0 meets two unplaced successors at 1, so neither 0 nor 1
+    # starts a walk again; the walk from 2 succeeds: 2, 0, 1, 3
+    @example([{1}, {2, 3}, {0}, {0}])
+    # not strongly connected: every walk fails on no unplaced successor,
+    # though the order 1, 0, 2 exists
+    @example([{2}, {1}, {0}])
+    def test_against_every_order(self, succ):
+        n = len(succ)
+        order = _hessenberg_order([tuple((j, 1) for j in sorted(out)) for out in succ])
+        if order is not None:
+            assert sorted(order) == list(range(n))
+            assert lower_hessenberg_under(succ, order)
+        if strongly_connected(succ):
+            exists = any(lower_hessenberg_under(succ, p) for p in itertools.permutations(range(n)))
+            assert (order is not None) == exists
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(relabelled_cycle_realizations())
+    def test_cycle_realizations_always_ordered(self, case):
+        m, _ = case
+        order = _hessenberg_order(m.sparse_rows)
+        assert order is not None
+        assert lower_hessenberg_under([[j for j, _ in row] for row in m.sparse_rows], order)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(relabelled_cycle_realizations())
+    def test_charpoly_takes_the_integer_path(self, case):
+        m, expected = case
+
+        def refuse(matrix):
+            raise AssertionError("charpoly_exact eliminated")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(algebra_module, "_hessenberg_columns", refuse)
+            exact = charpoly_exact(m)
+        assert exact == expected
+        if m.n <= 16:
+            assert exact == charpoly_coates(WeightedDigraph.from_matrix(m))

@@ -573,7 +573,9 @@ class TestProbeCli:
         f.write_text(out)
         code, out, _ = run(capsys, "probe", "--matrix", str(f), "--arc", ARC15_JSON, "--alpha", "1/2")
         assert code == 0
-        assert out.startswith("FOUND")
+        assert out.splitlines()[0] == (
+            f"FOUND: family form with the vertices in the order {list(range(1, 16))}"
+        )
         assert "blocks (1-based): [[4], [8], [15]]" in out
 
 

@@ -82,7 +82,7 @@ class TestSimpleCycles:
         report = simple_cycles(WeightedDigraph.from_matrix(a1))
         assert len(report.cycles_of_length(4)) == 3
         assert len(report.cycles_of_length(9)) == 1
-        assert report.count() == 4
+        assert len(report.all_cycles()) == 4
 
     def test_weights_exact(self):
         m = type0(4, F(1, 3))
@@ -242,7 +242,7 @@ class TestPrunedSearchAgainstTiernan:
         # sum over k of C(8, k) (k - 1)! cycles, the 8 loops included
         g = WeightedDigraph.from_edge_list(8, itertools.product(range(8), repeat=2), F(1, 8))
         report = simple_cycles(g)
-        assert report.count() == 16072
+        assert len(report.all_cycles()) == 16072
         assert_same_report(report, tiernan_cycles(g))
 
 
@@ -260,7 +260,7 @@ class TestWithoutNetworkx:
         from karpelevic.digraph import WeightedDigraph, charpoly_coates
         from karpelevic.farey import ArcType, arc_params
         from karpelevic.realize import (
-            Composition, ProbeOutcome, build_sparsest, conjecture_probe, verify_realization,
+            Composition, build_sparsest, conjecture_probe, verify_realization,
         )
 
         arc12 = arc_params(ArcType.TYPE_II, q=4, d=3, z=3)
@@ -269,7 +269,7 @@ class TestWithoutNetworkx:
         assert charpoly_coates(WeightedDigraph.from_matrix(m12)) == charpoly_exact(m12)
         arc15 = arc_params(ArcType.TYPE_III, q=4, d=3, y=3)
         m15 = build_sparsest(arc15, F(1, 2), Composition((0, 0, 3)))
-        assert conjecture_probe(m15, arc15, F(1, 2)).outcome == ProbeOutcome.FOUND
+        assert conjecture_probe(m15, arc15, F(1, 2)) is not None
         with open(sys.argv[1], "w") as f:
             json.dump(m12.to_json(), f)
         sys.exit(main(["verify", "--matrix", sys.argv[1], "--arc", json.dumps(arc12.to_json()),
