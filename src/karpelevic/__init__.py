@@ -12,7 +12,6 @@ Subpackages:
 """
 
 from karpelevic.algebra import (
-    Rat,
     RatPoly,
     StochMatrix,
     charpoly_exact,
@@ -32,7 +31,6 @@ from karpelevic.farey import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rat",
     "RatPoly",
     "StochMatrix",
     "charpoly_exact",

@@ -31,14 +31,12 @@ from functools import cached_property
 from math import lcm
 from typing import Optional, Union
 
-Rat = Fraction
 RatLike = Union[Fraction, int, str]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 __all__ = [
-    "Rat",
     "RatPoly",
     "StochMatrix",
     "rat",
@@ -133,14 +131,6 @@ class RatPoly:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return Fraction(0)
-
-    def coeff_from_top(self, j: int) -> Fraction:
-        """Coefficient of t**(degree - j).
-
-        This is the k_j of the monic expansion t**n + k_1 t**(n-1) + ...,
-        the convention used everywhere a coefficient identity is checked.
-        """
-        return self.coeff(self.degree - j)
 
     # -- arithmetic ---------------------------------------------------
 

@@ -372,8 +372,9 @@ def traces_json_payload(traces: Sequence[ArcTrace]) -> list[dict]:
     ]
 
 
-def boundary_svg(traces: Sequence[ArcTrace], size: int = 800) -> str:
-    """Static SVG: unit-circle underlay plus one polyline per arc."""
+def boundary_svg(traces: Sequence[ArcTrace]) -> str:
+    """Static 800 by 800 SVG: unit-circle underlay plus one polyline per arc."""
+    size = 800
     half = size / 2
     scale = size / 2.4
 

@@ -26,6 +26,8 @@ breadth-first order) is indexed once per matrix and kept on it, so a
 matrix compared many times is read, not rebuilt, and no Fraction is read;
 and a vertex past a root takes its candidates from the neighbours of its
 placed neighbour's image, not from every vertex with its signature.
+The two-diagonal support check of Dmitriev and Dynkin runs on the same
+loop (``_relabel``), placing vertices on slots instead of on vertices.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import prod
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from karpelevic.algebra import RatLike, RatPoly, StochMatrix, rat, rat_str
 from karpelevic.farey import ArcParams
@@ -46,6 +48,7 @@ __all__ = [
     "simple_cycles",
     "charpoly_coates",
     "find_similarity_permutation",
+    "dd_support_check",
     "cycle_structure_check",
     "to_dot",
 ]
@@ -316,8 +319,49 @@ def _similarity_index(m: StochMatrix) -> _SimilarityIndex:
     return index
 
 
+def _relabel(
+    order: list[int],
+    anchors: list[int],
+    candidates: Callable[[int, int, int], Iterable[int]],
+    consistent: Callable[[int, int, list[int], list[int]], bool],
+) -> Optional[list[int]]:
+    """The backtracking search of both relabelling searches: a map sigma of
+    the vertices one-to-one onto 0..n-1, or None.  Vertices are placed in
+    ``order``, breadth first, so each vertex v but a root hangs on its
+    anchor w = anchors[v] (-1 for a root), placed before it.  v takes its
+    images from ``candidates(v, w, sigma[w])`` (-1, -1 for a root), in the
+    order given, and keeps the first free image u for which
+    ``consistent(v, u, sigma, inverse)`` holds; ``inverse[u]`` is the vertex
+    placed at u and -1 marks the unplaced in both lists.  The search is
+    iterative: one iterator over the images left per placed position, and a
+    dead end frees the position before it and resumes its iterator."""
+    sigma = [-1] * len(order)
+    inverse = [-1] * len(order)
+    pending: list[Iterator[int]] = []  # the candidates left at each position
+    pos = 0
+    while pos < len(order):
+        v = order[pos]
+        if pos == len(pending):
+            w = anchors[v]
+            pending.append(iter(candidates(v, w, sigma[w] if w >= 0 else -1)))
+        else:  # back from a dead end: free v's image
+            u = sigma[v]
+            sigma[v] = inverse[u] = -1
+        for u in pending[pos]:
+            if inverse[u] < 0 and consistent(v, u, sigma, inverse):
+                sigma[v], inverse[u] = u, v
+                pos += 1
+                break
+        else:
+            if not pos:
+                return None
+            pending.pop()
+            pos -= 1
+    return sigma
+
+
 def find_similarity_permutation(
-    a: StochMatrix, b: StochMatrix, max_order: Optional[int] = None
+    a: StochMatrix, b: StochMatrix, max_order: int = SEARCH_ORDER_BOUND
 ) -> Optional[list[int]]:
     """A permutation sigma with a[sigma[i], sigma[j]] == b[i, j], or None.
 
@@ -328,33 +372,32 @@ def find_similarity_permutation(
     entries, so matrices whose L or signature counts differ are told apart
     there.  A vertex v of b may go only to a vertex of a with the same
     signature: sorted out-weights, sorted in-weights and self-loop weight.
-    Vertices are assigned breadth-first over b's support, each component
-    rooted at its vertex with the fewest candidates; a root takes its
-    candidates from the vertices of a with its signature.  Every other
-    vertex v hangs on an assigned neighbour w, and takes as candidates only
-    the neighbours of sigma[w] in a with v's signature and v's edges to w,
-    in increasing order: any other vertex would fail on that edge.  An
-    assignment v -> u is kept only if the edges of v and of u to assigned
-    vertices correspond with equal weights.  The search is iterative: one
-    iterator over the candidates left per placed position, and ``sigma``
-    and ``inverse`` as lists (-1 for unassigned).  On the sparse, nearly
-    rigid realization digraphs the edges propagate the map with little or
-    no backtracking.
+    Vertices are assigned by :func:`_relabel`, breadth-first over b's
+    support, each component rooted at its vertex with the fewest
+    candidates; a root takes its candidates from the vertices of a with its
+    signature.  Every other vertex v hangs on an assigned neighbour w, and
+    takes as candidates only the neighbours of sigma[w] in a with v's
+    signature and v's edges to w, in increasing order: any other vertex
+    would fail on that edge.  An assignment v -> u is kept only if the
+    edges of v and of u to assigned vertices correspond with equal weights.
+    On the sparse, nearly rigid realization digraphs the edges propagate
+    the map with little or no backtracking.
     """
     if a.n != b.n:
         raise ValueError("order mismatch")
-    limit = max_order if max_order is not None else SEARCH_ORDER_BOUND
-    if a.n > limit:
-        raise ValueError(f"order {a.n} exceeds the similarity search bound {limit}")
+    if a.n > max_order:
+        raise ValueError(f"order {a.n} exceeds the similarity search bound {max_order}")
     ia, ib = _similarity_index(a), _similarity_index(b)
     if ia.scale != ib.scale or ia.counts != ib.counts:
         return None
     out_a, in_a, out_b, in_b = ia.out, ia.inc, ib.out, ib.inc
-    order, anchors = ib.tree
-    sigma = [-1] * b.n
-    inverse = [-1] * b.n
 
-    def consistent(v: int, u: int) -> bool:
+    def candidates(v: int, w: int, x: int) -> list[int]:
+        if w < 0:
+            return ia.buckets[ib.signatures[v]]
+        return ia.candidates(ib.signatures[v], x, out_b[v].get(w), in_b[v].get(w))
+
+    def consistent(v: int, u: int, sigma: list[int], inverse: list[int]) -> bool:
         for edges_b, edges_a in ((out_b[v], out_a[u]), (in_b[v], in_a[u])):
             for vv, w in edges_b.items():
                 x = sigma[vv]
@@ -366,31 +409,54 @@ def find_similarity_permutation(
                     return False
         return True
 
-    pending: list[Iterator[int]] = []  # the candidates left at each position
-    pos = 0
-    while pos < b.n:
-        v = order[pos]
-        if pos == len(pending):
-            w = anchors[v]
-            if w < 0:
-                pending.append(iter(ia.buckets[ib.signatures[v]]))
-            else:
-                edges = out_b[v].get(w), in_b[v].get(w)
-                pending.append(iter(ia.candidates(ib.signatures[v], sigma[w], *edges)))
-        else:  # back from a dead end: free v's image
-            u = sigma[v]
-            sigma[v] = inverse[u] = -1
-        for u in pending[pos]:
-            if inverse[u] < 0 and consistent(v, u):
-                sigma[v], inverse[u] = u, v
-                pos += 1
-                break
-        else:
-            if not pos:
-                return None
-            pending.pop()
-            pos -= 1
-    return sigma
+    return _relabel(*ib.tree, candidates, consistent)
+
+
+def dd_support_check(m: StochMatrix, k: int) -> Optional[list[int]]:
+    """A relabelling confining the support to two cyclic diagonals, or None.
+
+    Searches for a permutation sigma such that every nonzero entry of the
+    relabelled matrix sits at (i, j) with j - i = k or k + 1 (mod n), the
+    two-diagonal shape of Dmitriev and Dynkin.  The search is
+    :func:`_relabel`, placing the vertices breadth first on slots: a root
+    may take any slot, and a vertex hanging on a placed neighbour w takes
+    the two slots at offset k or k + 1 from w's, after it along an edge
+    w -> v and before it otherwise.  A slot is kept only if v's edges to
+    placed vertices, and a self-loop (offset 0), fall in the band.  Returns
+    sigma with relabelled[i][j] = m[sigma[i]][sigma[j]], or None when no
+    relabelling exists.
+    """
+    n = m.n
+    if n > SEARCH_ORDER_BOUND:
+        raise ValueError(f"order {n} exceeds the support search bound {SEARCH_ORDER_BOUND}")
+    offsets = {k % n, (k + 1) % n}
+    out = [[j for j, _ in row] for row in m.sparse_rows]
+    inc: list[list[int]] = [[] for _ in range(n)]
+    for i, row in enumerate(out):
+        for j in row:
+            inc[j].append(i)
+
+    def slots(v: int, w: int, x: int) -> Iterable[int]:
+        if w < 0:
+            return range(n)
+        sign = 1 if v in out[w] else -1
+        return [(x + sign * o) % n for o in offsets]
+
+    def consistent(v: int, slot: int, position: list[int], _: list[int]) -> bool:
+        # v is not placed yet, so its self-loop reads its slot here.
+        for u in out[v]:
+            s = slot if u == v else position[u]
+            if s >= 0 and (s - slot) % n not in offsets:
+                return False
+        for u in inc[v]:
+            s = position[u]
+            if s >= 0 and (slot - s) % n not in offsets:
+                return False
+        return True
+
+    tree = _bfs_tree([[*o, *i] for o, i in zip(out, inc)], range(n))
+    position = _relabel(*tree, slots, consistent)
+    return None if position is None else sorted(range(n), key=position.__getitem__)
 
 
 # -- cycle structure against an arc ------------------------------------
@@ -443,14 +509,10 @@ def cycle_structure_check(g: WeightedDigraph, arc: ArcParams) -> CycleStructureR
     if d >= 2:
         at_least = len(q_cycles) >= d
         if len(q_cycles) == d:
-            seen: set[int] = set()
-            disjoint = True
-            for cyc, _ in q_cycles:
-                if seen & set(cyc):
-                    disjoint = False
-                seen |= set(cyc)
-            weights = {w for _, w in q_cycles}
-            exactly = disjoint and len(weights) == 1
+            # Each q-cycle has q distinct vertices, so the d of them are
+            # disjoint exactly when their union has q*d.
+            disjoint = len({v for cyc, _ in q_cycles for v in cyc}) == q * d
+            exactly = disjoint and len({w for _, w in q_cycles}) == 1
     return CycleStructureReport(
         ok=not problems,
         lengths=tuple(lengths),
@@ -461,9 +523,10 @@ def cycle_structure_check(g: WeightedDigraph, arc: ArcParams) -> CycleStructureR
     )
 
 
-def to_dot(g: WeightedDigraph, name: str = "gamma") -> str:
-    """DOT source with vertices labelled 1..n and rational edge labels."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+def to_dot(g: WeightedDigraph) -> str:
+    """DOT source of the digraph gamma, vertices labelled 1..n, with rational
+    edge labels."""
+    lines = ["digraph gamma {", "  rankdir=LR;"]
     for v in range(g.n):
         lines.append(f"  {v + 1};")
     for (u, v), w in g.edges.items():

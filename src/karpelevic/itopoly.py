@@ -81,7 +81,7 @@ class ItoInstance:
 
     def k(self, j: int) -> Fraction:
         """Coefficient k_j of t^(deg - j) in the monic expansion."""
-        return self.poly.coeff_from_top(j)
+        return self.poly.coeff(self.poly.degree - j)
 
 
 def reduced_shifts(arc: ArcParams) -> tuple[int, int]:

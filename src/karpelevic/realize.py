@@ -12,6 +12,9 @@ the split rows; d, y and the blocks follow from them.
 ``conjecture_probe`` finds a relabelling into that form, if one exists,
 by one forced walk (each step to the one successor not yet placed), which
 in family form runs along the n-cycle; it enumerates no cycles.
+``dd_band_index(arc)`` is the band of the two-diagonal support check,
+which lives in :mod:`karpelevic.digraph` with the other relabelling
+search.
 
 Construction catalogue, 0-based throughout:
 
@@ -51,10 +54,8 @@ from karpelevic.algebra import (
     rat,
 )
 from karpelevic.digraph import (
-    SEARCH_ORDER_BOUND,
     CycleStructureReport,
     WeightedDigraph,
-    _bfs_tree,
     cycle_structure_check,
     simple_cycles,
 )
@@ -72,7 +73,6 @@ __all__ = [
     "enumerate_sparsest",
     "build_sparsest",
     "verify_realization",
-    "dd_support_check",
     "conjecture_probe",
 ]
 
@@ -543,76 +543,12 @@ def dd_band_index(arc: ArcParams) -> int:
 
     Matrices with an eigenvalue on the arc can be relabelled so the
     support sits on offsets {k, k+1} (mod n), where the arc's angular
-    interval lies within [k/n, (k+1)/n] turns.  Equals p*d when p/q is the
-    arc's lower endpoint and p*d - 1 when it is the upper one.
+    interval lies within [k/n, (k+1)/n] turns; that is the band
+    :func:`karpelevic.digraph.dd_support_check` checks.  Equals p*d when
+    p/q is the arc's lower endpoint and p*d - 1 when it is the upper one.
     """
     lo = min(Fraction(arc.p, arc.q), Fraction(arc.r, arc.s))
     return (arc.n * lo.numerator) // lo.denominator
-
-
-def dd_support_check(m: StochMatrix, k: int) -> Optional[list[int]]:
-    """A relabelling confining the support to two cyclic diagonals, or None.
-
-    Searches for a permutation sigma such that every nonzero entry of the
-    relabelled matrix sits at (i, j) with j - i = k or k + 1 (mod n).
-    Backtracking with propagation: each out-neighbour of an assigned
-    vertex has only the two band positions available.  Returns sigma with
-    relabelled[i][j] = m[sigma[i]][sigma[j]], or None when no relabelling
-    exists.
-    """
-    n = m.n
-    if n > SEARCH_ORDER_BOUND:
-        raise ValueError(f"order {n} exceeds the support search bound {SEARCH_ORDER_BOUND}")
-    offsets = {k % n, (k + 1) % n}
-    support = m.support()
-
-    # Breadth first, every vertex but a root hangs on its parent, a
-    # neighbour placed before it, so its slot is forced to two candidates.
-    neighbours: list[list[int]] = [[] for _ in range(n)]
-    for i, j in support:
-        neighbours[i].append(j)
-        neighbours[j].append(i)
-    vertices, parent = _bfs_tree(neighbours, range(n))
-
-    # position[v] = slot of vertex v in the relabelled matrix.
-    position: dict[int, int] = {}
-    taken: dict[int, int] = {}
-
-    def ok(v: int, slot: int) -> bool:
-        if (v, v) in support and 0 not in offsets:
-            return False
-        for u, s in position.items():
-            if (u, v) in support and (slot - s) % n not in offsets:
-                return False
-            if (v, u) in support and (s - slot) % n not in offsets:
-                return False
-        return True
-
-    def search(idx: int) -> bool:
-        if idx == n:
-            return True
-        v = vertices[idx]
-        u = parent[v]
-        slots: Iterable[int] = range(n)
-        if u >= 0:
-            sign = 1 if (u, v) in support else -1
-            slots = [(position[u] + sign * o) % n for o in offsets]
-        for slot in slots:
-            if slot in taken or not ok(v, slot):
-                continue
-            position[v] = slot
-            taken[slot] = v
-            if search(idx + 1):
-                return True
-            del position[v]
-            del taken[slot]
-        return False
-
-    if not search(0):
-        return None
-    sigma = [taken[slot] for slot in range(n)]
-    assert all((position[v] - position[u]) % n in offsets for u, v in support)
-    return sigma
 
 
 # -- conjecture probe ------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import package_env
+from karpelevic import realize as realize_module
 from karpelevic.algebra import StochMatrix, charpoly_exact
 from karpelevic.cli import _build_parser, main
 from karpelevic.farey import ArcType, arc_params
@@ -577,6 +578,14 @@ class TestProbeCli:
             f"FOUND: family form with the vertices in the order {list(range(1, 16))}"
         )
         assert "blocks (1-based): [[4], [8], [15]]" in out
+
+    def test_probe_not_found(self, capsys, tmp_path, monkeypatch):
+        # A fake spec reader stands in for a realization outside family form.
+        monkeypatch.setattr(realize_module, "_family_spec_of", lambda m, n, q: None)
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(build_sparsest(ARC15, F(1, 2), Composition((0, 0, 3))).to_json()))
+        code, out, err = run(capsys, "probe", "--matrix", str(f), "--arc", ARC15_JSON, "--alpha", "1/2")
+        assert (code, out, err) == (0, "NOT-FOUND: no relabelling puts the matrix in family form\n", "")
 
 
 class TestRegionCli:

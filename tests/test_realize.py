@@ -13,6 +13,7 @@ from karpelevic import realize as realize_module
 from karpelevic.algebra import RatPoly, StochMatrix, charpoly_exact, cyclic_shift_matrix
 from karpelevic.digraph import (
     WeightedDigraph,
+    dd_support_check,
     find_similarity_permutation,
     simple_cycles,
 )
@@ -24,7 +25,6 @@ from karpelevic.realize import (
     build_sparsest,
     conjecture_probe,
     dd_band_index,
-    dd_support_check,
     enumerate_sparsest,
     type0,
     type1,
@@ -634,6 +634,14 @@ class TestProbe:
         random.Random(5).shuffle(perm)
         for matrix in (m, m.permuted(perm)):
             assert conjecture_probe(matrix, ARC_III, F(1, 2)) is not None
+
+    def test_not_found_when_no_spec_is_read(self, monkeypatch):
+        # No matrix known to pass the gate lies outside family form (the
+        # open question of a non-family realization), so a fake reader
+        # stands in for one: the probe reports no relabelling.
+        monkeypatch.setattr(realize_module, "_family_spec_of", lambda m, n, q: None)
+        m = build_sparsest(ARC_III, F(1, 2), Composition((0, 0, 3)))
+        assert conjecture_probe(m, ARC_III, F(1, 2)) is None
 
 
 TYPE3_ARCS_TO_20 = [
