@@ -250,10 +250,10 @@ class StochMatrix:
     them, and hands their nonzero pairs to :meth:`_from_pairs`, the one
     validator; the realization builders write the sorted pairs themselves
     and call it directly, and :meth:`permuted` relabels the pairs, so on
-    matrices with O(n) nonzeros building, validation, :meth:`support`,
-    :meth:`nnz` and ``WeightedDigraph.from_matrix`` take O(n) steps rather
-    than O(n^2).  The dense grid ``entries`` is filled in from the pairs the
-    first time it is read (indexing, JSON, repr).
+    matrices with O(n) nonzeros building, validation, :meth:`nnz` and
+    ``WeightedDigraph.from_matrix`` take O(n) steps rather than O(n^2).
+    The dense grid ``entries`` is filled in from the pairs the first time
+    it is read (indexing, JSON, repr).
 
     Entries are validated at construction: each in [0, 1], each row summing
     to exactly 1.  Two matrices are equal when their entries are.
@@ -357,9 +357,6 @@ class StochMatrix:
         return StochMatrix._of(
             tuple(tuple(sorted((slot[j], e) for j, e in self.sparse_rows[v])) for v in perm)
         )
-
-    def support(self) -> set[tuple[int, int]]:
-        return {(i, j) for i, row in enumerate(self.sparse_rows) for j, _ in row}
 
     def nnz(self) -> int:
         return sum(map(len, self.sparse_rows))

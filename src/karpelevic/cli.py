@@ -34,10 +34,10 @@ from karpelevic.digraph import WeightedDigraph, to_dot
 from karpelevic.farey import ArcParams, ArcType, arc_params, arcs_of_order
 from karpelevic.itopoly import _check_alpha
 from karpelevic.realize import (
-    Composition,
     TypeIIRealization,
     _check_composition,
     _check_open_unit,
+    _composition_str,
     build_sparsest,
     conjecture_probe,
     enumerate_sparsest,
@@ -67,16 +67,16 @@ def _rat_flag(flag: str, text: str, check: Callable[[Fraction], None] | None = N
         return value
 
 
-def _composition_flag(text: str | None, arc: ArcParams) -> Composition:
-    """The --composition flag; if absent, the one class of a Type 0 or I arc."""
+def _composition_flag(text: str | None, arc: ArcParams) -> tuple[int, ...]:
+    """The --composition flag's parts; if absent, the one class of a Type 0
+    or I arc."""
     with _naming("--composition"):
         try:
             parts = () if text is None else tuple(int(x) for x in text.split(","))
         except ValueError:
             raise ValueError(f"expected comma-separated integers, got {text!r}") from None
-        composition = Composition(parts)
-        _check_composition(arc, composition)
-    return composition
+        _check_composition(arc, parts)
+    return parts
 
 
 def _arc_from_flags(args) -> ArcParams:
@@ -152,17 +152,17 @@ def cmd_enumerate(args) -> int:
     if args.alpha is not None:
         alpha = _rat_flag("--alpha", args.alpha, _check_open_unit)
         payload = [
-            {"composition": list(c.parts), "matrix": build_sparsest(arc, alpha, c).to_json()}
+            {"composition": list(c), "matrix": build_sparsest(arc, alpha, c).to_json()}
             for c in comps
         ]
         print(json.dumps(payload))
         return 0
     if args.json:
-        print(json.dumps([list(c.parts) for c in comps]))
+        print(json.dumps([list(c) for c in comps]))
         return 0
     print(f"{len(comps)} sparsest class(es) for {_arc_label(arc)} Type{arc.type_tag.value}:")
     for c in comps:
-        print(f"  {c}")
+        print(f"  {_composition_str(c)}")
     return 0
 
 

@@ -43,7 +43,6 @@ from karpelevic.farey import ArcParams
 
 __all__ = [
     "WeightedDigraph",
-    "CycleReport",
     "CycleStructureReport",
     "simple_cycles",
     "charpoly_coates",
@@ -108,29 +107,13 @@ class WeightedDigraph:
         return f"WeightedDigraph(n={self.n}, edges={len(self.edges)})"
 
 
-@dataclass(frozen=True)
-class CycleReport:
-    """All simple cycles of a digraph, keyed by length.
-
-    Each cycle is a vertex tuple rotated so its minimum vertex comes
-    first, paired with the exact product of its edge weights; lists are
-    sorted, so reports are canonical.
-    """
-
-    by_length: dict[int, list[tuple[tuple[int, ...], Fraction]]]
-
-    def lengths(self) -> set[int]:
-        return set(self.by_length)
-
-    def cycles_of_length(self, length: int) -> list[tuple[tuple[int, ...], Fraction]]:
-        return self.by_length.get(length, [])
-
-    def all_cycles(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return [c for length in sorted(self.by_length) for c in self.by_length[length]]
-
-
-def simple_cycles(g: WeightedDigraph) -> CycleReport:
+def simple_cycles(g: WeightedDigraph) -> dict[int, list[tuple[tuple[int, ...], Fraction]]]:
     """Enumerate every simple cycle once, up to rotation, with its weight.
+
+    Returns a dict from cycle length to the sorted list of ``(cycle,
+    weight)`` pairs of that length, its keys ascending.  Each cycle is a
+    vertex tuple rotated so its minimum vertex comes first, paired with the
+    exact product of its edge weights.
 
     Self-loops are read off the edges.  Longer cycles are found
     depth-first from each vertex ``start`` through larger vertices only; a
@@ -185,7 +168,7 @@ def simple_cycles(g: WeightedDigraph) -> CycleReport:
             else:
                 stack.pop()
                 on_path[path.pop()] = False
-    return CycleReport(by_length=dict(sorted(by_length.items())))
+    return dict(sorted(by_length.items()))
 
 
 def charpoly_coates(g: WeightedDigraph, bound: int = COATES_DEFAULT_BOUND) -> RatPoly:
@@ -200,8 +183,7 @@ def charpoly_coates(g: WeightedDigraph, bound: int = COATES_DEFAULT_BOUND) -> Ra
     if g.n > bound:
         raise ValueError(f"order {g.n} exceeds the Coates enumeration bound {bound}")
     cycles = [
-        (frozenset(cyc), w, len(cyc))
-        for cyc, w in simple_cycles(g).all_cycles()
+        (frozenset(cyc), w, len(cyc)) for same in simple_cycles(g).values() for cyc, w in same
     ]
     coeffs = [Fraction(0)] * (g.n + 1)  # coeffs[i] = k_i
 
@@ -494,7 +476,7 @@ def cycle_structure_check(g: WeightedDigraph, arc: ArcParams) -> CycleStructureR
     report = simple_cycles(g)
     q, s, d = arc.q, arc.s, arc.d
     allowed = sorted({s} | {k * q for k in range(1, d + 1)})
-    lengths = sorted(report.lengths())
+    lengths = list(report)
     problems = []
     bad = [length for length in lengths if length not in allowed]
     if bad:
@@ -503,7 +485,7 @@ def cycle_structure_check(g: WeightedDigraph, arc: ArcParams) -> CycleStructureR
         problems.append(f"no cycle of length s={s}")
     if q not in lengths:
         problems.append(f"no cycle of length q={q}")
-    q_cycles = report.cycles_of_length(q)
+    q_cycles = report.get(q, [])
     at_least = None
     exactly = None
     if d >= 2:

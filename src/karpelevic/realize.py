@@ -5,7 +5,7 @@ degree (Type II: n = q*d, Type III: n = q*d + y), with the family
 parameter held as an exact rational in (0, 1).  The one entry to a
 sparsest realization is ``build_sparsest(arc, alpha, composition)`` on a
 validated :class:`ArcParams`; ``enumerate_sparsest(arc)`` lists one
-composition per class.  A :class:`Composition` holds bare parts, which
+composition per class.  A composition is a plain tuple of parts, which
 the build checks against the arc: parts below q, then the arc's sum and
 length.  A :class:`TypeIIIFamilySpec` takes n, q and the step weights of
 the split rows; d, y and the blocks follow from them.
@@ -63,7 +63,6 @@ from karpelevic.farey import ArcParams, ArcType, arc_params
 from karpelevic.itopoly import reduced_ito
 
 __all__ = [
-    "Composition",
     "TypeIIRealization",
     "TypeIIIFamilySpec",
     "VerificationResult",
@@ -85,35 +84,15 @@ def _check_open_unit(a: Fraction, what: str = "parameter") -> None:
 # -- compositions -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Composition:
-    """Ordered tuple of integers indexing a sparsest realization; an arc
-    takes parts in 0..q-1 (see :func:`_check_composition`)."""
-
-    parts: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    def rotations(self) -> list[tuple[int, ...]]:
-        p = self.parts
-        return [p[k:] + p[:k] for k in range(len(p))]
-
-    def canonical(self) -> "Composition":
-        """Lexicographically minimal cyclic rotation; the empty composition
-        is its own."""
-        if not self.parts:
-            return self
-        return Composition(min(self.rotations()))
-
-    def __str__(self) -> str:
-        return "(" + ",".join(map(str, self.parts)) + ")"
+def _composition_str(parts: Sequence[int]) -> str:
+    """The composition as written in listings and errors: "(0,3,3)"."""
+    return "(" + ",".join(map(str, parts)) + ")"
 
 
-def _necklace_classes(total: int, length: int, bound: int) -> list[Composition]:
+def _necklace_classes(total: int, length: int, bound: int) -> list[tuple[int, ...]]:
     """The compositions of ``total`` into ``length`` parts in 0..bound-1
-    that are their own minimal rotation, in lexicographic order.
+    that are their own minimal rotation, as tuples of parts in
+    lexicographic order.
 
     Grows prenecklaces by the Fredricksen-Kessler-Maiorana rule: with p the
     period of the prefix a[1..t-1], part a[t] may be any value >= a[t-p];
@@ -123,13 +102,13 @@ def _necklace_classes(total: int, length: int, bound: int) -> list[Composition]:
     each at most bound-1, can still bring the sum to ``total``, so no
     composition is built that is then thrown away.
     """
-    out: list[Composition] = []
+    out: list[tuple[int, ...]] = []
     a = [0] * (length + 1)  # a[0] = 0 stands in front of the parts a[1..]
 
     def grow(t: int, p: int, left: int) -> None:
         if t > length:
             if length % p == 0:
-                out.append(Composition(tuple(a[1:])))
+                out.append(tuple(a[1:]))
             return
         room = (length - t) * (bound - 1)  # the most parts t+1.. can add
         for v in range(max(a[t - p], left - room), min(bound - 1, left) + 1):
@@ -237,13 +216,14 @@ class TypeIIRealization:
         return self.q * self.d
 
     @classmethod
-    def sparsest(cls, arc: ArcParams, composition: Composition) -> "TypeIIRealization":
-        """The sparsest digraph of a Type II arc for one composition."""
+    def sparsest(cls, arc: ArcParams, composition: Sequence[int]) -> "TypeIIRealization":
+        """The sparsest digraph of a Type II arc for one composition, a
+        tuple of parts."""
         if arc.type_tag is not ArcType.TYPE_II:
             raise ValueError(f"the arc is {arc.type_tag}, not {ArcType.TYPE_II}")
         _check_composition(arc, composition)
         assert arc.z is not None
-        conns = _type2_connectors(arc.q, arc.d, arc.z, composition.parts)
+        conns = _type2_connectors(arc.q, arc.d, arc.z, composition)
         return cls(
             q=arc.q,
             d=arc.d,
@@ -285,7 +265,7 @@ class TypeIIRealization:
         steps = [(v, v - v % q + (v + 1) % q) for v in range(n)]
         links = [e for conns in new_connectors for e in conns]
         allowed = {q, n - self.z}
-        lengths = simple_cycles(WeightedDigraph.from_edge_list(n, steps + links)).lengths()
+        lengths = set(simple_cycles(WeightedDigraph.from_edge_list(n, steps + links)))
         if lengths != allowed:
             raise ValueError(
                 f"edge {edge} rejected: it would create a long cycle of length "
@@ -444,35 +424,35 @@ def _sparsest_shape(arc: ArcParams) -> tuple[int, int]:
     return 0, 0
 
 
-def _check_composition(arc: ArcParams, composition: Composition) -> None:
-    """Raise unless the composition's parts lie below q and it has the
-    arc's sparsest shape."""
-    if any(not 0 <= p < arc.q for p in composition.parts):
+def _check_composition(arc: ArcParams, parts: Sequence[int]) -> None:
+    """Raise unless the parts lie below q and have the arc's sparsest
+    shape."""
+    if any(not 0 <= p < arc.q for p in parts):
         raise ValueError(f"parts must lie in 0..{arc.q - 1}")
     total, length = _sparsest_shape(arc)
-    if (len(composition.parts), composition.total) != (length, total):
+    if (len(parts), sum(parts)) != (length, total):
         raise ValueError(
             f"the arc takes a composition of {total} into {length} parts below {arc.q}, "
-            f"got {composition}"
+            f"got {_composition_str(parts)}"
         )
 
 
-def enumerate_sparsest(arc: ArcParams) -> list[Composition]:
-    """All sparsest-realization classes of the arc, as canonical compositions.
+def enumerate_sparsest(arc: ArcParams) -> list[tuple[int, ...]]:
+    """All sparsest-realization classes of the arc, one tuple of parts each.
 
     Type II/III arcs yield the necklace classes (lexicographically minimal
     cyclic rotations) of the compositions of the arc's shape.  Type 0 and
-    Type I have a single sparsest class, reported as one empty composition.
+    Type I have a single sparsest class, reported as one empty tuple.
     """
     total, length = _sparsest_shape(arc)
     return _necklace_classes(total, length, arc.q)
 
 
-def build_sparsest(arc: ArcParams, alpha: RatLike, composition: Composition) -> StochMatrix:
+def build_sparsest(arc: ArcParams, alpha: RatLike, composition: Sequence[int]) -> StochMatrix:
     """Materialise one sparsest realization class at a parameter value.
 
-    The composition has the shape :func:`enumerate_sparsest` lists, in any
-    rotation.  Types 0, I and III are n-cycles in which some rows split
+    The composition is a tuple of parts of the shape
+    :func:`enumerate_sparsest` lists, in any rotation.  Types 0, I and III are n-cycles in which some rows split
     between the step edge (weight a) and the back edge i -> (i+1-q) mod n
     (weight 1 - a): every row for Type 0 (q = 1), row 0 for Type I, and
     for Type III d rows, split row k (1-based) at 0-based position
@@ -489,7 +469,7 @@ def build_sparsest(arc: ArcParams, alpha: RatLike, composition: Composition) -> 
     elif arc.type_tag is ArcType.TYPE_I:
         split = [0]
     else:
-        split = [k * arc.q + acc - 1 for k, acc in enumerate(accumulate(composition.parts), 1)]
+        split = [k * arc.q + acc - 1 for k, acc in enumerate(accumulate(composition), 1)]
     return _cycle_with_back_edges(arc.n, arc.q, dict.fromkeys(split, a))
 
 

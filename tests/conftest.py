@@ -264,7 +264,7 @@ def single_edge_cycle_lengths(n: int, q: int) -> dict[tuple[int, int], set[int]]
             if (i, j) in cycle:
                 continue
             g = WeightedDigraph.from_edge_list(n, cycle | {(i, j)})
-            out[(i, j)] = simple_cycles(g).lengths()
+            out[(i, j)] = set(simple_cycles(g))
     return out
 
 
@@ -273,7 +273,7 @@ def back_edge_subset_valid(n: int, q: int, sources: frozenset) -> bool:
     given sources has cycle lengths exactly {q, n}."""
     edges = standard_cycle_edges(n) | {(i, (i + 1 - q) % n) for i in sources}
     g = WeightedDigraph.from_edge_list(n, edges)
-    return simple_cycles(g).lengths() == {q, n}
+    return set(simple_cycles(g)) == {q, n}
 
 
 def fits_anchored_window(n: int, q: int, sources: frozenset) -> bool:

@@ -29,7 +29,6 @@ from karpelevic.digraph import WeightedDigraph, charpoly_coates, find_similarity
 from karpelevic.farey import ArcType, arc_params, arcs_of_order
 from karpelevic.itopoly import coefficient_identity_check, reduced_ito
 from karpelevic.realize import (
-    Composition,
     TypeIIRealization,
     build_sparsest,
     enumerate_sparsest,
@@ -84,7 +83,7 @@ def test_criterion_1_type2_enumeration():
     with criterion(1, "Type II enumeration (n=12): 4 classes matching the worked examples", 5.0):
         arc = arc_params(ArcType.TYPE_II, q=4, d=3, z=3)
         comps = enumerate_sparsest(arc)
-        assert [c.parts for c in comps] == [(0, 3, 3), (1, 2, 3), (1, 3, 2), (2, 2, 2)]
+        assert comps == [(0, 3, 3), (1, 2, 3), (1, 3, 2), (2, 2, 2)]
         alpha = F(1, 3)
         built = [build_sparsest(arc, alpha, c) for c in comps]
         for i in range(4):
@@ -101,7 +100,7 @@ def test_criterion_2_type3_enumeration():
     with criterion(2, "Type III enumeration (n=15): 4 classes, split rows per the position formula", 5.0):
         arc = arc_params(ArcType.TYPE_III, q=4, d=3, y=3)
         comps = enumerate_sparsest(arc)
-        assert [c.parts for c in comps] == [(0, 0, 3), (0, 1, 2), (0, 2, 1), (1, 1, 1)]
+        assert comps == [(0, 0, 3), (0, 1, 2), (0, 2, 1), (1, 1, 1)]
         alpha = F(1, 2)
         # Split-row positions (k*q + partial sums of the parts), 1-based.
         expected_rows = {
@@ -115,7 +114,7 @@ def test_criterion_2_type3_enumeration():
             m = build_sparsest(arc, alpha, c)
             built.append(m)
             rows = sorted(i + 1 for i in range(15) if m[i, (i + 1) % 15] == alpha)
-            assert rows == expected_rows[c.parts]
+            assert rows == expected_rows[c]
             assert bool(verify_realization(m, arc, alpha))
         for i in range(4):
             for j in range(i + 1, 4):
@@ -223,7 +222,7 @@ def test_criterion_10_augmentation_fidelity():
     with criterion(10, "augmented order-12 fixtures reachable; middle-pair edges all rejected", 10.0):
         alpha, free = F(1, 2), F(9, 10)
         arc = arc_params(ArcType.TYPE_II, q=4, d=3, z=3)
-        base = TypeIIRealization.sparsest(arc, Composition((0, 3, 3)))
+        base = TypeIIRealization.sparsest(arc, (0, 3, 3))
         fixtures = order12_augmented(alpha, free)
 
         plans = {

@@ -37,6 +37,11 @@ from karpelevic.realize import (
 F = Fraction
 
 
+def nonzero_positions(m):
+    """The (row, column) positions of m's nonzero entries."""
+    return {(i, j) for i, row in enumerate(m.sparse_rows) for j, _ in row}
+
+
 def charpoly_cofactor(grid):
     """Independent oracle: Laplace expansion of det(tI - M), tiny n only."""
     n = len(grid)
@@ -127,7 +132,7 @@ class TestStochMatrix:
 
     def test_cyclic_shift(self):
         c3 = cyclic_shift_matrix(3)
-        assert c3.support() == {(0, 1), (1, 2), (2, 0)}
+        assert nonzero_positions(c3) == {(0, 1), (1, 2), (2, 0)}
         assert cyclic_shift_matrix(5, 5) == cyclic_shift_matrix(5, 0)
         assert cyclic_shift_matrix(5, 2) == c_power(5, 2)
         with pytest.raises(ValueError):
@@ -157,6 +162,11 @@ class TestStochMatrix:
         p = m.permuted(perm)
         for i, j in itertools.product(range(3), repeat=2):
             assert p[i, j] == m[perm[i], perm[j]]
+
+    @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [1, 2, 3]], ids=["repeat", "short", "shifted"])
+    def test_permuted_rejects_a_non_permutation(self, perm):
+        with pytest.raises(ValueError, match=r"^not a permutation of 0\.\.n-1$"):
+            cyclic_shift_matrix(3).permuted(perm)
 
 
 def dense_rejection(grid):
@@ -225,13 +235,13 @@ class TestSparseView:
         assert m.sparse_rows == tuple(
             tuple((j, e) for (i, j), e in dense.items() if i == r) for r in range(n)
         )
-        assert m.support() == set(dense)
+        assert nonzero_positions(m) == set(dense)
         assert m.nnz() == len(dense)
         assert WeightedDigraph.from_matrix(m).edges == dense
         perm = data.draw(st.permutations(range(n))) if data is not None else list(range(n))
         relabelled = tuple(tuple(F(grid[perm[i]][perm[j]]) for j in range(n)) for i in range(n))
         assert m.permuted(perm).entries == relabelled
-        assert m.permuted(perm).support() == {
+        assert nonzero_positions(m.permuted(perm)) == {
             (i, j) for i in range(n) for j in range(n) if relabelled[i][j] != 0
         }
 
@@ -275,7 +285,7 @@ def dense_realization(arc, alpha, composition):
     for i in range(n):
         grid[i][(i + 1) % n] = F(1)
     for k in range(1, d + 1):
-        i = (k * q + sum(composition.parts[:k]) - 1) % n
+        i = (k * q + sum(composition[:k]) - 1) % n
         grid[i][(i + 1) % n] = alpha
         grid[i][(i + 1 - q) % n] = b
     return grid
@@ -303,7 +313,7 @@ class TestSparseConstruction:
         assert sparse.entries == dense.entries
         assert sparse.sparse_rows == dense.sparse_rows
         assert sparse == dense and hash(sparse) == hash(dense)
-        assert sparse.support() == dense.support()
+        assert nonzero_positions(sparse) == nonzero_positions(dense)
         assert sparse.nnz() == dense.nnz()
         assert sparse.to_json() == dense.to_json()
 
@@ -647,7 +657,7 @@ class TestCharpoly:
     # a Type III realization: a 7-cycle with back edges
     @example(build_sparsest(TYPE_III_7, F(37, 101), enumerate_sparsest(TYPE_III_7)[0]))
     def test_lower_hessenberg_loaded_transposed(self, m):
-        assert all(j <= i + 1 for i, j in m.support())
+        assert all(j <= i + 1 for i, j in nonzero_positions(m))
         exact = charpoly_exact(m)
         assert exact == charpoly_coates(WeightedDigraph.from_matrix(m))
         assert exact == charpoly_faddeev_leverrier(m.entries)

@@ -30,7 +30,7 @@ from karpelevic.boundary import (
 )
 from karpelevic.farey import ArcType, arc_params, arcs_of_order, classify_arc, farey_pairs
 from karpelevic.itopoly import reduced_ito, reduced_shifts
-from karpelevic.realize import Composition, build_sparsest
+from karpelevic.realize import build_sparsest
 
 F = Fraction
 
@@ -506,7 +506,7 @@ class TestEigenvalueOnArc:
     def test_order12_eigenvalue_hits_arc(self):
         arc = arc_params(ArcType.TYPE_II, q=4, d=3, z=3)
         trace = trace_arc(arc, 128)
-        m = build_sparsest(arc, F(1, 3), Composition((0, 3, 3)))
+        m = build_sparsest(arc, F(1, 3), (0, 3, 3))
         roots = poly_roots([float(c) for c in charpoly_exact(m).coeffs])
         target = point_at(trace, F(1, 3))
         assert min(abs(r - target) for r in roots) < 1e-8

@@ -16,7 +16,7 @@ from karpelevic.algebra import StochMatrix, charpoly_exact
 from karpelevic.cli import _build_parser, main
 from karpelevic.farey import ArcType, arc_params
 from karpelevic.itopoly import reduced_ito
-from karpelevic.realize import Composition, build_sparsest, type0
+from karpelevic.realize import build_sparsest, type0
 
 F = Fraction
 
@@ -34,8 +34,8 @@ def _ones_as_true(m: StochMatrix) -> dict:
 
 # Read as 1, `true` would make these verify against ARC12_JSON at 1/3 and
 # ARC15_JSON at 1/2.
-BOOL_MATRIX12 = _ones_as_true(build_sparsest(ARC12, F(1, 3), Composition((0, 3, 3))))
-BOOL_MATRIX15 = _ones_as_true(build_sparsest(ARC15, F(1, 2), Composition((0, 0, 3))))
+BOOL_MATRIX12 = _ones_as_true(build_sparsest(ARC12, F(1, 3), (0, 3, 3)))
+BOOL_MATRIX15 = _ones_as_true(build_sparsest(ARC15, F(1, 2), (0, 0, 3)))
 # The order-5 arc 2/5-1/2 is Type III with y = 1, not Type I; the order-15
 # arc 1/4-4/15 has y = 3, not 1.
 MISCLASSIFIED_ARC5 = json.dumps({"n": 5, "p": 1, "q": 2, "r": 2, "s": 5, "d": 2, "type": "I"})
@@ -153,7 +153,7 @@ class TestRationalFlagErrors:
 
     def _argvs(self, tmp_path, verbs):
         f = tmp_path / "m.json"
-        f.write_text(json.dumps(build_sparsest(ARC12, F(1, 3), Composition((0, 3, 3))).to_json()))
+        f.write_text(json.dumps(build_sparsest(ARC12, F(1, 3), (0, 3, 3)).to_json()))
         return [argv if len(argv) > 1 else argv + ["--matrix", str(f), "--arc", ARC12_JSON]
                 for argv in verbs]
 
@@ -466,7 +466,7 @@ class TestMalformedJson:
         "matrix, arc",
         [
             (BOOL_MATRIX15, ARC15_JSON),
-            (build_sparsest(ARC15, F(1, 2), Composition((0, 0, 3))).to_json(),
+            (build_sparsest(ARC15, F(1, 2), (0, 0, 3)).to_json(),
              MISCLASSIFIED_ARC15),
         ],
         ids=["bool-entries", "arc-misclassified"],
@@ -505,6 +505,11 @@ class TestMalformedJson:
         monkeypatch.setattr(sys, "stdin", io.StringIO(""))
         code, out, err = run(capsys, verb, "--matrix", "-", "--arc", ARC15_JSON, "--alpha", "1/2")
         assert (code, out, err) == (1, "", "error: --matrix: Expecting value: line 1 column 1 (char 0)\n")
+
+    def test_order_other_than_n_names_the_matrix_flag(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"n":3,"entries":[["1"]]}'))
+        code, out, err = run(capsys, "verify", "--matrix", "-", "--arc", ARC12_JSON, "--alpha", "1/3")
+        assert (code, out, err) == (1, "", "error: --matrix: matrix order does not match 'n'\n")
 
 
 class TestAugmentCli:
@@ -563,6 +568,17 @@ class TestAugmentCli:
         assert (code, out) == (1, "")
         assert err == "error: --param expects name=p/q, got 'alpha_1='\n"
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--add", "x"], "--add expects 'src,dst' (1-based), got 'x'"),
+        (["--alpha", "1/2", "--param", "alpha_9=1/2"], "unknown parameters ['alpha_9']; expected []"),
+        (["--add", "2,6", "--alpha", "1/2"], "missing parameters ['alpha_1']"),
+    ], ids=["malformed-add", "unknown-param", "missing-param"])
+    def test_add_and_param_errors_exit_1(self, capsys, extra, message):
+        code, out, err = run(
+            capsys, "augment", "--q", "4", "--d", "3", "--z", "3", "--composition", "0,3,3", *extra,
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestProbeCli:
     def test_probe_found(self, capsys, tmp_path):
@@ -583,7 +599,7 @@ class TestProbeCli:
         # A fake spec reader stands in for a realization outside family form.
         monkeypatch.setattr(realize_module, "_family_spec_of", lambda m, n, q: None)
         f = tmp_path / "m.json"
-        f.write_text(json.dumps(build_sparsest(ARC15, F(1, 2), Composition((0, 0, 3))).to_json()))
+        f.write_text(json.dumps(build_sparsest(ARC15, F(1, 2), (0, 0, 3)).to_json()))
         code, out, err = run(capsys, "probe", "--matrix", str(f), "--arc", ARC15_JSON, "--alpha", "1/2")
         assert (code, out, err) == (0, "NOT-FOUND: no relabelling puts the matrix in family form\n", "")
 
@@ -658,7 +674,7 @@ FUZZ_POSITIONAL = {"arcs": FUZZ_INTS, "region": FUZZ_INTS, "realize": ["0", "I",
 @pytest.fixture(scope="module")
 def fuzz_matrix(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "m12.json"
-    matrix = build_sparsest(ARC12, F(1, 3), Composition((0, 3, 3)))
+    matrix = build_sparsest(ARC12, F(1, 3), (0, 3, 3))
     path.write_text(json.dumps(matrix.to_json()))
     return str(path)
 
