@@ -107,10 +107,6 @@ class RatPoly:
         return cls((1,))
 
     @classmethod
-    def x(cls) -> "RatPoly":
-        return cls((0, 1))
-
-    @classmethod
     def monomial(cls, degree: int, coeff: RatLike = 1) -> "RatPoly":
         if degree < 0:
             raise ValueError("degree must be nonnegative")
@@ -191,15 +187,6 @@ class RatPoly:
         if self.is_zero():
             return self
         return RatPoly((Fraction(0),) * k + self.coeffs)
-
-    def strip_zero_roots(self) -> tuple["RatPoly", int]:
-        """Divide out the maximal power of t; returns (quotient, multiplicity)."""
-        if self.is_zero():
-            raise ValueError("cannot strip zero roots from the zero polynomial")
-        k = 0
-        while self.coeffs[k] == 0:
-            k += 1
-        return RatPoly(self.coeffs[k:]), k
 
     # -- serialization ------------------------------------------------
 

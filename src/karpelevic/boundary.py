@@ -14,17 +14,15 @@ t = omega*u and omega = e^(2*pi*i*p/q) it reads
                                      c = e^(2*pi*i*(q*r - p*s)/(q*d)),
 
 with the principal power u^e: u runs from 1 at a = 0 to
-e^(2*pi*i*(r/s - p/q)) at a = 1, far from the cut.  Away from a touchdown
-|df/du| is of order q, so Newton continuation follows the root without
-ever looking at the other roots of the reduced polynomial, each step's
-tangent predictor read off the last Newton evaluation at the root before.
-Type 0 (q = 1, e = 0) is linear and sampled in closed form,
-b + a*e^(2*pi*i*r/s).  Every sample's residual is read in the reduced form.
-
-Two roots of a branch equation meet only at a real double root, where an
-arc touches down on the real axis (the two order-3 Type I arcs).  There
-the touchdown rule picks the root in the arc's half plane nearest the
-parameter-0 endpoint.
+e^(2*pi*i*(r/s - p/q)) at a = 1, far from the cut.  |df/du| is of order
+q, so Newton continuation follows the root without ever looking at the
+other roots of the reduced polynomial, each step's tangent predictor read
+off the last Newton evaluation at the root before.  Type 0 and the two
+order-3 Type I arcs, a quadratic root with a real double root at a = 1/4,
+are sampled in closed form (``_closed_form_root``); from order 4 on
+(-1, 1) is interior to the region (Dmitriev & Dynkin 1946), so every
+other root stays simple.  Every sample's residual is read in the reduced
+form.
 
 Membership needs no trace.  On the arc over arg(t) the branch equation
 is linear in a: a = (1 - u^q) / (1 - c*u^e), so t lies on the arc exactly
@@ -43,7 +41,7 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from karpelevic.algebra import RatLike, rat
 from karpelevic.farey import ArcParams, ArcType, arcs_of_order
@@ -65,13 +63,12 @@ __all__ = [
 
 NEWTON_ITERS = 30
 STEP_FLOOR = 1e-12
-TOUCHDOWN_GAP = 1e-4
 _EPS = sys.float_info.epsilon
 _Solved = tuple[complex, complex, complex, complex]  # a root u, then f, df/du, df/da at u
 
 
 class ContinuationError(RuntimeError):
-    """Step refinement hit its floor away from a real double root."""
+    """Newton lost the branch: a step fell below STEP_FLOOR or a solve did not converge."""
 
 
 def _endpoint(fraction_num: int, fraction_den: int) -> complex:
@@ -117,11 +114,6 @@ class _Branch:
         f = uq - (1.0 - a) - a * w
         return f, (self.q * uq - a * self.e * w) / u, 1.0 - w, abs(uq) + (1.0 - a) + a * abs(w)
 
-    def curvature(self, a: float, u: complex) -> complex:
-        """d^2 f/du^2 at (a, u)."""
-        w = self.c * u ** self.e
-        return (self.q * (self.q - 1) * u ** self.q - a * self.e * (self.e - 1) * w) / (u * u)
-
     def solve(self, a: float, u: complex) -> _Solved | None:
         """Newton from u to a root at a, or None if it does not converge.
 
@@ -137,32 +129,6 @@ class _Branch:
                 return None
             u -= f / df
         return None
-
-    def touchdown(self, arc: ArcParams, a0: float, here: _Solved, a1: float) -> _Solved:
-        """Cross the real double root next to ``here``, solved at a0, to a1.
-
-        Both roots of the local quadratic model are polished; the one in
-        the arc's closed half plane nearest the parameter-0 endpoint wins,
-        returned as Newton's solve left it.
-        """
-        u0, f, df, fa = here
-        d2f = self.curvature(a0, u0)
-        if abs((self.omega * u0).imag) > TOUCHDOWN_GAP or abs(2 * df / d2f) > TOUCHDOWN_GAP:
-            raise ContinuationError(
-                f"continuation stalled at a = {a0:.6g}, away from a real double root"
-            )
-        root = cmath.sqrt(df * df - 2 * d2f * (f + fa * (a1 - a0)))
-        seeds = (u0 + (sign * root - df) / d2f for sign in (1, -1))
-        landed = [found for found in (self.solve(a1, seed) for seed in seeds) if found is not None]
-        if not landed:
-            raise ContinuationError(f"no root found past the double root at a = {a0:.6g}")
-        half_sign = 1.0 if arc.p * arc.s + arc.r * arc.q <= arc.q * arc.s else -1.0  # mid <= 1/2
-
-        def rank(found: _Solved) -> tuple[float, float]:
-            t = self.omega * found[0]
-            return -half_sign * round(t.imag, 12), abs(t - self.omega)
-
-        return min(landed, key=rank)
 
 
 @dataclass(frozen=True)
@@ -196,14 +162,36 @@ def _check_samples(m: int) -> None:
         raise ValueError("need at least 2 samples")
 
 
+def _closed_form_root(arc: ArcParams) -> Callable[[float], complex] | None:
+    """The arc's point as a function of a for the two families that have
+    one, else None.
+
+    Type 0 is the line b + a*e^(2*pi*i*r/s); at n = 2 it passes through
+    u = 0, where df/du divides by u.  Type I with q = 2 (q < n < 2q forces
+    n = 3) is t^3 - b*t - a = (t - 1)(t^2 + t + a), whose root runs from -1
+    along the real axis to -1/2 and then into the arc's half plane:
+    (-1 - sqrt(1 - 4a))/2, conjugated for the upper arc.
+    """
+    goal = _endpoint(arc.r, arc.s)
+    if arc.type_tag is ArcType.TYPE_0:
+        return lambda a: (1.0 - a) + a * goal
+    if arc.type_tag is ArcType.TYPE_I and arc.q == 2:
+        def root(a: float) -> complex:
+            t = (-1.0 - cmath.sqrt(1.0 - 4.0 * a)) / 2
+            return t.conjugate() if goal.imag > 0 else t
+        return root
+    return None
+
+
 def trace_arc(arc: ArcParams, m: int) -> ArcTrace:
     """Trace one arc on m linear parameter steps plus a geometric tail.
 
-    Continuation runs down from a = 1.  A step is a tangent predictor, read
-    off Newton's last evaluation at the previous sample, and a Newton solve
-    of the branch equation; it is halved until Newton lands within half the
-    predictor's move, and one halved below ``STEP_FLOOR`` crosses a real
-    double root by the touchdown rule.  Every accepted point is a sample.
+    A closed-form arc is sampled on that grid; any other is continued down
+    from a = 1.  A step is a tangent predictor, read off Newton's last
+    evaluation at the previous sample, and a Newton solve of the branch
+    equation; it is halved until Newton lands within half the predictor's
+    move, and one halved below ``STEP_FLOOR`` raises ``ContinuationError``.
+    Every accepted point is a sample.
     """
     _check_samples(m)
     goal = _endpoint(arc.r, arc.s)
@@ -216,13 +204,10 @@ def trace_arc(arc: ArcParams, m: int) -> ArcTrace:
         tail /= 2
         grid.append(tail)
 
-    points = []
-    # Type 0 is sampled in closed form: at n = 2 its root passes through
-    # u = 0 at a = 1/2, where df/du divides by u.
-    if arc.type_tag is ArcType.TYPE_0:
-        points = [(a, (1.0 - a) + a * goal) for a in grid]
+    if (closed := _closed_form_root(arc)) is not None:
+        points = [(a, closed(a)) for a in grid]
     else:
-        branch = _Branch.of(arc)
+        branch, points = _Branch.of(arc), []
         u = goal / branch.omega
         a, here = 1.0, (u, *branch.terms(1.0, u)[:3])
         for target in grid:
@@ -236,8 +221,7 @@ def trace_arc(arc: ArcParams, m: int) -> ArcTrace:
                         break
                     a_try = 0.5 * (a + a_try)
                     if a - a_try < STEP_FLOOR:
-                        a_try, found = target, branch.touchdown(arc, a, here, target)
-                        break
+                        raise ContinuationError(f"continuation stalled at a = {a:.6g}")
                 a, here = a_try, found
                 points.append((a, branch.omega * here[0]))
 
@@ -248,17 +232,16 @@ def trace_arc(arc: ArcParams, m: int) -> ArcTrace:
 
 
 def point_at(trace: ArcTrace, alpha: Union[RatLike, float]) -> complex:
-    """The traced branch's root at an arbitrary parameter value.
-
-    One Newton solve of the branch equation, seeded by the linear
-    interpolation of the bracketing samples.
+    """The traced branch's root at an arbitrary parameter value: the closed
+    form where the arc has one, else one Newton solve of the branch
+    equation seeded by the linear interpolation of the bracketing samples.
     """
     a = float(alpha if isinstance(alpha, float) else rat(alpha))
     if not (0.0 <= a <= 1.0):
         raise ValueError("parameter must lie in [0, 1]")
     arc = trace.arc
-    if arc.type_tag is ArcType.TYPE_0:
-        return (1.0 - a) + a * _endpoint(arc.r, arc.s)
+    if (closed := _closed_form_root(arc)) is not None:
+        return closed(a)
     pts = trace.samples
     hi = min(bisect_right(pts, a, key=lambda sample: sample[0]), len(pts) - 1)
     (a0, z0), (a1, z1) = pts[hi - 1], pts[hi]

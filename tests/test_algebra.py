@@ -94,7 +94,7 @@ class TestRatPoly:
     def test_eval_examples(self):
         p = RatPoly([0, -1, 1])  # t^2 - t
         assert poly_eval(p, 1) == 0
-        shifted = (RatPoly.x() - RatPoly([F(1, 2)])) ** 2 - RatPoly([F(1, 4)])
+        shifted = RatPoly([F(-1, 2), 1]) ** 2 - RatPoly([F(1, 4)])
         assert poly_eval(shifted, 0) == 0
         assert poly_eval(RatPoly([-1, 0, 0, 1]), 2) == 7
 
@@ -106,15 +106,12 @@ class TestRatPoly:
             x = F(rng.randint(-9, 9), rng.randint(1, 9))
             assert poly_eval(p * q, x) == poly_eval(p, x) * poly_eval(q, x)
 
-    def test_strip_zero_roots(self):
-        p = RatPoly([0, 0, 3, 1])
-        stripped, mult = p.strip_zero_roots()
-        assert mult == 2 and stripped == RatPoly([3, 1])
-        with pytest.raises(ValueError):
-            RatPoly.zero().strip_zero_roots()
+    def test_shift(self):
+        assert RatPoly([3, 1]).shift(2) == RatPoly([0, 0, 3, 1])
+        assert RatPoly.zero().shift(2) == RatPoly.zero()
 
     def test_pow_and_degree(self):
-        p = (RatPoly.x() - RatPoly.one()) ** 3
+        p = RatPoly([-1, 1]) ** 3
         assert p == RatPoly([-1, 3, -3, 1])
         assert RatPoly.zero().degree == -1
 
@@ -596,7 +593,7 @@ class TestCharpoly:
         m = StochMatrix(
             [[F(1, 2) if j in (i, (i + 1) % 3) else 0 for j in range(3)] for i in range(3)]
         )
-        expected = (RatPoly.x() - RatPoly([F(1, 2)])) ** 3 - RatPoly([F(1, 8)])
+        expected = RatPoly([F(-1, 2), 1]) ** 3 - RatPoly([F(1, 8)])
         assert charpoly_exact(m) == expected
 
     def test_five_cycle_with_two_back_edges(self):

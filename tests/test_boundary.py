@@ -15,8 +15,8 @@ from karpelevic.algebra import charpoly_exact
 from karpelevic.boundary import (
     NEWTON_ITERS,
     STEP_FLOOR,
-    TOUCHDOWN_GAP,
     ArcTrace,
+    ContinuationError,
     Region,
     _Branch,
     boundary_svg,
@@ -173,28 +173,13 @@ def reference_trace(arc, m):
                 return None
             return u1
 
-        def touchdown(a0, u0, a1):
-            f, df, fa, _ = branch.terms(a0, u0)
-            d2f = branch.curvature(a0, u0)
-            assert abs((branch.omega * u0).imag) <= TOUCHDOWN_GAP
-            assert abs(2 * df / d2f) <= TOUCHDOWN_GAP
-            root = cmath.sqrt(df * df - 2 * d2f * (f + fa * (a1 - a0)))
-            seeds = [u0 + (sign * root - df) / d2f for sign in (1, -1)]
-            roots = [_reference_newton(branch, a1, seed) for seed in seeds]
-            pairs = [(branch.omega * u, u) for u in roots if u is not None]
-            half_sign = 1.0 if arc.p * arc.s + arc.r * arc.q <= arc.q * arc.s else -1.0
-            best = min(pairs, key=lambda tu: (-half_sign * round(tu[0].imag, 12), abs(tu[0] - branch.omega)))
-            return best[1]  # Newton's root itself
-
         a, u = 1.0, goal / branch.omega
         for target in grid:
             while a > target:
                 a_try = target
                 while (u_try := step(a, u, a_try)) is None:
                     a_try = 0.5 * (a + a_try)
-                    if a - a_try < STEP_FLOOR:
-                        a_try, u_try = target, touchdown(a, u, target)
-                        break
+                    assert a - a_try >= STEP_FLOOR, (arc, a)
                 a, u = a_try, u_try
                 points.append((a, branch.omega * u))
     samples = [(0.0, cmath.exp(2j * math.pi * arc.p / arc.q))] + points[::-1] + [(1.0, goal)]
@@ -218,15 +203,14 @@ class TestReuseOfNewtonEvaluations:
     """trace_arc hands each converged Newton evaluation to the next step's
     predictor instead of evaluating the root again."""
 
-    # At m = 64, and not at 16 or 128, the touchdown on 1/3-1/2 lands where
-    # (omega*u)/omega is a last bit away from Newton's root u, which pins
-    # that both return u itself.
     @pytest.mark.parametrize("m", [16, 64, 128])
     def test_bit_identical_to_the_reference(self, m):
-        # Every upper-half arc of orders 2..20, and the order-3 touchdown
-        # arc 1/2-2/3, the mirror of the upper-half 1/3-1/2.
+        # Every upper-half arc of orders 2..20 but the order-3 Type I arc
+        # 1/3-1/2, which has its own closed form (TestOrder3TypeI).
         arcs = [arc for n in range(2, 21) for arc in _upper_half_arcs(n)]
-        for arc in arcs + [classify_arc(3, (F(1, 2), F(2, 3)))]:
+        for arc in arcs:
+            if arc.type_tag is ArcType.TYPE_I and arc.q == 2:
+                continue
             trace, expected = trace_arc(arc, m), reference_trace(arc, m)
             # repr tells -0.0 from 0.0 and prints every float exactly.
             assert repr(trace) == repr(expected), (arc, m)
@@ -234,27 +218,20 @@ class TestReuseOfNewtonEvaluations:
                 assert repr(point_at(trace, alpha)) == repr(reference_point_at(expected, alpha))
 
     def test_no_point_evaluated_twice(self, monkeypatch):
-        terms, touchdown = _Branch.terms, _Branch.touchdown
-        calls, touchdowns = [], []
+        terms = _Branch.terms
+        calls = []
 
         def recording_terms(self, a, u):
             calls.append((a, u))
             return terms(self, a, u)
 
-        def recording_touchdown(self, *args):
-            touchdowns.append(args)
-            return touchdown(self, *args)
-
         monkeypatch.setattr(_Branch, "terms", recording_terms)
-        monkeypatch.setattr(_Branch, "touchdown", recording_touchdown)
         for n in range(2, 13):
             for arc in arcs_of_order(n):
                 calls.clear()
                 trace_arc(arc, 128)
                 repeated = len(calls) - len(set(calls))
                 assert repeated == 0, (arc, repeated, len(calls))
-        touched = {(F(arc.p, arc.q), F(arc.r, arc.s)) for arc, *_ in touchdowns}
-        assert touched == {(F(1, 2), F(1, 3)), (F(1, 2), F(2, 3))}  # the order-3 Type I arcs
 
 
 class TestBranchContinuation:
@@ -285,6 +262,18 @@ class TestBranchContinuation:
         bound = 1e-10 * (len(coeffs) - 1) * max(abs(c) for c in coeffs)
         assert residual <= bound, (arc, alpha, residual, bound)
 
+    def test_every_upper_half_arc_to_order_40_traces(self):
+        # No arc but the two order-3 Type I ones meets another root, so no
+        # step is halved below STEP_FLOOR, which raises ContinuationError.
+        for n in range(2, 41):
+            for arc in _upper_half_arcs(n):
+                assert trace_arc(arc, 16).residual_bound <= 1e-12, arc
+
+    def test_failed_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(_Branch, "solve", lambda self, a, u: None)
+        with pytest.raises(ContinuationError, match=r"continuation stalled at a = 1$"):
+            trace_arc(arc_params(ArcType.TYPE_II, q=4, d=3, z=3), 16)
+
     def test_forward_error_against_companion_roots(self):
         # Each sample at a = k/16 sits on an independently computed root of
         # the reduced polynomial, except where two roots nearly coincide.
@@ -304,6 +293,47 @@ class TestBranchContinuation:
                     if min(abs(r - nearest) for r in roots if r is not nearest) < 1e-4:
                         continue
                     assert abs(nearest - z) <= 1e-8, (arc, alpha, abs(nearest - z))
+
+
+ORDER3_TYPE_I = [classify_arc(3, (F(1, 3), F(1, 2))), classify_arc(3, (F(1, 2), F(2, 3)))]
+
+
+class TestOrder3TypeI:
+    """The two order-3 Type I arcs are the root of t^2 + t + a that runs
+    from -1 along the real axis to the double root -1/2 at a = 1/4, and
+    then into the arc's half plane."""
+
+    @staticmethod
+    def check_root(arc, a, t):
+        assert abs(t * t + t + a) <= 8 * sys.float_info.epsilon * (abs(t * t) + abs(t) + a), (a, t)
+        if a <= 0.25:
+            assert t.imag == 0.0 and -1.0 <= t.real <= -0.5, (a, t)
+        elif arc.r * 2 < arc.s:  # the upper arc, r/s = 1/3
+            assert t.imag > 0.0, (a, t)
+        else:
+            assert t.imag < 0.0, (a, t)
+
+    @pytest.mark.parametrize("m", [16, 128])
+    def test_samples(self, m, monkeypatch):
+        # Sampled in closed form: no Newton solve is needed.
+        monkeypatch.setattr(_Branch, "solve", lambda self, a, u: None)
+        for arc in ORDER3_TYPE_I:
+            trace = trace_arc(arc, m)
+            for a, t in trace.samples[1:-1]:
+                self.check_root(arc, a, t)
+            for a, t in (trace.samples[0], trace.samples[-1]):  # the exact endpoints
+                assert abs(t * t + t + a) <= 1e-15, (a, t)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(ORDER3_TYPE_I), st.floats(0, 1))
+    def test_point_at(self, arc, a):
+        self.check_root(arc, a, point_at(trace_arc(arc, 16), a))
+
+    def test_double_root_and_midpoint(self):
+        upper, lower = (trace_arc(arc, 16) for arc in ORDER3_TYPE_I)
+        assert point_at(upper, F(1, 4)) == point_at(lower, F(1, 4)) == -0.5
+        assert point_at(upper, F(1, 2)) == complex(-0.5, 0.5)
+        assert point_at(lower, F(1, 2)) == complex(-0.5, -0.5)
 
 
 class TestRegionBoundary:

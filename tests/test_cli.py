@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import package_env
 from karpelevic import realize as realize_module
 from karpelevic.algebra import StochMatrix, charpoly_exact
+from karpelevic.boundary import _Branch
 from karpelevic.cli import _build_parser, main
 from karpelevic.farey import ArcType, arc_params
 from karpelevic.itopoly import reduced_ito
@@ -619,6 +620,12 @@ class TestRegionCli:
         assert code == 0
         files = sorted(p.name for p in out_dir.iterdir())
         assert files == [f"arc_{i:03d}.csv" for i in range(4)]
+
+    def test_stalled_continuation_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(_Branch, "solve", lambda self, a, u: None)
+        code, out, err = run(capsys, "region", "5")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: continuation stalled at a = "), err
 
 
 class TestDeterminism:

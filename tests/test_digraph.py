@@ -743,6 +743,17 @@ class TestCycleStructure:
         assert not report
         assert any("forbidden" in p for p in report.problems)
 
+    def test_disjoint_q_cycles_of_unequal_weight(self):
+        # Exactly d = 2 disjoint 2-cycles, 0-1 of weight 1/2 and 2-3 of
+        # weight 1/3, and the 5-cycle: allowed lengths, unequal weights.
+        arc = arc_params(ArcType.TYPE_III, q=2, d=2, y=1)
+        edges = {(0, 1): 1, (1, 0): F(1, 2), (1, 2): F(1, 2), (2, 3): 1, (3, 2): F(1, 3),
+                 (3, 4): F(2, 3), (4, 0): 1}
+        report = cycle_structure_check(WeightedDigraph(5, edges), arc)
+        assert report.ok and report.lengths == (2, 5)
+        assert report.q_cycle_count == 2 and report.at_least_d_q_cycles is True
+        assert report.exactly_d_disjoint_equal is False
+
 
 class TestOnlyQNCycleDigraphs:
     """Exhaustive confirmation of the {q, n}-cycle characterization at (5, 3)."""

@@ -39,27 +39,22 @@ class TestFullPoly:
     def test_type3_expansion(self):
         arc = _arc(ArcType.TYPE_III, q=4, d=3, y=3)
         a = F(1, 2)
-        full = full_arc_poly(arc, a)
-        reduced = full.strip_zero_roots()[0]
-        assert full == reduced.shift(12)
+        shift = arc.s + arc.q * arc.d - arc.reduced_degree
+        assert shift == 12
+        assert full_arc_poly(arc, a) == reduced_ito(arc, a).poly.shift(shift)
 
 
 class TestReduce:
     def test_strip_powers(self):
-        assert RatPoly([0, 0, 0, 0, -1, 0, 0, 1]).strip_zero_roots()[0] == RatPoly([-1, 0, 0, 1])
+        assert RatPoly([0, 0, 0, 0, -1, 0, 0, 1]) == RatPoly([-1, 0, 0, 1]).shift(4)
         p = (RatPoly.monomial(4) - RatPoly.one()) ** 3
-        assert p.shift(9).strip_zero_roots()[0] == p
+        assert p.shift(9) == RatPoly([0] * 9 + list(p.coeffs))
 
     def test_type2_closed_form(self):
         arc = _arc(ArcType.TYPE_II, q=4, d=3, z=3)
         a = F(1, 3)
-        got = full_arc_poly(arc, a).strip_zero_roots()[0]
         expected = (RatPoly.monomial(4) - RatPoly([F(2, 3)])) ** 3 - RatPoly.monomial(3, F(1, 27))
-        assert got == expected
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            RatPoly.zero().strip_zero_roots()
+        assert full_arc_poly(arc, a) == expected.shift(arc.s + arc.q * arc.d - arc.reduced_degree)
 
 
 class TestReducedIto:
@@ -94,13 +89,6 @@ class TestReducedIto:
                     inst = reduced_ito(arc, a)
                     full = full_arc_poly(arc, a)
                     assert inst.poly.shift(expected_shift) == full
-                    if inst.poly.coeff(0) != 0:
-                        # With a nonzero constant term, stripping zero roots
-                        # lands exactly on the closed form.  (At special
-                        # parameters the closed form itself vanishes at 0
-                        # and stripping goes further, e.g. Type 0 of
-                        # even degree at a = 1/2.)
-                        assert full.strip_zero_roots()[0] == inst.poly
 
     ARCS_TO_30 = [arc for n in range(2, 31) for arc in arcs_of_order(n)]
 
@@ -139,7 +127,7 @@ def closed_form_by_powers(arc, a):
     as a RatPoly power."""
     b = 1 - a
     if arc.type_tag is ArcType.TYPE_0:
-        return (RatPoly.x() - RatPoly([b])) ** arc.d - RatPoly([a ** arc.d])
+        return RatPoly([-b, 1]) ** arc.d - RatPoly([a ** arc.d])
     if arc.type_tag is ArcType.TYPE_I:
         return RatPoly.monomial(arc.s) - RatPoly.monomial(arc.s - arc.q, b) - RatPoly([a])
     binomial = (RatPoly.monomial(arc.q) - RatPoly([b])) ** arc.d

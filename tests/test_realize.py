@@ -48,7 +48,7 @@ class TestType0:
         assert type0(1, F(1, 2)).entries == ((F(1),),)
 
     def test_charpoly(self):
-        expected = (RatPoly.x() - RatPoly([F(2, 3)])) ** 4 - RatPoly([F(1, 81)])
+        expected = RatPoly([F(-2, 3), 1]) ** 4 - RatPoly([F(1, 81)])
         assert charpoly_exact(type0(4, F(1, 3))) == expected
 
     def test_rejects_closed_interval(self):
@@ -313,6 +313,19 @@ def _burnside(total, length, bound):
     return fixed // length
 
 
+class TestBuildSparsestAlpha:
+    def test_alpha_outside_the_open_interval(self):
+        # One arc of each type; the check is build_sparsest's own, not a
+        # builder's weight check.
+        arcs = [arc_params(ArcType.TYPE_0, n=4), arc_params(ArcType.TYPE_I, n=5, q=4), ARC_II, ARC_III]
+        for arc in arcs:
+            composition = enumerate_sparsest(arc)[0]
+            for alpha in (F(0), F(1), F(3, 2)):
+                with pytest.raises(ValueError) as info:
+                    build_sparsest(arc, alpha, composition)
+                assert str(info.value) == f"parameter must lie strictly between 0 and 1, got {alpha}"
+
+
 class TestNecklaceClasses:
     @pytest.mark.parametrize("bound", range(1, 7))
     @pytest.mark.parametrize("length", range(1, 7))
@@ -513,6 +526,14 @@ class TestAugment:
         r = base.augmented((1, 5))
         with pytest.raises(ValueError, match="infeasible"):
             r.instantiate(F(1, 2), {"alpha_1": F(1, 10)})
+
+    def test_dependent_weight_of_1_is_infeasible(self):
+        # alpha_1 = 1 - alpha leaves vertex 2 the weight (1 - alpha)/alpha_1
+        # = 1, the closed end of (0, 1).
+        r = TypeIIRealization.sparsest(ARC_II, (0, 3, 3)).augmented((1, 5))
+        with pytest.raises(ValueError) as info:
+            r.instantiate(F(1, 2), {"alpha_1": F(1, 2)})
+        assert str(info.value) == "infeasible: the dependent weight at vertex 2 is 1, outside (0, 1)"
 
     def test_duplicate_and_foreign_edges(self):
         base = TypeIIRealization.sparsest(ARC_II, (0, 3, 3))
