@@ -16,15 +16,17 @@ in family form runs along the n-cycle; it enumerates no cycles.
 which lives in :mod:`karpelevic.digraph` with the other relabelling
 search.
 
-Construction catalogue, 0-based throughout:
+Construction catalogue, 0-based throughout; all four types write their
+rows through the one row writer ``_split_rows``:
 
 - Type 0:   b*I + a*C, the unique realization up to relabelling.
 - Type I:   an n-cycle with the first n+1-q rows split between the step
             edge i -> i+1 (weight a_i) and the back edge i -> i+1-q.
 - Type II:  d disjoint q-cycles joined into a single long cycle by d
-            connector edges whose offsets a composition indexes.  Extra
+            connector edges whose offsets a composition indexes; a
+            :class:`TypeIIRealization` holds its arc and connectors.  Extra
             connectors can be grafted on as long as every resulting long
-            cycle keeps length n - z.
+            cycle keeps length s = n - z.
 - Type III: an n-cycle plus d back edges i -> i+1-q whose positions a
             composition indexes; more generally, d blocks of back-edge
             rows, the clusters of such rows closer than q, with per-block
@@ -119,30 +121,36 @@ def _necklace_classes(total: int, length: int, bound: int) -> list[tuple[int, ..
     return out
 
 
-# -- cycle with back edges (Types 0, I and III) ---------------------------
+# -- the row writer (all four types) --------------------------------------
+
+
+def _split_rows(steps: Sequence[int], split: Mapping[int, tuple[Fraction, int]]) -> StochMatrix:
+    """The matrix in which row i steps to steps[i] with weight 1, except
+    that a row of ``split`` holding (w, j) keeps weight w on its step and
+    puts 1 - w on the edge i -> j.  A zero weight on that edge is dropped,
+    and where j is the step itself the two entries add up."""
+    rows = []
+    for i, step in enumerate(steps):
+        pair = split.get(i)
+        if pair is None:
+            rows.append(((step, _ONE),))
+            continue
+        w, j = pair
+        if j == step:
+            rows.append(((step, w + (1 - w)),))
+        elif j < step:
+            rows.append(((j, 1 - w), (step, w)))
+        else:
+            rows.append(((step, w), (j, 1 - w)))
+    return StochMatrix._from_pairs(rows)
 
 
 def _cycle_with_back_edges(n: int, q: int, split: Mapping[int, Fraction]) -> StochMatrix:
     """The n-cycle i -> i+1 (mod n) in which each row i of ``split`` keeps
     weight split[i] on its step edge and puts 1 - split[i] on the back edge
-    i -> (i+1-q) mod n; every other row steps with weight 1.  A zero back
-    weight is dropped, and at n = 1 the two edges are the one self-loop,
-    whose entries add up."""
-    rows = []
-    for i in range(n):
-        step = (i + 1) % n
-        w = split.get(i)
-        if w is None:
-            rows.append(((step, _ONE),))
-            continue
-        back = (i + 1 - q) % n
-        if back == step:
-            rows.append(((step, w + (1 - w)),))
-        elif back < step:
-            rows.append(((back, 1 - w), (step, w)))
-        else:
-            rows.append(((step, w), (back, 1 - w)))
-    return StochMatrix._from_pairs(rows)
+    i -> (i+1-q) mod n: the shape of Types 0, I and III."""
+    steps = [(i + 1) % n for i in range(n)]
+    return _split_rows(steps, {i: (w, (i + 1 - q) % n) for i, w in split.items()})
 
 
 # -- Type 0 --------------------------------------------------------------
@@ -182,6 +190,11 @@ def type1(n: int, q: int, alphas: Sequence[RatLike]) -> StochMatrix:
 # -- Type II -------------------------------------------------------------
 
 
+def _block_steps(q: int, n: int) -> list[int]:
+    """Each vertex's step round its block's q-cycle t*q -> ... -> t*q+q-1."""
+    return [v - v % q + (v + 1) % q for v in range(n)]
+
+
 def _type2_connectors(q: int, d: int, z: int, parts: Sequence[int]) -> list[tuple[int, int]]:
     """Base connector edges, 0-based, one per consecutive block pair: block
     t's is its candidate at offset parts[1] + ... + parts[t] (mod q)."""
@@ -200,20 +213,17 @@ def _allowed_connectors(q: int, d: int, z: int, t: int) -> list[tuple[int, int]]
 class TypeIIRealization:
     """A Type II digraph: d disjoint q-cycles plus connector edges.
 
-    ``connectors[t]`` lists the edges from block t (vertices t*q .. t*q+q-1)
-    into block (t+1) mod d.  The sparsest realization has one connector per
-    pair; augmentation adds more, subject to every induced long cycle
-    keeping length n - z.  Weights enter only at instantiation.
+    It holds its arc, which fixes q, d, z and n = q*d.  ``connectors[t]``
+    lists the edges from block t (vertices t*q .. t*q+q-1) into block
+    (t+1) mod d.  The sparsest realization has one connector per pair;
+    augmentation adds more, subject to every induced long cycle keeping
+    length s = n - z.  Weights enter only at instantiation, which writes
+    the rows with the row writer of the other types: each row steps round
+    its block, and a connector source splits onto its connector.
     """
 
-    q: int
-    d: int
-    z: int
+    arc: ArcParams
     connectors: tuple[tuple[tuple[int, int], ...], ...]
-
-    @property
-    def n(self) -> int:
-        return self.q * self.d
 
     @classmethod
     def sparsest(cls, arc: ArcParams, composition: Sequence[int]) -> "TypeIIRealization":
@@ -222,36 +232,31 @@ class TypeIIRealization:
         if arc.type_tag is not ArcType.TYPE_II:
             raise ValueError(f"the arc is {arc.type_tag}, not {ArcType.TYPE_II}")
         _check_composition(arc, composition)
-        assert arc.z is not None
         conns = _type2_connectors(arc.q, arc.d, arc.z, composition)
-        return cls(
-            q=arc.q,
-            d=arc.d,
-            z=arc.z,
-            connectors=tuple((c,) for c in conns),
-        )
+        return cls(arc, tuple((c,) for c in conns))
 
     def block_of(self, v: int) -> int:
-        return v // self.q
+        return v // self.arc.q
 
     def augmented(self, edge: tuple[int, int]) -> "TypeIIRealization":
         """Add one connector edge, or raise if it breaks the length law.
 
         The edge must belong to the candidate set between some block t and
         its successor; it is accepted only if every cycle of the enlarged
-        digraph but the d block q-cycles has length n - z.  The cycles are
-        enumerated, not summed over one connector per block pair: once
+        digraph but the d block q-cycles has length s = n - z.  The cycles
+        are enumerated, not summed over one connector per block pair: once
         every block pair has two connectors, a simple cycle can run round
         the blocks more than once.
         """
+        arc = self.arc
         src, dst = edge
         t = self.block_of(src)
-        if not (0 <= src < self.n and 0 <= dst < self.n):
+        if not (0 <= src < arc.n and 0 <= dst < arc.n):
             raise ValueError(f"edge {edge} out of range")
-        if edge not in _allowed_connectors(self.q, self.d, self.z, t):
+        if edge not in _allowed_connectors(arc.q, arc.d, arc.z, t):
             raise ValueError(
                 f"edge {edge} is not a candidate connector from block {t} "
-                f"to block {(t + 1) % self.d}"
+                f"to block {(t + 1) % arc.d}"
             )
         if edge in self.connectors[t]:
             raise ValueError(f"edge {edge} is already present")
@@ -259,29 +264,23 @@ class TypeIIRealization:
         new_connectors[t] = tuple(sorted(new_connectors[t] + (edge,)))
         candidate = replace(self, connectors=tuple(new_connectors))
         # A cycle running k times round the blocks has length -k*z (mod q):
-        # never q, and n - z only for k = 1.  So the blocks are the only
-        # q-cycles, and any length but q and n - z is a broken long cycle.
-        q, n = self.q, self.n
-        steps = [(v, v - v % q + (v + 1) % q) for v in range(n)]
+        # never q, and s only for k = 1.  So the blocks are the only
+        # q-cycles, and any length but q and s is a broken long cycle.
+        steps = list(enumerate(_block_steps(arc.q, arc.n)))
         links = [e for conns in new_connectors for e in conns]
-        allowed = {q, n - self.z}
-        lengths = set(simple_cycles(WeightedDigraph.from_edge_list(n, steps + links)))
+        allowed = {arc.q, arc.s}
+        lengths = set(simple_cycles(WeightedDigraph.from_edge_list(arc.n, steps + links)))
         if lengths != allowed:
             raise ValueError(
                 f"edge {edge} rejected: it would create a long cycle of length "
-                f"{sorted(lengths - allowed)} instead of {n - self.z}"
+                f"{sorted(lengths - allowed)} instead of {arc.s}"
             )
         return candidate
 
     def free_parameters(self) -> list[str]:
         """Names of the free cycle weights, one per connector source except
         the last source of each block (whose weight is determined)."""
-        names = []
-        for conns in self.connectors:
-            sources = sorted(a for a, _ in conns)
-            for v in sources[:-1]:
-                names.append(f"alpha_{v + 1}")
-        return names
+        return [f"alpha_{v + 1}" for conns in self.connectors for v, _ in sorted(conns)[:-1]]
 
     def instantiate(
         self, alpha: RatLike, params: Optional[Mapping[str, RatLike]] = None
@@ -306,29 +305,23 @@ class TypeIIRealization:
         if missing:
             raise ValueError(f"missing parameters {sorted(missing)}")
 
-        forward: dict[int, Fraction] = {}
+        split: dict[int, tuple[Fraction, int]] = {}
         for conns in self.connectors:
-            sources = sorted(v for v, _ in conns)
+            *free, (last, last_dst) = sorted(conns)
             prod = Fraction(1)
-            for v in sources[:-1]:
+            for v, dst in free:
                 w = given[f"alpha_{v + 1}"]
                 _check_open_unit(w, f"alpha_{v + 1}")
-                forward[v] = w
+                split[v] = (w, dst)
                 prod *= w
             dependent = b / prod
             if not (0 < dependent < 1):
                 raise ValueError(
-                    f"infeasible: the dependent weight at vertex {sources[-1] + 1} "
+                    f"infeasible: the dependent weight at vertex {last + 1} "
                     f"is {dependent}, outside (0, 1)"
                 )
-            forward[sources[-1]] = dependent
-
-        q = self.q
-        rows = [((v - v % q + (v + 1) % q, forward.get(v, _ONE)),) for v in range(self.n)]
-        for conns in self.connectors:
-            for src, dst in conns:
-                rows[src] = tuple(sorted(rows[src] + ((dst, 1 - forward[src]),)))
-        return StochMatrix._from_pairs(rows)
+            split[last] = (dependent, last_dst)
+        return _split_rows(_block_steps(self.arc.q, self.arc.n), split)
 
 
 # -- Type III ------------------------------------------------------------

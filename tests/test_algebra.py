@@ -119,6 +119,31 @@ class TestRatPoly:
         p = RatPoly([F(1, 3), 0, F(-2, 7)])
         assert RatPoly.from_json(p.to_json()) == p
 
+    def test_negative_degree_and_power_rejected(self):
+        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+            RatPoly.monomial(-1)
+        with pytest.raises(ValueError, match="^negative power$"):
+            RatPoly([1, 1]) ** -1
+
+    def test_scalar_product_on_either_side(self):
+        p = RatPoly([1, -2, 3])
+        assert p * F(1, 2) == RatPoly([F(1, 2), -1, F(3, 2)])
+        assert 3 * p == RatPoly([3, -6, 9])
+        assert "2/3" * p == p * "2/3" == RatPoly([F(2, 3), F(-4, 3), 2])
+        assert (p * 0).is_zero() and (0 * p).is_zero()
+
+    @pytest.mark.parametrize("coeffs, text", [
+        ([], "RatPoly(0)"),
+        ([F(-5, 3)], "RatPoly(-5/3)"),
+        ([0, 1], "RatPoly(t)"),
+        ([0, -1], "RatPoly(-t)"),
+        ([3, F(-1, 2), 1], "RatPoly(t^2 - 1/2*t + 3)"),
+        ([-1, 0, 0, -1], "RatPoly(-t^3 - 1)"),
+        ([0, 2, F(7, 4), 0, F(-1, 27)], "RatPoly(-1/27*t^4 + 7/4*t^2 + 2*t)"),
+    ])
+    def test_repr(self, coeffs, text):
+        assert repr(RatPoly(coeffs)) == text
+
 
 class TestStochMatrix:
     def test_row_sum_enforced(self):

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import textwrap
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -108,6 +109,15 @@ class TestTraceArc:
         assert alphas == sorted(alphas)
         assert alphas[0] == 0.0 and alphas[-1] == 1.0
         assert trace.residual_bound < 1e-9
+
+    def test_start_and_end_points_are_the_arc_endpoints(self):
+        for n in (3, 5, 12):
+            for arc in arcs_of_order(n):
+                trace = trace_arc(arc, 16)
+                assert trace.start_point == trace.samples[0][1]
+                assert trace.end_point == trace.samples[-1][1]
+                assert abs(trace.start_point - cmath.exp(2j * math.pi * arc.p / arc.q)) < 1e-15
+                assert abs(trace.end_point - cmath.exp(2j * math.pi * arc.r / arc.s)) < 1e-15
 
     def test_rejects_tiny_m(self):
         with pytest.raises(ValueError):
@@ -273,6 +283,37 @@ class TestBranchContinuation:
         monkeypatch.setattr(_Branch, "solve", lambda self, a, u: None)
         with pytest.raises(ContinuationError, match=r"continuation stalled at a = 1$"):
             trace_arc(arc_params(ArcType.TYPE_II, q=4, d=3, z=3), 16)
+
+    @pytest.mark.parametrize("alpha", [-0.5, F(-1, 100), 1.0000001, F(3, 2), float("nan")])
+    @pytest.mark.parametrize("n, pair", [(12, (F(3, 4), F(7, 9))), (5, (F(0), F(1, 5)))])
+    def test_point_at_rejects_parameters_outside_the_unit_interval(self, n, pair, alpha):
+        trace = trace_arc(classify_arc(n, pair), 16)  # Type II; Type 0 in closed form
+        with pytest.raises(ValueError, match=r"^parameter must lie in \[0, 1\]$"):
+            point_at(trace, alpha)
+
+    def test_point_at_raises_when_newton_does_not_converge(self):
+        # Seeds a million times too far out: Newton on u^4 - ... only
+        # shrinks them by about 3/4 a step, so it is still far after
+        # NEWTON_ITERS steps.
+        trace = trace_arc(arc_params(ArcType.TYPE_II, q=4, d=3, z=3), 16)
+        far = replace(trace, samples=tuple((a, 1e6 * z) for a, z in trace.samples))
+        with pytest.raises(ContinuationError, match=r"^Newton did not converge at a = 0\.5$"):
+            point_at(far, F(1, 2))
+        assert abs(point_at(trace, F(1, 2))) < 1  # the trace itself answers there
+
+    def test_solve_gives_none_at_a_critical_point(self):
+        # f = u^2 - 1/2 - u/2 at a = 1/2 (e = 1, c = 1): f' = 2u - 1/2
+        # vanishes at u = 1/4, where Newton cannot step.
+        branch = _Branch(q=2, e=1.0, c=1 + 0j, omega=1 + 0j)
+        assert branch.solve(0.5, 0.25 + 0j) is None
+        assert abs(branch.solve(0.5, 1 + 0j)[0] - 1) < 1e-15  # the root u = 1
+
+    def test_solve_gives_none_when_newton_does_not_converge(self):
+        # f = u^2 + 1 at a = 1 (e = 0, c = -1): from a real seed every
+        # iterate stays real, so it never reaches the roots +-i.
+        branch = _Branch(q=2, e=0.0, c=-1 + 0j, omega=1 + 0j)
+        assert branch.solve(1.0, 0.5 + 0j) is None
+        assert abs(branch.solve(1.0, 0.5 + 0.5j)[0] - 1j) < 1e-15
 
     def test_forward_error_against_companion_roots(self):
         # Each sample at a = k/16 sits on an independently computed root of

@@ -545,6 +545,8 @@ class TestAugmentCli:
         (["2,3"], "edge (2, 3) is not a candidate connector from block 1 to block 2"),
         (["2,6", "2,6"], "edge (2, 6) is already present"),
         (["5,9"], "edge (5, 9) rejected: it would create a long cycle of length [5] instead of 9"),
+        # the last block's successor wraps round to block 1
+        (["9,1"], "edge (9, 1) is not a candidate connector from block 3 to block 1"),
     ])
     def test_edge_errors_name_the_edge_as_typed(self, capsys, adds, message):
         argv = [x for edge in adds for x in ("--add", edge)]

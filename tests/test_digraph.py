@@ -22,9 +22,11 @@ from conftest import (
 )
 from karpelevic.algebra import StochMatrix, charpoly_exact, cyclic_shift_matrix
 from karpelevic.digraph import (
+    SEARCH_ORDER_BOUND,
     WeightedDigraph,
     charpoly_coates,
     cycle_structure_check,
+    dd_support_check,
     find_similarity_permutation,
     simple_cycles,
     to_dot,
@@ -61,6 +63,32 @@ class TestWeightedDigraph:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             WeightedDigraph(2, {(0, 1): F(0)})
+
+    def test_rejects_no_vertices_and_edges_out_of_range(self):
+        with pytest.raises(ValueError, match="^need at least one vertex$"):
+            WeightedDigraph(0, {})
+        with pytest.raises(ValueError, match="^need at least one vertex$"):
+            WeightedDigraph.from_matrix(StochMatrix([]))
+        with pytest.raises(ValueError, match=r"^edge \(0, 2\) out of range for n=2$"):
+            WeightedDigraph(2, {(0, 1): 1, (0, 2): 1})
+        with pytest.raises(ValueError, match=r"^edge \(-1, 0\) out of range for n=2$"):
+            WeightedDigraph(2, {(-1, 0): 1})
+
+    def test_equality_follows_order_and_weighted_edges(self):
+        g = WeightedDigraph.from_matrix(type0(3, F(1, 2)))
+        same = WeightedDigraph(3, {(i, j): F(1, 2) for i in range(3) for j in (i, (i + 1) % 3)})
+        assert g == same and same == g
+        assert g != WeightedDigraph.from_matrix(type0(3, F(1, 3)))
+        assert g != WeightedDigraph(4, g.edges)
+        assert g != WeightedDigraph(3, {e: w for e, w in g.edges.items() if e != (0, 0)})
+        assert g.__eq__(g.edges) is NotImplemented and g != g.edges
+
+    def test_support_search_bound(self):
+        n = SEARCH_ORDER_BOUND + 1
+        message = f"^order {n} exceeds the support search bound {SEARCH_ORDER_BOUND}$"
+        with pytest.raises(ValueError, match=message):
+            dd_support_check(type0(n, F(1, 2)), 0)
+        assert dd_support_check(type0(SEARCH_ORDER_BOUND, F(1, 2)), 0) is not None
 
 
 class TestSimpleCycles:

@@ -306,6 +306,17 @@ class TestRequiredParameters:
         with pytest.raises(ValueError, match="^Type III needs y$"):
             arc_params(ArcType.TYPE_III, q=1, d=0)
 
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_type0_needs_order_two(self, n):
+        with pytest.raises(ValueError, match=r"^arcs exist for orders n >= 2 only$"):
+            arc_params(ArcType.TYPE_0, n=n)
+
+    @pytest.mark.parametrize("tag", [ArcType.TYPE_I, ArcType.TYPE_II, ArcType.TYPE_III])
+    @pytest.mark.parametrize("q", [1, 0])
+    def test_q_at_least_two(self, tag, q):
+        with pytest.raises(ValueError, match=r"^need q >= 2$"):
+            arc_params(tag, **{**REQUIRED[tag], "q": q})
+
     @pytest.mark.parametrize("tag", list(REQUIRED))
     def test_complete_parameters_build(self, tag):
         assert arc_params(tag, **REQUIRED[tag]).type_tag is tag

@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import gcd, prod
 
@@ -56,6 +56,11 @@ class TestType0:
             type0(3, F(1))
         with pytest.raises(ValueError):
             type0(3, F(0))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_order_below_one(self, n):
+        with pytest.raises(ValueError, match="^order must be at least 1$"):
+            type0(n, F(1, 2))
 
 
 class TestType1:
@@ -142,6 +147,23 @@ class TestType2:
         with pytest.raises(ValueError, match=r"^parts must lie in 0\.\.3$"):
             TypeIIRealization.sparsest(ARC_II, (0, 4, 2))
 
+    @pytest.mark.parametrize("arc, composition", [
+        (ARC_III, (0, 0, 3)),
+        (ARC_III, (0, 3, 3)),  # the type is checked before the composition
+        (arc_params(ArcType.TYPE_0, n=5), ()),
+        (arc_params(ArcType.TYPE_I, n=5, q=3), ()),
+    ])
+    def test_sparsest_rejects_other_types(self, arc, composition):
+        with pytest.raises(ValueError, match=f"^the arc is {arc.type_tag}, not TypeII$"):
+            TypeIIRealization.sparsest(arc, composition)
+
+    def test_holds_its_arc_and_connectors(self):
+        real = TypeIIRealization.sparsest(ARC_II, (0, 3, 3)).augmented((1, 5))
+        assert [f.name for f in fields(TypeIIRealization)] == ["arc", "connectors"]
+        assert real.arc == ARC_II
+        assert real.connectors == (((0, 4), (1, 5)), ((7, 11),), ((10, 0),))
+        assert [real.block_of(v) for v in (0, 3, 4, 11)] == [0, 0, 1, 2]
+
 
 class TestType3:
     def test_alpha_row_positions(self):
@@ -203,6 +225,18 @@ class TestType3:
             TypeIIIFamilySpec(n=15, q=4, weights={3: half, 4: half, 8: half, 13: half})
         with pytest.raises(ValueError):  # rows 8, 11 and 14 chain into one block: two blocks
             TypeIIIFamilySpec(n=15, q=4, weights={3: half, 8: half, 11: half, 14: half})
+
+    @pytest.mark.parametrize("n, q, weights, message", [
+        (15, 1, {3: F(1, 2)}, r"need q >= 2"),
+        (15, 0, {3: F(1, 2)}, r"need q >= 2"),
+        (12, 4, {3: F(1, 2)}, r"need n = q\*d \+ y with d >= 2 and y in 1\.\.q-1"),  # y = 0
+        (7, 4, {3: F(1, 2)}, r"need n = q\*d \+ y with d >= 2 and y in 1\.\.q-1"),  # d = 1
+        (15, 4, {3: F(1, 2), 8: F(1, 2), 15: F(1, 2)}, r"block vertices out of range"),
+        (15, 4, {-1: F(1, 2), 3: F(1, 2), 8: F(1, 2)}, r"block vertices out of range"),
+    ])
+    def test_family_shape_checks(self, n, q, weights, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TypeIIIFamilySpec(n=n, q=q, weights=weights)
 
 
 class TestEnumerate:
@@ -639,6 +673,19 @@ class TestProbe:
         with pytest.raises(ValueError):
             conjecture_probe(bad, ARC_III, F(1, 2))  # wrong parameter
 
+    def test_refuses_other_arc_types(self):
+        m = build_sparsest(ARC_II, F(1, 3), (0, 3, 3))
+        with pytest.raises(ValueError, match="^the probe applies to Type III arcs only$"):
+            conjecture_probe(m, ARC_II, F(1, 3))
+
+    @pytest.mark.parametrize("weights", [
+        {3: F(1, 2), 4: F(1, 2), 8: F(1, 2), 13: F(1, 2)},  # block products differ
+        {3: F(1, 2), 5: F(1, 2), 10: F(1, 2)},  # two blocks, not d = 3
+    ])
+    def test_reader_gives_none_on_weights_outside_the_family(self, weights):
+        m = realize_module._cycle_with_back_edges(15, 4, weights)
+        assert _family_spec_of(m, 15, 4) is None
+
     def test_small_probe(self):
         arc = arc_params(ArcType.TYPE_III, q=3, d=2, y=1)
         m = build_sparsest(arc, F(1, 3), (0, 1))
@@ -953,18 +1000,18 @@ def dict_instantiate(real, alpha, params):
     Each connector source but the last of a block takes its named weight,
     the last takes (1 - alpha) over their product; a source keeps its
     weight on the block cycle and puts the rest on its connector."""
-    q = real.q
+    q = real.arc.q
     forward = {}
     for conns in real.connectors:
         sources = sorted(v for v, _ in conns)
         for v in sources[:-1]:
             forward[v] = params[f"alpha_{v + 1}"]
         forward[sources[-1]] = (1 - alpha) / prod(forward[v] for v in sources[:-1])
-    rows = [{v - v % q + (v + 1) % q: forward.get(v, F(1))} for v in range(real.n)]
+    rows = [{v - v % q + (v + 1) % q: forward.get(v, F(1))} for v in range(real.arc.n)]
     for conns in real.connectors:
         for src, dst in conns:
             rows[src][dst] = 1 - forward[src]
-    return StochMatrix([[row.get(j, 0) for j in range(real.n)] for row in rows])
+    return StochMatrix([[row.get(j, 0) for j in range(real.arc.n)] for row in rows])
 
 
 def assert_same_matrix(m, reference):
