@@ -99,14 +99,6 @@ class RatPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "RatPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "RatPoly":
-        return cls((1,))
-
-    @classmethod
     def monomial(cls, degree: int, coeff: RatLike = 1) -> "RatPoly":
         if degree < 0:
             raise ValueError("degree must be nonnegative")
@@ -118,9 +110,6 @@ class RatPoly:
     def degree(self) -> int:
         """Degree; the zero polynomial has degree -1."""
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def coeff(self, i: int) -> Fraction:
         """Coefficient of t**i (0 beyond the stored degree)."""
@@ -157,8 +146,8 @@ class RatPoly:
         if not isinstance(other, RatPoly):
             s = rat(other)
             return RatPoly(tuple(c * s for c in self.coeffs))
-        if self.is_zero() or other.is_zero():
-            return RatPoly.zero()
+        if not (self.coeffs and other.coeffs):
+            return RatPoly()
         out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         left = [(i, a) for i, a in enumerate(self.coeffs) if a]
         right = [(j, b) for j, b in enumerate(other.coeffs) if b]
@@ -172,7 +161,7 @@ class RatPoly:
     def __pow__(self, k: int) -> "RatPoly":
         if k < 0:
             raise ValueError("negative power")
-        result = RatPoly.one()
+        result = RatPoly([1])
         base = self
         while k:
             if k & 1:
@@ -184,22 +173,12 @@ class RatPoly:
 
     def shift(self, k: int) -> "RatPoly":
         """Multiply by t**k."""
-        if self.is_zero():
+        if not self.coeffs:
             return self
         return RatPoly((Fraction(0),) * k + self.coeffs)
 
-    # -- serialization ------------------------------------------------
-
-    def to_json(self) -> list[str]:
-        """JSON form: array of "p/q" coefficient strings, ascending degree."""
-        return [rat_str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data: Sequence[str]) -> "RatPoly":
-        return cls(rat(c) for c in data)
-
     def __repr__(self) -> str:
-        if self.is_zero():
+        if not self.coeffs:
             return "RatPoly(0)"
         parts = []
         for i in range(self.degree, -1, -1):
@@ -324,12 +303,8 @@ class StochMatrix:
     def n(self) -> int:
         return len(self.sparse_rows)
 
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.entries[i][j]
-
     def permuted(self, perm: Sequence[int]) -> "StochMatrix":
-        """Relabel by perm: entry (i, j) of the result is self[perm[i], perm[j]].
+        """Relabel by perm: entry (i, j) of the result is entry (perm[i], perm[j]) of self.
 
         Equivalent to P A P^T where P has ones at (i, perm[i]).
         """

@@ -162,6 +162,18 @@ def _check_samples(m: int) -> None:
         raise ValueError("need at least 2 samples")
 
 
+def _check_order(n: int) -> None:
+    if type(n) is not int:
+        raise ValueError(f"order must be an integer, got {n!r}")
+    if n < 2:
+        raise ValueError("order must be at least 2")
+
+
+def _check_finite(name: str, value: complex) -> None:
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _closed_form_root(arc: ArcParams) -> Callable[[float], complex] | None:
     """The arc's point as a function of a for the two families that have
     one, else None.
@@ -261,8 +273,7 @@ def region_boundary(n: int, m: int) -> list[ArcTrace]:
     enforces the region's symmetry and halves the work.  The sequence is
     symmetric about 1/2, so arc k from the end mirrors arc k.
     """
-    if n < 2:
-        raise ValueError("order must be at least 2")
+    _check_order(n)
     arcs = arcs_of_order(n)
     upper = [trace_arc(arc, m) for arc in arcs[: len(arcs) // 2]]
     return upper + [trace.conjugated(arc) for trace, arc in zip(upper[::-1], arcs[len(upper):])]
@@ -270,8 +281,6 @@ def region_boundary(n: int, m: int) -> list[ArcTrace]:
 
 def _inside(n: int, theta: float, rho: float) -> bool:
     """Whether rho*e^(i*theta), rho > 0, lies in the order-n region."""
-    if n < 2:
-        raise ValueError("order must be at least 2")
     if rho > 1.0:
         return False
     x = theta / (2 * math.pi) % 1.0
@@ -297,8 +306,9 @@ def contains(n: int, z: complex, tol: float = 1e-9) -> bool:
     z is moved towards 0 by tol and decided by the sign test of the module
     docstring on the arc over arg(z); nothing is traced.
     """
-    if n < 2:
-        raise ValueError("order must be at least 2")
+    _check_order(n)
+    _check_finite("z", z)
+    _check_finite("tol", tol)
     # [-1, 1] lies in every region, so a point within tol of it is inside.
     near_axis = abs(z.imag) <= tol and abs(z.real) <= 1.0 + tol
     return near_axis or _inside(n, cmath.phase(z), abs(z) - tol)
@@ -307,6 +317,8 @@ def contains(n: int, z: complex, tol: float = 1e-9) -> bool:
 def radius_at(n: int, theta: float) -> float:
     """Boundary radius of the order-n region along the ray at angle theta,
     by bisection on the membership test (0 off the real axis at order 2)."""
+    _check_order(n)
+    _check_finite("theta", theta)
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)

@@ -91,13 +91,6 @@ class WeightedDigraph:
         g.edges = {(i, j): e for i, row in enumerate(m.sparse_rows) for j, e in row}
         return g
 
-    @classmethod
-    def from_edge_list(
-        cls, n: int, edges: Iterable[tuple[int, int]], weight: RatLike = 1
-    ) -> "WeightedDigraph":
-        w = rat(weight)
-        return cls(n, {e: w for e in edges})
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedDigraph):
             return NotImplemented
@@ -345,7 +338,7 @@ def _relabel(
 def find_similarity_permutation(
     a: StochMatrix, b: StochMatrix, max_order: int = SEARCH_ORDER_BOUND
 ) -> Optional[list[int]]:
-    """A permutation sigma with a[sigma[i], sigma[j]] == b[i, j], or None.
+    """A permutation sigma with a.entries[sigma[i]][sigma[j]] == b.entries[i][j], or None.
 
     Each matrix is indexed once, on its first call, from its integer view
     (its entries as int numerators over L, the lcm of their denominators),

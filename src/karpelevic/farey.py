@@ -82,10 +82,11 @@ class ArcParams:
     """A classified boundary arc.
 
     (p, q) is the endpoint with the smaller denominator, (r, s) the one
-    with the larger.  The constructor checks, in integers, that p/q and
-    r/s are neighbours in the order-n Farey sequence, raising ValueError
-    otherwise, and derives d = floor(n / q), the type, and ``z`` (Type II)
-    and ``y`` (Type III), how far s falls short of / exceeds q*d.
+    with the larger.  The constructor checks that n, p, q, r and s are
+    ints and that p/q and r/s are neighbours in the order-n Farey
+    sequence, raising ValueError otherwise, and derives d = floor(n / q),
+    the type, and ``z`` (Type II) and ``y`` (Type III), how far s falls
+    short of / exceeds q*d.
     """
 
     n: int
@@ -99,6 +100,8 @@ class ArcParams:
     y: Optional[int] = field(init=False)
 
     def __post_init__(self) -> None:
+        for name in ("n", "p", "q", "r", "s"):
+            _check_integer(name, getattr(self, name))
         if not (0 < self.q < self.s):
             raise ValueError("need 0 < q < s")
         if not (0 <= self.p <= self.q and 0 <= self.r <= self.s):
@@ -149,9 +152,9 @@ class ArcParams:
         if not isinstance(data, dict):
             raise ValueError(f"arc parameters must be a JSON object, got {type(data).__name__}")
         fields = {key: data.get(key) for key in ("n", "p", "q", "r", "s", "d", "z", "y")}
-        for key, value in fields.items():
-            if type(value) is not int and not (key in ("z", "y") and value is None):
-                raise ValueError(f"arc field {key!r} must be an integer, got {value!r}")
+        for key in ("d", "z", "y"):
+            if key == "d" or fields[key] is not None:
+                _check_integer(key, fields[key])
         tag = ArcType(data.get("type"))
         arc = cls(*(fields[key] for key in ("n", "p", "q", "r", "s")))
         if fields["d"] != arc.d:
@@ -160,6 +163,11 @@ class ArcParams:
             ends = f"{arc.p}/{arc.q}-{arc.r}/{arc.s}"
             raise ValueError(f"the order-{arc.n} arc {ends} is {arc.type_tag} with z={arc.z}, y={arc.y}")
         return arc
+
+
+def _check_integer(name: str, value: object) -> None:
+    if type(value) is not int:
+        raise ValueError(f"arc field {name!r} must be an integer, got {value!r}")
 
 
 def classify_arc(n: int, pair: tuple[Fraction, Fraction]) -> ArcParams:

@@ -269,7 +269,7 @@ class TypeIIRealization:
         steps = list(enumerate(_block_steps(arc.q, arc.n)))
         links = [e for conns in new_connectors for e in conns]
         allowed = {arc.q, arc.s}
-        lengths = set(simple_cycles(WeightedDigraph.from_edge_list(arc.n, steps + links)))
+        lengths = set(simple_cycles(WeightedDigraph(arc.n, dict.fromkeys(steps + links, 1))))
         if lengths != allowed:
             raise ValueError(
                 f"edge {edge} rejected: it would create a long cycle of length "

@@ -263,7 +263,7 @@ def single_edge_cycle_lengths(n: int, q: int) -> dict[tuple[int, int], set[int]]
         for j in range(n):
             if (i, j) in cycle:
                 continue
-            g = WeightedDigraph.from_edge_list(n, cycle | {(i, j)})
+            g = WeightedDigraph(n, dict.fromkeys(cycle | {(i, j)}, 1))
             out[(i, j)] = set(simple_cycles(g))
     return out
 
@@ -272,7 +272,7 @@ def back_edge_subset_valid(n: int, q: int, sources: frozenset) -> bool:
     """True iff the n-cycle plus back edges i -> (i+1-q) mod n from the
     given sources has cycle lengths exactly {q, n}."""
     edges = standard_cycle_edges(n) | {(i, (i + 1 - q) % n) for i in sources}
-    g = WeightedDigraph.from_edge_list(n, edges)
+    g = WeightedDigraph(n, dict.fromkeys(edges, 1))
     return set(simple_cycles(g)) == {q, n}
 
 

@@ -113,7 +113,7 @@ def test_criterion_2_type3_enumeration():
         for c in comps:
             m = build_sparsest(arc, alpha, c)
             built.append(m)
-            rows = sorted(i + 1 for i in range(15) if m[i, (i + 1) % 15] == alpha)
+            rows = sorted(i + 1 for i in range(15) if m.entries[i][(i + 1) % 15] == alpha)
             assert rows == expected_rows[c]
             assert bool(verify_realization(m, arc, alpha))
         for i in range(4):

@@ -46,15 +46,15 @@ def charpoly_cofactor(grid):
     """Independent oracle: Laplace expansion of det(tI - M), tiny n only."""
     n = len(grid)
     entries = [
-        [(RatPoly((0, 1)) if i == j else RatPoly.zero()) - RatPoly((grid[i][j],)) for j in range(n)]
+        [(RatPoly((0, 1)) if i == j else RatPoly()) - RatPoly((grid[i][j],)) for j in range(n)]
         for i in range(n)
     ]
 
     def det(rows, cols):
         if not cols:
-            return RatPoly.one()
+            return RatPoly([1])
         i = rows[0]
-        total = RatPoly.zero()
+        total = RatPoly()
         for k, j in enumerate(cols):
             minor = det(rows[1:], cols[:k] + cols[k + 1:])
             term = entries[i][j] * minor
@@ -108,16 +108,12 @@ class TestRatPoly:
 
     def test_shift(self):
         assert RatPoly([3, 1]).shift(2) == RatPoly([0, 0, 3, 1])
-        assert RatPoly.zero().shift(2) == RatPoly.zero()
+        assert RatPoly().shift(2) == RatPoly()
 
     def test_pow_and_degree(self):
         p = RatPoly([-1, 1]) ** 3
         assert p == RatPoly([-1, 3, -3, 1])
-        assert RatPoly.zero().degree == -1
-
-    def test_json_roundtrip(self):
-        p = RatPoly([F(1, 3), 0, F(-2, 7)])
-        assert RatPoly.from_json(p.to_json()) == p
+        assert RatPoly().degree == -1
 
     def test_negative_degree_and_power_rejected(self):
         with pytest.raises(ValueError, match="^degree must be nonnegative$"):
@@ -130,7 +126,7 @@ class TestRatPoly:
         assert p * F(1, 2) == RatPoly([F(1, 2), -1, F(3, 2)])
         assert 3 * p == RatPoly([3, -6, 9])
         assert "2/3" * p == p * "2/3" == RatPoly([F(2, 3), F(-4, 3), 2])
-        assert (p * 0).is_zero() and (0 * p).is_zero()
+        assert not (p * 0).coeffs and not (0 * p).coeffs
 
     @pytest.mark.parametrize("coeffs, text", [
         ([], "RatPoly(0)"),
@@ -183,7 +179,7 @@ class TestStochMatrix:
         perm = [2, 0, 1]
         p = m.permuted(perm)
         for i, j in itertools.product(range(3), repeat=2):
-            assert p[i, j] == m[perm[i], perm[j]]
+            assert p.entries[i][j] == m.entries[perm[i]][perm[j]]
 
     @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [1, 2, 3]], ids=["repeat", "short", "shifted"])
     def test_permuted_rejects_a_non_permutation(self, perm):
@@ -275,7 +271,7 @@ class TestSparseView:
         m = random_stochastic(random.Random(seed), n, density=0.5)
         perm = data.draw(st.permutations(range(n)))
         p = m.permuted(perm)
-        fresh = StochMatrix([[m[perm[i], perm[j]] for j in range(n)] for i in range(n)])
+        fresh = StochMatrix([[m.entries[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
         assert p.sparse_rows == fresh.sparse_rows
         assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
         assert p.permuted([perm.index(k) for k in range(n)]) == m

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 import sys
 import textwrap
 from dataclasses import replace
@@ -565,12 +566,34 @@ class TestExactMembership:
         assert not contains(2, 1 + 1e-8, 1e-9)
 
     def test_rejects_order_below_2(self):
-        with pytest.raises(ValueError):
-            contains(1, 0.5j)
-        with pytest.raises(ValueError):
-            contains(1, 0.5)
-        with pytest.raises(ValueError):
-            radius_at(1, 0.5)
+        for call in (lambda: contains(1, 0.5j), lambda: contains(1, 0.5),
+                     lambda: radius_at(1, 0.5), lambda: Region(1, 16)):
+            with pytest.raises(ValueError, match="^order must be at least 2$"):
+                call()
+
+    @pytest.mark.parametrize("call, got", [
+        (lambda: contains(4.5, 0.5j), "4.5"),  # was True
+        (lambda: contains(True, 0.5j), "True"),
+        (lambda: Region(4.5, 16).contains(0.5j), "4.5"),
+        (lambda: radius_at(4.5, 0.3), "4.5"),
+    ], ids=["contains", "bool", "Region", "radius_at"])
+    def test_rejects_an_order_that_is_not_an_int(self, call, got):
+        with pytest.raises(ValueError, match=f"^order must be an integer, got {re.escape(got)}$"):
+            call()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: contains(7, complex("nan")), "z must be finite, got (nan+0j)"),  # was True
+        (lambda: contains(7, complex(math.inf, 0.0)), "z must be finite, got (inf+0j)"),
+        (lambda: Region(4, 16).contains(complex(0.5, math.nan)), "z must be finite, got (0.5+nanj)"),
+        # was True, though 2 lies outside every region
+        (lambda: contains(7, 2, math.nan), "tol must be finite, got nan"),
+        (lambda: contains(7, 0.5, math.inf), "tol must be finite, got inf"),
+        (lambda: radius_at(7, math.nan), "theta must be finite, got nan"),  # was 1.0
+        (lambda: radius_at(7, -math.inf), "theta must be finite, got -inf"),
+    ], ids=["z-nan", "z-inf", "Region-z", "tol-nan", "tol-inf", "theta-nan", "theta-inf"])
+    def test_rejects_a_value_that_is_not_finite(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestEigenvalueOnArc:

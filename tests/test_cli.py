@@ -89,7 +89,7 @@ class TestRealize:
     def test_type0(self, capsys):
         code, out, _ = run(capsys, "realize", "0", "--n", "5", "--alpha", "1/2")
         m = StochMatrix.from_json(json.loads(out))
-        assert code == 0 and m.n == 5 and m[0, 0] == F(1, 2)
+        assert code == 0 and m.n == 5 and m.entries[0][0] == F(1, 2)
 
     def test_type3_dot(self, capsys):
         code, out, _ = run(
@@ -109,7 +109,7 @@ class TestRealize:
         )
         assert code == 0
         m = StochMatrix.from_json(json.loads(out))
-        assert m[0, 1] == F(1, 2) and m[1, 2] == F(1, 3)
+        assert m.entries[0][1] == F(1, 2) and m.entries[1][2] == F(1, 3)
 
     def test_inconsistent_alphas_rejected(self, capsys):
         code, _, err = run(
@@ -530,7 +530,7 @@ class TestAugmentCli:
         )
         assert code == 0
         m = StochMatrix.from_json(json.loads(out))
-        assert m[3, 0] == F(500, 729)
+        assert m.entries[3][0] == F(500, 729)
 
     def test_rejected_edge_exit_1(self, capsys):
         code, _, err = run(

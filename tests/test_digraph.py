@@ -48,7 +48,7 @@ ARC12 = arc_params(ArcType.TYPE_II, q=4, d=3, z=3)
 def brute_force_similar(a, b):
     n = a.n
     for p in itertools.permutations(range(n)):
-        if all(a[p[i], p[j]] == b[i, j] for i in range(n) for j in range(n)):
+        if all(a.entries[p[i]][p[j]] == b.entries[i][j] for i in range(n) for j in range(n)):
             return True
     return False
 
@@ -160,7 +160,7 @@ class TestSimpleCyclesAgainstBruteForce:
     @given(small_digraphs())
     @example(WeightedDigraph(1, {(0, 0): F(1, 2)}))
     @example(WeightedDigraph(2, {(0, 1): F(1, 3), (1, 0): F(2, 3), (1, 1): F(1, 3)}))
-    @example(WeightedDigraph.from_edge_list(6, itertools.product(range(6), repeat=2), F(1, 2)))
+    @example(WeightedDigraph(6, dict.fromkeys(itertools.product(range(6), repeat=2), F(1, 2))))
     def test_cycles_and_weights(self, g):
         report = simple_cycles(g)
         expected = brute_force_cycles(g)
@@ -258,15 +258,15 @@ class TestPrunedSearchAgainstTiernan:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(sparse_digraphs())
     @example(WeightedDigraph(3, {(0, 0): F(1, 2), (0, 1): F(1, 2), (1, 0): F(1, 3), (2, 2): F(1)}))
-    @example(WeightedDigraph.from_edge_list(12, [(v, (v + 1) % 12) for v in range(12)]
-                                            + [(v, v) for v in range(0, 12, 3)]
-                                            + [(v + 1, v) for v in range(0, 11, 2)]))
+    @example(WeightedDigraph(12, dict.fromkeys([(v, (v + 1) % 12) for v in range(12)]
+                                               + [(v, v) for v in range(0, 12, 3)]
+                                               + [(v + 1, v) for v in range(0, 11, 2)], 1)))
     def test_drawn_digraphs(self, g):
         assert_same_report(simple_cycles(g), tiernan_cycles(g))
 
     def test_complete_order_8(self):
         # sum over k of C(8, k) (k - 1)! cycles, the 8 loops included
-        g = WeightedDigraph.from_edge_list(8, itertools.product(range(8), repeat=2), F(1, 8))
+        g = WeightedDigraph(8, dict.fromkeys(itertools.product(range(8), repeat=2), F(1, 8)))
         report = simple_cycles(g)
         assert sum(map(len, report.values())) == 16072
         assert_same_report(report, tiernan_cycles(g))
@@ -312,7 +312,7 @@ class TestWithoutNetworkx:
 class TestCoates:
     def test_single_loop(self):
         g = WeightedDigraph(1, {(0, 0): F(1, 3)})
-        assert charpoly_coates(g).to_json() == ["-1/3", "1"]
+        assert charpoly_coates(g).coeffs == (F(-1, 3), 1)
 
     def test_two_cycle_with_loop(self):
         a, b, c = F(1, 2), F(1, 4), F(1, 5)
@@ -528,8 +528,9 @@ def reference_bfs_order(g, rank):
 
 def reference_edge_maps(m):
     """Out- and in-neighbour maps of m with its Fraction entries as weights."""
-    out = [{j: m[i, j] for j in range(m.n) if m[i, j]} for i in range(m.n)]
-    inc = [{i: m[i, j] for i in range(m.n) if m[i, j]} for j in range(m.n)]
+    grid = m.entries
+    out = [{j: grid[i][j] for j in range(m.n) if grid[i][j]} for i in range(m.n)]
+    inc = [{i: grid[i][j] for i in range(m.n) if grid[i][j]} for j in range(m.n)]
     return out, inc
 
 
@@ -667,8 +668,9 @@ class TestNeighbourDrawnSearch:
         sig_b = reference_signatures(*reference_edge_maps(b))
         assert order == reference_bfs_order(gb, lambda v: (sig_b.count(sig_b[v]), v))
         position = {v: k for k, v in enumerate(order)}
+        grid_a, grid_b = a.entries, b.entries
         for v in range(b.n):
-            earlier = [w for w in range(b.n) if (b[v, w] or b[w, v]) and position[w] < position[v]]
+            earlier = [w for w in range(b.n) if (grid_b[v][w] or grid_b[w][v]) and position[w] < position[v]]
             w = anchors[v]
             if not earlier:
                 assert w == -1
@@ -681,7 +683,7 @@ class TestNeighbourDrawnSearch:
             edges = [None if x is None else x * ratio for x in (ib.out[v].get(w), ib.inc[v].get(w))]
             bucket = ia.buckets.get(sig, [])
             for image in range(a.n):
-                expected = [u for u in bucket if (a[u, image], a[image, u]) == (b[v, w], b[w, v])]
+                expected = [u for u in bucket if (grid_a[u][image], grid_a[image][u]) == (grid_b[v][w], grid_b[w][v])]
                 assert ia.candidates(sig, image, *edges) == expected
 
 

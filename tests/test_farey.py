@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -237,6 +238,35 @@ class TestArcParamsChecks:
     def test_endpoints_must_be_neighbours_of_order_n(self, fields):
         with pytest.raises(ValueError):
             ArcParams(**fields)
+
+    @pytest.mark.parametrize("name, value", [
+        ("n", 5.0), ("p", 1.0), ("q", 2.0), ("r", True), ("s", 5.0), ("n", "5"),
+    ])
+    def test_fields_must_be_ints(self, name, value):
+        # 1/2-2/5 of order 5; each value equals the field's, so only the
+        # type check tells them apart.
+        fields = {"n": 5, "p": 1, "q": 2, "r": 2, "s": 5, name: value}
+        message = f"arc field {name!r} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ArcParams(**fields)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ArcParams.from_json({**ArcParams(5, 1, 2, 2, 5).to_json(), name: value})
+
+    def test_arc_params_rejects_a_float_order(self):
+        # It once returned ArcParams(n=4.5, p=0, q=1, r=1, s=4.5, d=4.0, ...).
+        with pytest.raises(ValueError, match=r"^arc field 'n' must be an integer, got 4\.5$"):
+            arc_params(ArcType.TYPE_0, n=4.5)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"d": 2.0}, "arc field 'd' must be an integer, got 2.0"),
+        ({"d": None}, "arc field 'd' must be an integer, got None"),
+        ({"y": 1.0}, "arc field 'y' must be an integer, got 1.0"),
+        ({"z": "1"}, "arc field 'z' must be an integer, got '1'"),
+    ])
+    def test_from_json_checks_d_z_and_y(self, change, message):
+        data = {**ArcParams(5, 1, 2, 2, 5).to_json(), **change}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ArcParams.from_json(data)
 
 
 class TestSynthesizedArcs:

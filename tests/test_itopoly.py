@@ -33,7 +33,7 @@ class TestFullPoly:
 
     def test_alpha_zero(self):
         arc = _arc(ArcType.TYPE_II, q=4, d=3, z=3)
-        expected = (RatPoly.monomial(4) - RatPoly.one()) ** 3
+        expected = (RatPoly.monomial(4) - RatPoly([1])) ** 3
         assert full_arc_poly(arc, 0) == expected.shift(9)
 
     def test_type3_expansion(self):
@@ -47,7 +47,7 @@ class TestFullPoly:
 class TestReduce:
     def test_strip_powers(self):
         assert RatPoly([0, 0, 0, 0, -1, 0, 0, 1]) == RatPoly([-1, 0, 0, 1]).shift(4)
-        p = (RatPoly.monomial(4) - RatPoly.one()) ** 3
+        p = (RatPoly.monomial(4) - RatPoly([1])) ** 3
         assert p.shift(9) == RatPoly([0] * 9 + list(p.coeffs))
 
     def test_type2_closed_form(self):

@@ -41,7 +41,7 @@ ARC_III = arc_params(ArcType.TYPE_III, q=4, d=3, y=3)
 class TestType0:
     def test_structure(self):
         m = type0(3, F(1, 2))
-        assert m[0, 0] == F(1, 2) and m[0, 1] == F(1, 2)
+        assert m.entries[0][0] == F(1, 2) and m.entries[0][1] == F(1, 2)
         assert m.nnz() == 6
 
     def test_order_one(self):
@@ -72,9 +72,9 @@ class TestType1:
     def test_example_shape(self):
         a1, a2 = F(1, 2), F(1, 3)
         m = type1(5, 4, [a1, a2])
-        assert m[0, 1] == a1 and m[0, 2] == 1 - a1
-        assert m[1, 2] == a2 and m[1, 3] == 1 - a2
-        assert m[2, 3] == 1 and m[3, 4] == 1 and m[4, 0] == 1
+        assert m.entries[0][1] == a1 and m.entries[0][2] == 1 - a1
+        assert m.entries[1][2] == a2 and m.entries[1][3] == 1 - a2
+        assert m.entries[2][3] == 1 and m.entries[3][4] == 1 and m.entries[4][0] == 1
 
     def test_sparsest_charpoly(self):
         m = type1(5, 4, [F(1, 6), F(1)])
@@ -175,7 +175,7 @@ class TestType3:
         }
         for parts, expected in rows.items():
             m = build_sparsest(ARC_III, F(1, 2), parts)
-            split = sorted(i + 1 for i in range(15) if m[i, (i + 1) % 15] == F(1, 2))
+            split = sorted(i + 1 for i in range(15) if m.entries[i][(i + 1) % 15] == F(1, 2))
             assert split == expected
 
     def test_charpoly(self):
@@ -195,7 +195,7 @@ class TestType3:
         # Singleton blocks at the sparsest positions reproduce the sparsest matrix.
         parts = (0, 1, 2)
         sparse = build_sparsest(ARC_III, F(1, 2), parts)
-        positions = [i for i in range(15) if sparse[i, (i + 1) % 15] == F(1, 2)]
+        positions = [i for i in range(15) if sparse.entries[i][(i + 1) % 15] == F(1, 2)]
         spec = TypeIIIFamilySpec(n=15, q=4, weights={p: F(1, 2) for p in positions})
         assert set(spec.blocks) == {frozenset({p}) for p in positions}
         assert type3_family(spec) == sparse
@@ -473,7 +473,7 @@ class TestDDSupport:
         relabelled = a1.permuted(sigma)
         for i in range(12):
             for j in range(12):
-                if relabelled[i, j] != 0:
+                if relabelled.entries[i][j] != 0:
                     assert (j - i) % 12 in (k, k + 1)
         assert dd_support_check(a1, 3) is None
 
@@ -502,7 +502,7 @@ class TestAugment:
             r = r.augmented(e)
         assert r.free_parameters() == ["alpha_1", "alpha_2", "alpha_3"]
         m = r.instantiate(F(1, 2), {f"alpha_{i}": F(9, 10) for i in (1, 2, 3)})
-        assert m[3, 0] == F(500, 729)
+        assert m.entries[3][0] == F(500, 729)
         assert bool(verify_realization(m, ARC_II, F(1, 2)))
         assert m == order12_augmented(F(1, 2), F(9, 10))["A11"]
 
