@@ -80,6 +80,19 @@ def rat_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _check_integer(what: str, value: object) -> None:
+    """Raise ValueError naming ``what`` unless value is an int; a bool or
+    a float of integral value is not."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _check_order(n: int, least: int) -> None:
+    _check_integer("order", n)
+    if n < least:
+        raise ValueError(f"order must be at least {least}")
+
+
 class RatPoly:
     """Dense univariate polynomial over the rationals.
 
@@ -353,8 +366,8 @@ class StochMatrix:
 
 def cyclic_shift_matrix(n: int, power: int = 1) -> StochMatrix:
     """C(n)**power, where C(n) has ones in positions (i, (i+1) % n)."""
-    if n < 1:
-        raise ValueError("order must be at least 1")
+    _check_order(n, 1)
+    _check_integer("power", power)
     k = power % n
     return StochMatrix._of(tuple((((i + k) % n, _ONE),) for i in range(n)))
 

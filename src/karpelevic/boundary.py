@@ -28,10 +28,21 @@ Membership needs no trace.  On the arc over arg(t) the branch equation
 is linear in a: a = (1 - u^q) / (1 - c*u^e), so t lies on the arc exactly
 where Im[(1 - u^q) * conj(1 - c*u^e)] vanishes (a product with no pole).
 Along a ray this sign carrier changes sign once on (0, 1], at the
-boundary; the unit circle at the arc's mid angle lies outside the region,
-so a point is inside iff its carrier's sign differs from the one there.
-The arc comes from a Stern-Brocot descent to denominators <= n, and on a
-Farey direction (the real axis included) the boundary radius is 1.
+boundary, so a point is inside iff its carrier's sign differs from the
+one on the unit circle, and that sign is an integer fact of the arc.  On
+|u| = 1 at angle phi the carrier is
+
+    sin A - sin B + sin(B - A) = -4 sin((A - B)/2) sin(A/2) sin(B/2),
+                                     A = arg(c) + e*phi,   B = q*phi.
+
+With eps = q*r - p*s = +-1 and d = floor(n/q), the arc's mid angle
+phi = eps*pi/(q*s) gives B = eps*pi/s, A = eps*pi*(1/(q*d) + 1/s) and
+A - B = eps*pi/(q*d): every half-angle lies in (0, pi/2] with the sign of
+eps, so the carrier there has the sign -eps and is never 0.  It is
+positive exactly when p/q is the arc's upper endpoint.  The arc comes
+from a Stern-Brocot descent to denominators <= n, whose neighbours name
+that endpoint, and on a Farey direction (the real axis included) the
+boundary radius is 1.
 """
 
 from __future__ import annotations
@@ -43,7 +54,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
 
-from karpelevic.algebra import RatLike, rat
+from karpelevic.algebra import RatLike, _check_integer, _check_order, rat
 from karpelevic.farey import ArcParams, ArcType, arcs_of_order
 from karpelevic.itopoly import reduced_shifts
 
@@ -158,15 +169,9 @@ class ArcTrace:
 
 
 def _check_samples(m: int) -> None:
+    _check_integer("m", m)
     if m < 2:
         raise ValueError("need at least 2 samples")
-
-
-def _check_order(n: int) -> None:
-    if type(n) is not int:
-        raise ValueError(f"order must be an integer, got {n!r}")
-    if n < 2:
-        raise ValueError("order must be at least 2")
 
 
 def _check_finite(name: str, value: complex) -> None:
@@ -190,7 +195,7 @@ def _closed_form_root(arc: ArcParams) -> Callable[[float], complex] | None:
     if arc.type_tag is ArcType.TYPE_I and arc.q == 2:
         def root(a: float) -> complex:
             t = (-1.0 - cmath.sqrt(1.0 - 4.0 * a)) / 2
-            return t.conjugate() if goal.imag > 0 else t
+            return t.conjugate() if 2 * arc.r < arc.s else t
         return root
     return None
 
@@ -273,7 +278,7 @@ def region_boundary(n: int, m: int) -> list[ArcTrace]:
     enforces the region's symmetry and halves the work.  The sequence is
     symmetric about 1/2, so arc k from the end mirrors arc k.
     """
-    _check_order(n)
+    _check_order(n, 2)
     arcs = arcs_of_order(n)
     upper = [trace_arc(arc, m) for arc in arcs[: len(arcs) // 2]]
     return upper + [trace.conjugated(arc) for trace, arc in zip(upper[::-1], arcs[len(upper):])]
@@ -289,10 +294,9 @@ def _inside(n: int, theta: float, rho: float) -> bool:
     while x * b != a and x * d != c:
         if b + d > n:
             p, q, r, s = (a, b, c, d) if b < d else (c, d, a, b)
-            branch, start = _Branch.between(n, p, q, r, s), p / q
-            inner = branch.carrier(rho, 2 * math.pi * (x - start))
-            outer = branch.carrier(1.0, math.pi * (a / b + c / d - 2 * start))
-            return inner == 0.0 or (inner > 0.0) != (outer > 0.0)
+            inner = _Branch.between(n, p, q, r, s).carrier(rho, 2 * math.pi * (x - p / q))
+            # Outside, the carrier is positive iff p/q = c/d, the upper end.
+            return inner == 0.0 or (inner > 0.0) != (b > d)
         if x * (b + d) < a + c:
             c, d = a + c, b + d
         else:
@@ -306,7 +310,7 @@ def contains(n: int, z: complex, tol: float = 1e-9) -> bool:
     z is moved towards 0 by tol and decided by the sign test of the module
     docstring on the arc over arg(z); nothing is traced.
     """
-    _check_order(n)
+    _check_order(n, 2)
     _check_finite("z", z)
     _check_finite("tol", tol)
     # [-1, 1] lies in every region, so a point within tol of it is inside.
@@ -317,7 +321,7 @@ def contains(n: int, z: complex, tol: float = 1e-9) -> bool:
 def radius_at(n: int, theta: float) -> float:
     """Boundary radius of the order-n region along the ray at angle theta,
     by bisection on the membership test (0 off the real axis at order 2)."""
-    _check_order(n)
+    _check_order(n, 2)
     _check_finite("theta", theta)
     lo, hi = 0.0, 1.0
     for _ in range(60):

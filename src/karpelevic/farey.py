@@ -24,6 +24,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
+from karpelevic.algebra import _check_integer, _check_order
+
 __all__ = [
     "ArcType",
     "ArcParams",
@@ -53,8 +55,7 @@ def farey_sequence(n: int) -> list[Fraction]:
     Note the strict p < q: the sequence lives in [0, 1), with 1/1 appearing
     only implicitly as the wraparound endpoint of the last boundary arc.
     """
-    if n < 1:
-        raise ValueError("order must be at least 1")
+    _check_order(n, 1)
     # Standard two-term recurrence walking the sequence left to right.
     seq = [Fraction(0, 1)]
     a, b, c, d = 0, 1, 1, n
@@ -71,8 +72,7 @@ def farey_pairs(n: int) -> list[tuple[Fraction, Fraction]]:
     Consecutive members of ``farey_sequence(n)`` plus the wraparound pair
     (last element, 1/1), so the pairs cover the whole circle.
     """
-    if n < 2:
-        raise ValueError("order must be at least 2")
+    _check_order(n, 2)
     seq = farey_sequence(n)
     return list(zip(seq, seq[1:] + [Fraction(1)]))
 
@@ -101,7 +101,7 @@ class ArcParams:
 
     def __post_init__(self) -> None:
         for name in ("n", "p", "q", "r", "s"):
-            _check_integer(name, getattr(self, name))
+            _check_integer(f"arc field {name!r}", getattr(self, name))
         if not (0 < self.q < self.s):
             raise ValueError("need 0 < q < s")
         if not (0 <= self.p <= self.q and 0 <= self.r <= self.s):
@@ -154,7 +154,7 @@ class ArcParams:
         fields = {key: data.get(key) for key in ("n", "p", "q", "r", "s", "d", "z", "y")}
         for key in ("d", "z", "y"):
             if key == "d" or fields[key] is not None:
-                _check_integer(key, fields[key])
+                _check_integer(f"arc field {key!r}", fields[key])
         tag = ArcType(data.get("type"))
         arc = cls(*(fields[key] for key in ("n", "p", "q", "r", "s")))
         if fields["d"] != arc.d:
@@ -163,11 +163,6 @@ class ArcParams:
             ends = f"{arc.p}/{arc.q}-{arc.r}/{arc.s}"
             raise ValueError(f"the order-{arc.n} arc {ends} is {arc.type_tag} with z={arc.z}, y={arc.y}")
         return arc
-
-
-def _check_integer(name: str, value: object) -> None:
-    if type(value) is not int:
-        raise ValueError(f"arc field {name!r} must be an integer, got {value!r}")
 
 
 def classify_arc(n: int, pair: tuple[Fraction, Fraction]) -> ArcParams:
@@ -232,7 +227,7 @@ def arc_params(
     the reduced-polynomial degree, which is the setting every realization
     constructor works in.  Each type's parameters (``_REQUIRED``) are
     checked first: every missing one is named, then every one given that
-    the type does not take.
+    the type does not take, then any that is not an int.
     """
     given = {"n": n, "q": q, "d": d, "z": z, "y": y}
     required = _REQUIRED[type_tag]
@@ -243,6 +238,8 @@ def arc_params(
             *rest, last = names
             listed = f"{', '.join(rest)} and {last}" if rest else last
             raise ValueError(f"Type {type_tag.value} {verb} {listed}")
+    for name in required:
+        _check_integer(f"arc field {name!r}", given[name])
 
     if type_tag is ArcType.TYPE_0:
         if n < 2:

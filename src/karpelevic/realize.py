@@ -51,6 +51,8 @@ from karpelevic.algebra import (
     _ONE,
     RatLike,
     StochMatrix,
+    _check_integer,
+    _check_order,
     _hessenberg_order,
     charpoly_exact,
     rat,
@@ -158,8 +160,7 @@ def _cycle_with_back_edges(n: int, q: int, split: Mapping[int, Fraction]) -> Sto
 
 def type0(n: int, alpha: RatLike) -> StochMatrix:
     """b*I_n + a*C_n: the unique order-n realization of (t - b)^n - a^n."""
-    if n < 1:
-        raise ValueError("order must be at least 1")
+    _check_order(n, 1)
     a = rat(alpha)
     _check_open_unit(a)
     return _cycle_with_back_edges(n, 1, dict.fromkeys(range(n), a))
@@ -365,7 +366,11 @@ class TypeIIIFamilySpec:
     weights: Mapping[int, Fraction]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", {int(v): rat(w) for v, w in self.weights.items()})
+        _check_integer("order", self.n)
+        _check_integer("q", self.q)
+        for v in self.weights:
+            _check_integer("block vertex", v)
+        object.__setattr__(self, "weights", {v: rat(w) for v, w in self.weights.items()})
         if self.q < 2:
             raise ValueError("need q >= 2")
         d, y = divmod(self.n, self.q)
@@ -420,6 +425,8 @@ def _sparsest_shape(arc: ArcParams) -> tuple[int, int]:
 def _check_composition(arc: ArcParams, parts: Sequence[int]) -> None:
     """Raise unless the parts lie below q and have the arc's sparsest
     shape."""
+    for p in parts:
+        _check_integer("composition part", p)
     if any(not 0 <= p < arc.q for p in parts):
         raise ValueError(f"parts must lie in 0..{arc.q - 1}")
     total, length = _sparsest_shape(arc)

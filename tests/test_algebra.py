@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -153,8 +154,17 @@ class TestStochMatrix:
         assert nonzero_positions(c3) == {(0, 1), (1, 2), (2, 0)}
         assert cyclic_shift_matrix(5, 5) == cyclic_shift_matrix(5, 0)
         assert cyclic_shift_matrix(5, 2) == c_power(5, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^order must be at least 1$"):
             cyclic_shift_matrix(0)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: cyclic_shift_matrix(4.0), "order must be an integer, got 4.0"),  # was a TypeError
+        (lambda: cyclic_shift_matrix(True), "order must be an integer, got True"),
+        (lambda: cyclic_shift_matrix(4, 1.5), "power must be an integer, got 1.5"),
+    ])
+    def test_cyclic_shift_checks_its_integers(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_json_roundtrip(self):
         m = cyclic_shift_matrix(4, 1)

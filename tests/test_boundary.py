@@ -500,6 +500,20 @@ class TestExactMembership:
         mid = math.pi * float(lo + hi) - 2 * math.pi * start
         assert signs[-1] == (branch.carrier(1.0, mid) > 0)
 
+    def test_outside_sign_is_read_from_the_denominators(self):
+        # The membership test's rule: for neighbours lo = a/b < hi = c/d,
+        # the carrier on the unit circle at the arc's mid angle is positive
+        # iff b > d, and never 0 (the identity in the module docstring).
+        arcs = 0
+        for n in range(2, 101):
+            for lo, hi in farey_pairs(n):
+                arc = classify_arc(n, (lo, hi))
+                mid = math.pi * float(lo + hi) - 2 * math.pi * arc.p / arc.q
+                value = _Branch.of(arc).carrier(1.0, mid)
+                assert value != 0.0 and (value > 0) == (lo.denominator > hi.denominator), (arc, value)
+                arcs += 1
+        assert arcs == 104358
+
     def test_carrier_is_the_imaginary_part_of_the_branch_equation(self):
         # Zero on traced points, where a is real; else the sign of
         # Im[(1 - u^q) * conj(1 - c*u^e)] computed directly.
@@ -579,6 +593,16 @@ class TestExactMembership:
     ], ids=["contains", "bool", "Region", "radius_at"])
     def test_rejects_an_order_that_is_not_an_int(self, call, got):
         with pytest.raises(ValueError, match=f"^order must be an integer, got {re.escape(got)}$"):
+            call()
+
+    @pytest.mark.parametrize("call, got", [
+        (lambda: trace_arc(arcs_of_order(5)[1], 2.5), "2.5"),  # was a TypeError from range
+        (lambda: region_boundary(5, 16.0), "16.0"),
+        (lambda: Region(5, 16.0), "16.0"),
+        (lambda: trace_arc(arcs_of_order(5)[1], True), "True"),
+    ], ids=["trace_arc", "region_boundary", "Region", "bool"])
+    def test_rejects_a_sample_count_that_is_not_an_int(self, call, got):
+        with pytest.raises(ValueError, match=f"^m must be an integer, got {re.escape(got)}$"):
             call()
 
     @pytest.mark.parametrize("call, message", [

@@ -73,7 +73,7 @@ class TestSequence:
             assert len(farey_sequence(n)) == 1 + sum(totient(k) for k in range(2, n + 1))
 
     def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^order must be at least 1$"):
             farey_sequence(0)
 
 
@@ -104,8 +104,23 @@ class TestPairs:
             classify_arc(12, (F(1, 4), F(1, 3)))  # mediant 2/7 lies inside F_12
 
     def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^order must be at least 2$"):
             farey_pairs(1)
+
+    @pytest.mark.parametrize("call, got", [
+        (lambda: farey_sequence(4.0), "4.0"),  # was a TypeError from Fraction
+        (lambda: farey_sequence(True), "True"),  # was [Fraction(0, 1)]
+        (lambda: farey_pairs(5.0), "5.0"),
+        (lambda: farey_pairs("5"), "'5'"),  # checked before farey_pairs compares it
+        (lambda: arcs_of_order(5.0), "5.0"),
+    ], ids=["sequence", "sequence-bool", "pairs", "pairs-str", "arcs"])
+    def test_rejects_an_order_that_is_not_an_int(self, call, got):
+        with pytest.raises(ValueError, match=f"^order must be an integer, got {re.escape(got)}$"):
+            call()
+
+    def test_equal_endpoints_are_not_ascending(self):
+        with pytest.raises(ValueError, match="^pair must be ascending$"):
+            classify_arc(4, (F(1, 3), F(1, 3)))
 
     def test_pairs_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -173,6 +188,15 @@ class TestClassification:
             for arc in arcs_of_order(n):
                 assert ArcParams.from_json(arc.to_json()) == arc
 
+    @pytest.mark.parametrize("pair, n, data", [
+        ((F(0), F(1, 4)), 4, {"n": 4, "p": 0, "q": 1, "r": 1, "s": 4, "d": 4, "type": "0"}),
+        ((F(1, 5), F(1, 4)), 5, {"n": 5, "p": 1, "q": 4, "r": 1, "s": 5, "d": 1, "type": "I"}),
+        ((F(2, 9), F(1, 4)), 12, {"n": 12, "p": 1, "q": 4, "r": 2, "s": 9, "d": 3, "type": "II", "z": 3}),
+        ((F(1, 4), F(4, 15)), 15, {"n": 15, "p": 1, "q": 4, "r": 4, "s": 15, "d": 3, "type": "III", "y": 3}),
+    ], ids=["0", "I", "II", "III"])
+    def test_json_states_z_and_y_only_for_their_types(self, pair, n, data):
+        assert classify_arc(n, pair).to_json() == data
+
     def test_json_roundtrip_every_arc_to_order_12(self):
         for n in range(2, 13):
             for arc in arcs_of_order(n):
@@ -195,6 +219,11 @@ class TestClassification:
 
 
 class TestArcParamsChecks:
+    @pytest.mark.parametrize("data, got", [([5, 1, 2, 2, 5], "list"), ("{}", "str")])
+    def test_from_json_needs_an_object(self, data, got):
+        with pytest.raises(ValueError, match=f"^arc parameters must be a JSON object, got {got}$"):
+            ArcParams.from_json(data)
+
     def test_misclassified_arc_rejected(self):
         # 2/5-1/2 of order 5 is Type III with y = 1; read as Type I it once
         # reached an AssertionError in reduced_ito.
@@ -237,6 +266,15 @@ class TestArcParamsChecks:
     )
     def test_endpoints_must_be_neighbours_of_order_n(self, fields):
         with pytest.raises(ValueError):
+            ArcParams(**fields)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(n=1, p=0, q=0, r=1, s=1), r"need 0 < q < s"),  # q = 0
+        (dict(n=1, p=0, q=1, r=1, s=1), r"need 0 < q < s"),  # 0/1-1/1 of order 1
+        (dict(n=3, p=0, q=1, r=-1, s=3), r"endpoints must lie in \[0, 1\]"),  # 0/1 - -1/3
+    ], ids=["q-zero", "q-equals-s", "r-below-0"])
+    def test_endpoint_messages(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             ArcParams(**fields)
 
     @pytest.mark.parametrize("name, value", [
@@ -294,6 +332,17 @@ class TestSynthesizedArcs:
         with pytest.raises(ValueError):
             arc_params(ArcType.TYPE_II, q=4, d=2, z=2)  # s = 6 shares gcd with q
 
+    @pytest.mark.parametrize("tag, params, s", [
+        (ArcType.TYPE_I, {"n": 6, "q": 4}, 6),
+        (ArcType.TYPE_II, {"q": 4, "d": 2, "z": 2}, 6),
+        (ArcType.TYPE_III, {"q": 4, "d": 2, "y": 2}, 10),
+    ])
+    def test_no_arc_when_q_and_s_share_a_factor(self, tag, params, s):
+        # Without this check pow(q, -1, s) raised its own ValueError.
+        message = f"^q = 4 and s = {s} are not coprime; no such arc$"
+        with pytest.raises(ValueError, match=message):
+            arc_params(tag, **params)
+
 
 # One complete parameter set per type; arc_params needs every key.
 REQUIRED = {
@@ -341,11 +390,47 @@ class TestRequiredParameters:
         with pytest.raises(ValueError, match=r"^arcs exist for orders n >= 2 only$"):
             arc_params(ArcType.TYPE_0, n=n)
 
+    def test_type0_at_order_two(self):
+        assert arc_params(ArcType.TYPE_0, n=2) == ArcParams(2, 0, 1, 1, 2)
+
+    @pytest.mark.parametrize("tag, params, message", [
+        (ArcType.TYPE_I, {"n": 4, "q": 4}, "Type I requires q < n < 2q"),
+        (ArcType.TYPE_I, {"n": 8, "q": 4}, "Type I requires q < n < 2q"),
+        (ArcType.TYPE_II, {"q": 4, "d": 1, "z": 1}, "Type II requires d >= 2 and z in 1..q-1"),
+        (ArcType.TYPE_II, {"q": 4, "d": 3, "z": 0}, "Type II requires d >= 2 and z in 1..q-1"),
+        (ArcType.TYPE_II, {"q": 4, "d": 3, "z": 4}, "Type II requires d >= 2 and z in 1..q-1"),
+        (ArcType.TYPE_II, {"q": 4, "d": 3, "z": 5}, "Type II requires d >= 2 and z in 1..q-1"),
+        (ArcType.TYPE_III, {"q": 4, "d": 1, "y": 1}, "Type III requires d >= 2 and y in 1..q-1"),
+        (ArcType.TYPE_III, {"q": 4, "d": 3, "y": 0}, "Type III requires d >= 2 and y in 1..q-1"),
+        (ArcType.TYPE_III, {"q": 4, "d": 3, "y": 4}, "Type III requires d >= 2 and y in 1..q-1"),
+        # Unchecked, y = q + 1 gave the order-17 arc 3/4-13/17, Type III
+        # with y = 1, and d = 1 the Type I arc 3/4-4/5.
+        (ArcType.TYPE_III, {"q": 4, "d": 3, "y": 5}, "Type III requires d >= 2 and y in 1..q-1"),
+    ])
+    def test_range_messages(self, tag, params, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            arc_params(tag, **params)
+
     @pytest.mark.parametrize("tag", [ArcType.TYPE_I, ArcType.TYPE_II, ArcType.TYPE_III])
     @pytest.mark.parametrize("q", [1, 0])
     def test_q_at_least_two(self, tag, q):
         with pytest.raises(ValueError, match=r"^need q >= 2$"):
             arc_params(tag, **{**REQUIRED[tag], "q": q})
+
+    @pytest.mark.parametrize(
+        "tag, name", [(tag, name) for tag, params in REQUIRED.items() for name in params]
+    )
+    def test_each_parameter_must_be_an_int(self, tag, name):
+        # An equal float once failed in gcd or pow with a TypeError.
+        value = float(REQUIRED[tag][name])
+        message = f"arc field {name!r} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            arc_params(tag, **{**REQUIRED[tag], name: value})
+
+    def test_a_bool_parameter_is_not_an_int(self):
+        # It once returned the arc with y = 1.
+        with pytest.raises(ValueError, match="^arc field 'y' must be an integer, got True$"):
+            arc_params(ArcType.TYPE_III, q=3, d=2, y=True)
 
     @pytest.mark.parametrize("tag", list(REQUIRED))
     def test_complete_parameters_build(self, tag):

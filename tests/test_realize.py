@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import fields, replace
 from fractions import Fraction
 from math import gcd, prod
@@ -60,6 +61,12 @@ class TestType0:
     @pytest.mark.parametrize("n", [0, -1])
     def test_rejects_order_below_one(self, n):
         with pytest.raises(ValueError, match="^order must be at least 1$"):
+            type0(n, F(1, 2))
+
+    @pytest.mark.parametrize("n", [4.0, True])
+    def test_rejects_an_order_that_is_not_an_int(self, n):
+        # 4.0 was a TypeError from range; True built the order-1 matrix.
+        with pytest.raises(ValueError, match=f"^order must be an integer, got {n!r}$"):
             type0(n, F(1, 2))
 
 
@@ -237,6 +244,24 @@ class TestType3:
     def test_family_shape_checks(self, n, q, weights, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             TypeIIIFamilySpec(n=n, q=q, weights=weights)
+
+    @pytest.mark.parametrize("n, q, weights, message", [
+        # 15.0 once gave a spec with d = 3.0; 3.5 was read as vertex 3.
+        (15.0, 4, {3: F(1, 2), 8: F(1, 2), 13: F(1, 2)}, "order must be an integer, got 15.0"),
+        (15, 4.0, {3: F(1, 2), 8: F(1, 2), 13: F(1, 2)}, "q must be an integer, got 4.0"),
+        (15, 4, {3.5: F(1, 2), 8: F(1, 2), 13: F(1, 2)}, "block vertex must be an integer, got 3.5"),
+    ])
+    def test_family_integers_are_ints(self, n, q, weights, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TypeIIIFamilySpec(n=n, q=q, weights=weights)
+
+    @pytest.mark.parametrize("arc, parts", [
+        (ARC_III, (0.0, 1, 2)),  # was a TypeError from list indexing
+        (ARC_II, (0, 3.0, 3)),
+    ], ids=["III", "II"])
+    def test_composition_parts_are_ints(self, arc, parts):
+        with pytest.raises(ValueError, match="^composition part must be an integer, got "):
+            build_sparsest(arc, F(1, 2), parts)
 
 
 class TestEnumerate:
