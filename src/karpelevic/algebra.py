@@ -229,8 +229,9 @@ class StochMatrix:
     them, and hands their nonzero pairs to :meth:`_from_pairs`, the one
     validator; the realization builders write the sorted pairs themselves
     and call it directly, and :meth:`permuted` relabels the pairs, so on
-    matrices with O(n) nonzeros building, validation, :meth:`nnz` and
-    ``WeightedDigraph.from_matrix`` take O(n) steps rather than O(n^2).
+    matrices with O(n) nonzeros building, validation and :meth:`nnz` take
+    O(n) steps rather than O(n^2); ``WeightedDigraph.from_matrix`` shares
+    the pairs without copying them.
     The dense grid ``entries`` is filled in from the pairs the first time
     it is read (indexing, JSON, repr).
 
@@ -322,6 +323,8 @@ class StochMatrix:
         Equivalent to P A P^T where P has ones at (i, perm[i]).
         """
         n = self.n
+        for v in perm:
+            _check_integer("permutation entry", v)
         if sorted(perm) != list(range(n)):
             raise ValueError("not a permutation of 0..n-1")
         slot = [0] * n

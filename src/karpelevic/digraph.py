@@ -2,7 +2,8 @@
 
 A matrix and its digraph are two views of the same object: vertices are
 row indices, an edge (i, j) with weight w > 0 records entry w in position
-(i, j).  Zero entries are absent edges, never stored.
+(i, j).  Zero entries are absent edges, never stored.  Both are held as
+sparse rows, row i the ``(j, w)`` pairs of i's out-edges in increasing j.
 
 Two independent characteristic-polynomial routes meet here: the digraph
 route assembles each coefficient k_i as a signed sum of weight products
@@ -11,7 +12,7 @@ vertices, which is checked elsewhere against exact elimination.  Simple
 cycles are enumerated by a depth-first search (Tiernan's): from each
 vertex in turn, paths grow only through larger vertices, so every cycle
 is found once, from its least vertex, already in canonical rotation.
-Loops are read off the edges, and a start with no neighbour above it, in
+Loops are read off the rows, and a start with no neighbour above it, in
 or out, opens no search.  Before each other search one reverse search
 marks the vertices that can still get back to the start through larger
 vertices, and the path enters only those (the reachability pruning of
@@ -35,10 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import prod
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from karpelevic.algebra import RatLike, RatPoly, StochMatrix, rat, rat_str
+from karpelevic.algebra import RatLike, RatPoly, StochMatrix, _check_integer, rat, rat_str
 from karpelevic.farey import ArcParams
 
 __all__ = [
@@ -52,52 +52,49 @@ __all__ = [
     "to_dot",
 ]
 
-COATES_DEFAULT_BOUND = 16
+COATES_ORDER_BOUND = 16
 # Largest order the backtracking relabelling searches take on by default.
 SEARCH_ORDER_BOUND = 20
 
 
+@dataclass(frozen=True)
 class WeightedDigraph:
-    """Digraph on vertices 0..n-1 with positive rational edge weights.
+    """Digraph on vertices 0..n-1 with positive rational edge weights, held
+    as a StochMatrix is, without the unit row sums: row u of ``sparse_rows``
+    is the ``(v, w)`` pairs of u's out-edges in increasing v, each w a
+    positive Fraction.  The constructor checks a ``{(u, v): weight}``
+    mapping and writes the rows; :meth:`from_matrix` shares a matrix's."""
 
-    At most one edge per ordered pair; self-loops allowed.  Immutable
-    after construction.
-    """
-
-    __slots__ = ("n", "edges")
+    sparse_rows: tuple[tuple[tuple[int, Fraction], ...], ...]
 
     def __init__(self, n: int, edges: Mapping[tuple[int, int], RatLike]):
+        _check_integer("order", n)
         if n < 1:
             raise ValueError("need at least one vertex")
-        ed: dict[tuple[int, int], Fraction] = {}
+        rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
         for (u, v), w in edges.items():
+            for x in (u, v):
+                _check_integer(f"edge ({u}, {v}) vertex", x)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             wv = rat(w)
             if wv.numerator <= 0:
                 raise ValueError(f"edge ({u}, {v}) has non-positive weight {wv}")
-            ed[(u, v)] = wv
-        self.n = n
-        self.edges = dict(sorted(ed.items()))
+            rows[u].append((v, wv))
+        object.__setattr__(self, "sparse_rows", tuple(tuple(sorted(row)) for row in rows))
 
     @classmethod
     def from_matrix(cls, m: StochMatrix) -> "WeightedDigraph":
-        """The digraph of m's nonzero entries.  Its sparse rows already hold
-        positive Fractions in (i, j) order, so they are taken as they are."""
+        """The digraph of m's nonzero entries: m's sparse rows, shared."""
         if m.n < 1:
             raise ValueError("need at least one vertex")
         g = cls.__new__(cls)
-        g.n = m.n
-        g.edges = {(i, j): e for i, row in enumerate(m.sparse_rows) for j, e in row}
+        object.__setattr__(g, "sparse_rows", m.sparse_rows)
         return g
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeightedDigraph):
-            return NotImplemented
-        return self.n == other.n and self.edges == other.edges
-
-    def __repr__(self) -> str:
-        return f"WeightedDigraph(n={self.n}, edges={len(self.edges)})"
+    @property
+    def n(self) -> int:
+        return len(self.sparse_rows)
 
 
 def simple_cycles(g: WeightedDigraph) -> dict[int, list[tuple[tuple[int, ...], Fraction]]]:
@@ -108,7 +105,7 @@ def simple_cycles(g: WeightedDigraph) -> dict[int, list[tuple[tuple[int, ...], F
     vertex tuple rotated so its minimum vertex comes first, paired with the
     exact product of its edge weights.
 
-    Self-loops are read off the edges.  Longer cycles are found
+    Self-loops are read off the rows.  Longer cycles are found
     depth-first from each vertex ``start`` through larger vertices only; a
     path closes when its last vertex has an edge back to ``start``.  A
     start with no successor or no predecessor above it is the least vertex
@@ -118,18 +115,17 @@ def simple_cycles(g: WeightedDigraph) -> dict[int, list[tuple[tuple[int, ...], F
     it through vertices above ``start``, and the path enters only marked
     vertices that are not on it already.
     Successors are visited in increasing order, so cycles come out in
-    lexicographic order and each length's list is already sorted.  A
-    longer cycle's weight is formed as one Fraction from the products of
-    the numerators and of the denominators of its edge weights.
+    lexicographic order and each length's list is already sorted.  The
+    path carries the products of the numerators and of the denominators
+    of its edge weights, so a closing edge makes the cycle's weight as
+    one Fraction and looks nothing up.
     """
-    succ: list[list[int]] = [[] for _ in range(g.n)]
-    pred: list[list[int]] = [[] for _ in range(g.n)]
-    loops = []
-    for (u, v), w in g.edges.items():
-        if u == v:
-            loops.append(((u,), w))
-        else:
-            succ[u].append(v)
+    rows = g.sparse_rows
+    loops = [((u,), w) for u, row in enumerate(rows) for v, w in row if v == u]
+    succ = [[(v, w) for v, w in row if v != u] for u, row in enumerate(rows)]
+    pred: list[list[int]] = [[] for _ in rows]
+    for u, row in enumerate(succ):
+        for v, _ in row:
             pred[v].append(u)
     by_length: dict[int, list[tuple[tuple[int, ...], Fraction]]] = {1: loops} if loops else {}
     reaches = [-1] * g.n  # reaches[v] == start: v gets back to start above it
@@ -137,7 +133,7 @@ def simple_cycles(g: WeightedDigraph) -> dict[int, list[tuple[tuple[int, ...], F
     for start in range(g.n):
         # Both lists increase; without a neighbour above it both ways, start
         # is the least vertex of no cycle longer than a loop.
-        if not (succ[start] and pred[start] and succ[start][-1] > start < pred[start][-1]):
+        if not (succ[start] and pred[start] and succ[start][-1][0] > start < pred[start][-1]):
             continue
         frontier = [start]
         while frontier:
@@ -146,25 +142,28 @@ def simple_cycles(g: WeightedDigraph) -> dict[int, list[tuple[tuple[int, ...], F
                     reaches[u] = start
                     frontier.append(u)
         path = [start]
+        carried = [(1, 1)]  # the path's weight up to each vertex: numerator, denominator
         stack = [iter(succ[start])]
         while stack:
-            for v in stack[-1]:
+            num, den = carried[-1]
+            for v, w in stack[-1]:
                 if v == start:
-                    ws = [g.edges[e] for e in zip(path, path[1:] + [start])]
-                    w = Fraction(prod(x.numerator for x in ws), prod(x.denominator for x in ws))
-                    by_length.setdefault(len(path), []).append((tuple(path), w))
+                    cycle_weight = Fraction(num * w.numerator, den * w.denominator)
+                    by_length.setdefault(len(path), []).append((tuple(path), cycle_weight))
                 elif reaches[v] == start and not on_path[v]:
                     on_path[v] = True
                     path.append(v)
+                    carried.append((num * w.numerator, den * w.denominator))
                     stack.append(iter(succ[v]))
                     break
             else:
                 stack.pop()
                 on_path[path.pop()] = False
+                carried.pop()
     return dict(sorted(by_length.items()))
 
 
-def charpoly_coates(g: WeightedDigraph, bound: int = COATES_DEFAULT_BOUND) -> RatPoly:
+def charpoly_coates(g: WeightedDigraph) -> RatPoly:
     """Characteristic polynomial from the linear-digraph expansion.
 
     k_i = sum over all sets L of vertex-disjoint simple cycles covering i
@@ -173,8 +172,8 @@ def charpoly_coates(g: WeightedDigraph, bound: int = COATES_DEFAULT_BOUND) -> Ra
     hence the order bound; this is the independent oracle for
     :func:`karpelevic.algebra.charpoly_exact`, not a production path.
     """
-    if g.n > bound:
-        raise ValueError(f"order {g.n} exceeds the Coates enumeration bound {bound}")
+    if g.n > COATES_ORDER_BOUND:
+        raise ValueError(f"order {g.n} exceeds the Coates enumeration bound {COATES_ORDER_BOUND}")
     cycles = [
         (frozenset(cyc), w, len(cyc)) for same in simple_cycles(g).values() for cyc, w in same
     ]
@@ -401,6 +400,7 @@ def dd_support_check(m: StochMatrix, k: int) -> Optional[list[int]]:
     sigma with relabelled[i][j] = m[sigma[i]][sigma[j]], or None when no
     relabelling exists.
     """
+    _check_integer("k", k)
     n = m.n
     if n > SEARCH_ORDER_BOUND:
         raise ValueError(f"order {n} exceeds the support search bound {SEARCH_ORDER_BOUND}")
@@ -504,7 +504,8 @@ def to_dot(g: WeightedDigraph) -> str:
     lines = ["digraph gamma {", "  rankdir=LR;"]
     for v in range(g.n):
         lines.append(f"  {v + 1};")
-    for (u, v), w in g.edges.items():
-        lines.append(f'  {u + 1} -> {v + 1} [label="{rat_str(w)}"];')
+    for u, row in enumerate(g.sparse_rows):
+        for v, w in row:
+            lines.append(f'  {u + 1} -> {v + 1} [label="{rat_str(w)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

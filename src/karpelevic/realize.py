@@ -251,6 +251,8 @@ class TypeIIRealization:
         """
         arc = self.arc
         src, dst = edge
+        for v in edge:
+            _check_integer(f"edge {edge} vertex", v)
         t = self.block_of(src)
         if not (0 <= src < arc.n and 0 <= dst < arc.n):
             raise ValueError(f"edge {edge} out of range")

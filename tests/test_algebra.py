@@ -196,6 +196,14 @@ class TestStochMatrix:
         with pytest.raises(ValueError, match=r"^not a permutation of 0\.\.n-1$"):
             cyclic_shift_matrix(3).permuted(perm)
 
+    @pytest.mark.parametrize("perm", [(True, 0, 2), (0.0, 1, 2), (0, 1, 2.0)],
+                             ids=["bool", "float", "last-float"])
+    def test_permuted_rejects_a_non_integer_entry(self, perm):
+        bad = next(v for v in perm if type(v) is not int)
+        with pytest.raises(ValueError) as exc:
+            cyclic_shift_matrix(3).permuted(perm)
+        assert str(exc.value) == f"permutation entry must be an integer, got {bad!r}"
+
 
 def dense_rejection(grid):
     """Reference validation on the dense grid: the message StochMatrix must
@@ -265,7 +273,8 @@ class TestSparseView:
         )
         assert nonzero_positions(m) == set(dense)
         assert m.nnz() == len(dense)
-        assert WeightedDigraph.from_matrix(m).edges == dense
+        g = WeightedDigraph.from_matrix(m)
+        assert {(i, j): e for i, row in enumerate(g.sparse_rows) for j, e in row} == dense
         perm = data.draw(st.permutations(range(n))) if data is not None else list(range(n))
         relabelled = tuple(tuple(F(grid[perm[i]][perm[j]]) for j in range(n)) for i in range(n))
         assert m.permuted(perm).entries == relabelled

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,50 @@ class TestRealize:
         # back edges from the split rows 5, 10, 15
         for src, dst in [(5, 2), (10, 7), (15, 12)]:
             assert f"{src} -> {dst}" in out
+
+    def test_type2_dot_golden(self, capsys):
+        # The whole DOT output of the order-12 realization (0, 3, 3) at 1/3,
+        # byte for byte: header, one line per vertex, then the edges in row
+        # order with their exact weights, 1-based.
+        code, out, err = run(
+            capsys, "realize", "II", "--q", "4", "--d", "3", "--z", "3",
+            "--alpha", "1/3", "--composition", "0,3,3", "--emit", "dot",
+        )
+        assert (code, err) == (0, "")
+        assert out == textwrap.dedent(
+            """\
+            digraph gamma {
+              rankdir=LR;
+              1;
+              2;
+              3;
+              4;
+              5;
+              6;
+              7;
+              8;
+              9;
+              10;
+              11;
+              12;
+              1 -> 2 [label="2/3"];
+              1 -> 5 [label="1/3"];
+              2 -> 3 [label="1"];
+              3 -> 4 [label="1"];
+              4 -> 1 [label="1"];
+              5 -> 6 [label="1"];
+              6 -> 7 [label="1"];
+              7 -> 8 [label="1"];
+              8 -> 5 [label="2/3"];
+              8 -> 12 [label="1/3"];
+              9 -> 10 [label="1"];
+              10 -> 11 [label="1"];
+              11 -> 1 [label="1/3"];
+              11 -> 12 [label="2/3"];
+              12 -> 9 [label="1"];
+            }
+            """
+        )
 
     def test_type1_alphas(self, capsys):
         code, out, _ = run(

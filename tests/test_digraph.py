@@ -45,6 +45,11 @@ F = Fraction
 ARC12 = arc_params(ArcType.TYPE_II, q=4, d=3, z=3)
 
 
+def edge_dict(g):
+    """g's edges as a {(u, v): weight} dict, read off its rows."""
+    return {(u, v): w for u, row in enumerate(g.sparse_rows) for v, w in row}
+
+
 def brute_force_similar(a, b):
     n = a.n
     for p in itertools.permutations(range(n)):
@@ -57,8 +62,8 @@ class TestWeightedDigraph:
     def test_zero_weight_edges_absent(self):
         m = type0(3, F(1, 2))
         g = WeightedDigraph.from_matrix(m)
-        assert len(g.edges) == 6
-        assert all(w > 0 for w in g.edges.values())
+        assert len(edge_dict(g)) == 6
+        assert all(w > 0 for w in edge_dict(g).values())
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -73,15 +78,47 @@ class TestWeightedDigraph:
             WeightedDigraph(2, {(0, 1): 1, (0, 2): 1})
         with pytest.raises(ValueError, match=r"^edge \(-1, 0\) out of range for n=2$"):
             WeightedDigraph(2, {(-1, 0): 1})
+        with pytest.raises(ValueError, match=r"^edge \(2, 0\) out of range for n=2$"):
+            WeightedDigraph(2, {(0, 1): 1, (2, 0): 1})
+        with pytest.raises(ValueError, match=r"^edge \(0, -1\) out of range for n=2$"):
+            WeightedDigraph(2, {(0, 1): 1, (0, -1): 1})
+
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (True, {}, "order must be an integer, got True"),
+            (2.0, {}, "order must be an integer, got 2.0"),
+            (2, {(True, 0): 1, (0, 1): 1}, "edge (True, 0) vertex must be an integer, got True"),
+            (2, {(0, 1): 1, (1, 0.0): 1}, "edge (1, 0.0) vertex must be an integer, got 0.0"),
+        ],
+        ids=["bool-order", "float-order", "bool-vertex", "float-vertex"],
+    )
+    def test_rejects_non_integer_order_and_vertices(self, n, edges, message):
+        with pytest.raises(ValueError) as exc:
+            WeightedDigraph(n, edges)
+        assert str(exc.value) == message
+
+    def test_rows_sorted_with_fraction_weights(self):
+        g = WeightedDigraph(3, {(2, 0): F(1, 2), (0, 2): 1, (0, 0): "1/3"})
+        assert g.sparse_rows == (((0, F(1, 3)), (2, F(1))), (), ((0, F(1, 2)),))
+        assert all(type(w) is F for row in g.sparse_rows for _, w in row)
+        assert g.n == 3 and WeightedDigraph(2, {}).sparse_rows == ((), ())
+
+    def test_from_matrix_shares_the_rows(self):
+        m = type0(3, F(1, 2))
+        g = WeightedDigraph.from_matrix(m)
+        assert g.sparse_rows is m.sparse_rows and g.n == 3
+        assert g != m and m != g
 
     def test_equality_follows_order_and_weighted_edges(self):
         g = WeightedDigraph.from_matrix(type0(3, F(1, 2)))
         same = WeightedDigraph(3, {(i, j): F(1, 2) for i in range(3) for j in (i, (i + 1) % 3)})
         assert g == same and same == g
         assert g != WeightedDigraph.from_matrix(type0(3, F(1, 3)))
-        assert g != WeightedDigraph(4, g.edges)
-        assert g != WeightedDigraph(3, {e: w for e, w in g.edges.items() if e != (0, 0)})
-        assert g.__eq__(g.edges) is NotImplemented and g != g.edges
+        edges = edge_dict(g)
+        assert g != WeightedDigraph(4, edges)
+        assert g != WeightedDigraph(3, {e: w for e, w in edges.items() if e != (0, 0)})
+        assert g.__eq__(edges) is NotImplemented and g != edges
 
     def test_support_search_bound(self):
         n = SEARCH_ORDER_BOUND + 1
@@ -89,6 +126,12 @@ class TestWeightedDigraph:
         with pytest.raises(ValueError, match=message):
             dd_support_check(type0(n, F(1, 2)), 0)
         assert dd_support_check(type0(SEARCH_ORDER_BOUND, F(1, 2)), 0) is not None
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, True])
+    def test_support_band_must_be_an_integer(self, k):
+        with pytest.raises(ValueError) as exc:
+            dd_support_check(type0(4, F(1, 2)), k)
+        assert str(exc.value) == f"k must be an integer, got {k!r}"
 
 
 class TestSimpleCycles:
@@ -143,14 +186,15 @@ def brute_force_cycles(g):
     """Every sequence of distinct vertices that starts at its least vertex
     and whose consecutive edges, the closing edge included, exist, with
     the product of those edge weights."""
+    weights = edge_dict(g)
     by_length = {}
     for length in range(1, g.n + 1):
         for seq in itertools.permutations(range(g.n), length):
             edges = list(zip(seq, seq[1:] + seq[:1]))
-            if seq[0] == min(seq) and all(e in g.edges for e in edges):
+            if seq[0] == min(seq) and all(e in weights for e in edges):
                 w = F(1)
                 for e in edges:
-                    w *= g.edges[e]
+                    w *= weights[e]
                 by_length.setdefault(length, []).append((seq, w))
     return by_length
 
@@ -202,8 +246,9 @@ def tiernan_cycles(g):
     """Reference: the unpruned Tiernan search.  From each start it grows
     paths through every larger vertex not on the path, dead ends included,
     and multiplies the edge weights as Fractions."""
+    weights = edge_dict(g)
     succ = [[] for _ in range(g.n)]
-    for u, v in g.edges:
+    for u, v in weights:
         succ[u].append(v)
     by_length = {}
     for start in range(g.n):
@@ -212,7 +257,7 @@ def tiernan_cycles(g):
         while stack:
             for v in stack[-1]:
                 if v == start:
-                    w = math.prod(g.edges[e] for e in zip(path, path[1:] + [start]))
+                    w = math.prod(weights[e] for e in zip(path, path[1:] + [start]))
                     by_length.setdefault(len(path), []).append((tuple(path), w))
                 elif v > start and v not in path:
                     path.append(v)
@@ -337,9 +382,10 @@ class TestCoates:
 
     def test_bound(self):
         g = WeightedDigraph.from_matrix(cyclic_shift_matrix(17))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^order 17 exceeds the Coates enumeration bound 16$"):
             charpoly_coates(g)
-        assert charpoly_coates(g, bound=17).degree == 17
+        m = cyclic_shift_matrix(16)
+        assert charpoly_coates(WeightedDigraph.from_matrix(m)) == charpoly_exact(m)
 
 
 class TestPermSimilar:
@@ -509,7 +555,7 @@ def reference_bfs_order(g, rank):
     component from its vertex of least ``rank``, neighbours in increasing
     order."""
     neighbours = [set() for _ in range(g.n)]
-    for i, j in g.edges:
+    for i, j in edge_dict(g):
         neighbours[i].add(j)
         neighbours[j].add(i)
     order, seen = [], set()
@@ -806,6 +852,17 @@ class TestDot:
         dot = to_dot(WeightedDigraph.from_matrix(m))
         assert "1 -> 2" in dot and '[label="1/2"]' in dot
         assert dot.startswith("digraph")
+
+    def test_exact_text(self):
+        # 1-based vertices, then the edges row by row, a loop and an empty
+        # row included, each with its exact weight.
+        g = WeightedDigraph(4, {(2, 1): 1, (0, 1): F(1, 2), (0, 0): F(1, 2), (1, 2): F(2, 3),
+                                (1, 3): F(1, 3)})
+        assert to_dot(g) == (
+            "digraph gamma {\n  rankdir=LR;\n  1;\n  2;\n  3;\n  4;\n"
+            '  1 -> 1 [label="1/2"];\n  1 -> 2 [label="1/2"];\n  2 -> 3 [label="2/3"];\n'
+            '  2 -> 4 [label="1/3"];\n  3 -> 2 [label="1"];\n}\n'
+        )
 
 
 def test_cyclic_distance():

@@ -531,6 +531,15 @@ class TestAugment:
         assert bool(verify_realization(m, ARC_II, F(1, 2)))
         assert m == order12_augmented(F(1, 2), F(9, 10))["A11"]
 
+    @pytest.mark.parametrize("edge", [(True, 5), (1.0, 5), (1, 5.0)], ids=["bool", "float", "float-dst"])
+    def test_non_integer_vertex_rejected(self, edge):
+        # (1, 5) is a candidate connector of block 0, and True, 1.0 and 5.0
+        # hash and compare as 1 and 5 in the candidate set.
+        bad = next(v for v in edge if type(v) is not int)
+        with pytest.raises(ValueError) as exc:
+            TypeIIRealization.sparsest(ARC_II, (0, 3, 3)).augmented(edge)
+        assert str(exc.value) == f"edge {edge} vertex must be an integer, got {bad!r}"
+
     def test_middle_pair_always_rejected(self):
         base = TypeIIRealization.sparsest(ARC_II, (0, 3, 3))
         for edge in [(4, 8), (5, 9), (6, 10)]:
