@@ -20,13 +20,7 @@ from karpelevic.algebra import (
     rat,
     rat_str,
 )
-from karpelevic.farey import (
-    ArcParams,
-    ArcType,
-    classify_arc,
-    farey_pairs,
-    farey_sequence,
-)
+from karpelevic.farey import ArcParams, ArcType
 
 __version__ = "0.1.0"
 
@@ -40,8 +34,5 @@ __all__ = [
     "rat_str",
     "ArcParams",
     "ArcType",
-    "classify_arc",
-    "farey_pairs",
-    "farey_sequence",
     "__version__",
 ]

@@ -113,6 +113,7 @@ class RatPoly:
 
     @classmethod
     def monomial(cls, degree: int, coeff: RatLike = 1) -> "RatPoly":
+        _check_integer("degree", degree)
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         return cls((0,) * degree + (rat(coeff),))
@@ -172,6 +173,7 @@ class RatPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "RatPoly":
+        _check_integer("power", k)
         if k < 0:
             raise ValueError("negative power")
         result = RatPoly([1])
@@ -186,6 +188,9 @@ class RatPoly:
 
     def shift(self, k: int) -> "RatPoly":
         """Multiply by t**k."""
+        _check_integer("shift", k)
+        if k < 0:
+            raise ValueError("shift must be nonnegative")
         if not self.coeffs:
             return self
         return RatPoly((Fraction(0),) * k + self.coeffs)

@@ -1,26 +1,20 @@
 """Farey fractions and boundary-arc classification.
 
-The fractions p/q with 0 <= p < q <= n and gcd(p, q) = 1 mark the points
-e^(2*pi*i*p/q) where the eigenvalue region of order-n stochastic matrices
-meets the unit circle.  Consecutive fractions (plus a wraparound pair back
-to angle 2*pi) bound the curvilinear arcs of the region's boundary; each
-arc is classified here into one of four types by the denominators of its
-endpoints.
-
-Fractions are plain ``fractions.Fraction`` values and a pair is a plain
-``(lo, hi)`` tuple.  The wraparound arc is represented with upper endpoint
-1/1, which keeps the adjacency determinant identity
-hi.p * lo.q - lo.p * hi.q = 1 uniform across all pairs.  ``ArcParams``
-is the one place that checks adjacency, and it derives d, the type, z
-and y from the order and the endpoints, so only ``ArcParams.from_json``,
-where outside JSON states them, compares them.
+The reduced fractions p/q with 0 <= p <= q <= n, the order-n Farey
+sequence from 0/1 to 1/1, mark the points e^(2*pi*i*p/q) where the
+eigenvalue region of order-n stochastic matrices meets the unit circle.
+Each boundary arc joins two consecutive fractions and is held as five
+integers, ``ArcParams(n, p, q, r, s)``: p/q the endpoint with the smaller
+denominator, r/s the other.  ``ArcParams`` is the one place that checks
+adjacency, and it derives d, the type, z and y from the order and the
+endpoints, so only ``ArcParams.from_json``, where outside JSON states
+them, compares them.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from typing import Optional
 
@@ -29,9 +23,6 @@ from karpelevic.algebra import _check_integer, _check_order
 __all__ = [
     "ArcType",
     "ArcParams",
-    "farey_sequence",
-    "farey_pairs",
-    "classify_arc",
     "arc_params",
     "arcs_of_order",
 ]
@@ -47,34 +38,6 @@ class ArcType(enum.Enum):
 
     def __str__(self) -> str:
         return f"Type{self.value}"
-
-
-def farey_sequence(n: int) -> list[Fraction]:
-    """All reduced fractions p/q with 0 <= p < q <= n, ascending.
-
-    Note the strict p < q: the sequence lives in [0, 1), with 1/1 appearing
-    only implicitly as the wraparound endpoint of the last boundary arc.
-    """
-    _check_order(n, 1)
-    # Standard two-term recurrence walking the sequence left to right.
-    seq = [Fraction(0, 1)]
-    a, b, c, d = 0, 1, 1, n
-    while c < d:
-        seq.append(Fraction(c, d))
-        k = (n + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
-    return seq
-
-
-def farey_pairs(n: int) -> list[tuple[Fraction, Fraction]]:
-    """All boundary-arc endpoint pairs (lo, hi) of order n, in circular order.
-
-    Consecutive members of ``farey_sequence(n)`` plus the wraparound pair
-    (last element, 1/1), so the pairs cover the whole circle.
-    """
-    _check_order(n, 2)
-    seq = farey_sequence(n)
-    return list(zip(seq, seq[1:] + [Fraction(1)]))
 
 
 @dataclass(frozen=True)
@@ -165,24 +128,6 @@ class ArcParams:
         return arc
 
 
-def classify_arc(n: int, pair: tuple[Fraction, Fraction]) -> ArcParams:
-    """Classify the boundary arc of order n between ``pair = (lo, hi)``.
-
-    The endpoint with the smaller denominator supplies (p, q), the other
-    (r, s).  The pair must be ascending, and ArcParams rejects it unless
-    lo and hi are neighbours in the order-n Farey sequence, hi = 1/1
-    closing the wraparound arc; equal denominators never are.
-    """
-    lo, hi = pair
-    if not lo < hi:
-        raise ValueError("pair must be ascending")
-    if lo.denominator < hi.denominator:
-        p, q, r, s = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    else:
-        p, q, r, s = hi.numerator, hi.denominator, lo.numerator, lo.denominator
-    return ArcParams(n, p, q, r, s)
-
-
 def _arc_type(q: int, s: int, d: int) -> tuple[ArcType, Optional[int], Optional[int]]:
     """Type, z and y of an arc from its denominators q < s and d = floor(n / q).
 
@@ -199,8 +144,19 @@ def _arc_type(q: int, s: int, d: int) -> tuple[ArcType, Optional[int], Optional[
 
 
 def arcs_of_order(n: int) -> list[ArcParams]:
-    """Classified arcs for every Farey pair of order n, in circular order."""
-    return [classify_arc(n, pair) for pair in farey_pairs(n)]
+    """Every arc of order n in circular order, from 0/1 to 1/1.
+
+    Walks the Farey sequence by its two-term recurrence: neighbours
+    a/b < c/d are followed by c/d and (k*c - a)/(k*d - b), k = (n + b) // d.
+    """
+    _check_order(n, 2)
+    arcs = []
+    a, b, c, d = 0, 1, 1, n
+    while a < b:
+        arcs.append(ArcParams(n, a, b, c, d) if b < d else ArcParams(n, c, d, a, b))
+        k = (n + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+    return arcs
 
 
 _REQUIRED = {
@@ -222,7 +178,7 @@ def arc_params(
 ) -> ArcParams:
     """Build the ArcParams for a realization family from its parameters alone.
 
-    Finds the canonical Farey pair carrying the requested type: endpoints
+    Finds the canonical arc carrying the requested type: endpoints
     p/q < r/s with r*q - p*s = 1 and r minimal.  The matrix order n equals
     the reduced-polynomial degree, which is the setting every realization
     constructor works in.  Each type's parameters (``_REQUIRED``) are

@@ -247,10 +247,14 @@ class TypeIIRealization:
         digraph but the d block q-cycles has length s = n - z.  The cycles
         are enumerated, not summed over one connector per block pair: once
         every block pair has two connectors, a simple cycle can run round
-        the blocks more than once.
+        the blocks more than once.  ``edge`` is a (source, target) pair of
+        vertices, a tuple or a list.
         """
         arc = self.arc
+        if not (isinstance(edge, (tuple, list)) and len(edge) == 2):
+            raise ValueError(f"edge must be a (source, target) pair of vertices, got {edge!r}")
         src, dst = edge
+        edge = (src, dst)
         for v in edge:
             _check_integer(f"edge {edge} vertex", v)
         t = self.block_of(src)

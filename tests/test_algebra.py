@@ -122,6 +122,26 @@ class TestRatPoly:
         with pytest.raises(ValueError, match="^negative power$"):
             RatPoly([1, 1]) ** -1
 
+    def test_negative_shift_rejected(self):
+        # It once returned 2t + 1 unchanged.
+        for p in (RatPoly([1, 2]), RatPoly()):
+            with pytest.raises(ValueError, match="^shift must be nonnegative$"):
+                p.shift(-1)
+
+    @pytest.mark.parametrize("call, what, value", [
+        (lambda: RatPoly([1, 2]).shift(1.5), "shift", 1.5),
+        (lambda: RatPoly().shift(2.0), "shift", 2.0),
+        (lambda: RatPoly.monomial(1.5), "degree", 1.5),
+        (lambda: RatPoly.monomial(True), "degree", True),
+        (lambda: RatPoly([1, 2]) ** 1.5, "power", 1.5),
+        (lambda: RatPoly([1, 2]) ** True, "power", True),
+    ], ids=["shift", "shift-zero-poly", "degree", "degree-bool", "power", "power-bool"])
+    def test_integer_arguments(self, call, what, value):
+        # Floats once failed in tuple repetition or `&` with a TypeError.
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"{what} must be an integer, got {value!r}"
+
     def test_scalar_product_on_either_side(self):
         p = RatPoly([1, -2, 3])
         assert p * F(1, 2) == RatPoly([F(1, 2), -1, F(3, 2)])

@@ -30,11 +30,16 @@ from karpelevic.boundary import (
     trace_csv,
     traces_json_payload,
 )
-from karpelevic.farey import ArcType, arc_params, arcs_of_order, classify_arc, farey_pairs
+from karpelevic.farey import ArcParams, ArcType, arc_params, arcs_of_order
 from karpelevic.itopoly import reduced_ito, reduced_shifts
 from karpelevic.realize import build_sparsest
 
 F = Fraction
+
+
+def _ends(arc):
+    """The arc's endpoints as fractions, ascending."""
+    return sorted((F(arc.p, arc.q), F(arc.r, arc.s)))
 
 
 class TestPolyRoots:
@@ -76,14 +81,14 @@ class TestPolyRoots:
 
 class TestTraceArc:
     def test_type0_matches_closed_form(self):
-        arc = classify_arc(3, farey_pairs(3)[0])
+        arc = arcs_of_order(3)[0]
         trace = trace_arc(arc, 128)
         omega = cmath.exp(2j * math.pi / 3)
         for a, z in trace.samples:
             assert abs(z - ((1 - a) + a * omega)) < 1e-10
 
     def test_order4_lens_arc_endpoints(self):
-        arc = classify_arc(4, (F(1, 3), F(1, 2)))
+        arc = ArcParams(4, 1, 2, 1, 3)  # 1/3-1/2
         trace = trace_arc(arc, 64)
         assert abs(trace.samples[0][1] - (-1)) < 1e-9
         assert abs(trace.samples[-1][1] - cmath.exp(2j * math.pi / 3)) < 1e-9
@@ -96,7 +101,7 @@ class TestTraceArc:
                 assert abs(abs(trace.samples[-1][1]) - 1) < 1e-9
 
     def test_order3_sting_goes_real(self):
-        arc = classify_arc(3, farey_pairs(3)[1])
+        arc = arcs_of_order(3)[1]
         trace = trace_arc(arc, 128)
         below = [z for a, z in trace.samples if 0 < a < 0.24]
         assert below and all(abs(z.imag) < 1e-9 for z in below)
@@ -146,7 +151,7 @@ class TestTraceArc:
 
 
 def _upper_half_arcs(n):
-    return [classify_arc(n, (lo, hi)) for lo, hi in farey_pairs(n) if hi <= F(1, 2)]
+    return [arc for arc in arcs_of_order(n) if _ends(arc)[1] <= F(1, 2)]
 
 
 def _reference_newton(branch, a, u):
@@ -286,9 +291,10 @@ class TestBranchContinuation:
             trace_arc(arc_params(ArcType.TYPE_II, q=4, d=3, z=3), 16)
 
     @pytest.mark.parametrize("alpha", [-0.5, F(-1, 100), 1.0000001, F(3, 2), float("nan")])
-    @pytest.mark.parametrize("n, pair", [(12, (F(3, 4), F(7, 9))), (5, (F(0), F(1, 5)))])
+    # 3/4-7/9 and 0/1-1/5 as (p, q, r, s)
+    @pytest.mark.parametrize("n, pair", [(12, (3, 4, 7, 9)), (5, (0, 1, 1, 5))])
     def test_point_at_rejects_parameters_outside_the_unit_interval(self, n, pair, alpha):
-        trace = trace_arc(classify_arc(n, pair), 16)  # Type II; Type 0 in closed form
+        trace = trace_arc(ArcParams(n, *pair), 16)  # Type II; Type 0 in closed form
         with pytest.raises(ValueError, match=r"^parameter must lie in \[0, 1\]$"):
             point_at(trace, alpha)
 
@@ -337,7 +343,7 @@ class TestBranchContinuation:
                     assert abs(nearest - z) <= 1e-8, (arc, alpha, abs(nearest - z))
 
 
-ORDER3_TYPE_I = [classify_arc(3, (F(1, 3), F(1, 2))), classify_arc(3, (F(1, 2), F(2, 3)))]
+ORDER3_TYPE_I = [ArcParams(3, 1, 2, 1, 3), ArcParams(3, 1, 2, 2, 3)]  # 1/3-1/2, 1/2-2/3
 
 
 class TestOrder3TypeI:
@@ -381,15 +387,11 @@ class TestOrder3TypeI:
 class TestRegionBoundary:
     def test_counts(self):
         for n in (2, 3, 4, 5):
-            assert len(region_boundary(n, 16)) == len(farey_pairs(n))
+            assert [t.arc for t in region_boundary(n, 16)] == arcs_of_order(n)
 
     def test_conjugate_symmetry(self):
         traces = region_boundary(4, 32)
-        by_pair = {
-            (min(F(t.arc.p, t.arc.q), F(t.arc.r, t.arc.s)),
-             max(F(t.arc.p, t.arc.q), F(t.arc.r, t.arc.s))): t
-            for t in traces
-        }
+        by_pair = {tuple(_ends(t.arc)): t for t in traces}
         for (lo, hi), t in by_pair.items():
             mirror = by_pair[(1 - hi, 1 - lo)]
             for (a1, z1), (a2, z2) in zip(t.samples, mirror.samples):
@@ -398,8 +400,8 @@ class TestRegionBoundary:
 
     def test_traced_independently_mirrors_match(self):
         # Tracing a lower-half arc directly agrees with the reflected trace.
-        lower = classify_arc(3, farey_pairs(3)[2])
-        upper = classify_arc(3, farey_pairs(3)[1])
+        lower = arcs_of_order(3)[2]
+        upper = arcs_of_order(3)[1]
         tr_lower = trace_arc(lower, 64)
         tr_upper = trace_arc(upper, 64)
         for a, z in tr_lower.samples:
@@ -486,11 +488,11 @@ class TestExactMembership:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.integers(3, 60), st.floats(0, 1, exclude_min=True, exclude_max=True))
     def test_carrier_changes_sign_once_on_a_ray(self, n, x):
-        lo, hi = next((lo, hi) for lo, hi in farey_pairs(n) if lo <= x < hi)
+        arc = next(arc for arc in arcs_of_order(n) if x < _ends(arc)[1])
+        lo, hi = _ends(arc)
         # Within 1e-9 of a Farey direction the change lies within rounding
         # of rho = 1, where the scan ends.
         assume(min(x - lo, hi - x) > 1e-9)
-        arc = classify_arc(n, (lo, hi))
         branch, start = _Branch.of(arc), arc.p / arc.q
         values = [branch.carrier(k / 2000, 2 * math.pi * (x - start)) for k in range(1, 2001)]
         signs = [v > 0 for v in values if v != 0]
@@ -506,8 +508,8 @@ class TestExactMembership:
         # iff b > d, and never 0 (the identity in the module docstring).
         arcs = 0
         for n in range(2, 101):
-            for lo, hi in farey_pairs(n):
-                arc = classify_arc(n, (lo, hi))
+            for arc in arcs_of_order(n):
+                lo, hi = _ends(arc)
                 mid = math.pi * float(lo + hi) - 2 * math.pi * arc.p / arc.q
                 value = _Branch.of(arc).carrier(1.0, mid)
                 assert value != 0.0 and (value > 0) == (lo.denominator > hi.denominator), (arc, value)

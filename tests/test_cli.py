@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,8 @@ from karpelevic.itopoly import reduced_ito
 from karpelevic.realize import build_sparsest, type0
 
 F = Fraction
+
+GOLDEN = Path(__file__).parent / "golden"
 
 ARC12 = arc_params(ArcType.TYPE_II, q=4, d=3, z=3)
 ARC15 = arc_params(ArcType.TYPE_III, q=4, d=3, y=3)
@@ -74,6 +77,16 @@ class TestArcs:
         with pytest.raises(SystemExit) as exc:
             main(["arcs"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, golden", [
+        (["arcs", "12"], "arcs_12.txt"),
+        (["arcs", "12", "--json"], "arcs_12.json"),
+    ], ids=["table", "json"])
+    def test_order12_output_byte_for_byte(self, capsys, argv, golden):
+        # The README command; the golden files hold its full stdout.
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / golden).read_text()
 
 
 class TestRealize:

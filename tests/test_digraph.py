@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import signal
 import textwrap
 import time
 from fractions import Fraction
@@ -169,6 +170,31 @@ class TestSimpleCycles:
         for m, q in zip(cases, (4, 4)):
             lengths = set(simple_cycles(WeightedDigraph.from_matrix(m)))
             assert min(lengths) >= q
+
+    def test_dead_end_ladder_is_pruned(self):
+        """The 2-cycle 0 <-> 1 under a ladder of k layers of two vertices
+        entered from 1, each layer joined to the next and none back: 2^k
+        paths from 0 into the ladder, none of which returns.  The reverse
+        reachability marks keep the search from 0 out of the ladder; a
+        search that enters it runs for far longer than the alarm."""
+        k = 24
+        edges = {(0, 1): F(1, 3), (1, 0): F(1, 2)}
+        for layer in range(k):
+            for u in (1,) if layer == 0 else (2 * layer, 2 * layer + 1):
+                edges[(u, 2 * layer + 2)] = edges[(u, 2 * layer + 3)] = F(1, 2)
+        g = WeightedDigraph(2 * k + 2, edges)
+
+        def expire(signum, frame):
+            raise TimeoutError("simple_cycles searched the dead-end ladder")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            report = simple_cycles(g)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert report == {2: [((0, 1), F(1, 6))]}
 
 
 @st.composite

@@ -11,9 +11,6 @@ from karpelevic.farey import (
     ArcType,
     arc_params,
     arcs_of_order,
-    classify_arc,
-    farey_pairs,
-    farey_sequence,
 )
 
 F = Fraction
@@ -25,6 +22,15 @@ def brute_force_sequence(n):
 
 def totient(k):
     return sum(1 for i in range(1, k + 1) if gcd(i, k) == 1)
+
+
+def circular_endpoints(n):
+    """The endpoints of arcs_of_order(n) in circular order: each arc's lower
+    one, then the last arc's upper one.  Consecutive arcs must share an
+    endpoint."""
+    ends = [sorted((F(arc.p, arc.q), F(arc.r, arc.s))) for arc in arcs_of_order(n)]
+    assert all(hi == lo for (_, hi), (lo, _) in zip(ends, ends[1:]))
+    return [lo for lo, _ in ends] + [ends[-1][1]]
 
 
 def farey_pair_checks(n, lo, hi):
@@ -60,107 +66,101 @@ def orders_and_pairs(draw):
 
 class TestSequence:
     def test_small_orders(self):
-        assert farey_sequence(1) == [F(0)]
-        assert farey_sequence(3) == [F(0), F(1, 3), F(1, 2), F(2, 3)]
-        assert farey_sequence(4) == [F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4)]
+        assert circular_endpoints(2) == [F(0), F(1, 2), F(1)]
+        assert circular_endpoints(3) == [F(0), F(1, 3), F(1, 2), F(2, 3), F(1)]
+        assert circular_endpoints(4) == [F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)]
 
     def test_matches_brute_force(self):
-        for n in range(1, 40):
-            assert farey_sequence(n) == brute_force_sequence(n)
+        for n in range(2, 40):
+            assert circular_endpoints(n) == brute_force_sequence(n) + [F(1)]
 
     def test_size_is_totient_sum(self):
         for n in range(2, 60):
-            assert len(farey_sequence(n)) == 1 + sum(totient(k) for k in range(2, n + 1))
+            assert len(arcs_of_order(n)) == 1 + sum(totient(k) for k in range(2, n + 1))
 
     def test_rejects_bad_order(self):
-        with pytest.raises(ValueError, match="^order must be at least 1$"):
-            farey_sequence(0)
+        with pytest.raises(ValueError, match="^order must be at least 2$"):
+            arcs_of_order(0)
 
 
 class TestPairs:
     def test_adjacency_determinant_everywhere(self):
         for n in range(2, 101):
-            for lo, hi in farey_pairs(n):
-                assert hi.numerator * lo.denominator - lo.numerator * hi.denominator == 1
+            for arc in arcs_of_order(n):
+                assert abs(arc.q * arc.r - arc.p * arc.s) == 1
 
     def test_n3_pairs(self):
-        assert farey_pairs(3) == [
-            (F(0), F(1, 3)),
-            (F(1, 3), F(1, 2)),
-            (F(1, 2), F(2, 3)),
-            (F(2, 3), F(1)),
+        assert arcs_of_order(3) == [
+            ArcParams(3, 0, 1, 1, 3),
+            ArcParams(3, 1, 2, 1, 3),
+            ArcParams(3, 1, 2, 2, 3),
+            ArcParams(3, 1, 1, 2, 3),
         ]
 
     def test_membership_examples(self):
-        assert (F(1, 3), F(1, 2)) in farey_pairs(4)
-        assert (F(2, 9), F(1, 4)) in farey_pairs(12)
+        assert ArcParams(4, 1, 2, 1, 3) in arcs_of_order(4)  # 1/3-1/2
+        assert ArcParams(12, 1, 4, 2, 9) in arcs_of_order(12)  # 2/9-1/4
 
     def test_invalid_pairs_rejected(self):
         with pytest.raises(ValueError):
-            classify_arc(4, (F(1, 3), F(1, 4)))  # not ascending
+            ArcParams(4, 1, 2, 1, 4)  # 1/4-1/2, determinant 2
         with pytest.raises(ValueError):
-            classify_arc(4, (F(1, 4), F(1, 2)))  # determinant 2
-        with pytest.raises(ValueError):
-            classify_arc(12, (F(1, 4), F(1, 3)))  # mediant 2/7 lies inside F_12
+            ArcParams(12, 1, 3, 1, 4)  # mediant 2/7 of 1/4-1/3 lies inside F_12
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError, match="^order must be at least 2$"):
-            farey_pairs(1)
+            arcs_of_order(1)
 
-    @pytest.mark.parametrize("call, got", [
-        (lambda: farey_sequence(4.0), "4.0"),  # was a TypeError from Fraction
-        (lambda: farey_sequence(True), "True"),  # was [Fraction(0, 1)]
-        (lambda: farey_pairs(5.0), "5.0"),
-        (lambda: farey_pairs("5"), "'5'"),  # checked before farey_pairs compares it
-        (lambda: arcs_of_order(5.0), "5.0"),
-    ], ids=["sequence", "sequence-bool", "pairs", "pairs-str", "arcs"])
-    def test_rejects_an_order_that_is_not_an_int(self, call, got):
+    @pytest.mark.parametrize("n, got", [
+        (5.0, "5.0"),
+        (True, "True"),
+        ("5", "'5'"),  # checked before the order is compared
+    ], ids=["arcs", "arcs-bool", "arcs-str"])
+    def test_rejects_an_order_that_is_not_an_int(self, n, got):
         with pytest.raises(ValueError, match=f"^order must be an integer, got {re.escape(got)}$"):
-            call()
-
-    def test_equal_endpoints_are_not_ascending(self):
-        with pytest.raises(ValueError, match="^pair must be ascending$"):
-            classify_arc(4, (F(1, 3), F(1, 3)))
+            arcs_of_order(n)
 
     def test_pairs_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
-            classify_arc(2, (F(5, 2), F(3)))  # adjacent, but above 1
+            ArcParams(2, 3, 1, 5, 2)  # 5/2-3/1: adjacent, but above 1
         with pytest.raises(ValueError):
-            classify_arc(2, (F(-1, 2), F(0)))  # adjacent, but below 0
+            ArcParams(2, 0, 1, -1, 2)  # -1/2-0/1: adjacent, but below 0
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(orders_and_pairs())
-    def test_classify_arc_rejects_exactly_the_non_arcs(self, drawn):
+    def test_arc_params_rejects_exactly_the_non_arcs(self, drawn):
         n, lo, hi = drawn
+        if lo.denominator > hi.denominator:
+            lo, hi = hi, lo
         try:
-            classify_arc(n, (lo, hi))
+            ArcParams(n, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
         except ValueError:
             accepted = False
         else:
             accepted = True
-        assert accepted == farey_pair_checks(n, lo, hi)
+        assert accepted == farey_pair_checks(n, *sorted((lo, hi)))
 
 
 class TestClassification:
     def test_type0_example(self):
-        arc = classify_arc(4, (F(0), F(1, 4)))
+        arc = ArcParams(4, 0, 1, 1, 4)
         assert arc.type_tag is ArcType.TYPE_0
         assert (arc.q, arc.d, arc.s) == (1, 4, 4)
 
     def test_type1_example(self):
-        arc = classify_arc(5, (F(1, 5), F(1, 4)))
+        arc = ArcParams(5, 1, 4, 1, 5)
         assert arc.type_tag is ArcType.TYPE_I
         assert (arc.q, arc.s, arc.d) == (4, 5, 1)
         assert arc.reduced_degree == 5
 
     def test_type2_example(self):
-        arc = classify_arc(12, (F(2, 9), F(1, 4)))
+        arc = ArcParams(12, 1, 4, 2, 9)
         assert arc.type_tag is ArcType.TYPE_II
         assert (arc.q, arc.s, arc.d, arc.z) == (4, 9, 3, 3)
         assert arc.reduced_degree == 12
 
     def test_type3_example(self):
-        arc = classify_arc(15, (F(1, 4), F(4, 15)))
+        arc = ArcParams(15, 1, 4, 4, 15)
         assert arc.type_tag is ArcType.TYPE_III
         assert (arc.q, arc.s, arc.d, arc.y) == (4, 15, 3, 3)
         assert arc.reduced_degree == 15
@@ -179,7 +179,7 @@ class TestClassification:
                     assert arc.z is None and arc.y is None
 
     def test_wraparound_classifies_type0(self):
-        arc = classify_arc(5, farey_pairs(5)[-1])
+        arc = arcs_of_order(5)[-1]
         assert arc.type_tag is ArcType.TYPE_0
         assert (arc.p, arc.q, arc.r, arc.s) == (1, 1, 4, 5)
 
@@ -188,14 +188,14 @@ class TestClassification:
             for arc in arcs_of_order(n):
                 assert ArcParams.from_json(arc.to_json()) == arc
 
-    @pytest.mark.parametrize("pair, n, data", [
-        ((F(0), F(1, 4)), 4, {"n": 4, "p": 0, "q": 1, "r": 1, "s": 4, "d": 4, "type": "0"}),
-        ((F(1, 5), F(1, 4)), 5, {"n": 5, "p": 1, "q": 4, "r": 1, "s": 5, "d": 1, "type": "I"}),
-        ((F(2, 9), F(1, 4)), 12, {"n": 12, "p": 1, "q": 4, "r": 2, "s": 9, "d": 3, "type": "II", "z": 3}),
-        ((F(1, 4), F(4, 15)), 15, {"n": 15, "p": 1, "q": 4, "r": 4, "s": 15, "d": 3, "type": "III", "y": 3}),
+    @pytest.mark.parametrize("data", [
+        {"n": 4, "p": 0, "q": 1, "r": 1, "s": 4, "d": 4, "type": "0"},
+        {"n": 5, "p": 1, "q": 4, "r": 1, "s": 5, "d": 1, "type": "I"},
+        {"n": 12, "p": 1, "q": 4, "r": 2, "s": 9, "d": 3, "type": "II", "z": 3},
+        {"n": 15, "p": 1, "q": 4, "r": 4, "s": 15, "d": 3, "type": "III", "y": 3},
     ], ids=["0", "I", "II", "III"])
-    def test_json_states_z_and_y_only_for_their_types(self, pair, n, data):
-        assert classify_arc(n, pair).to_json() == data
+    def test_json_states_z_and_y_only_for_their_types(self, data):
+        assert ArcParams(*(data[key] for key in "npqrs")).to_json() == data
 
     def test_json_roundtrip_every_arc_to_order_12(self):
         for n in range(2, 13):
@@ -213,7 +213,7 @@ class TestClassification:
         ids=["type", "type-and-z", "order", "outside-unit-interval"],
     )
     def test_from_json_rejects_arc_that_disagrees_with_endpoints(self, change):
-        data = {**classify_arc(5, (F(2, 5), F(1, 2))).to_json(), **change}
+        data = {**ArcParams(5, 1, 2, 2, 5).to_json(), **change}
         with pytest.raises(ValueError):
             ArcParams.from_json(data)
 
@@ -321,8 +321,7 @@ class TestSynthesizedArcs:
                     if gcd(q, q * d - z) != 1:
                         continue
                     arc = arc_params(ArcType.TYPE_II, q=q, d=d, z=z)
-                    pair = tuple(sorted([F(arc.p, arc.q), F(arc.r, arc.s)]))
-                    assert classify_arc(arc.n, pair) == arc
+                    assert arc in arcs_of_order(arc.n)
 
     def test_incoherent_parameters_rejected(self):
         with pytest.raises(ValueError):

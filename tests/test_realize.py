@@ -18,7 +18,7 @@ from karpelevic.digraph import (
     find_similarity_permutation,
     simple_cycles,
 )
-from karpelevic.farey import ArcType, arc_params, arcs_of_order
+from karpelevic.farey import ArcParams, ArcType, arc_params, arcs_of_order
 from karpelevic.realize import (
     TypeIIIFamilySpec,
     TypeIIRealization,
@@ -313,9 +313,7 @@ class TestEnumerate:
 
     def test_requires_full_degree(self):
         # An order-13 arc with q=4, s=11 reduces to degree 12 < 13.
-        from karpelevic.farey import classify_arc
-
-        arc = classify_arc(13, (F(1, 4), F(3, 11)))
+        arc = ArcParams(13, 1, 4, 3, 11)  # 1/4-3/11
         assert arc.type_tag is ArcType.TYPE_II and arc.reduced_degree == 12
         with pytest.raises(ValueError):
             enumerate_sparsest(arc)
@@ -487,9 +485,7 @@ class TestDDSupport:
         # the band index is 2 (p*d - 1 here: 1/4 is the arc's upper
         # endpoint).  A 9-cycle cannot fit offsets {3, 4} at all: nine
         # steps of 3 or 4 cannot sum to a multiple of 12 without repeats.
-        from karpelevic.farey import classify_arc
-
-        arc = classify_arc(12, (F(2, 9), F(1, 4)))
+        arc = ArcParams(12, 1, 4, 2, 9)  # 2/9-1/4
         k = dd_band_index(arc)
         assert k == 2
         a1 = order12_sparsest(F(1, 3))["A1"]
@@ -539,6 +535,23 @@ class TestAugment:
         with pytest.raises(ValueError) as exc:
             TypeIIRealization.sparsest(ARC_II, (0, 3, 3)).augmented(edge)
         assert str(exc.value) == f"edge {edge} vertex must be an integer, got {bad!r}"
+
+    def test_list_edge_is_the_pair(self):
+        # A list once compared unequal to every candidate tuple: [1, 5] was
+        # "not a candidate connector" though (1, 5) is one.
+        base = TypeIIRealization.sparsest(ARC_II, (0, 3, 3))
+        assert base.augmented([1, 5]) == base.augmented((1, 5))
+        with pytest.raises(ValueError) as exc:
+            base.augmented([0, 9])
+        assert str(exc.value) == "edge (0, 9) is not a candidate connector from block 0 to block 1"
+
+    @pytest.mark.parametrize("edge", [(1, 5, 6), (1,), [], 5, "15", {1: 5}],
+                             ids=["triple", "single", "empty", "int", "str", "dict"])
+    def test_edge_must_be_a_pair(self, edge):
+        # A triple or a single once failed in unpacking, with no edge named.
+        with pytest.raises(ValueError) as exc:
+            TypeIIRealization.sparsest(ARC_II, (0, 3, 3)).augmented(edge)
+        assert str(exc.value) == f"edge must be a (source, target) pair of vertices, got {edge!r}"
 
     def test_middle_pair_always_rejected(self):
         base = TypeIIRealization.sparsest(ARC_II, (0, 3, 3))
