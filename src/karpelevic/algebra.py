@@ -127,6 +127,7 @@ class RatPoly:
 
     def coeff(self, i: int) -> Fraction:
         """Coefficient of t**i (0 beyond the stored degree)."""
+        _check_integer("index", i)
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return Fraction(0)

@@ -6,17 +6,19 @@ row indices, an edge (i, j) with weight w > 0 records entry w in position
 sparse rows, row i the ``(j, w)`` pairs of i's out-edges in increasing j.
 
 Two independent characteristic-polynomial routes meet here: the digraph
-route assembles each coefficient k_i as a signed sum of weight products
-over linear digraphs (sets of vertex-disjoint simple cycles) on i
-vertices, which is checked elsewhere against exact elimination.  Simple
-cycles are enumerated by a depth-first search (Tiernan's): from each
-vertex in turn, paths grow only through larger vertices, so every cycle
-is found once, from its least vertex, already in canonical rotation.
-Loops are read off the rows, and a start with no neighbour above it, in
-or out, opens no search.  Before each other search one reverse search
-marks the vertices that can still get back to the start through larger
-vertices, and the path enters only those (the reachability pruning of
-Johnson's algorithm), so no path runs into a dead end that cannot close.
+route sums over linear digraphs (sets of vertex-disjoint simple cycles)
+along the least vertex v of the vertex set S left, det(tI - A_S) =
+t det(tI - A_{S-v}) - sum of w(c) det(tI - A_{S-c}) over the cycles c
+within S whose least vertex is v, memoised on S; it is checked elsewhere
+against exact elimination.  Simple cycles are enumerated by a depth-first
+search (Tiernan's): from each vertex in turn, paths grow only through
+larger vertices, so every cycle is found once, from its least vertex,
+already in canonical rotation.  Loops are read off the rows, and a start
+with no neighbour above it, in or out, opens no search.  Before each
+other search one reverse search marks the vertices that can still get
+back to the start through larger vertices, and the path enters only
+those (the reachability pruning of Johnson's algorithm), so no path runs
+into a dead end that cannot close.
 
 Permutation similarity is decided exactly by an iterative backtracking
 search that matches vertex weight signatures and grows the map
@@ -28,14 +30,16 @@ matrix compared many times is read, not rebuilt, and no Fraction is read;
 and a vertex past a root takes its candidates from the neighbours of its
 placed neighbour's image, not from every vertex with its signature.
 The two-diagonal support check of Dmitriev and Dynkin runs on the same
-loop (``_relabel``), placing vertices on slots instead of on vertices.
+loop (``_relabel``) and reads the same index, placing vertices on slots
+instead of on vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from karpelevic.algebra import RatLike, RatPoly, StochMatrix, _check_integer, rat, rat_str
@@ -166,66 +170,39 @@ def simple_cycles(g: WeightedDigraph) -> dict[int, list[tuple[tuple[int, ...], F
 def charpoly_coates(g: WeightedDigraph) -> RatPoly:
     """Characteristic polynomial from the linear-digraph expansion.
 
-    k_i = sum over all sets L of vertex-disjoint simple cycles covering i
-    vertices of (-1)^(number of cycles) * (product of edge weights), and
-    det(tI - A) = t^n + k_1 t^(n-1) + ... + k_n.  Exponential in general,
-    hence the order bound; this is the independent oracle for
-    :func:`karpelevic.algebra.charpoly_exact`, not a production path.
+    A linear digraph (vertex-disjoint simple cycles) leaves out the least
+    vertex v of a vertex set S or covers it by one cycle c, so det(tI - A_S)
+    = t det(tI - A_{S-v}) - sum of w(c) det(tI - A_{S-c}) over the cycles
+    c within S with least vertex v, loops included; det of no vertex is 1.
+    det is memoised on S as a bit mask and summed in ints: over the lcm L
+    of the weights' denominators, det(tI - A_S) = L^-|S| det(LtI - LA_S).
+    Exponential in general, hence the order bound; the independent oracle
+    for :func:`karpelevic.algebra.charpoly_exact`, not a production path.
     """
     if g.n > COATES_ORDER_BOUND:
         raise ValueError(f"order {g.n} exceeds the Coates enumeration bound {COATES_ORDER_BOUND}")
-    cycles = [
-        (frozenset(cyc), w, len(cyc)) for same in simple_cycles(g).values() for cyc, w in same
-    ]
-    coeffs = [Fraction(0)] * (g.n + 1)  # coeffs[i] = k_i
+    scale = lcm(*(w.denominator for row in g.sparse_rows for _, w in row))
+    by_least: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for same in simple_cycles(g).values():
+        for cyc, w in same:
+            by_least[cyc[0]].append((sum(1 << v for v in cyc), int(w * scale ** len(cyc))))
 
-    def extend(start: int, used: frozenset, nverts: int, ncyc: int, prod: Fraction) -> None:
-        for idx in range(start, len(cycles)):
-            verts, w, length = cycles[idx]
-            if used & verts:
-                continue
-            total = nverts + length
-            contrib = prod * w
-            coeffs[total] += -contrib if (ncyc + 1) % 2 else contrib
-            if total < g.n:
-                extend(idx + 1, used | verts, total, ncyc + 1, contrib)
+    @cache
+    def det(s: int) -> list[int]:  # det(uI - LA_S) ascending, S the bits of s
+        if not s:
+            return [1]
+        low = s & -s
+        p = [0, *det(s ^ low)]
+        for c, w in by_least[low.bit_length() - 1]:
+            if c & s == c:
+                for i, x in enumerate(det(s ^ c)):
+                    p[i] -= w * x
+        return p
 
-    extend(0, frozenset(), 0, 0, Fraction(1))
-    poly = [Fraction(0)] * (g.n + 1)
-    poly[g.n] = Fraction(1)
-    for i in range(1, g.n + 1):
-        poly[g.n - i] = coeffs[i]
-    return RatPoly(poly)
+    return RatPoly(Fraction(k, scale ** (g.n - i)) for i, k in enumerate(det((1 << g.n) - 1)))
 
 
 # -- permutation similarity -------------------------------------------
-
-
-def _bfs_tree(neighbours: list[list[int]], roots: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Breadth-first order of the vertices and the parent of each (-1 for a
-    root): each component starts at its first vertex in ``roots`` and the
-    ``neighbours`` of a vertex are visited in increasing order.  A list may
-    name a neighbour twice; each list is sorted in place."""
-    parent = [-1] * len(neighbours)
-    placed = [False] * len(neighbours)
-    order: list[int] = []
-    for root in roots:
-        if placed[root]:
-            continue
-        placed[root] = True
-        head = len(order)
-        order.append(root)
-        while head < len(order):
-            w = order[head]
-            head += 1
-            near = neighbours[w]
-            near.sort()
-            for u in near:
-                if not placed[u]:
-                    placed[u] = True
-                    parent[u] = w
-                    order.append(u)
-    return order, parent
 
 
 class _SimilarityIndex:
@@ -277,10 +254,28 @@ class _SimilarityIndex:
         each one hangs on (-1 for a root).  Roots go by their number of
         candidates, which is the same in any matrix with the same signature
         counts, so the order is fixed by the matrix alone; the sort is
-        stable, so ties go to the least vertex."""
+        stable, so ties go to the least vertex.  Each component starts at
+        its first root, and a vertex's out- and in-neighbours are visited
+        together, in increasing order."""
         rank = [self.counts[sig] for sig in self.signatures]
-        neighbours = [[*o, *i] for o, i in zip(self.out, self.inc)]
-        return _bfs_tree(neighbours, sorted(range(len(rank)), key=rank.__getitem__))
+        parent = [-1] * len(rank)
+        placed = [False] * len(rank)
+        order: list[int] = []
+        for root in sorted(range(len(rank)), key=rank.__getitem__):
+            if placed[root]:
+                continue
+            placed[root] = True
+            head = len(order)
+            order.append(root)
+            while head < len(order):
+                w = order[head]
+                head += 1
+                for u in sorted([*self.out[w], *self.inc[w]]):
+                    if not placed[u]:
+                        placed[u] = True
+                        parent[u] = w
+                        order.append(u)
+        return order, parent
 
 
 def _similarity_index(m: StochMatrix) -> _SimilarityIndex:
@@ -357,6 +352,7 @@ def find_similarity_permutation(
     On the sparse, nearly rigid realization digraphs the edges propagate
     the map with little or no backtracking.
     """
+    _check_integer("max_order", max_order)
     if a.n != b.n:
         raise ValueError("order mismatch")
     if a.n > max_order:
@@ -392,7 +388,9 @@ def dd_support_check(m: StochMatrix, k: int) -> Optional[list[int]]:
     Searches for a permutation sigma such that every nonzero entry of the
     relabelled matrix sits at (i, j) with j - i = k or k + 1 (mod n), the
     two-diagonal shape of Dmitriev and Dynkin.  The search is
-    :func:`_relabel`, placing the vertices breadth first on slots: a root
+    :func:`_relabel`, reading m's neighbour maps and breadth-first tree
+    from the index the similarity search keeps on m (see
+    :class:`_SimilarityIndex`), placing the vertices on slots: a root
     may take any slot, and a vertex hanging on a placed neighbour w takes
     the two slots at offset k or k + 1 from w's, after it along an edge
     w -> v and before it otherwise.  A slot is kept only if v's edges to
@@ -405,11 +403,8 @@ def dd_support_check(m: StochMatrix, k: int) -> Optional[list[int]]:
     if n > SEARCH_ORDER_BOUND:
         raise ValueError(f"order {n} exceeds the support search bound {SEARCH_ORDER_BOUND}")
     offsets = {k % n, (k + 1) % n}
-    out = [[j for j, _ in row] for row in m.sparse_rows]
-    inc: list[list[int]] = [[] for _ in range(n)]
-    for i, row in enumerate(out):
-        for j in row:
-            inc[j].append(i)
+    index = _similarity_index(m)
+    out, inc = index.out, index.inc
 
     def slots(v: int, w: int, x: int) -> Iterable[int]:
         if w < 0:
@@ -429,8 +424,7 @@ def dd_support_check(m: StochMatrix, k: int) -> Optional[list[int]]:
                 return False
         return True
 
-    tree = _bfs_tree([[*o, *i] for o, i in zip(out, inc)], range(n))
-    position = _relabel(*tree, slots, consistent)
+    position = _relabel(*index.tree, slots, consistent)
     return None if position is None else sorted(range(n), key=position.__getitem__)
 
 

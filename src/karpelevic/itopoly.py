@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from karpelevic.algebra import _ZERO, RatLike, RatPoly, rat
+from karpelevic.algebra import _ZERO, RatLike, RatPoly, _check_integer, rat
 from karpelevic.farey import ArcParams
 
 __all__ = [
@@ -81,6 +81,7 @@ class ItoInstance:
 
     def k(self, j: int) -> Fraction:
         """Coefficient k_j of t^(deg - j) in the monic expansion."""
+        _check_integer("index", j)
         return self.poly.coeff(self.poly.degree - j)
 
 

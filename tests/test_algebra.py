@@ -135,7 +135,10 @@ class TestRatPoly:
         (lambda: RatPoly.monomial(True), "degree", True),
         (lambda: RatPoly([1, 2]) ** 1.5, "power", 1.5),
         (lambda: RatPoly([1, 2]) ** True, "power", True),
-    ], ids=["shift", "shift-zero-poly", "degree", "degree-bool", "power", "power-bool"])
+        (lambda: RatPoly([1, 2, 3]).coeff(1.0), "index", 1.0),
+        (lambda: RatPoly([1, 2, 3]).coeff(True), "index", True),
+    ], ids=["shift", "shift-zero-poly", "degree", "degree-bool", "power", "power-bool",
+            "coeff", "coeff-bool"])
     def test_integer_arguments(self, call, what, value):
         # Floats once failed in tuple repetition or `&` with a TypeError.
         with pytest.raises(ValueError) as exc:

@@ -406,6 +406,27 @@ class TestCoates:
                 g = WeightedDigraph.from_matrix(m)
                 assert charpoly_coates(g) == charpoly_exact(m)
 
+    def test_dense_agreement(self):
+        """25 digraphs of orders 7-9 at density 0.8, with hundreds to tens
+        of thousands of cycles each.  A sum over every set of disjoint
+        cycles runs far past the alarm on them; the least-vertex recurrence
+        visits each vertex set once."""
+        rng = random.Random(7)
+
+        def expire(signum, frame):
+            raise TimeoutError("charpoly_coates took too long on dense digraphs")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 20.0)
+        try:
+            for n, count in ((7, 10), (8, 10), (9, 5)):
+                for _ in range(count):
+                    m = random_stochastic(rng, n, density=0.8)
+                    assert charpoly_coates(WeightedDigraph.from_matrix(m)) == charpoly_exact(m)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
     def test_bound(self):
         g = WeightedDigraph.from_matrix(cyclic_shift_matrix(17))
         with pytest.raises(ValueError, match="^order 17 exceeds the Coates enumeration bound 16$"):
@@ -469,6 +490,66 @@ class TestPermSimilar:
         big = cyclic_shift_matrix(24)
         with pytest.raises(ValueError, match="bound"):
             find_similarity_permutation(big, big)
+
+    @pytest.mark.parametrize("bound", [True, 2.5, 3.0, "3", None])
+    def test_max_order_must_be_an_integer(self, bound):
+        # True and 2.5 were once compared with the order, and "3" and None
+        # raised a bare TypeError there.
+        c3 = cyclic_shift_matrix(3)
+        with pytest.raises(ValueError) as exc:
+            find_similarity_permutation(c3, c3, bound)
+        assert str(exc.value) == f"max_order must be an integer, got {bound!r}"
+        assert find_similarity_permutation(c3, c3, 3) == [0, 1, 2]
+
+
+def band_offsets(n, k):
+    return {k % n, (k + 1) % n}
+
+
+def shuffled_band_matrix(rng, n, k):
+    """A random stochastic matrix supported on the cyclic diagonals k and
+    k + 1, relabelled by a random permutation."""
+    rows = []
+    for i in range(n):
+        weights = [0] * n
+        for j in band_offsets(n, k):
+            weights[(i + j) % n] = rng.randint(1, 9) if rng.random() < 0.7 else 0
+        if not any(weights):
+            weights[(i + k) % n] = 1
+        rows.append([F(w, sum(weights)) for w in weights])
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return StochMatrix(rows).permuted(perm)
+
+
+class TestSupportAgainstBruteForce:
+    def test_band_found_exactly_when_one_exists(self):
+        """dd_support_check finds a relabelling exactly when one of the n!
+        puts every edge (u, v) at offset k or k + 1, and the one it returns
+        does; shuffled band matrices give the positive cases, sparse random
+        ones (with loops, which need offset 0) mostly negative ones."""
+        rng = random.Random(13)
+        for n in (3, 4, 5, 6):
+            # The identity and the square of the cyclic shift split into n
+            # and gcd(n, 2) components, each rooted anew in the search.
+            cases = [cyclic_shift_matrix(n, 0), cyclic_shift_matrix(n, 2)]
+            for _ in range(20):
+                cases.append(shuffled_band_matrix(rng, n, rng.randrange(n)))
+                cases.append(random_stochastic(rng, n, density=0.3))
+            for m in cases:
+                edges = [(u, v) for u, row in enumerate(m.sparse_rows) for v, _ in row]
+                for k in range(n):
+                    offsets = band_offsets(n, k)
+                    fits = any(
+                        all((slot[v] - slot[u]) % n in offsets for u, v in edges)
+                        for slot in itertools.permutations(range(n))
+                    )
+                    sigma = dd_support_check(m, k)
+                    assert (sigma is not None) == fits, (m, k)
+                    if sigma is not None:
+                        relabelled = m.permuted(sigma).sparse_rows
+                        assert all((j - i) % n in offsets
+                                   for i, row in enumerate(relabelled) for j, _ in row)
 
 
 class TestSimilarityOnRealizations:

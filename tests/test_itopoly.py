@@ -74,6 +74,14 @@ class TestReducedIto:
             assert inst.poly.coeff(4) == 3 * b ** 2  # k_{2q}
             assert inst.k(4) == -3 * b and inst.k(8) == 3 * b ** 2
 
+    @pytest.mark.parametrize("j", [True, 4.0])
+    def test_k_index_must_be_an_integer(self, j):
+        # k(True) once read the coefficient of t^(deg - 1) as k_1.
+        inst = reduced_ito(_arc(ArcType.TYPE_II, q=4, d=3, z=3), F(1, 5))
+        with pytest.raises(ValueError) as exc:
+            inst.k(j)
+        assert str(exc.value) == f"index must be an integer, got {j!r}"
+
     def test_degree_matches_arc(self):
         for n in range(2, 13):
             for arc in arcs_of_order(n):
