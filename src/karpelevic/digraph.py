@@ -10,15 +10,19 @@ route sums over linear digraphs (sets of vertex-disjoint simple cycles)
 along the least vertex v of the vertex set S left, det(tI - A_S) =
 t det(tI - A_{S-v}) - sum of w(c) det(tI - A_{S-c}) over the cycles c
 within S whose least vertex is v, memoised on S; it is checked elsewhere
-against exact elimination.  Simple cycles are enumerated by a depth-first
-search (Tiernan's): from each vertex in turn, paths grow only through
-larger vertices, so every cycle is found once, from its least vertex,
-already in canonical rotation.  Loops are read off the rows, and a start
-with no neighbour above it, in or out, opens no search.  Before each
-other search one reverse search marks the vertices that can still get
-back to the start through larger vertices, and the path enters only
-those (the reachability pruning of Johnson's algorithm), so no path runs
-into a dead end that cannot close.
+against exact elimination.  "Least" is in the order the vertices first
+appear in the cycles, shortest first, so each block of a realization
+leaves in one step and the memo holds about n vertex sets under any
+labelling; the recursion, one call per vertex, caps the order near 500.
+Simple cycles are enumerated by a depth-first search (Tiernan's): from
+each vertex in turn, paths grow only through larger vertices, so every
+cycle is found once, from its least vertex, already in canonical
+rotation.  Loops are read off the rows, and a start with no neighbour
+above it, in or out, opens no search.  Before each other search one
+reverse search marks the vertices that can still get back to the start
+through larger vertices, and the path enters only those (the
+reachability pruning of Johnson's algorithm), so no path runs into a
+dead end that cannot close.
 
 Permutation similarity is decided exactly by an iterative backtracking
 search that matches vertex weight signatures and grows the map
@@ -56,7 +60,6 @@ __all__ = [
     "to_dot",
 ]
 
-COATES_ORDER_BOUND = 16
 # Largest order the backtracking relabelling searches take on by default.
 SEARCH_ORDER_BOUND = 20
 
@@ -174,18 +177,26 @@ def charpoly_coates(g: WeightedDigraph) -> RatPoly:
     vertex v of a vertex set S or covers it by one cycle c, so det(tI - A_S)
     = t det(tI - A_{S-v}) - sum of w(c) det(tI - A_{S-c}) over the cycles
     c within S with least vertex v, loops included; det of no vertex is 1.
+    Least is in bit order: a vertex takes the next bit when it first
+    appears in the cycles of :func:`simple_cycles`, shortest first and
+    lexicographic within a length; vertices on no cycle take the top bits.
+    A realization's shortest cycles are its loops or its q-cycles, so each
+    block holds consecutive bits and leaves in one step, and the memo holds
+    about n sets under any labelling, where label order gives about 2^d.
     det is memoised on S as a bit mask and summed in ints: over the lcm L
     of the weights' denominators, det(tI - A_S) = L^-|S| det(LtI - LA_S).
-    Exponential in general, hence the order bound; the independent oracle
-    for :func:`karpelevic.algebra.charpoly_exact`, not a production path.
+    Exponential on dense digraphs, and one call deep per vertex, so the
+    default recursion limit caps n near 500 (1,000 on Python 3.13).  The
+    independent oracle for :func:`karpelevic.algebra.charpoly_exact`, not
+    a production path.
     """
-    if g.n > COATES_ORDER_BOUND:
-        raise ValueError(f"order {g.n} exceeds the Coates enumeration bound {COATES_ORDER_BOUND}")
     scale = lcm(*(w.denominator for row in g.sparse_rows for _, w in row))
+    bit: dict[int, int] = {}  # each vertex's bit, shortest cycles first
     by_least: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for same in simple_cycles(g).values():
         for cyc, w in same:
-            by_least[cyc[0]].append((sum(1 << v for v in cyc), int(w * scale ** len(cyc))))
+            c = sum(bit.setdefault(v, 1 << len(bit)) for v in cyc)
+            by_least[(c & -c).bit_length() - 1].append((c, int(w * scale ** len(cyc))))
 
     @cache
     def det(s: int) -> list[int]:  # det(uI - LA_S) ascending, S the bits of s
@@ -390,10 +401,11 @@ def dd_support_check(m: StochMatrix, k: int) -> Optional[list[int]]:
     two-diagonal shape of Dmitriev and Dynkin.  The search is
     :func:`_relabel`, reading m's neighbour maps and breadth-first tree
     from the index the similarity search keeps on m (see
-    :class:`_SimilarityIndex`), placing the vertices on slots: a root
-    may take any slot, and a vertex hanging on a placed neighbour w takes
-    the two slots at offset k or k + 1 from w's, after it along an edge
-    w -> v and before it otherwise.  A slot is kept only if v's edges to
+    :class:`_SimilarityIndex`), placing the vertices on slots.  The band is
+    unchanged when every slot turns by one, so the first root takes slot 0
+    alone and every later root may take any slot; a vertex hanging on a
+    placed neighbour w takes the two slots at offset k or k + 1 from w's,
+    after it along an edge w -> v and before it otherwise.  A slot is kept only if v's edges to
     placed vertices, and a self-loop (offset 0), fall in the band.  Returns
     sigma with relabelled[i][j] = m[sigma[i]][sigma[j]], or None when no
     relabelling exists.
@@ -405,10 +417,11 @@ def dd_support_check(m: StochMatrix, k: int) -> Optional[list[int]]:
     offsets = {k % n, (k + 1) % n}
     index = _similarity_index(m)
     out, inc = index.out, index.inc
+    first = index.tree[0][0]
 
     def slots(v: int, w: int, x: int) -> Iterable[int]:
         if w < 0:
-            return range(n)
+            return range(1 if v == first else n)
         sign = 1 if v in out[w] else -1
         return [(x + sign * o) % n for o in offsets]
 

@@ -487,18 +487,21 @@ class VerificationResult:
     """Joint verdict of the polynomial and cycle-structure checks.
 
     Truthiness follows the polynomial check alone, which is the defining
-    property; the cycle report carries the structural diagnostics.
+    property; the cycle report carries the structural diagnostics, and is
+    None when the polynomial did not match, since then it was not made.
     """
 
     charpoly_ok: bool
-    cycle_report: CycleStructureReport
+    cycle_report: Optional[CycleStructureReport]
 
     def __bool__(self) -> bool:
         return self.charpoly_ok
 
     def describe(self) -> str:
         poly = "charpoly exact match" if self.charpoly_ok else "charpoly MISMATCH"
-        if self.cycle_report.ok:
+        if self.cycle_report is None:
+            cyc = "cycle structure not checked"
+        elif self.cycle_report.ok:
             cyc = (
                 f"cycle structure ok (lengths {list(self.cycle_report.lengths)}, "
                 f"{self.cycle_report.q_cycle_count} q-cycles)"
@@ -510,15 +513,16 @@ class VerificationResult:
 
 def verify_realization(m: StochMatrix, arc: ArcParams, alpha: RatLike) -> VerificationResult:
     """Compare charpoly_exact(m) with the arc's reduced polynomial, exactly,
-    and report the digraph cycle structure alongside."""
+    and when they match report the digraph cycle structure alongside.  A
+    mismatch skips the cycle enumeration, which grows about tenfold per
+    order on a dense matrix."""
     if m.n != arc.reduced_degree:
         raise ValueError(
             f"matrix order {m.n} does not match the reduced degree {arc.reduced_degree}"
         )
-    return VerificationResult(
-        charpoly_ok=reduced_ito(arc, alpha).poly == charpoly_exact(m),
-        cycle_report=cycle_structure_check(WeightedDigraph.from_matrix(m), arc),
-    )
+    charpoly_ok = reduced_ito(arc, alpha).poly == charpoly_exact(m)
+    report = cycle_structure_check(WeightedDigraph.from_matrix(m), arc) if charpoly_ok else None
+    return VerificationResult(charpoly_ok, report)
 
 
 # -- two-diagonal support (Dmitriev--Dynkin shape) ------------------------

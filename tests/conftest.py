@@ -2,9 +2,10 @@
 
 Holds the matrices transcribed from the worked order-12 and order-15
 examples, a seeded random-stochastic-matrix generator, the exact matrix
-product that the cyclic-shift power oracle uses, a runner for
-scripts in a fresh interpreter, the companion-matrix root finder the
-tests take as their reference, the exhaustive search used to confirm the characterization of digraphs whose
+product that the cyclic-shift power oracle uses, a wall-clock alarm for
+budgeted tests, a runner for scripts in a fresh interpreter, the
+companion-matrix root finder the tests take as their reference, the
+exhaustive search used to confirm the characterization of digraphs whose
 cycle lengths are exactly {q, n}, the circular distance on 0..n-1 that
 the block and window references read, and the list of small Type II/III
 arcs that several modules check their realizations on.
@@ -13,9 +14,11 @@ arcs that several modules check their realizations on.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import itertools
 import math
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -115,6 +118,23 @@ def random_stochastic(rng, n: int, density: float = 0.6) -> StochMatrix:
         total = sum(weights)
         rows.append([Fraction(w, total) for w in weights])
     return StochMatrix(rows)
+
+
+@contextlib.contextmanager
+def alarm(seconds: float, message: str):
+    """Raise TimeoutError(message) in the block once it has run ``seconds``
+    of wall-clock time (SIGALRM, so the main thread of a POSIX process)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(message)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def package_env() -> dict[str, str]:

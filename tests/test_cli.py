@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import package_env
+from conftest import alarm, package_env
 from karpelevic import realize as realize_module
 from karpelevic.algebra import StochMatrix, charpoly_exact
 from karpelevic.boundary import _Branch
@@ -494,6 +494,15 @@ class TestVerifyRoundTrip:
         f.write_text(out)
         code, out, _ = run(capsys, "verify", "--matrix", str(f), "--arc", ARC12_JSON, "--alpha", "1/3")
         assert code == 1 and out.startswith("FAIL")
+
+    def test_dense_mismatch_fails_without_enumerating_cycles(self, capsys, tmp_path):
+        # The uniform matrix's complete digraph has too many cycles to list
+        # inside the alarm; its polynomial fails first.
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(StochMatrix([[F(1, 12)] * 12 for _ in range(12)]).to_json()))
+        with alarm(5.0, "verify enumerated the cycles of a dense matrix"):
+            code, out, _ = run(capsys, "verify", "--matrix", str(f), "--arc", ARC12_JSON, "--alpha", "1/3")
+        assert code == 1 and out == "FAIL (charpoly MISMATCH; cycle structure not checked)\n"
 
 
 class TestMalformedJson:

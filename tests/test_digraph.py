@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import signal
 import textwrap
 import time
 from fractions import Fraction
@@ -12,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    alarm,
     back_edge_subset_valid,
     catalogue_arcs,
     cyclic_distance,
@@ -34,7 +34,9 @@ from karpelevic.digraph import (
 )
 from karpelevic.digraph import _similarity_index
 from karpelevic.farey import arc_params, ArcType
+from karpelevic.itopoly import reduced_ito
 from karpelevic.realize import (
+    _sparsest_shape,
     build_sparsest,
     enumerate_sparsest,
     type0,
@@ -183,17 +185,8 @@ class TestSimpleCycles:
             for u in (1,) if layer == 0 else (2 * layer, 2 * layer + 1):
                 edges[(u, 2 * layer + 2)] = edges[(u, 2 * layer + 3)] = F(1, 2)
         g = WeightedDigraph(2 * k + 2, edges)
-
-        def expire(signum, frame):
-            raise TimeoutError("simple_cycles searched the dead-end ladder")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.setitimer(signal.ITIMER_REAL, 2.0)
-        try:
+        with alarm(2.0, "simple_cycles searched the dead-end ladder"):
             report = simple_cycles(g)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
         assert report == {2: [((0, 1), F(1, 6))]}
 
 
@@ -412,27 +405,54 @@ class TestCoates:
         cycles runs far past the alarm on them; the least-vertex recurrence
         visits each vertex set once."""
         rng = random.Random(7)
-
-        def expire(signum, frame):
-            raise TimeoutError("charpoly_coates took too long on dense digraphs")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.setitimer(signal.ITIMER_REAL, 20.0)
-        try:
+        with alarm(20.0, "charpoly_coates took too long on dense digraphs"):
             for n, count in ((7, 10), (8, 10), (9, 5)):
                 for _ in range(count):
                     m = random_stochastic(rng, n, density=0.8)
                     assert charpoly_coates(WeightedDigraph.from_matrix(m)) == charpoly_exact(m)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
 
-    def test_bound(self):
-        g = WeightedDigraph.from_matrix(cyclic_shift_matrix(17))
-        with pytest.raises(ValueError, match="^order 17 exceeds the Coates enumeration bound 16$"):
-            charpoly_coates(g)
-        m = cyclic_shift_matrix(16)
-        assert charpoly_coates(WeightedDigraph.from_matrix(m)) == charpoly_exact(m)
+    def test_cyclic_shifts_past_order_16(self):
+        """No order bound: the n-cycle is one cycle through every vertex."""
+        for n in (16, 17, 64):
+            m = cyclic_shift_matrix(n)
+            assert charpoly_coates(WeightedDigraph.from_matrix(m)) == charpoly_exact(m)
+
+    # (arc, alpha) pairs of orders 199-400; Types 0 and I take the empty composition.
+    LARGE_SPARSEST = [
+        (arc_params(ArcType.TYPE_II, q=4, d=50, z=3), F(1, 3)),
+        (arc_params(ArcType.TYPE_II, q=5, d=40, z=4), F(2, 7)),
+        (arc_params(ArcType.TYPE_II, q=4, d=100, z=3), F(1, 3)),
+        (arc_params(ArcType.TYPE_II, q=2, d=200, z=1), F(1, 2)),
+        (arc_params(ArcType.TYPE_III, q=3, d=66, y=2), F(1, 3)),
+        (arc_params(ArcType.TYPE_III, q=9, d=33, y=4), F(3, 5)),
+        (arc_params(ArcType.TYPE_0, n=400), F(1, 3)),
+        (arc_params(ArcType.TYPE_I, n=399, q=200), F(1, 4)),
+    ]
+
+    def test_relabelled_sparsest_at_orders_199_to_400(self):
+        """Coates against the arc's reduced polynomial on relabelled sparsest
+        realizations: for each arc, random.Random(2) draws one composition
+        (parts below q, added one unit at a time to a random part with room)
+        and three relabellings.  The bits follow the shortest cycles, so each
+        block leaves the recurrence in one step and the memo holds about n
+        vertex sets; numbered by their labels, the memo grows with about 2^d
+        sets and the first Type II arc alone runs past the alarm.
+        charpoly_exact is no reference at these orders: its elimination
+        takes seconds on a relabelled Type II matrix at n = 200."""
+        rng = random.Random(2)
+        with alarm(20.0, "charpoly_coates took too long on relabelled realizations"):
+            for arc, alpha in self.LARGE_SPARSEST:
+                total, length = _sparsest_shape(arc)
+                parts = [0] * length
+                for _ in range(total):
+                    parts[rng.choice([i for i, p in enumerate(parts) if p < arc.q - 1])] += 1
+                m = build_sparsest(arc, alpha, tuple(parts))
+                expected = reduced_ito(arc, alpha).poly
+                for _ in range(3):
+                    perm = list(range(arc.n))
+                    rng.shuffle(perm)
+                    g = WeightedDigraph.from_matrix(m.permuted(perm))
+                    assert charpoly_coates(g) == expected, (arc, parts, perm)
 
 
 class TestPermSimilar:
@@ -487,9 +507,17 @@ class TestPermSimilar:
             find_similarity_permutation(cyclic_shift_matrix(3), cyclic_shift_matrix(4))
 
     def test_size_bound(self):
-        big = cyclic_shift_matrix(24)
-        with pytest.raises(ValueError, match="bound"):
-            find_similarity_permutation(big, big)
+        """One past the default bound raises with its message, and the same
+        pair is searched once max_order admits it."""
+        a = cyclic_shift_matrix(21)
+        perm = list(range(21))
+        random.Random(21).shuffle(perm)
+        b = a.permuted(perm)
+        with pytest.raises(ValueError) as exc:
+            find_similarity_permutation(a, b)
+        assert str(exc.value) == "order 21 exceeds the similarity search bound 20"
+        sigma = find_similarity_permutation(a, b, max_order=21)
+        assert sigma is not None and a.permuted(sigma) == b
 
     @pytest.mark.parametrize("bound", [True, 2.5, 3.0, "3", None])
     def test_max_order_must_be_an_integer(self, bound):

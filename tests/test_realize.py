@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import catalogue_arcs, cyclic_distance, order12_augmented, order12_sparsest
+from conftest import alarm, catalogue_arcs, cyclic_distance, order12_augmented, order12_sparsest
 from karpelevic import digraph as digraph_module
 from karpelevic import realize as realize_module
 from karpelevic.algebra import RatPoly, StochMatrix, charpoly_exact, cyclic_shift_matrix
 from karpelevic.digraph import (
     WeightedDigraph,
+    cycle_structure_check,
     dd_support_check,
     find_similarity_permutation,
     simple_cycles,
@@ -450,6 +451,21 @@ class TestVerify:
     def test_order_mismatch(self):
         with pytest.raises(ValueError):
             verify_realization(type0(4, F(1, 2)), ARC_II, F(1, 2))
+
+    def test_mismatch_skips_the_cycle_report(self):
+        """The uniform order-12 matrix's digraph is complete, with loops:
+        enumerating its simple cycles runs far past the alarm, and its
+        polynomial t^11 (t - 1) is not the arc's, so none is made.  A
+        matching matrix gets the full report."""
+        uniform = StochMatrix([[F(1, 12)] * 12 for _ in range(12)])
+        with alarm(5.0, "verify_realization enumerated the cycles of a dense matrix"):
+            result = verify_realization(uniform, ARC_II, F(1, 3))
+        assert not result and result.cycle_report is None
+        assert result.describe() == "charpoly MISMATCH; cycle structure not checked"
+        a1 = order12_sparsest(F(1, 3))["A1"]
+        result = verify_realization(a1, ARC_II, F(1, 3))
+        assert result.cycle_report == cycle_structure_check(WeightedDigraph.from_matrix(a1), ARC_II)
+        assert result.describe() == "charpoly exact match; cycle structure ok (lengths [4, 9], 3 q-cycles)"
 
 
 class TestVerifyProperty:
