@@ -24,6 +24,7 @@ ones in positions (i, (i+1) % n).
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,8 +51,10 @@ __all__ = [
 def rat(value: RatLike) -> Fraction:
     """Coerce an int, Fraction or "p/q" string to an exact Fraction.
 
-    Decimal strings are rejected: rationals cross the API boundary as
-    "p/q" (or plain integer) strings only.
+    Rationals cross the API boundary as "p/q" (or plain integer) strings
+    only: once the string is stripped, p and q are each an optional sign
+    then ASCII digits.  Decimals, exponents, underscores and other digits
+    are rejected.
     """
     if isinstance(value, Fraction):
         return value
@@ -59,14 +62,10 @@ def rat(value: RatLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
-        if "." in text or "e" in text or "E" in text:
+        if not re.fullmatch(r"[+-]?[0-9]+(/[+-]?[0-9]+)?", text):
             raise ValueError(f"not an exact rational literal: {value!r}")
-        try:
-            if "/" not in text:
-                return Fraction(int(text))
-            num, den = (int(part) for part in text.split("/", 1))
-        except ValueError:
-            raise ValueError(f"not an exact rational literal: {value!r}") from None
+        num, _, den = text.partition("/")
+        num, den = int(num), int(den or 1)
         if den == 0:
             raise ValueError(f"zero denominator: {value!r}")
         return Fraction(num, den)

@@ -175,6 +175,10 @@ def _check_samples(m: int) -> None:
 
 
 def _check_finite(name: str, value: complex) -> None:
+    """Raise ValueError naming ``name`` unless value is a finite number; a
+    bool is not a number."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     if not cmath.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
@@ -253,6 +257,8 @@ def point_at(trace: ArcTrace, alpha: Union[RatLike, float]) -> complex:
     form where the arc has one, else one Newton solve of the branch
     equation seeded by the linear interpolation of the bracketing samples.
     """
+    if isinstance(alpha, bool):
+        raise ValueError(f"parameter must be a number, got {alpha!r}")
     a = float(alpha if isinstance(alpha, float) else rat(alpha))
     if not (0.0 <= a <= 1.0):
         raise ValueError("parameter must lie in [0, 1]")

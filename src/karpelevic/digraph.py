@@ -7,13 +7,14 @@ sparse rows, row i the ``(j, w)`` pairs of i's out-edges in increasing j.
 
 Two independent characteristic-polynomial routes meet here: the digraph
 route sums over linear digraphs (sets of vertex-disjoint simple cycles)
-along the least vertex v of the vertex set S left, det(tI - A_S) =
-t det(tI - A_{S-v}) - sum of w(c) det(tI - A_{S-c}) over the cycles c
-within S whose least vertex is v, memoised on S; it is checked elsewhere
-against exact elimination.  "Least" is in the order the vertices first
-appear in the cycles, shortest first, so each block of a realization
-leaves in one step and the memo holds about n vertex sets under any
-labelling; the recursion, one call per vertex, caps the order near 500.
+in one forward pass over the vertices, each either left uncovered or
+covered by one cycle whose least vertex it is; it is checked elsewhere
+against exact elimination.  The pass keeps, per set of later vertices
+already covered, the sums by number of vertices covered.  "Least" and
+"later" are in the order the vertices first appear in the cycles,
+shortest first, so each block of a realization is covered within its
+own bits and the pass holds a few sets under any labelling; nothing
+recurses, so no recursion limit bounds the order.
 Simple cycles are enumerated by a depth-first search (Tiernan's): from
 each vertex in turn, paths grow only through larger vertices, so every
 cycle is found once, from its least vertex, already in canonical
@@ -41,7 +42,7 @@ instead of on vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional
@@ -173,44 +174,45 @@ def simple_cycles(g: WeightedDigraph) -> dict[int, list[tuple[tuple[int, ...], F
 def charpoly_coates(g: WeightedDigraph) -> RatPoly:
     """Characteristic polynomial from the linear-digraph expansion.
 
-    A linear digraph (vertex-disjoint simple cycles) leaves out the least
-    vertex v of a vertex set S or covers it by one cycle c, so det(tI - A_S)
-    = t det(tI - A_{S-v}) - sum of w(c) det(tI - A_{S-c}) over the cycles
-    c within S with least vertex v, loops included; det of no vertex is 1.
-    Least is in bit order: a vertex takes the next bit when it first
-    appears in the cycles of :func:`simple_cycles`, shortest first and
-    lexicographic within a length; vertices on no cycle take the top bits.
-    A realization's shortest cycles are its loops or its q-cycles, so each
-    block holds consecutive bits and leaves in one step, and the memo holds
-    about n sets under any labelling, where label order gives about 2^d.
-    det is memoised on S as a bit mask and summed in ints: over the lcm L
-    of the weights' denominators, det(tI - A_S) = L^-|S| det(LtI - LA_S).
-    Exponential on dense digraphs, and one call deep per vertex, so the
-    default recursion limit caps n near 500 (1,000 on Python 3.13).  The
+    det(tI - A) sums, over the linear digraphs D (vertex-disjoint simple
+    cycles, loops included), t^(n - |D|) times the product of -w(c) over
+    the cycles c of D.  One forward pass over the bits b = 0..n-1 builds
+    every D: b is covered already, or left uncovered, or covered by a
+    cycle c with least bit b that misses the bits covered.  Before bit b,
+    ``level`` maps each set of bits from b up that is covered to the sums
+    C_i over those partial D by i, the number of vertices covered; after
+    the last bit the empty set holds C_i.  Bits follow :func:`simple_cycles`:
+    a vertex takes the next bit when it first appears, shortest cycles
+    first and lexicographic within a length; vertices on no cycle take the
+    top bits.  A realization's shortest cycles are its loops or its
+    q-cycles, so each block holds consecutive bits and a level holds a few
+    sets under any labelling, where label order gives about 2^d.  Sums are
+    ints: over the lcm L of the weights' denominators c weighs w(c)*L^|c|,
+    and C_i / L^i is the coefficient of t^(n-i).  Nothing recurses, so no
+    recursion limit bounds n; dense digraphs take exponential time.  The
     independent oracle for :func:`karpelevic.algebra.charpoly_exact`, not
     a production path.
     """
     scale = lcm(*(w.denominator for row in g.sparse_rows for _, w in row))
     bit: dict[int, int] = {}  # each vertex's bit, shortest cycles first
-    by_least: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for same in simple_cycles(g).values():
+    by_least: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
+    for size, same in simple_cycles(g).items():
         for cyc, w in same:
             c = sum(bit.setdefault(v, 1 << len(bit)) for v in cyc)
-            by_least[(c & -c).bit_length() - 1].append((c, int(w * scale ** len(cyc))))
-
-    @cache
-    def det(s: int) -> list[int]:  # det(uI - LA_S) ascending, S the bits of s
-        if not s:
-            return [1]
-        low = s & -s
-        p = [0, *det(s ^ low)]
-        for c, w in by_least[low.bit_length() - 1]:
-            if c & s == c:
-                for i, x in enumerate(det(s ^ c)):
-                    p[i] -= w * x
-        return p
-
-    return RatPoly(Fraction(k, scale ** (g.n - i)) for i, k in enumerate(det((1 << g.n) - 1)))
+            by_least[(c & -c).bit_length() - 1].append((c, size, int(w * scale ** size)))
+    level = {0: [1] + [0] * g.n}  # bits from b up covered -> sums by vertices covered
+    for b, cycles in enumerate(by_least):
+        low, nxt = 1 << b, {}
+        for covered, p in level.items():
+            for c, size, w in cycles:  # each runs through b, so none is free if b is covered
+                if not c & covered:
+                    acc = nxt.setdefault((covered | c) ^ low, [0] * len(p))
+                    acc[size:] = [x - w * y for x, y in zip(acc[size:], p)]
+            # p moves on as is; a cycle move may write into it later: its state is done.
+            key = covered & ~low
+            nxt[key] = [x + y for x, y in zip(nxt[key], p)] if key in nxt else p
+        level = nxt
+    return RatPoly(Fraction(k, scale ** i) for i, k in reversed(list(enumerate(level[0]))))
 
 
 # -- permutation similarity -------------------------------------------

@@ -1,9 +1,10 @@
 """Shared fixtures and oracles for the test suite.
 
 Holds the matrices transcribed from the worked order-12 and order-15
-examples, a seeded random-stochastic-matrix generator, the exact matrix
-product that the cyclic-shift power oracle uses, a wall-clock alarm for
-budgeted tests, a runner for scripts in a fresh interpreter, the
+examples, a seeded random-stochastic-matrix generator, a seeded draw of
+a sparsest composition, the exact matrix product that the cyclic-shift
+power oracle uses, a wall-clock alarm for budgeted tests, a runner for
+scripts in a fresh interpreter, the
 companion-matrix root finder the tests take as their reference, the
 exhaustive search used to confirm the characterization of digraphs whose
 cycle lengths are exactly {q, n}, the circular distance on 0..n-1 that
@@ -32,6 +33,7 @@ import karpelevic
 from karpelevic.algebra import StochMatrix
 from karpelevic.digraph import WeightedDigraph, simple_cycles
 from karpelevic.farey import ArcType, arc_params
+from karpelevic.realize import _sparsest_shape
 
 
 def grid_matrix(rows: dict[int, dict[int, Fraction]], n: int) -> StochMatrix:
@@ -106,6 +108,17 @@ def order12_augmented(alpha: Fraction, free: Fraction) -> dict[str, StochMatrix]
 @pytest.fixture
 def paper_order12(request):
     return order12_sparsest(Fraction(1, 3))
+
+
+def random_sparsest_parts(rng, arc) -> tuple[int, ...]:
+    """A random sparsest composition of arc (seeded rng): its parts lie
+    below q and are added one unit at a time to a random part with room.
+    Types 0 and I take the empty composition."""
+    total, length = _sparsest_shape(arc)
+    parts = [0] * length
+    for _ in range(total):
+        parts[rng.choice([i for i, p in enumerate(parts) if p < arc.q - 1])] += 1
+    return tuple(parts)
 
 
 def random_stochastic(rng, n: int, density: float = 0.6) -> StochMatrix:

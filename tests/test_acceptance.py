@@ -6,7 +6,9 @@ lines as they complete.
 
 import cmath
 import math
+import inspect
 import random
+import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -15,17 +17,24 @@ from math import gcd
 import pytest
 
 from conftest import (
+    alarm,
     back_edge_subset_valid,
     fits_anchored_window,
     order12_augmented,
     order12_sparsest,
     poly_roots,
+    random_sparsest_parts,
     random_stochastic,
     single_edge_cycle_lengths,
 )
 from karpelevic.algebra import charpoly_exact
 from karpelevic.boundary import Region, point_at, trace_arc
-from karpelevic.digraph import WeightedDigraph, charpoly_coates, find_similarity_permutation
+from karpelevic.digraph import (
+    WeightedDigraph,
+    charpoly_coates,
+    cycle_structure_check,
+    find_similarity_permutation,
+)
 from karpelevic.farey import ArcType, arc_params, arcs_of_order
 from karpelevic.itopoly import coefficient_identity_check, reduced_ito
 from karpelevic.realize import (
@@ -249,3 +258,55 @@ def test_criterion_10_augmentation_fidelity():
         for edge in [(4, 8), (5, 9), (6, 10)]:
             with pytest.raises(ValueError, match="rejected"):
                 filled.augmented(edge)
+
+
+# (arc, alpha) pairs of orders 199-400 that every exact layer here takes on.
+SCALE_ARCS = [
+    (arc_params(ArcType.TYPE_II, q=4, d=50, z=3), F(1, 3)),
+    (arc_params(ArcType.TYPE_II, q=5, d=40, z=4), F(2, 7)),
+    (arc_params(ArcType.TYPE_II, q=2, d=100, z=1), F(1, 2)),
+    (arc_params(ArcType.TYPE_III, q=3, d=66, y=2), F(1, 3)),
+    (arc_params(ArcType.TYPE_III, q=9, d=33, y=4), F(3, 5)),
+    (arc_params(ArcType.TYPE_0, n=400), F(1, 3)),
+    (arc_params(ArcType.TYPE_I, n=399, q=200), F(1, 4)),
+]
+# Orders 600 and 1,000, past any recursion of one call per vertex: Coates only.
+COATES_SCALE_ARCS = [
+    (arc_params(ArcType.TYPE_0, n=1000), F(2, 5)),
+    (arc_params(ArcType.TYPE_II, q=4, d=150, z=3), F(1, 3)),
+]
+
+
+def test_criterion_11_exact_layers_at_scale():
+    """Each arc's random.Random(11) draws one sparsest composition and
+    three relabellings of its realization.  Orders 500 and up run Coates
+    under a recursion limit of the current stack depth plus 100, so a
+    recursion as deep as the order fails there on any Python."""
+    title = "build, Coates, cycle check and similarity search at n = 199-1,000"
+    rng = random.Random(11)
+    with criterion(11, title, 20.0), alarm(20.0, "exact layers took too long at scale"):
+        for arc, alpha in SCALE_ARCS + COATES_SCALE_ARCS:
+            parts = random_sparsest_parts(rng, arc)
+            m = build_sparsest(arc, alpha, parts)
+            expected = reduced_ito(arc, alpha).poly
+            for _ in range(3):
+                perm = list(range(arc.n))
+                rng.shuffle(perm)
+                relabelled = m.permuted(perm)
+                g = WeightedDigraph.from_matrix(relabelled)
+                if arc.n < 500:
+                    assert charpoly_coates(g) == expected, (arc, parts, perm)
+                    report = cycle_structure_check(g, arc)
+                    assert report.ok, (arc, parts, report.problems)
+                    if arc.type_tag is not ArcType.TYPE_I:
+                        assert report.exactly_d_disjoint_equal, (arc, parts)
+                    sigma = find_similarity_permutation(m, relabelled, max_order=arc.n)
+                    assert sigma is not None and m.permuted(sigma) == relabelled, (arc, perm)
+                    continue
+                limit = sys.getrecursionlimit()
+                sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+                try:
+                    poly = charpoly_coates(g)
+                finally:
+                    sys.setrecursionlimit(limit)
+                assert poly == expected, (arc, parts, perm)

@@ -77,6 +77,20 @@ class TestRat:
         with pytest.raises(ValueError):
             rat("1e-3")
 
+    @pytest.mark.parametrize("text", [
+        "1_000", "1_0/3_0", "\u0663/\u0664", "\u0661/\u0663", "\uff17", "1 /3", "1/ 3", "+-1",
+        "/3", "1/", "1/2/3",
+    ])
+    def test_rejects_all_but_a_sign_and_ascii_digits(self, text):
+        # int() reads the first five (1000, 1/3, 3/4, 1/3, 7) and the spaces by "/"
+        message = f"not an exact rational literal: {text!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rat(text)
+
+    def test_signs_and_outer_space(self):
+        assert rat(" -3/4\n") == F(-3, 4)
+        assert rat("+6/-8") == F(-3, 4)
+
     def test_rejects_zero_denominator(self):
         with pytest.raises(ValueError, match="zero denominator"):
             rat("1/0")

@@ -298,6 +298,12 @@ class TestBranchContinuation:
         with pytest.raises(ValueError, match=r"^parameter must lie in \[0, 1\]$"):
             point_at(trace, alpha)
 
+    @pytest.mark.parametrize("alpha", [True, False])
+    def test_point_at_rejects_a_bool(self, alpha):
+        trace = trace_arc(arc_params(ArcType.TYPE_II, q=4, d=3, z=3), 16)
+        with pytest.raises(ValueError, match=f"^parameter must be a number, got {alpha}$"):
+            point_at(trace, alpha)  # was a TypeError from rat
+
     def test_point_at_raises_when_newton_does_not_converge(self):
         # Seeds a million times too far out: Newton on u^4 - ... only
         # shrinks them by about 3/4 a step, so it is still far after
@@ -618,6 +624,16 @@ class TestExactMembership:
         (lambda: radius_at(7, -math.inf), "theta must be finite, got -inf"),
     ], ids=["z-nan", "z-inf", "Region-z", "tol-nan", "tol-inf", "theta-nan", "theta-inf"])
     def test_rejects_a_value_that_is_not_finite(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: contains(5, 1.5, True), "tol must be a number, got True"),  # was True
+        (lambda: contains(5, True), "z must be a number, got True"),
+        (lambda: Region(4, 16).contains(0.5j, False), "tol must be a number, got False"),
+        (lambda: radius_at(5, True), "theta must be a number, got True"),
+    ], ids=["tol", "z", "Region-tol", "theta"])
+    def test_rejects_a_bool(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 

@@ -220,6 +220,8 @@ class TestRationalFlagErrors:
         ("abc", "not an exact rational literal: 'abc'"),
         ("0.5", "not an exact rational literal: '0.5'"),
         ("1/0", "zero denominator: '1/0'"),
+        ("1_0/3_0", "not an exact rational literal: '1_0/3_0'"),  # was 1/3
+        ("\u0661/\u0663", "not an exact rational literal: '\u0661/\u0663'"),  # Arabic-Indic 1/3
     ])
     def test_alpha_on_every_verb(self, capsys, tmp_path, value, reason):
         for argv in self._argvs(tmp_path, self.BUILDERS + self.CHECKERS):

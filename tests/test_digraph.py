@@ -17,6 +17,7 @@ from conftest import (
     cyclic_distance,
     fits_anchored_window,
     order12_sparsest,
+    random_sparsest_parts,
     random_stochastic,
     run_script,
     single_edge_cycle_lengths,
@@ -36,7 +37,6 @@ from karpelevic.digraph import _similarity_index
 from karpelevic.farey import arc_params, ArcType
 from karpelevic.itopoly import reduced_ito
 from karpelevic.realize import (
-    _sparsest_shape,
     build_sparsest,
     enumerate_sparsest,
     type0,
@@ -442,11 +442,8 @@ class TestCoates:
         rng = random.Random(2)
         with alarm(20.0, "charpoly_coates took too long on relabelled realizations"):
             for arc, alpha in self.LARGE_SPARSEST:
-                total, length = _sparsest_shape(arc)
-                parts = [0] * length
-                for _ in range(total):
-                    parts[rng.choice([i for i, p in enumerate(parts) if p < arc.q - 1])] += 1
-                m = build_sparsest(arc, alpha, tuple(parts))
+                parts = random_sparsest_parts(rng, arc)
+                m = build_sparsest(arc, alpha, parts)
                 expected = reduced_ito(arc, alpha).poly
                 for _ in range(3):
                     perm = list(range(arc.n))
