@@ -48,6 +48,23 @@ __all__ = [
 ]
 
 
+# An integer literal: an optional sign, then ASCII digits.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """The integer literal ``text`` once stripped, as :func:`rat` reads each
+    side of its "/"; underscores and other digits, which ``int()`` takes,
+    raise ValueError."""
+    if not _INTEGER.fullmatch(text.strip()):
+        raise ValueError(f"not an integer literal: {text!r}")
+    return int(text)
+
+
+# argparse names a flag's type in its usage errors: "invalid int value: 'x'".
+_integer.__name__ = "int"
+
+
 def rat(value: RatLike) -> Fraction:
     """Coerce an int, Fraction or "p/q" string to an exact Fraction.
 
@@ -61,10 +78,9 @@ def rat(value: RatLike) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if not re.fullmatch(r"[+-]?[0-9]+(/[+-]?[0-9]+)?", text):
+        num, slash, den = value.strip().partition("/")
+        if not (_INTEGER.fullmatch(num) and _INTEGER.fullmatch(den if slash else "1")):
             raise ValueError(f"not an exact rational literal: {value!r}")
-        num, _, den = text.partition("/")
         num, den = int(num), int(den or 1)
         if den == 0:
             raise ValueError(f"zero denominator: {value!r}")
@@ -224,6 +240,17 @@ def poly_eval(p: RatPoly, x: RatLike) -> Fraction:
     return acc
 
 
+def _dense_pairs(entries: Iterable[Iterable[RatLike]]) -> list[tuple[tuple[int, Fraction], ...]]:
+    """Dense rows, coerced by :func:`rat`, as each row's nonzero ``(column,
+    entry)`` pairs; a row whose length is not the number of rows raises
+    ValueError."""
+    rows = [tuple(map(rat, row)) for row in entries]
+    for i, row in enumerate(rows):
+        if len(row) != len(rows):
+            raise ValueError(f"row {i} has length {len(row)}, expected {len(rows)}")
+    return [tuple((j, e) for j, e in enumerate(row) if e) for row in rows]
+
+
 @dataclass(frozen=True)
 class StochMatrix:
     """Square matrix of exact rationals with unit row sums.
@@ -248,12 +275,7 @@ class StochMatrix:
     sparse_rows: tuple[tuple[tuple[int, Fraction], ...], ...]
 
     def __init__(self, entries: Iterable[Iterable[RatLike]]):
-        rows = [tuple(map(rat, row)) for row in entries]
-        for i, row in enumerate(rows):
-            if len(row) != len(rows):
-                raise ValueError(f"row {i} has length {len(row)}, expected {len(rows)}")
-        pairs = (tuple((j, e) for j, e in enumerate(row) if e) for row in rows)
-        object.__setattr__(self, "sparse_rows", self._from_pairs(pairs).sparse_rows)
+        object.__setattr__(self, "sparse_rows", self._from_pairs(_dense_pairs(entries)).sparse_rows)
 
     @classmethod
     def _of(cls, rows: tuple[tuple[tuple[int, Fraction], ...], ...]) -> "StochMatrix":
@@ -388,14 +410,8 @@ def _hessenberg_columns(matrix) -> list[list[tuple[int, Fraction]]]:
     nonzeros keyed by vertex.  ``at[p]`` is the vertex at position p and
     ``pos`` its inverse, so a pivot swap, of two rows and the same two
     columns, swaps two positions and moves no entry."""
-    if isinstance(matrix, StochMatrix):
-        rows = [dict(pairs) for pairs in matrix.sparse_rows]
-    else:
-        grid = [[rat(e) for e in row] for row in matrix]
-        for i, row in enumerate(grid):
-            if len(row) != len(grid):
-                raise ValueError(f"row {i} has length {len(row)}, expected {len(grid)}")
-        rows = [{j: e for j, e in enumerate(row) if e} for row in grid]
+    pairs = matrix.sparse_rows if isinstance(matrix, StochMatrix) else _dense_pairs(matrix)
+    rows = [dict(row) for row in pairs]
     n = len(rows)
     cols: list[dict[int, Fraction]] = [{} for _ in range(n)]
     for i, row in enumerate(rows):

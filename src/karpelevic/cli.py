@@ -2,8 +2,12 @@
 
 Verbs: arcs, realize, enumerate, verify, region, augment, probe.
 
-Exact rationals cross the command line as "p/q" strings; decimals are
-rejected everywhere.  Vertices are 1-based on the command
+Every integer on the command line (the order and arc flags, --samples,
+the --composition parts and the --add ends) is an optional sign and ASCII
+digits, read by ``algebra._integer``; exact rationals are "p/q" strings
+with p and q each such an integer, read by ``algebra.rat``.  Surrounding
+spaces are allowed; decimals, underscores and other digits are rejected
+everywhere.  Vertices are 1-based on the command
 line (matching the DOT output); the Python API underneath is 0-based.
 Exit codes: 0 success (also when the reader closes stdout early), 1 domain
 error, 2 usage error.
@@ -21,7 +25,7 @@ from math import prod
 from pathlib import Path
 from typing import Callable, Iterator
 
-from karpelevic.algebra import StochMatrix, rat, rat_str
+from karpelevic.algebra import StochMatrix, _integer, rat, rat_str
 from karpelevic.boundary import (
     ContinuationError,
     _check_samples,
@@ -72,7 +76,7 @@ def _composition_flag(text: str | None, arc: ArcParams) -> tuple[int, ...]:
     or I arc."""
     with _naming("--composition"):
         try:
-            parts = () if text is None else tuple(int(x) for x in text.split(","))
+            parts = () if text is None else tuple(map(_integer, text.split(",")))
         except ValueError:
             raise ValueError(f"expected comma-separated integers, got {text!r}") from None
         _check_composition(arc, parts)
@@ -203,7 +207,7 @@ def cmd_augment(args) -> int:
     real = TypeIIRealization.sparsest(arc, _composition_flag(args.composition, arc))
     for spec in args.add or []:
         try:
-            src, dst = (int(x) for x in spec.split(","))
+            src, dst = map(_integer, spec.split(","))
         except ValueError:
             raise ValueError(f"--add expects 'src,dst' (1-based), got {spec!r}")
         edge = (src - 1, dst - 1)
@@ -261,14 +265,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_arcs = sub.add_parser("arcs", help="classify the boundary arcs of one order")
-    p_arcs.add_argument("n", type=int)
+    p_arcs.add_argument("n", type=_integer)
     p_arcs.add_argument("--json", action="store_true")
     p_arcs.set_defaults(func=cmd_arcs)
 
     # Flag groups that several verbs share, each declared once.
     arc_flags = argparse.ArgumentParser(add_help=False)
     for name in ("n", "q", "d", "z", "y"):
-        arc_flags.add_argument(f"--{name}", type=int)
+        arc_flags.add_argument(f"--{name}", type=_integer)
     emit = argparse.ArgumentParser(add_help=False)
     emit.add_argument("--emit", choices=["json", "dot", "both"], default="json")
     checked = argparse.ArgumentParser(add_help=False)
@@ -298,17 +302,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_region = sub.add_parser("region", help="trace the full boundary of one order")
-    p_region.add_argument("n", type=int)
-    p_region.add_argument("--samples", type=int, default=512)
+    p_region.add_argument("n", type=_integer)
+    p_region.add_argument("--samples", type=_integer, default=512)
     p_region.add_argument("--svg", help="write an SVG figure to this path")
     p_region.add_argument("--csv-dir", help="write per-arc CSV traces into this directory")
     p_region.add_argument("--json", action="store_true")
     p_region.set_defaults(func=cmd_region)
 
     p_aug = sub.add_parser("augment", parents=[emit], help="add connector edges to a Type II digraph")
-    p_aug.add_argument("--q", type=int, required=True)
-    p_aug.add_argument("--d", type=int, required=True)
-    p_aug.add_argument("--z", type=int, required=True)
+    p_aug.add_argument("--q", type=_integer, required=True)
+    p_aug.add_argument("--d", type=_integer, required=True)
+    p_aug.add_argument("--z", type=_integer, required=True)
     p_aug.add_argument("--composition", required=True)
     p_aug.add_argument("--add", action="append", help="connector 'src,dst' (1-based); repeatable")
     p_aug.add_argument("--alpha", help="instantiate at this parameter")

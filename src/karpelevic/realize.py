@@ -34,7 +34,9 @@ rows through the one row writer ``_split_rows``:
 
 Compositions are deduplicated up to cyclic rotation (necklace classes);
 rotating a composition relabels the realization, so necklace classes
-index realizations up to permutation similarity.  Reflections are NOT
+index realizations up to permutation similarity.  The classes are
+enumerated by one loop over the parts, not by recursion, so a composition
+of any length is listed.  Reflections are NOT
 identified: reversed compositions generally give genuinely dissimilar
 matrices.
 """
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate
 from math import prod
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from karpelevic.algebra import (
     _ONE,
@@ -104,23 +106,39 @@ def _necklace_classes(total: int, length: int, bound: int) -> list[tuple[int, ..
     is a necklace iff length % p == 0.  Prefixes are visited in
     lexicographic order, and a part is only tried if the later parts,
     each at most bound-1, can still bring the sum to ``total``, so no
-    composition is built that is then thrown away.
+    composition is built that is then thrown away; the last part is the
+    sum left.  The walk is one loop: one iterator over the values left
+    per placed part but the last, and a part out of values hands back to
+    the part before it, as in ``digraph._relabel``.
     """
+    if not length:
+        return [()] if total == 0 else []
     out: list[tuple[int, ...]] = []
     a = [0] * (length + 1)  # a[0] = 0 stands in front of the parts a[1..]
-
-    def grow(t: int, p: int, left: int) -> None:
-        if t > length:
-            if length % p == 0:
+    # Per placed part: the values left to try, and the period and sum left before it.
+    tried: list[tuple[Iterator[int], int, int]] = []
+    p, left = 1, total
+    while True:
+        t = len(tried) + 1
+        if t < length:
+            room = (length - t) * (bound - 1)  # the most parts t+1.. can add
+            values = iter(range(max(a[t - p], left - room), min(bound - 1, left) + 1))
+            tried.append((values, p, left))
+        elif a[t - p] <= left < bound:
+            a[t] = left
+            if length % (p if left == a[t - p] else t) == 0:
                 out.append(tuple(a[1:]))
-            return
-        room = (length - t) * (bound - 1)  # the most parts t+1.. can add
-        for v in range(max(a[t - p], left - room), min(bound - 1, left) + 1):
-            a[t] = v
-            grow(t + 1, p if v == a[t - p] else t, left - v)
-
-    grow(1, 1, total)
-    return out
+        while tried:
+            values, p, left = tried[-1]
+            t = len(tried)
+            v = next(values, None)
+            if v is not None:
+                a[t] = v
+                p, left = (p if v == a[t - p] else t), left - v
+                break
+            tried.pop()
+        else:
+            return out
 
 
 # -- the row writer (all four types) --------------------------------------

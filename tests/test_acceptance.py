@@ -275,20 +275,52 @@ COATES_SCALE_ARCS = [
     (arc_params(ArcType.TYPE_0, n=1000), F(2, 5)),
     (arc_params(ArcType.TYPE_II, q=4, d=150, z=3), F(1, 3)),
 ]
+# Compositions of 1,000 parts, past any recursion of one call per part:
+# the enumerator and the build.
+LONG_COMPOSITION_ARCS = [
+    (arc_params(ArcType.TYPE_II, q=2, d=1000, z=1), F(1, 3)),
+    (arc_params(ArcType.TYPE_III, q=2, d=1000, y=1), F(1, 3)),
+]
+
+
+@contextmanager
+def shallow_recursion():
+    """A recursion limit of the current stack depth plus 100 inside, so a
+    recursion as deep as the order fails there on any Python."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def check_sparsest_classes(arc, parts):
+    """enumerate_sparsest(arc) is sorted, holds only minimal rotations, and
+    holds the minimal rotation of ``parts``."""
+    classes = enumerate_sparsest(arc)
+    def least_rotation(c):
+        return min((c[k:] + c[:k] for k in range(len(c))), default=c)
+
+    assert classes == sorted(classes), arc
+    assert all(c == least_rotation(c) for c in classes), arc
+    assert least_rotation(parts) in classes, (arc, parts)
 
 
 def test_criterion_11_exact_layers_at_scale():
     """Each arc's random.Random(11) draws one sparsest composition and
-    three relabellings of its realization.  Orders 500 and up run Coates
-    under a recursion limit of the current stack depth plus 100, so a
-    recursion as deep as the order fails there on any Python."""
-    title = "build, Coates, cycle check and similarity search at n = 199-1,000"
+    three relabellings of its realization.  Orders 500 and up run Coates,
+    and compositions of 1,000 parts the enumerator and the build, under
+    :func:`shallow_recursion`."""
+    title = "enumerator, build, Coates, cycle check and similarity search at n = 199-2,001"
     rng = random.Random(11)
     with criterion(11, title, 20.0), alarm(20.0, "exact layers took too long at scale"):
         for arc, alpha in SCALE_ARCS + COATES_SCALE_ARCS:
             parts = random_sparsest_parts(rng, arc)
             m = build_sparsest(arc, alpha, parts)
             expected = reduced_ito(arc, alpha).poly
+            if arc.n < 500:
+                check_sparsest_classes(arc, parts)
             for _ in range(3):
                 perm = list(range(arc.n))
                 rng.shuffle(perm)
@@ -303,10 +335,12 @@ def test_criterion_11_exact_layers_at_scale():
                     sigma = find_similarity_permutation(m, relabelled, max_order=arc.n)
                     assert sigma is not None and m.permuted(sigma) == relabelled, (arc, perm)
                     continue
-                limit = sys.getrecursionlimit()
-                sys.setrecursionlimit(len(inspect.stack(0)) + 100)
-                try:
+                with shallow_recursion():
                     poly = charpoly_coates(g)
-                finally:
-                    sys.setrecursionlimit(limit)
                 assert poly == expected, (arc, parts, perm)
+        for arc, alpha in LONG_COMPOSITION_ARCS:
+            parts = random_sparsest_parts(rng, arc)
+            with shallow_recursion():
+                check_sparsest_classes(arc, parts)
+                m = build_sparsest(arc, alpha, parts)
+            assert m.n == arc.n and m.nnz() == arc.n + arc.d, arc

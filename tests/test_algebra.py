@@ -13,6 +13,7 @@ from conftest import catalogue_arcs, matmul, random_stochastic
 from karpelevic import algebra as algebra_module
 from karpelevic.algebra import (
     _hessenberg_columns,
+    _integer,
     _hessenberg_order,
     RatPoly,
     StochMatrix,
@@ -103,6 +104,27 @@ class TestRat:
         for value in (True, False):
             with pytest.raises(TypeError):
                 rat(value)
+
+
+class TestIntegerLiteral:
+    """``_integer``, the CLI's integer reader, takes what ``rat`` takes on
+    each side of its "/"."""
+
+    @pytest.mark.parametrize("text, value", [
+        ("7", 7), (" -3\n", -3), ("+6", 6), ("007", 7), ("-0", 0), ("12345678901234567890", 12345678901234567890),
+    ])
+    def test_sign_and_ascii_digits(self, text, value):
+        assert _integer(text) == value and type(_integer(text)) is int
+        assert rat(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "1_000", "\u0663", "\uff17", "", " ", "+", "+-1", "1 2", "1.0", "1e3", "0x10", "1/1",
+    ])
+    def test_rejects_all_but_a_sign_and_ascii_digits(self, text):
+        # int() reads the first three (1000, 3, 7)
+        message = f"not an integer literal: {text!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _integer(text)
 
 
 class TestRatPoly:
@@ -337,9 +359,17 @@ class TestSparseView:
             StochMatrix([[1, 0], [0, 0]])
 
     def test_ragged_rows_rejected(self):
-        for grid in ([[1, 0], [1]], [[1], [1]], [[0, 1, 0], [1, 0]]):
-            with pytest.raises(ValueError, match=r"row \d has length \d, expected \d"):
-                StochMatrix(grid)
+        cases = [
+            ([[1, 0], [1]], "row 1 has length 1, expected 2"),
+            ([[1], [1]], "row 0 has length 1, expected 2"),
+            ([[0, 1, 0], [1, 0]], "row 0 has length 3, expected 2"),
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1, 0]], "row 2 has length 4, expected 3"),
+        ]
+        # The one dense-row loader raises for both readers of dense rows.
+        for grid, message in cases:
+            for load in (StochMatrix, _hessenberg_columns):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    load(grid)
 
 
 def dense_realization(arc, alpha, composition):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import alarm, package_env
 from karpelevic import realize as realize_module
-from karpelevic.algebra import StochMatrix, charpoly_exact
+from karpelevic.algebra import StochMatrix, _integer, charpoly_exact
 from karpelevic.boundary import _Branch
 from karpelevic.cli import _build_parser, main
 from karpelevic.farey import ArcType, arc_params
@@ -379,7 +379,7 @@ class TestRequiredFlags:
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
-INT, REQUIRED, TYPES = "int", True, ["0", "I", "II", "III"]
+INT, REQUIRED, TYPES = _integer, True, ["0", "I", "II", "III"]
 ARC_FLAGS = {f"--{name}": ("Store", INT, None, None, False) for name in "nqdzy"}
 EMIT = {"--emit": ("Store", None, ["json", "dot", "both"], "json", False)}
 CHECKED = {flag: ("Store", None, None, None, REQUIRED) for flag in ("--matrix", "--arc", "--alpha")}
@@ -420,17 +420,71 @@ FLAG_TABLE = {
 }
 
 
+class TestIntegerLiterals:
+    """Every integer on the command line is an optional sign and ASCII
+    digits, the rule of each side of an exact rational's "/"."""
+
+    @pytest.mark.parametrize("argv, flag, text", [
+        (["arcs", "\u0665"], "n", "\u0665"),
+        (["arcs", "1_0"], "n", "1_0"),
+        (["arcs", "abc"], "n", "abc"),
+        (["region", "\u0664"], "n", "\u0664"),
+        (["region", "4", "--samples", "1_6"], "--samples", "1_6"),
+        (["realize", "II", "--q", "\u0664", "--d", "3", "--z", "3", "--alpha", "1/3",
+          "--composition", "0,3,3"], "--q", "\u0664"),
+        (["augment", "--q", "4", "--d", "3", "--z", "3_0", "--composition", "0,3,3"], "--z", "3_0"),
+    ])
+    def test_flag_usage_error_exit_2(self, capsys, argv, flag, text):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err.endswith(f"error: argument {flag}: invalid int value: {text!r}\n")
+
+    @pytest.mark.parametrize("text", ["\u0660,\u0663,\u0663", "0,3_0,3", "0,3,", "0,+-3,3"])
+    def test_composition_exit_1(self, capsys, text):
+        code, out, err = run(
+            capsys, "realize", "II", "--q", "4", "--d", "3", "--z", "3", "--alpha", "1/3",
+            "--composition", text,
+        )
+        message = f"--composition: expected comma-separated integers, got {text!r}"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text", ["\u0662,\u0666", "2_0,6", "2,6,7", "2"])
+    def test_add_exit_1(self, capsys, text):
+        code, out, err = run(
+            capsys, "augment", "--q", "4", "--d", "3", "--z", "3", "--composition", "0,3,3",
+            "--add", text,
+        )
+        assert (code, out, err) == (1, "", f"error: --add expects 'src,dst' (1-based), got {text!r}\n")
+
+    def test_sign_and_outer_space_read_as_before(self, capsys):
+        # int() took these too; the same matrix and connectors come out.
+        plain = run(capsys, "realize", "II", "--q", "4", "--d", "3", "--z", "3",
+                    "--alpha", "1/3", "--composition", "0,3,3")
+        spaced = run(capsys, "realize", "II", "--q", " +4", "--d", "03", "--z", "3\n",
+                     "--alpha", "1/3", "--composition", " 0, +3,3 ")
+        assert plain == spaced and plain[0] == 0
+        plain = run(capsys, "augment", "--q", "4", "--d", "3", "--z", "3", "--composition", "0,3,3",
+                    "--add", "2,6")
+        spaced = run(capsys, "augment", "--q", "4", "--d", "3", "--z", "3", "--composition", "0,3,3",
+                     "--add", " +2, 06")
+        assert plain == spaced and plain[0] == 0
+        assert run(capsys, "arcs", " +05") == run(capsys, "arcs", "5")
+
+
 class TestFlagTable:
     def test_each_verb_keeps_its_flags(self):
         """Flags shared through parent parsers keep, verb by verb, their
-        action, type, choices, default and required-ness."""
+        action, type, choices, default and required-ness.  Every integer
+        flag is read by ``algebra._integer`` itself, not by ``int``."""
         parser = _build_parser()
         (verbs,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         table = {
             verb: {
                 (a.option_strings or [a.dest])[0]: (
                     type(a).__name__.strip("_").removesuffix("Action"),
-                    getattr(a.type, "__name__", None), a.choices, a.default, a.required,
+                    a.type, a.choices, a.default, a.required,
                 )
                 for a in sub._actions if a.dest != "help"
             }

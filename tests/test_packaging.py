@@ -59,6 +59,30 @@ def test_every_exported_name_resolves():
     assert not dangling, f"listed in __all__ but not defined: {dangling}"
 
 
+def test_no_function_calls_itself():
+    """Nothing in the package recurses, so no recursion limit bounds an order
+    or a composition's length: no function calls its own name, and no method
+    calls itself through self or cls (a bare name in a method is the
+    module's function of that name)."""
+    recursive = []
+    for path in sorted((ROOT / "src" / "karpelevic").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(fn):
+                f = getattr(call, "func", None)
+                if id(fn) in methods:
+                    own = (isinstance(f, ast.Attribute) and f.attr == fn.name
+                           and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls"))
+                else:
+                    own = isinstance(f, ast.Name) and f.id == fn.name
+                if own:
+                    recursive.append((path.name, fn.name, call.lineno))
+    assert not recursive, f"functions that call themselves: {recursive}"
+
+
 def test_readme_library_sketch_runs():
     """The README's library sketch is the documented entry point; run it as written."""
     readme = (ROOT / "README.md").read_text()

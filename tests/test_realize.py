@@ -395,6 +395,15 @@ class TestNecklaceClasses:
             assert classes == brute
             assert len(classes) == _burnside(total, length, bound)
 
+    def test_totals_out_of_reach(self):
+        # Types 0 and I take the one empty composition; no parts sum to any
+        # other total, and parts below the bound to none past length * (bound - 1).
+        assert _necklace_classes(0, 0, 3) == [()]
+        assert _necklace_classes(2, 0, 3) == []
+        for length in (1, 2, 5):
+            assert _necklace_classes(-1, length, 3) == []
+            assert _necklace_classes(2 * length + 1, length, 3) == []
+
     def test_reversal_is_another_class(self):
         # (0,1,2) reversed is (2,1,0), whose necklace is (0,2,1): a reflection
         # is not a rotation, and the two realizations are not similar.
