@@ -305,15 +305,12 @@ class StochMatrix:
                 raise ValueError(f"row {i} has a column outside 0..{n - 1}")
             if any(not 0 <= e.numerator <= e.denominator for _, e in row):
                 raise ValueError(f"row {i} has an entry outside [0, 1]")
-            # When the entries share one denominator, as the split rows
-            # w, 1 - w of a realization do, they sum to one when their
-            # numerators add up to it.
-            den = row[0][1].denominator if row else 1
-            if all(e.denominator == den for _, e in row) and sum(e.numerator for _, e in row) == den:
-                continue
-            total = sum(e for _, e in row)
-            if total != 1:
-                raise ValueError(f"row {i} sums to {total}, not 1")
+            # The entries sum to one when their numerators over the lcm L of
+            # their denominators add up to L.
+            den = lcm(*(e.denominator for _, e in row))
+            total = sum(e.numerator * (den // e.denominator) for _, e in row)
+            if total != den:
+                raise ValueError(f"row {i} sums to {Fraction(total, den)}, not 1")
         return cls._of(tuple(rows))
 
     @cached_property
@@ -552,9 +549,4 @@ def charpoly_exact(matrix) -> RatPoly:
             for idx, c in enumerate(polys[i]):
                 cur[idx] -= scale * c
         polys.append(cur)
-    coeffs = []
-    power = 1  # D^(n-i) for i = n, n-1, ..., 0
-    for c in reversed(polys[n]):
-        coeffs.append(Fraction(c, power) if c else _ZERO)
-        power *= d
-    return RatPoly(reversed(coeffs))
+    return RatPoly(Fraction(c, d ** (n - i)) if c else _ZERO for i, c in enumerate(polys[n]))

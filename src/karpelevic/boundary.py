@@ -56,7 +56,7 @@ from typing import Callable, Sequence, Union
 
 from karpelevic.algebra import RatLike, _check_integer, _check_order, rat
 from karpelevic.farey import ArcParams, ArcType, arcs_of_order
-from karpelevic.itopoly import reduced_shifts
+from karpelevic.itopoly import _check_alpha, reduced_shifts
 
 __all__ = [
     "ArcTrace",
@@ -259,9 +259,8 @@ def point_at(trace: ArcTrace, alpha: Union[RatLike, float]) -> complex:
     """
     if isinstance(alpha, bool):
         raise ValueError(f"parameter must be a number, got {alpha!r}")
-    a = float(alpha if isinstance(alpha, float) else rat(alpha))
-    if not (0.0 <= a <= 1.0):
-        raise ValueError("parameter must lie in [0, 1]")
+    _check_alpha(given := alpha if isinstance(alpha, float) else rat(alpha))
+    a = float(given)
     arc = trace.arc
     if (closed := _closed_form_root(arc)) is not None:
         return closed(a)

@@ -16,9 +16,11 @@ z = 0; Type I (d = 1) has y = s - q and Type 0 (q = 1, d = n = s) has
 y = z = 0.  ``reduced_shifts`` gives the pair, and the degree is
 max(s, q d).
 
-The form is built from (t^q - b)^d expanded by the binomial theorem:
-its d + 1 nonzero terms are C(d, k) (-b)^k t^(q (d - k)), so no
-polynomial is ever raised to a power.
+Both forms come from one writer, ``_closed_form``, given their shifts:
+(y, z) for the reduced form and (s, q d) for the unreduced one.  It writes
+(t^q - b)^d expanded by the binomial theorem, whose d + 1 nonzero terms
+are C(d, k) (-b)^k t^(q (d - k)), so no polynomial is ever raised to a
+power.
 
 Coefficient bookkeeping follows the monic convention: k_j is the
 coefficient of t^(deg - j), so that k_q = -b*d and
@@ -43,7 +45,7 @@ __all__ = [
 ]
 
 
-def _check_alpha(alpha: Fraction) -> None:
+def _check_alpha(alpha: Fraction | float) -> None:
     if not (0 <= alpha <= 1):
         raise ValueError(f"parameter must lie in [0, 1], got {alpha}")
 
@@ -54,21 +56,11 @@ def _binomial_terms(q: int, b: Fraction, d: int) -> list[tuple[int, Fraction]]:
     return [(q * (d - k), comb(d, k) * (-b) ** k) for k in range(d + 1)]
 
 
-def _binomial_power(q: int, b: Fraction, d: int) -> RatPoly:
-    """(t^q - b)^d, expanded."""
-    coeffs = [_ZERO] * (q * d + 1)
-    for e, c in _binomial_terms(q, b, d):
-        coeffs[e] = c
-    return RatPoly(coeffs)
-
-
 def full_arc_poly(arc: ArcParams, alpha: RatLike) -> RatPoly:
     """The unreduced arc polynomial t^s (t^q - b)^d - a^d t^(q d), expanded."""
     a = rat(alpha)
     _check_alpha(a)
-    lhs = _binomial_power(arc.q, 1 - a, arc.d).shift(arc.s)
-    rhs = RatPoly.monomial(arc.q * arc.d, a ** arc.d)
-    return lhs - rhs
+    return _closed_form(arc.q, arc.d, a, arc.s, arc.q * arc.d)
 
 
 @dataclass(frozen=True)
@@ -92,11 +84,9 @@ def reduced_shifts(arc: ArcParams) -> tuple[int, int]:
     return max(gap, 0), max(-gap, 0)
 
 
-def _closed_form(arc: ArcParams, a: Fraction) -> RatPoly:
+def _closed_form(q: int, d: int, a: Fraction, y: int, z: int) -> RatPoly:
     """t^y (t^q - b)^d - a^d t^z, its d + 2 terms written into one list of
-    the shared zero; they meet only in the constant term of Type 0."""
-    q, d = arc.q, arc.d
-    y, z = reduced_shifts(arc)
+    the shared zero; they meet, at t^z, only on Type 0 (q = 1)."""
     coeffs = [_ZERO] * (y + q * d + 1)
     for e, c in _binomial_terms(q, 1 - a, d):
         coeffs[y + e] = c
@@ -113,7 +103,7 @@ def reduced_ito(arc: ArcParams, alpha: RatLike) -> ItoInstance:
     """
     a = rat(alpha)
     _check_alpha(a)
-    return ItoInstance(arc=arc, alpha=a, poly=_closed_form(arc, a))
+    return ItoInstance(arc=arc, alpha=a, poly=_closed_form(arc.q, arc.d, a, *reduced_shifts(arc)))
 
 
 def coefficient_identity_check(inst: ItoInstance) -> bool:

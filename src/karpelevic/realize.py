@@ -107,12 +107,17 @@ def _necklace_classes(total: int, length: int, bound: int) -> list[tuple[int, ..
     lexicographic order, and a part is only tried if the later parts,
     each at most bound-1, can still bring the sum to ``total``, so no
     composition is built that is then thrown away; the last part is the
-    sum left.  The walk is one loop: one iterator over the values left
-    per placed part but the last, and a part out of values hands back to
-    the part before it, as in ``digraph._relabel``.
+    sum left.  A least rotation that ends in 0 is all 0s (moving that 0 to
+    the front gives a smaller rotation), so for a positive total every
+    part but the last leaves at least 1 for it: a zero tail is never
+    walked.  The walk is one loop: one iterator over the values left per
+    placed part but the last, and a part out of values hands back to the
+    part before it, as in ``digraph._relabel``.
     """
+    if total == 0:
+        return [(0,) * length] if bound > 0 or not length else []
     if not length:
-        return [()] if total == 0 else []
+        return []
     out: list[tuple[int, ...]] = []
     a = [0] * (length + 1)  # a[0] = 0 stands in front of the parts a[1..]
     # Per placed part: the values left to try, and the period and sum left before it.
@@ -122,7 +127,7 @@ def _necklace_classes(total: int, length: int, bound: int) -> list[tuple[int, ..
         t = len(tried) + 1
         if t < length:
             room = (length - t) * (bound - 1)  # the most parts t+1.. can add
-            values = iter(range(max(a[t - p], left - room), min(bound - 1, left) + 1))
+            values = iter(range(max(a[t - p], left - room), min(bound, left)))
             tried.append((values, p, left))
         elif a[t - p] <= left < bound:
             a[t] = left

@@ -143,6 +143,19 @@ class TestRatPoly:
             x = F(rng.randint(-9, 9), rng.randint(1, 9))
             assert poly_eval(p * q, x) == poly_eval(p, x) * poly_eval(q, x)
 
+    def test_coeff_past_the_degree_is_zero(self):
+        p = RatPoly([3, 1])
+        assert p.coeff(1) == 1 and p.coeff(2) == 0 and p.coeff(5) == 0
+
+    def test_eq_with_a_non_polynomial_is_not_implemented(self):
+        assert RatPoly([1]).__eq__(1) is NotImplemented
+        assert RatPoly([1]) != 1
+
+    def test_equal_polynomials_hash_alike(self):
+        p = RatPoly([F(1, 2), 0, 1])
+        assert p == RatPoly([F(2, 4), 0, 1, 0]) and hash(p) == hash(RatPoly([F(2, 4), 0, 1, 0]))
+        assert len({p, RatPoly([F(1, 2), 0, 1]), RatPoly([1])}) == 2
+
     def test_shift(self):
         assert RatPoly([3, 1]).shift(2) == RatPoly([0, 0, 3, 1])
         assert RatPoly().shift(2) == RatPoly()
@@ -435,6 +448,9 @@ class TestSparseConstruction:
         ([((0, F(1)),), ((2, F(1)),)], "row 1 has a column outside 0..1"),
         ([((0, F(1)),), ((-1, F(1)),)], "row 1 has a column outside 0..1"),
         ([((0, F(1)),), ((0, F(1, 2)), (2, F(1, 2)))], "row 1 has a column outside 0..1"),
+        # A lone zero is no lone 1, and a column below 0 may lead a longer row.
+        ([((0, F(0)),), ((0, F(1)),)], "row 0 sums to 0, not 1"),
+        ([((0, F(1)),), ((-1, F(1, 2)), (0, F(1, 2)))], "row 1 has a column outside 0..1"),
     ])
     def test_pairs_checked_as_rows_are(self, rows, message):
         with pytest.raises(ValueError) as exc:
@@ -442,9 +458,12 @@ class TestSparseConstruction:
         assert str(exc.value) == message
 
     def test_pairs_drop_zeros(self):
-        m = StochMatrix._from_pairs([((0, F(0)), (1, F(1))), ((0, F(1, 3)), (1, F(2, 3)))])
+        rows = [((0, F(0)), (1, F(1))), ((0, F(1, 3)), (1, F(2, 3)))]
+        m = StochMatrix._from_pairs(rows)
         assert m.sparse_rows == (((1, F(1)),), ((0, F(1, 3)), (1, F(2, 3))))
         assert m == StochMatrix([[0, 1], [F(1, 3), F(2, 3)]])
+        # Any iterable of rows will do, as the signature says.
+        assert StochMatrix._from_pairs(iter(rows)) == m and StochMatrix._from_pairs(tuple(rows)) == m
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.sampled_from(catalogue_arcs()), st.integers(1, 100), st.data())

@@ -295,7 +295,7 @@ class TestBranchContinuation:
     @pytest.mark.parametrize("n, pair", [(12, (3, 4, 7, 9)), (5, (0, 1, 1, 5))])
     def test_point_at_rejects_parameters_outside_the_unit_interval(self, n, pair, alpha):
         trace = trace_arc(ArcParams(n, *pair), 16)  # Type II; Type 0 in closed form
-        with pytest.raises(ValueError, match=r"^parameter must lie in \[0, 1\]$"):
+        with pytest.raises(ValueError, match=rf"^parameter must lie in \[0, 1\], got {re.escape(str(alpha))}$"):
             point_at(trace, alpha)
 
     @pytest.mark.parametrize("alpha", [True, False])

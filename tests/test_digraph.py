@@ -925,6 +925,10 @@ class TestCachedIndex:
                 assert (reused is not None) == (i == j)
 
 
+ARC_II_12 = arc_params(ArcType.TYPE_II, q=4, d=3, z=3)
+BARE_Q_CYCLES_12 = {(v, v - v % 4 + (v + 1) % 4): F(1) for v in range(12)}
+
+
 class TestCycleStructure:
     def test_type0_ok(self):
         arc = arc_params(ArcType.TYPE_0, n=4)
@@ -950,6 +954,37 @@ class TestCycleStructure:
         report = cycle_structure_check(g, arc)
         assert not report
         assert any("forbidden" in p for p in report.problems)
+
+    def test_three_bare_q_cycles_lack_the_s_cycle(self):
+        # The order-12 arc's three 4-cycles with nothing joining them.
+        report = cycle_structure_check(WeightedDigraph(12, BARE_Q_CYCLES_12), ARC_II_12)
+        assert not report and report.lengths == (4,) and report.q_cycle_count == 3
+        assert report.exactly_d_disjoint_equal is True
+        assert report.problems == ("no cycle of length s=9",)
+
+    def test_lone_s_cycle_lacks_the_q_cycle(self):
+        edges = {(v, (v + 1) % 9): F(1) for v in range(9)}
+        report = cycle_structure_check(WeightedDigraph(12, edges), ARC_II_12)
+        assert not report and report.lengths == (9,)
+        assert report.problems == ("no cycle of length q=4",)
+
+    def test_q_cycle_counts_other_than_d(self):
+        # Two of the three bare 4-cycles: fewer than d, so not "exactly d".
+        two = {e: w for e, w in BARE_Q_CYCLES_12.items() if e[0] < 8}
+        report = cycle_structure_check(WeightedDigraph(12, two), ARC_II_12)
+        assert report.q_cycle_count == 2 and report.at_least_d_q_cycles is False
+        assert report.exactly_d_disjoint_equal is None
+        # d = 1 asks neither question.
+        arc = arc_params(ArcType.TYPE_I, n=5, q=4)
+        report = cycle_structure_check(WeightedDigraph.from_matrix(type1(5, 4, [F(1, 2), F(1, 2)])), arc)
+        assert report.ok and report.at_least_d_q_cycles is None and report.exactly_d_disjoint_equal is None
+
+    def test_d_q_cycles_of_equal_weight_sharing_a_vertex(self):
+        # 2-cycles 0-1 and 1-2, each of weight 1/2, meet at vertex 1.
+        arc = arc_params(ArcType.TYPE_III, q=2, d=2, y=1)
+        edges = {(0, 1): 1, (1, 0): F(1, 2), (1, 2): F(1, 2), (2, 1): 1}
+        report = cycle_structure_check(WeightedDigraph(5, edges), arc)
+        assert report.q_cycle_count == 2 and report.exactly_d_disjoint_equal is False
 
     def test_disjoint_q_cycles_of_unequal_weight(self):
         # Exactly d = 2 disjoint 2-cycles, 0-1 of weight 1/2 and 2-3 of

@@ -10,7 +10,7 @@ from karpelevic.algebra import RatPoly, poly_eval
 from karpelevic.farey import ArcParams, ArcType, arc_params, arcs_of_order
 from karpelevic.itopoly import (
     ItoInstance,
-    _binomial_power,
+    _binomial_terms,
     coefficient_identity_check,
     full_arc_poly,
     reduced_ito,
@@ -112,6 +112,10 @@ class TestReducedIto:
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
             reduced_ito(_arc(ArcType.TYPE_0, n=3), F(3, 2))
+        for build in (reduced_ito, full_arc_poly):
+            for a in (F(-1, 7), F(3, 2)):
+                with pytest.raises(ValueError, match=f"^parameter must lie in \\[0, 1\\], got {a}$"):
+                    build(_arc(ArcType.TYPE_II, q=4, d=3, z=3), a)
 
 
 class TestReducedShifts:
@@ -151,7 +155,10 @@ class TestBinomialExpansion:
         for q in range(1, 10):
             for d in range(8):
                 expected = (RatPoly.monomial(q) - RatPoly([b])) ** d
-                assert _binomial_power(q, b, d) == expected
+                coeffs = [F(0)] * (q * d + 1)
+                for e, c in _binomial_terms(q, b, d):
+                    coeffs[e] = c
+                assert RatPoly(coeffs) == expected
 
     def test_reduced_ito_against_powers(self):
         for n in range(2, 21):

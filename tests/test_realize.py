@@ -23,6 +23,7 @@ from karpelevic.farey import ArcParams, ArcType, arc_params, arcs_of_order
 from karpelevic.realize import (
     TypeIIIFamilySpec,
     TypeIIRealization,
+    VerificationResult,
     build_sparsest,
     conjecture_probe,
     dd_band_index,
@@ -400,9 +401,22 @@ class TestNecklaceClasses:
         # other total, and parts below the bound to none past length * (bound - 1).
         assert _necklace_classes(0, 0, 3) == [()]
         assert _necklace_classes(2, 0, 3) == []
+        # With no part values at all, only the empty word is left.
+        assert _necklace_classes(0, 0, 0) == [()]
+        assert _necklace_classes(0, 3, 0) == []
         for length in (1, 2, 5):
             assert _necklace_classes(-1, length, 3) == []
             assert _necklace_classes(2 * length + 1, length, 3) == []
+
+    def test_long_compositions_with_small_totals(self):
+        # Every part but the last leaves at least 1 for it, so no zero tail
+        # is walked; walking one part by part took about a minute here.
+        with alarm(5.0, "necklace walk over a zero tail took too long"):
+            classes = enumerate_sparsest(arc_params(ArcType.TYPE_III, q=3, d=1000, y=2))
+            single = enumerate_sparsest(arc_params(ArcType.TYPE_III, q=2, d=5000, y=1))
+        assert len(classes) == 501 and classes == sorted(classes)
+        assert all(min(c[k:] + c[:k] for k in range(len(c))) == c for c in classes)
+        assert single == [(0,) * 4999 + (1,)]
 
     def test_reversal_is_another_class(self):
         # (0,1,2) reversed is (2,1,0), whose necklace is (0,2,1): a reflection
@@ -475,6 +489,12 @@ class TestVerify:
         result = verify_realization(a1, ARC_II, F(1, 3))
         assert result.cycle_report == cycle_structure_check(WeightedDigraph.from_matrix(a1), ARC_II)
         assert result.describe() == "charpoly exact match; cycle structure ok (lengths [4, 9], 3 q-cycles)"
+
+    def test_describe_names_a_bad_cycle_structure(self):
+        # The order-12 arc's three 4-cycles with nothing joining them.
+        g = WeightedDigraph(12, {(v, v - v % 4 + (v + 1) % 4): F(1) for v in range(12)})
+        result = VerificationResult(True, cycle_structure_check(g, ARC_II))
+        assert result.describe() == "charpoly exact match; cycle structure BAD: no cycle of length s=9"
 
 
 class TestVerifyProperty:

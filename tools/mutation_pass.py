@@ -65,15 +65,22 @@ MEMORY_MB = 2048  # address-space cap of each test run, in MiB
 
 
 def target_nodes(tree: ast.Module, targets: list[str]) -> list[ast.AST]:
-    """Every node inside the named top-level definitions, in one fixed order."""
-    tops = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
-    missing = set(targets) - {n.name for n in tops}
+    """Every node inside the named top-level definitions and ``Class.method``
+    definitions, in one fixed order."""
+    named = {}
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            named[top.name] = top
+            for inner in top.body if isinstance(top, ast.ClassDef) else ():
+                if isinstance(inner, ast.FunctionDef):
+                    named[f"{top.name}.{inner.name}"] = inner
+    missing = set(targets) - named.keys()
     if missing:
-        raise SystemExit(f"no top-level definition named {sorted(missing)}")
+        raise SystemExit(f"no definition named {sorted(missing)}")
     nodes = []
-    for top in tops:
-        if top.name in targets:
-            nodes.extend(ast.walk(top))
+    for name, node in named.items():
+        if name in targets:
+            nodes.extend(ast.walk(node))
     return nodes
 
 
@@ -189,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", help="module path, relative to the repository root")
     parser.add_argument("--targets", nargs="+", required=True,
-                        help="top-level functions and classes to mutate")
+                        help="top-level functions and classes, or Class.method, to mutate")
     parser.add_argument("--tests", nargs="+", required=True, help="test files to run")
     args = parser.parse_args(argv)
 
