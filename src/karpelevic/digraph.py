@@ -10,7 +10,8 @@ route sums over linear digraphs (sets of vertex-disjoint simple cycles)
 in one forward pass over the vertices, each either left uncovered or
 covered by one cycle whose least vertex it is; it is checked elsewhere
 against exact elimination.  The pass keeps, per set of later vertices
-already covered, the sums by number of vertices covered.  "Least" and
+already covered, the sums by power of t, each list as long as the
+vertices left uncovered so far allow.  "Least" and
 "later" are in the order the vertices first appear in the cycles,
 shortest first, so each block of a realization is covered within its
 own bits and the pass holds a few sets under any labelling; nothing
@@ -28,12 +29,15 @@ dead end that cannot close.
 Permutation similarity is decided exactly by an iterative backtracking
 search that matches vertex weight signatures and grows the map
 breadth-first along edges, so each new vertex is pinned by an
-already-mapped neighbour.  What the search reads of a matrix (L and the
-int neighbour maps of its integer view, signatures and their counts,
+already-mapped neighbour.  What the search reads of a matrix (the int
+neighbour maps of its integer view, signatures and their counts,
 breadth-first order) is indexed once per matrix and kept on it, so a
 matrix compared many times is read, not rebuilt, and no Fraction is read;
 and a vertex past a root takes its candidates from the neighbours of its
 placed neighbour's image, not from every vertex with its signature.
+Edges are checked from the second matrix only: equal signature counts give
+equal edge counts, so a complete map that keeps every edge of the second
+matrix is onto the first's edges as well.
 The two-diagonal support check of Dmitriev and Dynkin runs on the same
 loop (``_relabel``) and reads the same index, placing vertices on slots
 instead of on vertices.
@@ -44,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
@@ -177,42 +182,44 @@ def charpoly_coates(g: WeightedDigraph) -> RatPoly:
     det(tI - A) sums, over the linear digraphs D (vertex-disjoint simple
     cycles, loops included), t^(n - |D|) times the product of -w(c) over
     the cycles c of D.  One forward pass over the bits b = 0..n-1 builds
-    every D: b is covered already, or left uncovered, or covered by a
-    cycle c with least bit b that misses the bits covered.  Before bit b,
-    ``level`` maps each set of bits from b up that is covered to the sums
-    C_i over those partial D by i, the number of vertices covered; after
-    the last bit the empty set holds C_i.  Bits follow :func:`simple_cycles`:
+    every D: b is covered already, or left uncovered (one more factor t),
+    or covered by a cycle c with least bit b that misses the bits covered
+    (a factor -w(c), no t).  Before bit b, ``level`` maps each set of bits
+    from b up that is covered to the sums C_j over those partial D by j,
+    the power of t; a list holds one more entry than the bits below b left
+    uncovered, lists of unequal length add by :func:`itertools.zip_longest`,
+    and no list is written in place.  After the last bit the empty set
+    holds C_j.  Bits follow :func:`simple_cycles`:
     a vertex takes the next bit when it first appears, shortest cycles
     first and lexicographic within a length; vertices on no cycle take the
     top bits.  A realization's shortest cycles are its loops or its
     q-cycles, so each block holds consecutive bits and a level holds a few
     sets under any labelling, where label order gives about 2^d.  Sums are
     ints: over the lcm L of the weights' denominators c weighs w(c)*L^|c|,
-    and C_i / L^i is the coefficient of t^(n-i).  Nothing recurses, so no
+    and C_j / L^(n-j) is the coefficient of t^j.  Nothing recurses, so no
     recursion limit bounds n; dense digraphs take exponential time.  The
     independent oracle for :func:`karpelevic.algebra.charpoly_exact`, not
     a production path.
     """
     scale = lcm(*(w.denominator for row in g.sparse_rows for _, w in row))
     bit: dict[int, int] = {}  # each vertex's bit, shortest cycles first
-    by_least: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
+    by_least: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for size, same in simple_cycles(g).items():
         for cyc, w in same:
             c = sum(bit.setdefault(v, 1 << len(bit)) for v in cyc)
-            by_least[(c & -c).bit_length() - 1].append((c, size, int(w * scale ** size)))
-    level = {0: [1] + [0] * g.n}  # bits from b up covered -> sums by vertices covered
+            by_least[(c & -c).bit_length() - 1].append((c, int(w * scale ** size)))
+    level = {0: [1]}  # bits from b up covered -> sums by power of t
     for b, cycles in enumerate(by_least):
         low, nxt = 1 << b, {}
         for covered, p in level.items():
-            for c, size, w in cycles:  # each runs through b, so none is free if b is covered
-                if not c & covered:
-                    acc = nxt.setdefault((covered | c) ^ low, [0] * len(p))
-                    acc[size:] = [x - w * y for x, y in zip(acc[size:], p)]
-            # p moves on as is; a cycle move may write into it later: its state is done.
-            key = covered & ~low
-            nxt[key] = [x + y for x, y in zip(nxt[key], p)] if key in nxt else p
+            # b moves on covered, or is left uncovered: one more t.  A cycle
+            # keeps the power; each runs through b, so none is free if b is covered.
+            moves = [(covered ^ low, p)] if covered & low else [(covered, [0] + p)]
+            moves += [((covered | c) ^ low, [-w * x for x in p]) for c, w in cycles if not c & covered]
+            for key, q in moves:
+                nxt[key] = [x + y for x, y in zip_longest(nxt[key], q, fillvalue=0)] if key in nxt else q
         level = nxt
-    return RatPoly(Fraction(k, scale ** i) for i, k in reversed(list(enumerate(level[0]))))
+    return RatPoly(Fraction(k, scale ** (g.n - j)) for j, k in enumerate(level[0]))
 
 
 # -- permutation similarity -------------------------------------------
@@ -220,17 +227,17 @@ def charpoly_coates(g: WeightedDigraph) -> RatPoly:
 
 class _SimilarityIndex:
     """What the similarity search reads of one matrix, built from its integer
-    view (L, rows over L): ``scale`` L, the out- and in-neighbour maps with
-    int weights over L, the vertex signatures (sorted out-weights, sorted
-    in-weights and self-loop weight, 0 for none), the vertices of each
-    signature in increasing order (``buckets``) and the number of them
-    (``counts``, a plain dict, so that comparing two is one C-level dict
-    comparison).  :meth:`candidates` reads off the vertices a placed
-    neighbour's image allows.  The breadth-first ``tree``, read only when
-    the matrix is searched for, is filled in when first read."""
+    view (L, rows over L): the out- and in-neighbour maps with int weights
+    over L, the vertex signatures (sorted out-weights, sorted in-weights and
+    self-loop weight, 0 for none), the vertices of each signature in
+    increasing order (``buckets``) and the number of them (``counts``, a
+    plain dict, so that comparing two is one C-level dict comparison).  A
+    row's out-weights sum to L, so equal counts give equal L.  The
+    breadth-first ``tree``, read only when the matrix is searched for, is
+    filled in when first read."""
 
     def __init__(self, m: StochMatrix):
-        self.scale, rows = m._int_view
+        rows = m._int_view[1]
         # Both maps are filled in increasing order of their keys.
         self.out = [dict(row) for row in rows]
         self.inc: list[dict[int, int]] = [{} for _ in rows]
@@ -245,21 +252,6 @@ class _SimilarityIndex:
         for v, sig in enumerate(self.signatures):
             self.buckets.setdefault(sig, []).append(v)
         self.counts = {sig: len(vs) for sig, vs in self.buckets.items()}
-
-    def candidates(self, sig: tuple, image: int, to_image: Optional[int],
-                   from_image: Optional[int]) -> list[int]:
-        """The vertices u with signature ``sig`` whose edges u -> image and
-        image -> u have the int weights ``to_image`` and ``from_image`` (None
-        for no edge), in increasing order.  They are drawn from the
-        neighbours of ``image`` along one of those edges, not from the whole
-        signature bucket."""
-        out, inc = self.out, self.inc
-        near = inc[image] if to_image is not None else out[image]
-        return [
-            u for u in near
-            if out[u].get(image) == to_image and inc[u].get(image) == from_image
-            and self.signatures[u] == sig
-        ]
 
     @cached_property
     def tree(self) -> tuple[list[int], list[int]]:
@@ -305,7 +297,7 @@ def _relabel(
     order: list[int],
     anchors: list[int],
     candidates: Callable[[int, int, int], Iterable[int]],
-    consistent: Callable[[int, int, list[int], list[int]], bool],
+    consistent: Callable[[int, int, list[int]], bool],
 ) -> Optional[list[int]]:
     """The backtracking search of both relabelling searches: a map sigma of
     the vertices one-to-one onto 0..n-1, or None.  Vertices are placed in
@@ -313,8 +305,8 @@ def _relabel(
     anchor w = anchors[v] (-1 for a root), placed before it.  v takes its
     images from ``candidates(v, w, sigma[w])`` (-1, -1 for a root), in the
     order given, and keeps the first free image u for which
-    ``consistent(v, u, sigma, inverse)`` holds; ``inverse[u]`` is the vertex
-    placed at u and -1 marks the unplaced in both lists.  The search is
+    ``consistent(v, u, sigma)`` holds; -1 marks the unplaced in sigma and in
+    the inverse map, which tells a free image.  The search is
     iterative: one iterator over the images left per placed position, and a
     dead end frees the position before it and resumes its iterator."""
     sigma = [-1] * len(order)
@@ -330,7 +322,7 @@ def _relabel(
             u = sigma[v]
             sigma[v] = inverse[u] = -1
         for u in pending[pos]:
-            if inverse[u] < 0 and consistent(v, u, sigma, inverse):
+            if inverse[u] < 0 and consistent(v, u, sigma):
                 sigma[v], inverse[u] = u, v
                 pos += 1
                 break
@@ -350,20 +342,23 @@ def find_similarity_permutation(
     Each matrix is indexed once, on its first call, from its integer view
     (its entries as int numerators over L, the lcm of their denominators),
     and the index is kept on the matrix (see :class:`_SimilarityIndex`).
-    L is a relabelling invariant, and over one L equal ints are equal
-    entries, so matrices whose L or signature counts differ are told apart
-    there.  A vertex v of b may go only to a vertex of a with the same
+    Signature counts are a relabelling invariant, and they fix L, over which
+    equal ints are equal entries; matrices whose counts differ are told
+    apart there.  A vertex v of b may go only to a vertex of a with the same
     signature: sorted out-weights, sorted in-weights and self-loop weight.
     Vertices are assigned by :func:`_relabel`, breadth-first over b's
     support, each component rooted at its vertex with the fewest
     candidates; a root takes its candidates from the vertices of a with its
     signature.  Every other vertex v hangs on an assigned neighbour w, and
-    takes as candidates only the neighbours of sigma[w] in a with v's
-    signature and v's edges to w, in increasing order: any other vertex
-    would fail on that edge.  An assignment v -> u is kept only if the
-    edges of v and of u to assigned vertices correspond with equal weights.
-    On the sparse, nearly rigid realization digraphs the edges propagate
-    the map with little or no backtracking.
+    takes as candidates the neighbours of sigma[w] in a with v's signature,
+    in increasing order: its in-neighbours when b has v -> w, and its
+    out-neighbours otherwise.  An assignment v -> u is kept only if every
+    edge of v to or from an assigned vertex has an edge of equal weight
+    between their images, the edge to w among them.  Equal counts give both
+    matrices the same number of edges, so a complete map that keeps every
+    edge of b is onto the edges of a.  On the sparse, nearly rigid
+    realization digraphs the edges propagate the map with little or no
+    backtracking.
     """
     _check_integer("max_order", max_order)
     if a.n != b.n:
@@ -371,24 +366,21 @@ def find_similarity_permutation(
     if a.n > max_order:
         raise ValueError(f"order {a.n} exceeds the similarity search bound {max_order}")
     ia, ib = _similarity_index(a), _similarity_index(b)
-    if ia.scale != ib.scale or ia.counts != ib.counts:
+    if ia.counts != ib.counts:
         return None
     out_a, in_a, out_b, in_b = ia.out, ia.inc, ib.out, ib.inc
 
     def candidates(v: int, w: int, x: int) -> list[int]:
         if w < 0:
             return ia.buckets[ib.signatures[v]]
-        return ia.candidates(ib.signatures[v], x, out_b[v].get(w), in_b[v].get(w))
+        near = in_a[x] if w in out_b[v] else out_a[x]
+        return [u for u in near if ia.signatures[u] == ib.signatures[v]]
 
-    def consistent(v: int, u: int, sigma: list[int], inverse: list[int]) -> bool:
+    def consistent(v: int, u: int, sigma: list[int]) -> bool:
         for edges_b, edges_a in ((out_b[v], out_a[u]), (in_b[v], in_a[u])):
             for vv, w in edges_b.items():
                 x = sigma[vv]
                 if x >= 0 and edges_a.get(x) != w:
-                    return False
-            for uu, w in edges_a.items():
-                y = inverse[uu]
-                if y >= 0 and edges_b.get(y) != w:
                     return False
         return True
 
@@ -427,7 +419,7 @@ def dd_support_check(m: StochMatrix, k: int) -> Optional[list[int]]:
         sign = 1 if v in out[w] else -1
         return [(x + sign * o) % n for o in offsets]
 
-    def consistent(v: int, slot: int, position: list[int], _: list[int]) -> bool:
+    def consistent(v: int, slot: int, position: list[int]) -> bool:
         # v is not placed yet, so its self-loop reads its slot here.
         for u in out[v]:
             s = slot if u == v else position[u]

@@ -5,6 +5,7 @@ import textwrap
 import time
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,7 +34,8 @@ from karpelevic.digraph import (
     simple_cycles,
     to_dot,
 )
-from karpelevic.digraph import _similarity_index
+from karpelevic import digraph
+from karpelevic.digraph import _relabel as relabel, _similarity_index
 from karpelevic.farey import arc_params, ArcType
 from karpelevic.itopoly import reduced_ito
 from karpelevic.realize import (
@@ -417,6 +419,16 @@ class TestCoates:
             m = cyclic_shift_matrix(n)
             assert charpoly_coates(WeightedDigraph.from_matrix(m)) == charpoly_exact(m)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(sparse_digraphs())
+    def test_drawn_digraphs(self, g):
+        """Weights k/9 in rows that need not sum to 1, loops, vertices on no
+        cycle and the empty digraph, against elimination on the dense grid."""
+        grid = [[F(0)] * g.n for _ in range(g.n)]
+        for (u, v), w in edge_dict(g).items():
+            grid[u][v] = w
+        assert charpoly_coates(g) == charpoly_exact(grid)
+
     # (arc, alpha) pairs of orders 199-400; Types 0 and I take the empty composition.
     LARGE_SPARSEST = [
         (arc_params(ArcType.TYPE_II, q=4, d=50, z=3), F(1, 3)),
@@ -434,9 +446,9 @@ class TestCoates:
         realizations: for each arc, random.Random(2) draws one composition
         (parts below q, added one unit at a time to a random part with room)
         and three relabellings.  The bits follow the shortest cycles, so each
-        block leaves the recurrence in one step and the memo holds about n
-        vertex sets; numbered by their labels, the memo grows with about 2^d
-        sets and the first Type II arc alone runs past the alarm.
+        block leaves the pass in one step and a level holds a few vertex
+        sets; numbered by their labels, a level grows to about 2^d sets and
+        the first Type II arc alone runs past the alarm.
         charpoly_exact is no reference at these orders: its elimination
         takes seconds on a relabelled Type II matrix at n = 200."""
         rng = random.Random(2)
@@ -647,7 +659,7 @@ class TestSignatureBuckets:
             [[1 if j == 3 * (i // 3) + (i + 1) % 3 else 0 for j in range(6)] for i in range(6)]
         )
         ia, ib = _similarity_index(six), _similarity_index(two_threes)
-        assert ia.scale == ib.scale == 1
+        assert six._int_view[0] == two_threes._int_view[0] == 1
         assert sorted(ia.signatures) == sorted(ib.signatures) and ia.counts == ib.counts
         assert find_similarity_permutation(six, two_threes) is None
         assert find_similarity_permutation(two_threes, six) is None
@@ -661,7 +673,7 @@ class TestSignatureBuckets:
         out_weights, in_weights, loop = ia.signatures[0]
         assert type(loop) is int and loop == 0 == F(0) and hash(loop) == hash(F(0))
         assert ia.buckets[(out_weights, in_weights, F(0))] == [0]
-        assert ia.scale == ib.scale == 2
+        assert ints._int_view[0] == fractions._int_view[0] == 2
         assert sorted(ia.signatures) == sorted(ib.signatures)
         sigma = find_similarity_permutation(ints, fractions)
         assert sigma is not None and ints.permuted(sigma) == fractions
@@ -840,29 +852,35 @@ class TestNeighbourDrawnSearch:
     @given(similarity_pairs())
     def test_order_and_candidates_follow_their_definitions(self, pair):
         a, b = pair
-        ia, ib = _similarity_index(a), _similarity_index(b)
-        order, anchors = ib.tree
+        order, anchors = _similarity_index(b).tree
         gb = WeightedDigraph.from_matrix(b)
+        sig_a = reference_signatures(*reference_edge_maps(a))
         sig_b = reference_signatures(*reference_edge_maps(b))
         assert order == reference_bfs_order(gb, lambda v: (sig_b.count(sig_b[v]), v))
         position = {v: k for k, v in enumerate(order)}
         grid_a, grid_b = a.entries, b.entries
         for v in range(b.n):
             earlier = [w for w in range(b.n) if (grid_b[v][w] or grid_b[w][v]) and position[w] < position[v]]
-            w = anchors[v]
-            if not earlier:
-                assert w == -1
-                continue
-            assert w in earlier
-            # v's signature and its edges to w as weights over a's L.
-            ratio = F(ia.scale, ib.scale)
-            outs, ins, loop = ib.signatures[v]
-            sig = (tuple(x * ratio for x in outs), tuple(x * ratio for x in ins), loop * ratio)
-            edges = [None if x is None else x * ratio for x in (ib.out[v].get(w), ib.inc[v].get(w))]
-            bucket = ia.buckets.get(sig, [])
-            for image in range(a.n):
-                expected = [u for u in bucket if (grid_a[u][image], grid_a[image][u]) == (grid_b[v][w], grid_b[w][v])]
-                assert ia.candidates(sig, image, *edges) == expected
+            assert anchors[v] in earlier if earlier else anchors[v] == -1
+        # Every list of images the search draws: a root's is the vertices of
+        # a with its signature, and any other v's is those of them on an
+        # edge to or from its anchor's image x, the way b has v -> w or not.
+        drawn = []
+
+        def recording(order, anchors, candidates, consistent):
+            def listed(v, w, x):
+                images = list(candidates(v, w, x))
+                drawn.append((v, w, x, images))
+                return images
+            return relabel(order, anchors, listed, consistent)
+
+        with mock.patch.object(digraph, "_relabel", recording):
+            find_similarity_permutation(a, b)
+        for v, w, x, images in drawn:
+            same = [u for u in range(a.n) if sig_a[u] == sig_b[v]]
+            if w >= 0:
+                same = [u for u in same if (grid_a[u][x] if grid_b[v][w] else grid_a[x][u])]
+            assert images == same
 
 
 class TestCachedIndex:
