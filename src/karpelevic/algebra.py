@@ -11,8 +11,12 @@ those pairs; the dense grid of a matrix is derived from them only when it
 is read.  A matrix also keeps one integer view, made when first read: L,
 the lcm of its entry denominators, and its rows as ``(column, int
 numerator over L)`` pairs, which the characteristic polynomial and the
-similarity search read instead of the Fractions.  The characteristic
-polynomial is reduced on the nonzeros and finishes in Python ints after
+similarity search read instead of the Fractions.  A relabelled copy keeps
+the matrix it relabels and the permutation, so that the similarity search
+of :mod:`karpelevic.digraph` relabels that matrix's index for the copy
+instead of building one.  The characteristic polynomial is reduced on the
+nonzeros, in the order of a depth-first walk over the digraph when no
+relabelling makes the matrix Hessenberg, and finishes in Python ints after
 scaling by a common denominator.
 No floating point enters anywhere; the float world lives in
 :mod:`karpelevic.boundary` only.
@@ -125,6 +129,14 @@ class RatPoly:
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def _of(cls, coeffs: tuple[Fraction, ...]) -> "RatPoly":
+        """The polynomial with these coefficients, taken as they are: a tuple
+        of Fractions whose last, if any, is nonzero."""
+        out = cls.__new__(cls)
+        out.coeffs = coeffs
+        return out
 
     @classmethod
     def monomial(cls, degree: int, coeff: RatLike = 1) -> "RatPoly":
@@ -251,6 +263,28 @@ def _dense_pairs(entries: Iterable[Iterable[RatLike]]) -> list[tuple[tuple[int, 
     return [tuple((j, e) for j, e in enumerate(row) if e) for row in rows]
 
 
+def _relabelled(rows: Sequence[Sequence[tuple[int, object]]], perm: Sequence[int],
+                slot: Sequence[int]) -> tuple[tuple[tuple[int, object], ...], ...]:
+    """Sparse rows relabelled by perm, slot its inverse: row i is row perm[i]
+    with each column j moved to slot[j], in increasing order again.  Columns
+    are distinct, so the sort compares ints only, and a row of one entry,
+    as most rows of a realization are, needs none."""
+    out = []
+    for v in perm:
+        row = rows[v]
+        if len(row) == 1:
+            (j, e), = row
+            out.append(((slot[j], e),))
+        else:
+            out.append(tuple(sorted([(slot[j], e) for j, e in row])))
+    return tuple(out)
+
+
+def _inverse(perm: Sequence[int]) -> list[int]:
+    """The inverse of a permutation of 0..n-1: slot[perm[k]] = k."""
+    return sorted(range(len(perm)), key=perm.__getitem__)
+
+
 @dataclass(frozen=True)
 class StochMatrix:
     """Square matrix of exact rationals with unit row sums.
@@ -300,6 +334,13 @@ class StochMatrix:
                 if (e is _ONE or e == 1) and 0 <= j < n:
                     continue
             else:
+                if len(row) == 2:
+                    # The others mostly hold two positive entries a/b and c/d,
+                    # which pass, each then in (0, 1), when a*d + c*b = b*d.
+                    (j, e), (k, f) = row
+                    a, b, c, d = e.numerator, e.denominator, f.numerator, f.denominator
+                    if 0 <= j and k < n and a > 0 and c > 0 and a * d + c * b == b * d:
+                        continue
                 row = rows[i] = tuple(p for p in row if p[1])
             if row and not (0 <= row[0][0] and row[-1][0] < n):
                 raise ValueError(f"row {i} has a column outside 0..{n - 1}")
@@ -317,8 +358,9 @@ class StochMatrix:
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """The dense grid of Fractions, zeros included."""
         grid = []
+        zeros = [_ZERO] * len(self.sparse_rows)
         for row in self.sparse_rows:
-            dense = [_ZERO] * len(self.sparse_rows)
+            dense = zeros.copy()
             for j, e in row:
                 dense[j] = e
             grid.append(tuple(dense))
@@ -344,21 +386,31 @@ class StochMatrix:
     def permuted(self, perm: Sequence[int]) -> "StochMatrix":
         """Relabel by perm: entry (i, j) of the result is entry (perm[i], perm[j]) of self.
 
-        Equivalent to P A P^T where P has ones at (i, perm[i]).
+        Equivalent to P A P^T where P has ones at (i, perm[i]).  The copy
+        keeps, in its instance dict, the matrix it relabels and the
+        permutation from that matrix (composed, when self is such a copy
+        itself), so that a view cached there can be relabelled rather than
+        rebuilt: the similarity index of :mod:`karpelevic.digraph` is.
         """
         n = self.n
-        for v in perm:
-            _check_integer("permutation entry", v)
-        if sorted(perm) != list(range(n)):
-            raise ValueError("not a permutation of 0..n-1")
-        slot = [0] * n
+        slot = [-1] * n
+        whole = len(perm) == n
         for i, v in enumerate(perm):
-            slot[v] = i
+            _check_integer("permutation entry", v)
+            if 0 <= v < n and slot[v] < 0:
+                slot[v] = i
+            else:
+                whole = False
+        if not whole:
+            raise ValueError("not a permutation of 0..n-1")
         # A relabelling of valid sparse rows is valid sparse rows: only the
-        # columns change, and they are distinct, so sorting compares ints.
-        return StochMatrix._of(
-            tuple(tuple(sorted((slot[j], e) for j, e in self.sparse_rows[v])) for v in perm)
+        # columns change.
+        out = StochMatrix._of(_relabelled(self.sparse_rows, perm, slot))
+        source, base = self.__dict__.get("_relabelled_from", (self, None))
+        out.__dict__["_relabelled_from"] = (
+            source, tuple(perm) if base is None else tuple(base[v] for v in perm)
         )
+        return out
 
     def nnz(self) -> int:
         return sum(map(len, self.sparse_rows))
@@ -485,6 +537,46 @@ def _hessenberg_order(rows) -> Optional[list[int]]:
     return None
 
 
+def _walk_order(rows) -> list[int]:
+    """An order of the vertices for the elimination: the reverse of a
+    depth-first preorder of the digraph of these sparse rows, from vertex 0
+    and then from the least vertex not yet reached, that visits the
+    successor of highest in-degree first, the lesser vertex on a tie.  Only
+    the support is read.
+
+    In the reversed order an edge into the vertex the walk visits next is a
+    subdiagonal entry and an edge back to a vertex visited earlier lies
+    above the diagonal, where an upper Hessenberg form keeps both; only the
+    other edges lie below the subdiagonal and need eliminating.  A vertex
+    of high in-degree entered early has most of its in-edges pointing back
+    to it.  On the Type II realizations that have no lower-Hessenberg order
+    this leaves about a quarter of the eliminations of their labelling."""
+    n = len(rows)
+    indeg = [0] * n
+    for row in rows:
+        for j, _ in row:
+            indeg[j] += 1
+    seen = [False] * n
+    pre: list[int] = []
+    for root in range(n):
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            if seen[v]:
+                continue
+            seen[v] = True
+            pre.append(v)
+            row = rows[v]
+            if len(row) == 1:
+                stack.append(row[0][0])
+            else:
+                # A stable sort of the successors from the greatest puts the
+                # one of highest in-degree, the least on a tie, on top.
+                stack += sorted([j for j, _ in reversed(row)], key=indeg.__getitem__)
+    pre.reverse()
+    return pre
+
+
 def charpoly_exact(matrix) -> RatPoly:
     """Monic characteristic polynomial det(tI - M) over exact rationals.
 
@@ -502,11 +594,15 @@ def charpoly_exact(matrix) -> RatPoly:
     by :func:`_hessenberg_order` and loaded transposed: the transpose is
     upper Hessenberg with the same characteristic polynomial, so there is
     no elimination, and D and DH are read from the matrix's integer view
-    (L and its rows over L), made once per matrix.
+    (L and its rows over L), made once per matrix.  When the order is the
+    identity, as it is for every Type III build, the integer rows are
+    loaded as they stand, with no relabelling.
 
-    Any other matrix is reduced to H by exact similarity transforms in
-    Fractions, on a dict of the nonzeros of each row and of each column; a
-    grid is loaded into the same dicts, and no dense working grid is made.
+    Any other StochMatrix is relabelled by :func:`_walk_order` first, which
+    leaves about a quarter of the eliminations its labelling would need,
+    and then reduced to H by exact similarity transforms in Fractions, on a
+    dict of the nonzeros of each row and of each column; a grid is loaded
+    into the same dicts as it is, and no dense working grid is made.
     A pivot swap relabels two positions.  A column with nothing below its
     subdiagonal needs no elimination, an elimination touches only the
     nonzero entries of the pivot row and of the eliminated column, and the
@@ -514,13 +610,19 @@ def charpoly_exact(matrix) -> RatPoly:
     subdiagonal entries only down to the lowest nonzero entry above the
     diagonal.  On the sparse realization matrices the Fraction arithmetic
     therefore follows the nonzeros and their fill-in.
+
+    The coefficients come out as Fractions in lowest terms with a leading
+    1, so they make the polynomial as they are, with no second coercion.
     """
     order = _hessenberg_order(matrix.sparse_rows) if isinstance(matrix, StochMatrix) else None
     if order is not None:
-        d, rows = matrix._int_view
-        slot = {v: k for k, v in enumerate(order)}
-        g = [sorted((slot[j], x) for j, x in rows[v]) for v in order]
+        d, g = matrix._int_view
+        if order != list(range(len(order))):
+            g = _relabelled(g, order, _inverse(order))
     else:
+        if isinstance(matrix, StochMatrix):
+            walk = _walk_order(matrix.sparse_rows)
+            matrix = StochMatrix._of(_relabelled(matrix.sparse_rows, walk, _inverse(walk)))
         cols = _hessenberg_columns(matrix)
         # The nonzeros of column k lie in rows 0..k+1; scaled by D they are ints.
         d = lcm(*(e.denominator for col in cols for _, e in col))
@@ -529,7 +631,7 @@ def charpoly_exact(matrix) -> RatPoly:
     sub = [0] * n  # sub[m] = (DH)[m][m-1]
     for k, col in enumerate(g):
         if col and col[-1][0] == k + 1:
-            sub[k + 1] = col.pop()[1]
+            sub[k + 1] = col[-1][1]
 
     # p_k(s) = (s - g[k-1][k-1]) p_{k-1}(s)
     #          - sum_{i<k-1} g[i][k-1] * (prod of subdiagonal g[m][m-1], m=i+1..k-1) * p_i(s)
@@ -537,9 +639,12 @@ def charpoly_exact(matrix) -> RatPoly:
     for k in range(1, n + 1):
         cur = [0] + polys[k - 1]
         # running = prod of g[m][m-1] for m = low..k-1, extended downwards
-        # only when a nonzero g[i][k-1] needs it.
+        # only when a nonzero g[i][k-1] needs it; the subdiagonal entry
+        # g[k][k-1] is read through sub.
         running, low = 1, k
         for i, top in reversed(g[k - 1]):
+            if i == k:
+                continue
             while low > i + 1 and running:
                 low -= 1
                 running *= sub[low]
@@ -549,4 +654,4 @@ def charpoly_exact(matrix) -> RatPoly:
             for idx, c in enumerate(polys[i]):
                 cur[idx] -= scale * c
         polys.append(cur)
-    return RatPoly(Fraction(c, d ** (n - i)) if c else _ZERO for i, c in enumerate(polys[n]))
+    return RatPoly._of(tuple(Fraction(c, d ** (n - i)) if c else _ZERO for i, c in enumerate(polys[n])))

@@ -86,12 +86,14 @@ def reduced_shifts(arc: ArcParams) -> tuple[int, int]:
 
 def _closed_form(q: int, d: int, a: Fraction, y: int, z: int) -> RatPoly:
     """t^y (t^q - b)^d - a^d t^z, its d + 2 terms written into one list of
-    the shared zero; they meet, at t^z, only on Type 0 (q = 1)."""
+    the shared zero; they meet, at t^z, only on Type 0 (q = 1).  Every
+    term is a Fraction and the leading one is 1 at t^(y + q d), above z,
+    so the list is taken as the polynomial's coefficients as it stands."""
     coeffs = [_ZERO] * (y + q * d + 1)
     for e, c in _binomial_terms(q, 1 - a, d):
         coeffs[y + e] = c
     coeffs[z] -= a ** d
-    return RatPoly(coeffs)
+    return RatPoly._of(tuple(coeffs))
 
 
 def reduced_ito(arc: ArcParams, alpha: RatLike) -> ItoInstance:

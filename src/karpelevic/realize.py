@@ -344,7 +344,7 @@ class TypeIIRealization:
                 _check_open_unit(w, f"alpha_{v + 1}")
                 split[v] = (w, dst)
                 prod *= w
-            dependent = b / prod
+            dependent = b / prod if free else b
             if not (0 < dependent < 1):
                 raise ValueError(
                     f"infeasible: the dependent weight at vertex {last + 1} "

@@ -15,6 +15,7 @@ from karpelevic.algebra import (
     _hessenberg_columns,
     _integer,
     _hessenberg_order,
+    _walk_order,
     RatPoly,
     StochMatrix,
     charpoly_exact,
@@ -25,7 +26,7 @@ from karpelevic.algebra import (
 )
 from karpelevic.digraph import WeightedDigraph, charpoly_coates
 from karpelevic.farey import ArcType, arc_params
-from karpelevic.itopoly import reduced_ito
+from karpelevic.itopoly import full_arc_poly, reduced_ito
 from karpelevic.realize import (
     TypeIIIFamilySpec,
     TypeIIRealization,
@@ -263,7 +264,8 @@ class TestStochMatrix:
         for i, j in itertools.product(range(3), repeat=2):
             assert p.entries[i][j] == m.entries[perm[i]][perm[j]]
 
-    @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [1, 2, 3]], ids=["repeat", "short", "shifted"])
+    @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [1, 2, 3], [-1, 0, 1], [0, 1, 2, 0]],
+                             ids=["repeat", "short", "shifted", "negative", "long"])
     def test_permuted_rejects_a_non_permutation(self, perm):
         with pytest.raises(ValueError, match=r"^not a permutation of 0\.\.n-1$"):
             cyclic_shift_matrix(3).permuted(perm)
@@ -451,6 +453,8 @@ class TestSparseConstruction:
         # A lone zero is no lone 1, and a column below 0 may lead a longer row.
         ([((0, F(0)),), ((0, F(1)),)], "row 0 sums to 0, not 1"),
         ([((0, F(1)),), ((-1, F(1, 2)), (0, F(1, 2)))], "row 1 has a column outside 0..1"),
+        # A negative entry first in a row of two.
+        ([((0, F(1)),), ((0, F(-1, 2)), (1, F(3, 2)))], "row 1 has an entry outside [0, 1]"),
     ])
     def test_pairs_checked_as_rows_are(self, rows, message):
         with pytest.raises(ValueError) as exc:
@@ -462,8 +466,21 @@ class TestSparseConstruction:
         m = StochMatrix._from_pairs(rows)
         assert m.sparse_rows == (((1, F(1)),), ((0, F(1, 3)), (1, F(2, 3))))
         assert m == StochMatrix([[0, 1], [F(1, 3), F(2, 3)]])
+        # A zero in either place of a two-entry row is dropped.
+        ones = StochMatrix._from_pairs([((0, F(1)), (1, F(0))), ((0, F(0)), (1, F(1)))])
+        assert ones.sparse_rows == (((0, F(1)),), ((1, F(1)),))
         # Any iterable of rows will do, as the signature says.
         assert StochMatrix._from_pairs(iter(rows)) == m and StochMatrix._from_pairs(tuple(rows)) == m
+
+    def test_rows_of_one_or_two_entries_checked_in_ints(self):
+        # A lone 1 and two positive entries are checked without the lcm of
+        # the general rule; three entries take it.
+        rows = [((1, F(1)),), ((0, F(1, 3)), (2, F(2, 3))), ((0, F(1)),), ((0, F(2, 3)), (3, F(1, 3)))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(algebra_module, "lcm", None)
+            assert StochMatrix._from_pairs(rows).sparse_rows == tuple(rows)
+            with pytest.raises(TypeError):
+                StochMatrix._from_pairs([((0, F(1, 3)), (1, F(1, 3)), (2, F(1, 3)))] * 3)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.sampled_from(catalogue_arcs()), st.integers(1, 100), st.data())
@@ -676,6 +693,21 @@ def sparse_rational_grids(draw, max_n=8):
     return grid
 
 
+def unordered_type2_classes():
+    """(arc, alpha, matrix) for the 26 Type II classes of the catalogue
+    arcs with q <= 6, d <= 4 that no relabelling makes lower Hessenberg."""
+    alpha = F(37, 101)
+    out = []
+    for arc in catalogue_arcs(6, 4):
+        if arc.type_tag is ArcType.TYPE_II:
+            for composition in enumerate_sparsest(arc):
+                m = build_sparsest(arc, alpha, composition)
+                if _hessenberg_order(m.sparse_rows) is None:
+                    out.append((arc, alpha, m))
+    assert len(out) == 26
+    return out
+
+
 class TestSparseElimination:
     """The elimination on dicts of the nonzeros against the dense-grid
     reference: identical columns, entries and their order included."""
@@ -742,6 +774,15 @@ class TestCharpoly:
                 perm = list(range(n))
                 rng.shuffle(perm)
                 assert charpoly_exact(m.permuted(perm)) == charpoly_exact(m)
+        # The Type II classes with no Hessenberg order are eliminated in
+        # walk order, which moves with the labelling.
+        for arc, alpha, m in unordered_type2_classes():
+            expected = reduced_ito(arc, alpha).poly
+            for seed in range(3):
+                perm = list(range(m.n))
+                random.Random(seed).shuffle(perm)
+                p = m.permuted(perm)
+                assert charpoly_exact(p) == expected == charpoly_coates(WeightedDigraph.from_matrix(p))
 
     def test_against_cofactor_expansion(self):
         rng = random.Random(3)
@@ -902,6 +943,15 @@ class TestHessenbergOrder:
         assert order is not None
         assert lower_hessenberg_under([[j for j, _ in row] for row in m.sparse_rows], order)
 
+    def test_lower_hessenberg_rows_loaded_as_they_stand(self):
+        # A Type III build is lower Hessenberg in its own labelling, so its
+        # integer rows are read without a relabelling.
+        m = build_sparsest(TYPE_III_7, F(37, 101), enumerate_sparsest(TYPE_III_7)[0])
+        assert _hessenberg_order(m.sparse_rows) == list(range(m.n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(algebra_module, "_relabelled", None)
+            assert charpoly_exact(m) == reduced_ito(TYPE_III_7, F(37, 101)).poly
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(relabelled_cycle_realizations())
     def test_charpoly_takes_the_integer_path(self, case):
@@ -916,3 +966,120 @@ class TestHessenbergOrder:
         assert exact == expected
         if m.n <= 16:
             assert exact == charpoly_coates(WeightedDigraph.from_matrix(m))
+
+
+def assert_trusted(p):
+    """p is what RatPoly's checked constructor makes of its coefficients."""
+    checked = RatPoly(p.coeffs)
+    assert p == checked and hash(p) == hash(checked)
+    assert type(p.coeffs) is tuple and all(type(c) is F for c in p.coeffs)
+    assert p.coeffs[-1] != 0
+
+
+class TestTrustedCoefficients:
+    """charpoly_exact and the closed forms build their polynomials with
+    RatPoly._of, which takes the coefficients as they are."""
+
+    def test_of_takes_the_tuple_as_it_is(self):
+        coeffs = (F(-1), F(0), F(1, 2))
+        p = RatPoly._of(coeffs)
+        assert p.coeffs is coeffs and p == RatPoly([-1, 0, "1/2"])
+
+    def test_catalogue_pool(self):
+        for arc in catalogue_arcs(6, 4):
+            for alpha in (F(0), F(37, 101), F(1)):
+                assert_trusted(reduced_ito(arc, alpha).poly)
+                assert_trusted(full_arc_poly(arc, alpha))
+            alpha = F(37, 101)
+            for composition in enumerate_sparsest(arc):
+                m = build_sparsest(arc, alpha, composition)
+                assert_trusted(charpoly_exact(m))
+                for seed in range(3):
+                    perm = list(range(arc.n))
+                    random.Random(seed).shuffle(perm)
+                    assert_trusted(charpoly_exact(m.permuted(perm)))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(sparse_stochastic())
+    def test_drawn_matrices(self, m):
+        assert_trusted(charpoly_exact(m))
+
+
+def reference_walk_order(succ):
+    """The reverse of the depth-first preorder, by recursion, that visits
+    successors by decreasing in-degree, then increasing vertex, from each
+    vertex in turn not yet visited."""
+    n = len(succ)
+    indeg = [sum(j in out for out in succ) for j in range(n)]
+    pre = []
+
+    def visit(v):
+        pre.append(v)
+        for j in sorted(succ[v], key=lambda j: (-indeg[j], j)):
+            if j not in pre:
+                visit(j)
+
+    for root in range(n):
+        if root not in pre:
+            visit(root)
+    return pre[::-1]
+
+
+def below_subdiagonal(rows):
+    """The nonzeros at (i, j) with i > j + 1, which the elimination clears."""
+    return sum(1 for i, row in enumerate(rows) for j, _ in row if i > j + 1)
+
+
+class TestWalkOrder:
+    """The order of the elimination: its definition, what it saves, and
+    that charpoly_exact eliminates in it."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(digraphs())
+    def test_against_the_recursive_definition(self, succ):
+        rows = [tuple((j, 1) for j in sorted(out)) for out in succ]
+        assert _walk_order(rows) == reference_walk_order(succ)
+
+    def test_fewer_entries_to_eliminate(self):
+        total = walked = 0
+        for _, _, m in unordered_type2_classes():
+            for seed in range(3):
+                perm = list(range(m.n))
+                random.Random(seed).shuffle(perm)
+                p = m.permuted(perm)
+                succ = [{j for j, _ in row} for row in p.sparse_rows]
+                assert _walk_order(p.sparse_rows) == reference_walk_order(succ)
+                here = below_subdiagonal(p.sparse_rows)
+                there = below_subdiagonal(p.permuted(_walk_order(p.sparse_rows)).sparse_rows)
+                assert there <= here
+                total, walked = total + here, walked + there
+        assert 4 * walked < total
+
+    def test_charpoly_eliminates_the_walked_matrix(self):
+        seen = []
+
+        def recording(matrix):
+            seen.append(matrix)
+            return _hessenberg_columns(matrix)
+
+        for arc, alpha, m in unordered_type2_classes()[:6]:
+            perm = list(range(m.n))
+            random.Random(1).shuffle(perm)
+            p = m.permuted(perm)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(algebra_module, "_hessenberg_columns", recording)
+                assert charpoly_exact(p) == reduced_ito(arc, alpha).poly
+            assert seen.pop().sparse_rows == p.permuted(_walk_order(p.sparse_rows)).sparse_rows
+
+    def test_grids_are_eliminated_as_given(self):
+        grid = [[0, 1, 0], [F(1, 2), 0, F(1, 2)], [1, 0, 0]]
+        seen = []
+
+        def recording(matrix):
+            seen.append(matrix)
+            return _hessenberg_columns(matrix)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(algebra_module, "_hessenberg_columns", recording)
+            assert charpoly_exact(grid) == charpoly_exact(StochMatrix(grid))
+        assert seen[0] is grid

@@ -35,7 +35,7 @@ from karpelevic.digraph import (
     to_dot,
 )
 from karpelevic import digraph
-from karpelevic.digraph import _relabel as relabel, _similarity_index
+from karpelevic.digraph import _relabel as relabel, _SimilarityIndex, _similarity_index
 from karpelevic.farey import arc_params, ArcType
 from karpelevic.itopoly import reduced_ito
 from karpelevic.realize import (
@@ -941,6 +941,95 @@ class TestCachedIndex:
                 reused = find_similarity_permutation(a, b)
                 assert reused == find_similarity_permutation(fresh_copy(a), fresh_copy(b))
                 assert (reused is not None) == (i == j)
+
+
+def index_fields(index):
+    """Every field of a similarity index, each dict as its list of items so
+    that the order of its keys counts, and the breadth-first tree."""
+    return (
+        [list(d.items()) for d in index.out],
+        [list(d.items()) for d in index.inc],
+        index.signatures,
+        list(index.buckets.items()),
+        list(index.counts.items()),
+        index.tree,
+    )
+
+
+def assert_index_as_built_anew(m):
+    assert index_fields(_similarity_index(m)) == index_fields(_SimilarityIndex(fresh_copy(m)))
+
+
+class TestDerivedIndex:
+    """A relabelled copy of an indexed matrix takes that index relabelled,
+    and it equals the index built anew, field by field and in dict order."""
+
+    @staticmethod
+    def check(m, perm, source_first):
+        copy = m.permuted(perm)
+        if source_first:
+            _similarity_index(m)
+        assert_index_as_built_anew(copy)
+        # Derived, the copy's integer view is never made and each vertex
+        # shares its source vertex's signature; built, the view is made.
+        assert ("_int_view" in copy.__dict__) is not source_first
+        if source_first:
+            held = _similarity_index(m).signatures
+            assert all(s is held[v] for s, v in zip(_similarity_index(copy).signatures, perm))
+        assert "_relabelled_from" not in copy.__dict__
+        assert_index_as_built_anew(m)
+        # A copy of the copy derives its index from the copy's.
+        again = copy.permuted(perm)
+        assert_index_as_built_anew(again)
+        assert "_int_view" not in again.__dict__
+
+    @pytest.mark.parametrize("source_first", [True, False], ids=["source-first", "copy-first"])
+    def test_every_catalogue_class(self, source_first):
+        alpha = F(37, 101)
+        count = 0
+        for arc in catalogue_arcs(6, 4):
+            for composition in enumerate_sparsest(arc):
+                for seed in range(3):
+                    perm = list(range(arc.n))
+                    random.Random(seed).shuffle(perm)
+                    self.check(build_sparsest(arc, alpha, composition), perm, source_first)
+                    count += 1
+        assert count == 3 * 186  # the classes of the 66 arcs
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(repeated_weight_matrices(6), st.permutations(range(6)), st.booleans())
+    def test_drawn_matrices(self, m, perm, source_first):
+        self.check(m, perm, source_first)
+
+    def test_copy_of_an_unindexed_copy_derives_from_the_source(self):
+        # The copy of a copy keeps the first source and the composed
+        # permutation, so it derives from the source's index and the
+        # unindexed copy between them is not kept alive by it.
+        m = build_sparsest(ARC12, F(2, 7), enumerate_sparsest(ARC12)[0])
+        rng = random.Random(5)
+        first, second = list(range(m.n)), list(range(m.n))
+        rng.shuffle(first)
+        rng.shuffle(second)
+        between = m.permuted(first)
+        copy = between.permuted(second)
+        source, perm = copy.__dict__["_relabelled_from"]
+        assert source is m and list(perm) == [first[v] for v in second]
+        _similarity_index(m)
+        assert_index_as_built_anew(copy)
+        assert "_int_view" not in copy.__dict__ and "_similarity_index" not in between.__dict__
+
+    def test_caller_may_change_the_permutation_afterwards(self):
+        # The copy keeps its own record of the permutation, so changing the
+        # caller's list afterwards changes nothing.
+        m = build_sparsest(ARC12, F(2, 7), enumerate_sparsest(ARC12)[1])
+        perm = list(range(m.n))
+        random.Random(2).shuffle(perm)
+        copy = m.permuted(perm)
+        perm.reverse()
+        _similarity_index(m)
+        assert_index_as_built_anew(copy)
+        sigma = find_similarity_permutation(m, copy)
+        assert sigma is not None and m.permuted(sigma) == copy
 
 
 ARC_II_12 = arc_params(ArcType.TYPE_II, q=4, d=3, z=3)
