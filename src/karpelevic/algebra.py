@@ -11,13 +11,10 @@ those pairs; the dense grid of a matrix is derived from them only when it
 is read.  A matrix also keeps one integer view, made when first read: L,
 the lcm of its entry denominators, and its rows as ``(column, int
 numerator over L)`` pairs, which the characteristic polynomial and the
-similarity search read instead of the Fractions.  A relabelled copy keeps
-the matrix it relabels and the permutation, so that the similarity search
-of :mod:`karpelevic.digraph` relabels that matrix's index for the copy
-instead of building one.  The characteristic polynomial is reduced on the
-nonzeros, in the order of a depth-first walk over the digraph when no
-relabelling makes the matrix Hessenberg, and finishes in Python ints after
-scaling by a common denominator.
+similarity search read instead of the Fractions.  The characteristic
+polynomial is reduced on the nonzeros, in the order of a depth-first walk
+over the digraph when no relabelling makes the matrix Hessenberg, and
+finishes in Python ints after scaling by a common denominator.
 No floating point enters anywhere; the float world lives in
 :mod:`karpelevic.boundary` only.
 
@@ -386,11 +383,7 @@ class StochMatrix:
     def permuted(self, perm: Sequence[int]) -> "StochMatrix":
         """Relabel by perm: entry (i, j) of the result is entry (perm[i], perm[j]) of self.
 
-        Equivalent to P A P^T where P has ones at (i, perm[i]).  The copy
-        keeps, in its instance dict, the matrix it relabels and the
-        permutation from that matrix (composed, when self is such a copy
-        itself), so that a view cached there can be relabelled rather than
-        rebuilt: the similarity index of :mod:`karpelevic.digraph` is.
+        Equivalent to P A P^T where P has ones at (i, perm[i]).
         """
         n = self.n
         slot = [-1] * n
@@ -405,12 +398,7 @@ class StochMatrix:
             raise ValueError("not a permutation of 0..n-1")
         # A relabelling of valid sparse rows is valid sparse rows: only the
         # columns change.
-        out = StochMatrix._of(_relabelled(self.sparse_rows, perm, slot))
-        source, base = self.__dict__.get("_relabelled_from", (self, None))
-        out.__dict__["_relabelled_from"] = (
-            source, tuple(perm) if base is None else tuple(base[v] for v in perm)
-        )
-        return out
+        return StochMatrix._of(_relabelled(self.sparse_rows, perm, slot))
 
     def nnz(self) -> int:
         return sum(map(len, self.sparse_rows))

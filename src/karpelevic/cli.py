@@ -54,10 +54,11 @@ __all__ = ["main"]
 
 @contextmanager
 def _naming(flag: str) -> Iterator[None]:
-    """Name the flag in a ValueError or OSError raised inside."""
+    """Name the flag in a ValueError or OSError raised inside, and in the
+    RecursionError that JSON nested too deeply raises."""
     try:
         yield
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         raise ValueError(f"{flag}: {exc}") from None
 
 

@@ -33,8 +33,6 @@ already-mapped neighbour.  What the search reads of a matrix (the int
 neighbour maps of its integer view, signatures and their counts,
 breadth-first order) is indexed once per matrix and kept on it, so a
 matrix compared many times is read, not rebuilt, and no Fraction is read;
-a copy made by ``StochMatrix.permuted`` of a matrix that holds its index
-relabels that index instead of building its own;
 and a vertex past a root takes its candidates from the neighbours of its
 placed neighbour's image, not from every vertex with its signature.
 Edges are checked from the second matrix only: equal signature counts give
@@ -52,7 +50,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from karpelevic.algebra import RatLike, RatPoly, StochMatrix, _check_integer, rat, rat_str
 from karpelevic.farey import ArcParams
@@ -227,6 +225,14 @@ def charpoly_coates(g: WeightedDigraph) -> RatPoly:
 # -- permutation similarity -------------------------------------------
 
 
+def _weights(neighbours: dict[int, int]) -> tuple[int, ...]:
+    """A neighbour map's weights in increasing order; most vertices of a
+    realization have one out-weight and one or two in-weights, and a map of
+    fewer than two needs no sort."""
+    values = neighbours.values()
+    return tuple(values) if len(neighbours) < 2 else tuple(sorted(values))
+
+
 class _SimilarityIndex:
     """What the similarity search reads of one matrix, built from its integer
     view (L, rows over L): the out- and in-neighbour maps with int weights
@@ -236,35 +242,19 @@ class _SimilarityIndex:
     plain dict, so that comparing two is one C-level dict comparison).  A
     row's out-weights sum to L, so equal counts give equal L.  The
     breadth-first ``tree``, read only when the matrix is searched for, is
-    filled in when first read.
+    filled in when first read."""
 
-    Given ``source``, the index of the matrix that m is a copy of,
-    relabelled by ``perm`` (m's row i is the source's row perm[i]), the
-    maps and signatures are derived from it instead: m's out-map i keys
-    each column j of its sorted row i to the source's weight from perm[i]
-    to perm[j], so in increasing order, and vertex i takes perm[i]'s
-    signature.  Everything else is built from those as for any matrix, so
-    the index equals a fresh one, dict order included, and m's integer view
-    is not made."""
-
-    def __init__(self, m: StochMatrix, source: Optional["_SimilarityIndex"] = None,
-                 perm: Sequence[int] = ()):
-        if source is None:
-            self.out = [dict(row) for row in m._int_view[1]]
-        else:
-            self.out = [{j: source.out[v][perm[j]] for j, _ in row} for v, row in zip(perm, m.sparse_rows)]
+    def __init__(self, m: StochMatrix):
+        rows = m._int_view[1]
         # Both maps are filled in increasing order of their keys.
-        self.inc: list[dict[int, int]] = [{} for _ in self.out]
-        for u, row in enumerate(self.out):
-            for v, w in row.items():
+        self.out = [dict(row) for row in rows]
+        self.inc: list[dict[int, int]] = [{} for _ in rows]
+        for u, row in enumerate(rows):
+            for v, w in row:
                 self.inc[v][u] = w
-        if source is None:
-            self.signatures = [
-                (tuple(sorted(o.values())), tuple(sorted(i.values())), o.get(v, 0))
-                for v, (o, i) in enumerate(zip(self.out, self.inc))
-            ]
-        else:
-            self.signatures = [source.signatures[v] for v in perm]
+        self.signatures = [
+            (_weights(o), _weights(i), o.get(v, 0)) for v, (o, i) in enumerate(zip(self.out, self.inc))
+        ]
         self.buckets: dict[tuple, list[int]] = {}
         for v, sig in enumerate(self.signatures):
             self.buckets.setdefault(sig, []).append(v)
@@ -303,14 +293,10 @@ class _SimilarityIndex:
 def _similarity_index(m: StochMatrix) -> _SimilarityIndex:
     """m's index, built on the first call and kept in m's instance dict, as
     ``cached_property`` keeps ``entries``: outside the dataclass fields, so
-    ``==``, ``hash``, JSON and ``repr`` never see it.  A copy made by
-    ``StochMatrix.permuted`` whose source holds its index by then takes it
-    relabelled, and lets go of the source either way."""
+    ``==``, ``hash``, JSON and ``repr`` never see it."""
     index = m.__dict__.get("_similarity_index")
     if index is None:
-        source, perm = m.__dict__.pop("_relabelled_from", (None, ()))
-        held = source.__dict__.get("_similarity_index") if source is not None else None
-        index = m.__dict__["_similarity_index"] = _SimilarityIndex(m, held, perm)
+        index = m.__dict__["_similarity_index"] = _SimilarityIndex(m)
     return index
 
 

@@ -636,6 +636,39 @@ class TestMalformedJson:
         assert (code, out, err) == (1, "", "error: --matrix: matrix order does not match 'n'\n")
 
 
+class TestDeeplyNestedJson:
+    """JSON nested past the interpreter's recursion limit, in --matrix (a file
+    or stdin) or in --arc, ends in `error: <flag>: ...` and exit 1 with no
+    traceback, in a fresh interpreter as a user runs the verb."""
+
+    ENTRY = "import sys; from karpelevic.cli import main; sys.exit(main())"
+    ARC3_JSON = json.dumps({"n": 3, "p": 0, "q": 1, "r": 1, "s": 3, "d": 3, "type": "0"})
+    DEEP_ENTRY = "[" * 3_000 + '"1/2"' + "]" * 3_000
+    CASES = {
+        "matrix-file": ("[" * 200_000, "file", ARC3_JSON, "--matrix"),
+        "matrix-stdin": ("[" * 200_000, "stdin", ARC3_JSON, "--matrix"),
+        "arc": (json.dumps(TestMalformedJson.GOOD_MATRIX), "file", "[" * 5_000, "--arc"),
+        "nested-entries": (
+            f'{{"n": 2, "entries": [[{DEEP_ENTRY}, "1/2"], ["1/2", "1/2"]]}}', "file", ARC3_JSON, "--matrix"
+        ),
+    }
+
+    @pytest.mark.parametrize("verb", ["verify", "probe"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_error_names_the_flag(self, tmp_path, verb, case):
+        matrix, source, arc, flag = self.CASES[case]
+        f = tmp_path / "m.json"
+        f.write_text(matrix)
+        where, piped = (str(f), None) if source == "file" else ("-", matrix)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.ENTRY, verb, "--matrix", where, "--arc", arc, "--alpha", "1/2"],
+            input=piped, env=package_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith(f"error: {flag}: ") and "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
+
 class TestAugmentCli:
     def test_dry_run_lists_parameters(self, capsys):
         code, out, _ = run(

@@ -1,8 +1,10 @@
+import gc
 import itertools
 import math
 import random
 import textwrap
 import time
+import weakref
 from fractions import Fraction
 from math import gcd
 from unittest import mock
@@ -960,9 +962,10 @@ def assert_index_as_built_anew(m):
     assert index_fields(_similarity_index(m)) == index_fields(_SimilarityIndex(fresh_copy(m)))
 
 
-class TestDerivedIndex:
-    """A relabelled copy of an indexed matrix takes that index relabelled,
-    and it equals the index built anew, field by field and in dict order."""
+class TestCopyIndex:
+    """A relabelled copy builds its own index from its integer view, as any
+    matrix does, and it equals the index built anew on an equal matrix,
+    field by field and in dict order."""
 
     @staticmethod
     def check(m, perm, source_first):
@@ -970,18 +973,22 @@ class TestDerivedIndex:
         if source_first:
             _similarity_index(m)
         assert_index_as_built_anew(copy)
-        # Derived, the copy's integer view is never made and each vertex
-        # shares its source vertex's signature; built, the view is made.
-        assert ("_int_view" in copy.__dict__) is not source_first
-        if source_first:
-            held = _similarity_index(m).signatures
-            assert all(s is held[v] for s, v in zip(_similarity_index(copy).signatures, perm))
-        assert "_relabelled_from" not in copy.__dict__
         assert_index_as_built_anew(m)
-        # A copy of the copy derives its index from the copy's.
         again = copy.permuted(perm)
         assert_index_as_built_anew(again)
-        assert "_int_view" not in again.__dict__
+        # Each signature is the vertex's sorted out- and in-weights over L
+        # and its loop weight, read off the dense grid.
+        big_l = copy._int_view[0]
+        grid = [[int(w * big_l) for w in row] for row in copy.entries]
+        expected = [
+            (
+                tuple(sorted(w for w in grid[v] if w)),
+                tuple(sorted(row[v] for row in grid if row[v])),
+                grid[v][v],
+            )
+            for v in range(copy.n)
+        ]
+        assert _similarity_index(copy).signatures == expected
 
     @pytest.mark.parametrize("source_first", [True, False], ids=["source-first", "copy-first"])
     def test_every_catalogue_class(self, source_first):
@@ -1001,10 +1008,7 @@ class TestDerivedIndex:
     def test_drawn_matrices(self, m, perm, source_first):
         self.check(m, perm, source_first)
 
-    def test_copy_of_an_unindexed_copy_derives_from_the_source(self):
-        # The copy of a copy keeps the first source and the composed
-        # permutation, so it derives from the source's index and the
-        # unindexed copy between them is not kept alive by it.
+    def test_copy_of_an_unindexed_copy(self):
         m = build_sparsest(ARC12, F(2, 7), enumerate_sparsest(ARC12)[0])
         rng = random.Random(5)
         first, second = list(range(m.n)), list(range(m.n))
@@ -1012,15 +1016,14 @@ class TestDerivedIndex:
         rng.shuffle(second)
         between = m.permuted(first)
         copy = between.permuted(second)
-        source, perm = copy.__dict__["_relabelled_from"]
-        assert source is m and list(perm) == [first[v] for v in second]
+        assert copy == m.permuted([first[v] for v in second])
         _similarity_index(m)
         assert_index_as_built_anew(copy)
-        assert "_int_view" not in copy.__dict__ and "_similarity_index" not in between.__dict__
+        assert "_similarity_index" not in between.__dict__
+        sigma = find_similarity_permutation(m, copy)
+        assert sigma is not None and m.permuted(sigma) == copy
 
     def test_caller_may_change_the_permutation_afterwards(self):
-        # The copy keeps its own record of the permutation, so changing the
-        # caller's list afterwards changes nothing.
         m = build_sparsest(ARC12, F(2, 7), enumerate_sparsest(ARC12)[1])
         perm = list(range(m.n))
         random.Random(2).shuffle(perm)
@@ -1030,6 +1033,25 @@ class TestDerivedIndex:
         assert_index_as_built_anew(copy)
         sigma = find_similarity_permutation(m, copy)
         assert sigma is not None and m.permuted(sigma) == copy
+
+    @pytest.mark.parametrize("indexed", [True, False], ids=["indexed", "unindexed"])
+    def test_copy_keeps_nothing_of_its_source(self, indexed):
+        # Right after permuted the copy holds its one field and nothing
+        # else, so the source dies with its last outside reference whether
+        # or not the copy is ever indexed.
+        m = build_sparsest(ARC12, F(2, 7), enumerate_sparsest(ARC12)[0])
+        _similarity_index(m)
+        perm = list(range(m.n))
+        random.Random(7).shuffle(perm)
+        copy = m.permuted(perm)
+        assert list(copy.__dict__) == ["sparse_rows"]
+        if indexed:
+            _similarity_index(copy)
+        source = weakref.ref(m)
+        del m
+        gc.collect()
+        assert source() is None
+        assert_index_as_built_anew(copy)
 
 
 ARC_II_12 = arc_params(ArcType.TYPE_II, q=4, d=3, z=3)
